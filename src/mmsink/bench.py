@@ -18,21 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cachepolicy import CachePolicy, bytes_estimate
-from .engine import (
-    CheckpointDivergence,
-    Model,
-    block_validity,
-    generate,
-    teacher_forced_logits,
-    log_softmax,
-    softmax,
-)
+from .engine import Model, generate, teacher_forced_logits, log_softmax, softmax
 from .errors import ConfigError
-from .seqmodel import MultimodalSequence, Token, item_tokens, synth_stories
+from .seqmodel import MultimodalSequence, Token, block_validity, item_tokens, synth_stories
 
 SCALAR_WIDTH = 8  # float64 cache entries
 CSV_HEADER = ["policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
               "max_logit_diff", "kl", "validity"]
+
+
+@dataclass
+class CheckpointDivergence:
+    t: int
+    max_abs_logit_diff: float
+    kl: float
+
+
+def divergence(t: int, a: np.ndarray, b: np.ndarray) -> CheckpointDivergence:
+    """Max absolute logit difference and KL(softmax(a) || softmax(b)) at
+    checkpoint ``t``; ``a`` is the reference."""
+    diff = float(np.max(np.abs(a - b)))
+    kl = float(np.sum(softmax(a) * (log_softmax(a) - log_softmax(b))))
+    return CheckpointDivergence(t, diff, kl)
 
 
 @dataclass
@@ -107,6 +114,10 @@ def run_benchmark(
     "synthetic" splices deterministic story items after the prompt, which
     guarantees completed image blocks regardless of what the model would
     generate; "generated" uses the dense run's own constrained output.
+
+    The dense reference replay always runs, and a ``dense`` entry in
+    ``policies`` reuses it. So ``prompt + total_steps`` must fit the model's
+    position table, or :class:`ConfigError` is raised before any compute.
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
@@ -126,6 +137,11 @@ def run_benchmark(
     bad = [t for t in checkpoints if t < 1 or t > prompt_len + total_steps]
     if bad:
         raise ConfigError(f"checkpoints {bad} outside 1..{prompt_len + total_steps}")
+    if prompt_len + total_steps > cfg.max_positions:
+        raise ConfigError(
+            f"run of {prompt_len} prompt + {total_steps} steps exceeds "
+            f"the position table ({cfg.max_positions})"
+        )
 
     if trajectory == "synthetic":
         tokens = synthetic_trajectory(prompt, total_steps, seed, cfg.v_text)
@@ -135,19 +151,19 @@ def run_benchmark(
         )
         tokens = dense_run.tokens
 
-    dense_logits, _ = teacher_forced_logits(
+    dense_logits, dense_peak = teacher_forced_logits(
         model, tokens, CachePolicy.dense(), checkpoints
     )
 
     results = []
     for policy in policies:
-        policy_logits, peak = teacher_forced_logits(model, tokens, policy, checkpoints)
-        divergence = []
-        for t in sorted(set(checkpoints)):
-            a, b = dense_logits[t], policy_logits[t]
-            diff = float(np.max(np.abs(a - b)))
-            kl = float(np.sum(softmax(a) * (log_softmax(a) - log_softmax(b))))
-            divergence.append(CheckpointDivergence(t, diff, kl))
+        if policy.kind == "dense":
+            policy_logits, peak = dense_logits, dense_peak
+        else:
+            policy_logits, peak = teacher_forced_logits(model, tokens, policy, checkpoints)
+        divergences = [
+            divergence(t, dense_logits[t], policy_logits[t]) for t in sorted(set(checkpoints))
+        ]
 
         free = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
         attempted, valid = block_validity(free.generated, cfg.m)
@@ -168,7 +184,7 @@ def run_benchmark(
                 peak_entries=peak,
                 bytes_estimate=bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head, SCALAR_WIDTH),
                 mean_tok_s=mean_tok_s,
-                divergence=divergence,
+                divergence=divergences,
                 validity_rate=validity,
             )
         )

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SequenceGrammarError
-from .seqmodel import MultimodalSequence, Token, TokenKind
+from .errors import ConfigError
+from .seqmodel import BlockGrammar, MultimodalSequence, Token
 
 POLICY_KINDS = ("dense", "window", "sink", "mmsink")
 
@@ -166,12 +166,14 @@ class KvCache:
     positions, tokens, and block structure are stored once; keys and values
     live in per-layer arrays of shape (heads, capacity, d_head).
 
-    In strict mode a structurally illegal token raises
-    :class:`SequenceGrammarError`. In permissive mode (used by free-running
-    generation) violations are recorded and the offending token is treated
-    as plain content: an in-progress block broken by an illegal token is
-    abandoned and loses its eviction protection, and never contributes
-    anchors.
+    Block structure comes from one :class:`BlockGrammar` fed every pushed
+    token. In strict mode a structurally illegal token raises
+    :class:`SequenceGrammarError` and leaves the cache untouched. In
+    permissive mode (used by free-running generation) violations are
+    recorded as ``t=<position>: <message>`` and the offending token is
+    treated as plain content: an in-progress block broken by an illegal
+    token is abandoned and loses its eviction protection, and never
+    contributes anchors.
     """
 
     def __init__(
@@ -189,20 +191,15 @@ class KvCache:
         self.heads = heads
         self.d_head = d_head
         self.m = m
-        self.strict = strict
+        self.grammar = BlockGrammar(m, strict)
 
         cap = 64
         self._k = [np.empty((heads, cap, d_head)) for _ in range(layers)]
         self._v = [np.empty((heads, cap, d_head)) for _ in range(layers)]
         self._count = 0
 
-        self.t = 0
         self._positions: list[int] = []
         self._tokens: list[Token] = []
-        self.blocks: list[tuple[int, int]] = []
-        self.open_start: int | None = None
-        self._next_slot = 0
-        self._eos_seen = False
         self._protected: set[int] = set()
         self.violations: list[str] = []
         self.peak_entries = 0
@@ -225,99 +222,31 @@ class KvCache:
     def values(self, layer: int) -> np.ndarray:
         return self._v[layer][:, : self._count, :]
 
-    def history(self) -> BlockHistory:
-        return BlockHistory(tuple(self.blocks), self.open_start)
+    @property
+    def t(self) -> int:
+        """Tokens pushed so far."""
+        return self.grammar.t
+
+    @property
+    def blocks(self) -> list[tuple[int, int]]:
+        return self.grammar.blocks
+
+    @property
+    def open_start(self) -> int | None:
+        return self.grammar.open_start
 
     @property
     def in_block(self) -> bool:
-        return self.open_start is not None
+        return self.grammar.open_start is not None
 
     @property
     def next_slot(self) -> int | None:
         """Slot index the open block expects next, or None outside a block."""
-        return self._next_slot if self.open_start is not None else None
-
-    @property
-    def eos_seen(self) -> bool:
-        return self._eos_seen
+        return self.grammar.next_slot if self.in_block else None
 
     def set_value(self, layer: int, head: int, index: int, value: np.ndarray) -> None:
         """Overwrite one retained value vector in place (test instrumentation)."""
         self._v[layer][head, index, :] = value
-
-    # -- structural tracking ------------------------------------------------
-
-    def _violate(self, message: str) -> None:
-        if self.strict:
-            raise SequenceGrammarError(message)
-        self.violations.append(f"t={self.t}: {message}")
-
-    def _abandon_open_block(self) -> bool:
-        """Drop protection from an in-progress block that cannot complete."""
-        if self.open_start is None:
-            return False
-        self.open_start = None
-        self._next_slot = 0
-        return True
-
-    def _track(self, token: Token) -> bool:
-        """Update block structure for the incoming token.
-
-        Returns True when the retained set may have shrunk for reasons other
-        than the window sliding by one (block completion or abandonment), in
-        which case eviction must rescan every entry.
-        """
-        pos = self.t
-        kind = token.kind
-        rescan = False
-        if self._eos_seen:
-            self._violate(f"token {kind.name} after EOS")
-            self._eos_seen = False
-        if kind is TokenKind.BOS:
-            if pos != 0:
-                self._violate("BOS at non-initial position")
-        elif kind is TokenKind.BOI:
-            if self.open_start is not None:
-                self._violate("nested image block")
-                rescan = self._abandon_open_block() or rescan
-            self.open_start = pos
-            self._next_slot = 0
-        elif kind is TokenKind.IMG:
-            if self.open_start is None:
-                self._violate("image slot outside a block")
-            elif token.value != self._next_slot or token.value >= self.m:
-                self._violate(
-                    f"image slot {token.value}, expected slot {self._next_slot}"
-                )
-                rescan = self._abandon_open_block() or rescan
-            else:
-                self._next_slot += 1
-        elif kind is TokenKind.EOI:
-            if self.open_start is None:
-                self._violate("EOI outside a block")
-            elif self._next_slot != self.m:
-                self._violate(f"EOI after {self._next_slot} slots, block length is {self.m}")
-                rescan = self._abandon_open_block() or rescan
-            else:
-                b, e = self.open_start, pos
-                self.blocks.append((b, e))
-                self.open_start = None
-                self._next_slot = 0
-                if self.policy.kind == "mmsink":
-                    self._protected.update(
-                        _block_anchors(b, e, self.policy.k_head, self.policy.k_tail)
-                    )
-                rescan = True
-        elif kind is TokenKind.EOS:
-            if self.open_start is not None:
-                self._violate("EOS inside an image block")
-                rescan = self._abandon_open_block() or rescan
-            self._eos_seen = True
-        elif self.open_start is not None:
-            # WORD or PUNCT inside an open block
-            self._violate(f"{kind.name} token inside an image block")
-            rescan = self._abandon_open_block() or rescan
-        return rescan
 
     # -- mutation -----------------------------------------------------------
 
@@ -355,10 +284,11 @@ class KvCache:
         self._count = nk
 
     def _evict(self, rescan: bool) -> None:
-        if self.policy.kind == "dense" or self.t <= self.policy.window:
+        t = self.t
+        if self.policy.kind == "dense" or t <= self.policy.window:
             return
         if rescan:
-            keep = [i for i, p in enumerate(self._positions) if self._keep_entry(p, self.t)]
+            keep = [i for i, p in enumerate(self._positions) if self._keep_entry(p, t)]
             if len(keep) != self._count:
                 self._compact(keep)
             return
@@ -366,9 +296,9 @@ class KvCache:
         # that just left the window can become evictable.
         w = self.policy.window
         n = self.policy.n_sink if self.policy.kind in ("sink", "mmsink") else 0
-        boundary = self.t - (w - n) - 1
+        boundary = t - (w - n) - 1
         i = bisect_left(self._positions, boundary)
-        if i < self._count and self._positions[i] == boundary and not self._keep_entry(boundary, self.t):
+        if i < self._count and self._positions[i] == boundary and not self._keep_entry(boundary, t):
             for l in range(self.layers):
                 self._k[l][:, i : self._count - 1, :] = self._k[l][:, i + 1 : self._count, :]
                 self._v[l][:, i : self._count - 1, :] = self._v[l][:, i + 1 : self._count, :]
@@ -388,22 +318,23 @@ class KvCache:
             )
         if values.shape != keys.shape:
             raise ValueError("keys and values shapes differ")
-        rescan = self._track(token)
+        pos = self.t
+        change = self.grammar.step(token)
+        self.violations.extend(f"t={pos}: {message}" for message in change.violations)
+        if change.completed is not None and self.policy.kind == "mmsink":
+            self._protected.update(
+                _block_anchors(*change.completed, self.policy.k_head, self.policy.k_tail)
+            )
         self._grow()
         for l in range(self.layers):
             self._k[l][:, self._count, :] = keys[l]
             self._v[l][:, self._count, :] = values[l]
-        self._positions.append(self.t)
+        self._positions.append(pos)
         self._tokens.append(token)
         self._count += 1
-        self.t += 1
-        if self.policy.kind in ("sink", "mmsink") and self.t - 1 < self.policy.n_sink:
-            self._protected.add(self.t - 1)
-        self._evict(rescan)
+        if self.policy.kind in ("sink", "mmsink") and pos < self.policy.n_sink:
+            self._protected.add(pos)
+        # A completed or abandoned block can release more than the entry that
+        # just left the window, so eviction must rescan every entry.
+        self._evict(change.completed is not None or change.abandoned)
         self.peak_entries = max(self.peak_entries, self._count)
-
-    def remap_positions(self) -> dict[int, int]:
-        """Map each retained original position to its cache rank."""
-        if self._count == 0:
-            raise ValueError("cache is empty")
-        return {pos: i for i, pos in enumerate(self._positions)}

@@ -26,11 +26,8 @@ import numpy as np
 from .cachepolicy import CachePolicy, KvCache
 from .errors import ConfigError, SequenceGrammarError, StateError
 from .seqmodel import (
-    N_PUNCT,
-    N_SPECIALS,
     MultimodalSequence,
     Token,
-    TokenKind,
     token_from_vocab_id,
     token_label,
     vocab_id,
@@ -329,20 +326,7 @@ class GenerationResult:
     generated: list[Token]
     sequence: MultimodalSequence | None
     trace: GenerationTrace
-    captured_logits: dict[int, np.ndarray]
     peak_entries: int
-
-
-def _legal_vocab_ids(cache: KvCache, cfg: ModelConfig, force_boi: bool) -> list[int]:
-    if cache.in_block:
-        s = cache.next_slot
-        if s < cfg.m:
-            return [N_SPECIALS + s]
-        return [3]  # end-of-image marker
-    if force_boi:
-        return [2]
-    word_base = N_SPECIALS + cfg.m + N_PUNCT
-    return [2] + list(range(N_SPECIALS + cfg.m, word_base + cfg.v_text))
 
 
 def _sample(
@@ -390,21 +374,24 @@ def generate(
     attn_dump: bool = False,
     predict_features: bool = False,
     boi_every: int | None = None,
-    capture_at: Iterable[int] = (),
     on_step: Callable[[KvCache], None] | None = None,
 ) -> GenerationResult:
     """Autoregressive generation under a retention policy.
 
-    In constrained mode a grammar mask keeps the output structurally valid:
-    image blocks, once opened, always run through their slots to the end
-    marker, and begin/end-of-sequence tokens are never sampled (the harness
-    targets fixed-length runs). If the step budget ends mid-block the block
-    is completed anyway and the extra steps are reported on the trace.
-    ``boi_every`` forces a block start every so many steps, which gives
-    benchmarks a guaranteed block cadence.
+    The cache's :class:`~mmsink.seqmodel.BlockGrammar` follows the block
+    structure. In constrained mode its ``legal_next`` masks sampling, so the
+    output stays structurally valid: image blocks, once opened, always run
+    through their slots to the end marker, and begin/end-of-sequence tokens
+    are never sampled (the harness targets fixed-length runs). If the step
+    budget ends mid-block the block is completed anyway and the extra steps
+    are reported on the trace. ``boi_every`` forces a block start every so
+    many steps, which gives benchmarks a guaranteed block cadence.
 
-    In free mode tokens are sampled from the unmasked distribution and
-    structural violations are recorded, never repaired.
+    In free mode tokens are sampled from the unmasked distribution and the
+    grammar's violations are recorded, never repaired.
+
+    A dense run must fit the position table: ``len(prompt) + steps`` above
+    ``max_positions`` raises :class:`ConfigError` before any compute.
     """
     if mode not in ("constrained", "free"):
         raise ConfigError(f"unknown generation mode {mode!r}")
@@ -415,12 +402,15 @@ def generate(
             f"prompt block length {prompt.m} differs from model block length {model.config.m}"
         )
     cfg = model.config
+    if policy.kind == "dense" and len(prompt) + steps > cfg.max_positions:
+        raise ConfigError(
+            f"dense run of {len(prompt)} prompt + {steps} steps exceeds "
+            f"the position table ({cfg.max_positions})"
+        )
     constrained = mode == "constrained"
     cache = make_cache(model, policy, strict=constrained)
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()
-    capture = set(capture_at)
-    captured: dict[int, np.ndarray] = {}
     last: StepResult | None = None
 
     def feed(token: Token) -> StepResult:
@@ -432,8 +422,6 @@ def generate(
         step = forward_step(model, cache, token)
         if attn_dump:
             trace.attention_dumps.extend(_dump_rows(step, labels, positions, cache.t))
-        if cache.t in capture:
-            captured[cache.t] = step.logits.copy()
         if on_step is not None:
             on_step(cache)
         return step
@@ -444,30 +432,33 @@ def generate(
     tokens = list(prompt.tokens)
     generated: list[Token] = []
 
-    def one_step(force_boi: bool, forced_only: bool) -> Token:
+    def one_step(force_boi: bool) -> Token:
         nonlocal last
         t0 = time.perf_counter()
-        legal = _legal_vocab_ids(cache, cfg, force_boi) if (constrained or forced_only) else None
+        legal = None
+        if force_boi:
+            legal = [vocab_id(Token.boi())]
+        elif constrained:
+            legal = cache.grammar.legal_next(cfg.v_text)
         vid = _sample(last.logits, legal, temperature, rng)
         token = token_from_vocab_id(vid, cfg.m, cfg.v_text)
-        was_boi = token.kind is TokenKind.BOI
         last = feed(token)
         trace.step_seconds.append(time.perf_counter() - t0)
         trace.entry_counts.append(cache.size)
-        if predict_features and was_boi and cache.in_block:
+        if predict_features and cache.in_block and cache.next_slot == 0:
             feats = predict_image_features(model, cache)
             trace.predicted_features.append((cache.t - 1, feats))
         return token
 
     for i in range(steps):
         force = bool(constrained and boi_every and not cache.in_block and i % boi_every == 0)
-        token = one_step(force, forced_only=False)
+        token = one_step(force)
         generated.append(token)
         tokens.append(token)
 
     if constrained:
         while cache.in_block:
-            token = one_step(False, forced_only=True)
+            token = one_step(False)
             generated.append(token)
             tokens.append(token)
             trace.forced_completion_steps += 1
@@ -477,43 +468,7 @@ def generate(
         sequence = MultimodalSequence.from_tokens(tokens, cfg.m)
     except SequenceGrammarError:
         sequence = None
-    return GenerationResult(tokens, generated, sequence, trace, captured, cache.peak_entries)
-
-
-def block_validity(tokens: Sequence[Token], m: int) -> tuple[int, int]:
-    """Count attempted and grammatically valid image blocks in a raw stream.
-
-    A block attempt starts at each begin-of-image marker; it is valid when
-    followed by slots 0..m-1 in order and the end marker.
-    """
-    attempted = valid = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i].kind is TokenKind.BOI:
-            attempted += 1
-            ok = True
-            j = i + 1
-            for s in range(m):
-                if j >= n or tokens[j].kind is not TokenKind.IMG or tokens[j].value != s:
-                    ok = False
-                    break
-                j += 1
-            if ok and (j >= n or tokens[j].kind is not TokenKind.EOI):
-                ok = False
-            if ok:
-                valid += 1
-                i = j + 1
-                continue
-        i += 1
-    return attempted, valid
-
-
-@dataclass
-class CheckpointDivergence:
-    t: int
-    max_abs_logit_diff: float
-    kl: float
+    return GenerationResult(tokens, generated, sequence, trace, cache.peak_entries)
 
 
 def teacher_forced_logits(
@@ -521,7 +476,6 @@ def teacher_forced_logits(
     tokens: Sequence[Token],
     policy: CachePolicy,
     checkpoints: Iterable[int],
-    strict: bool = True,
 ) -> tuple[dict[int, np.ndarray], int]:
     """Replay a fixed token stream under a policy.
 
@@ -532,48 +486,10 @@ def teacher_forced_logits(
     bad = [t for t in wanted if t < 1 or t > len(tokens)]
     if bad:
         raise ValueError(f"checkpoints {sorted(bad)} outside 1..{len(tokens)}")
-    cache = make_cache(model, policy, strict=strict)
+    cache = make_cache(model, policy)
     out: dict[int, np.ndarray] = {}
     for token in tokens:
         step = forward_step(model, cache, token)
         if cache.t in wanted:
             out[cache.t] = step.logits.copy()
     return out, cache.peak_entries
-
-
-def dense_oracle_divergence(
-    model: Model,
-    prompt: MultimodalSequence,
-    policy: CachePolicy,
-    checkpoints: Sequence[int],
-    steps: int | None = None,
-    seed: int = 0,
-) -> list[CheckpointDivergence]:
-    """Logit divergence of a pruned-cache replay against the dense run.
-
-    The dense run generates the trajectory (constrained, argmax); the policy
-    then replays the identical tokens. Checkpoints are prefix lengths,
-    prompt included. KL is taken between the post-softmax distributions,
-    dense against policy.
-    """
-    if not checkpoints:
-        raise ValueError("at least one checkpoint required")
-    if steps is None:
-        steps = max(checkpoints) - len(prompt)
-    if steps < 0 or max(checkpoints) > len(prompt) + steps:
-        raise ValueError("checkpoints exceed the total run length")
-    dense_run = generate(
-        model, prompt, CachePolicy.dense(), steps,
-        mode="constrained", seed=seed, capture_at=checkpoints,
-    )
-    trajectory = dense_run.tokens
-    policy_logits, _ = teacher_forced_logits(model, trajectory, policy, checkpoints)
-    results = []
-    for t in sorted(set(checkpoints)):
-        a = dense_run.captured_logits[t]
-        b = policy_logits[t]
-        diff = float(np.max(np.abs(a - b)))
-        pa = softmax(a)
-        kl = float(np.sum(pa * (log_softmax(a) - log_softmax(b))))
-        results.append(CheckpointDivergence(t, diff, kl))
-    return results

@@ -63,6 +63,36 @@ def brute_retain_set(
     return [pos for pos in range(t) if keep(pos)]
 
 
+def brute_block_validity(tokens, m: int) -> tuple[int, int]:
+    """Attempted and valid image blocks by a literal scan.
+
+    Each begin marker is an attempt; it is valid when the next m tokens are
+    slots 0..m-1 in order and the one after is the end marker. Kinds are
+    compared by name so nothing is shared with the grammar code.
+    """
+    attempted = valid = 0
+    i = 0
+    n = len(tokens)
+    while i < n:
+        if tokens[i].kind.name == "BOI":
+            attempted += 1
+            ok = True
+            j = i + 1
+            for s in range(m):
+                if j >= n or tokens[j].kind.name != "IMG" or tokens[j].value != s:
+                    ok = False
+                    break
+                j += 1
+            if ok and (j >= n or tokens[j].kind.name != "EOI"):
+                ok = False
+            if ok:
+                valid += 1
+                i = j + 1
+                continue
+        i += 1
+    return attempted, valid
+
+
 def recount_occurrences(records, k: int = 10) -> dict[str, int]:
     """Independent top-k label occurrence recount.
 

@@ -196,6 +196,125 @@ def tokenize_text(text: str, v_text: int = DEFAULT_V_TEXT) -> list[Token]:
 
 
 @dataclass(frozen=True)
+class GrammarStep:
+    """What one token did to a :class:`BlockGrammar`.
+
+    ``violations`` are the grammar breaks the token caused (at most two: a
+    token after EOS can break the grammar once more on its own);
+    ``completed`` is the (boi_pos, eoi_pos) span it closed, and
+    ``abandoned`` says it broke an open block.
+    """
+
+    violations: tuple[str, ...] = ()
+    completed: tuple[int, int] | None = None
+    abandoned: bool = False
+
+
+_NO_CHANGE = GrammarStep()
+
+
+class BlockGrammar:
+    """The image-block grammar as an automaton over one token stream.
+
+    A block is a begin marker, slots 0..m-1 in order, and an end marker;
+    text may appear anywhere outside a block, BOS only first, and nothing
+    after EOS. The state is the number of tokens read ``t``, the completed
+    ``blocks`` as (boi_pos, eoi_pos), the open block's start ``open_start``
+    with the slot it expects next, and whether EOS was the last token.
+
+    In strict mode the first violation raises :class:`SequenceGrammarError`
+    naming its position, before any state changes. In permissive mode
+    violations are reported and the offending token is treated as plain
+    content: a block broken by it is abandoned and never completes.
+    """
+
+    def __init__(self, m: int, strict: bool = True):
+        self.m = m
+        self.strict = strict
+        self.t = 0
+        self.blocks: list[tuple[int, int]] = []
+        self.open_start: int | None = None
+        self.next_slot = 0
+        self.eos_seen = False
+
+    def step(self, token: Token) -> GrammarStep:
+        """Read one token and report what it did."""
+        kind, pos = token.kind, self.t
+        is_open = self.open_start is not None
+        violations = [f"token {kind.name} after EOS"] if self.eos_seen else []
+        message = None
+        breaks = False
+        if kind is TokenKind.BOS:
+            if pos != 0:
+                message, breaks = "BOS at non-initial position", is_open
+        elif kind is TokenKind.BOI:
+            if is_open:
+                message, breaks = "nested image block", True
+        elif kind is TokenKind.IMG:
+            if not is_open:
+                message = "image slot outside a block"
+            elif token.value != self.next_slot or token.value >= self.m:
+                message, breaks = f"image slot {token.value}, expected slot {self.next_slot}", True
+        elif kind is TokenKind.EOI:
+            if not is_open:
+                message = "EOI outside a block"
+            elif self.next_slot != self.m:
+                message, breaks = f"EOI after {self.next_slot} slots, block length is {self.m}", True
+        elif is_open:
+            name = "EOS" if kind is TokenKind.EOS else f"{kind.name} token"
+            message, breaks = f"{name} inside an image block", True
+        if message is not None:
+            violations.append(message)
+        if violations and self.strict:
+            raise SequenceGrammarError(f"position {pos}: {violations[0]}")
+
+        self.t += 1
+        self.eos_seen = kind is TokenKind.EOS
+        completed = None
+        if breaks:
+            self.open_start = None
+        elif is_open and kind is TokenKind.IMG:
+            self.next_slot += 1
+        elif is_open and kind is TokenKind.EOI:
+            completed = (self.open_start, pos)
+            self.blocks.append(completed)
+            self.open_start = None
+        if kind is TokenKind.BOI:
+            self.open_start, self.next_slot = pos, 0
+        if not (violations or completed or breaks):
+            return _NO_CHANGE
+        return GrammarStep(tuple(violations), completed, breaks)
+
+    def legal_next(self, v_text: int) -> list[int]:
+        """Vocabulary ids constrained decoding may emit next.
+
+        Inside a block that is the expected slot, or the end marker once
+        every slot is in; outside, a begin marker or any text token. BOS and
+        EOS are never offered: constrained runs have a fixed length.
+        """
+        if self.open_start is not None:
+            if self.next_slot < self.m:
+                return [vocab_id(Token.img(self.next_slot), self.m, v_text)]
+            return [vocab_id(Token.eoi())]
+        text = N_SPECIALS + self.m
+        return [vocab_id(Token.boi())] + list(range(text, text + N_PUNCT + v_text))
+
+
+def block_validity(tokens: Iterable[Token], m: int) -> tuple[int, int]:
+    """Attempted and valid image blocks in a raw stream.
+
+    Every begin marker is an attempt; the valid ones are the blocks a
+    permissive :class:`BlockGrammar` pass completes.
+    """
+    grammar = BlockGrammar(m, strict=False)
+    attempted = 0
+    for token in tokens:
+        attempted += token.kind is TokenKind.BOI
+        grammar.step(token)
+    return attempted, len(grammar.blocks)
+
+
+@dataclass(frozen=True)
 class MultimodalSequence:
     """A structurally valid interleaved token sequence.
 
@@ -221,58 +340,22 @@ class MultimodalSequence:
     ) -> "MultimodalSequence":
         """Validate a token stream against the block grammar.
 
-        Raises :class:`SequenceGrammarError` on the first violation. With
-        ``allow_in_progress`` a single trailing unterminated image block is
-        accepted, which is the state mid-generation.
+        Raises :class:`SequenceGrammarError` on the first violation, naming
+        its position. With ``allow_in_progress`` a single trailing
+        unterminated image block is accepted, which is the state
+        mid-generation.
         """
         toks = tuple(tokens)
         if not toks or toks[0].kind is not TokenKind.BOS:
             raise SequenceGrammarError("sequence must start with BOS")
-        blocks: list[tuple[int, int]] = []
-        open_start: int | None = None
-        next_slot = 0
-        eos_at: int | None = None
-        for pos, tok in enumerate(toks):
-            if eos_at is not None:
-                raise SequenceGrammarError(f"token at {pos} follows EOS at {eos_at}")
-            kind = tok.kind
-            if kind is TokenKind.BOS:
-                if pos != 0:
-                    raise SequenceGrammarError(f"BOS at non-initial position {pos}")
-            elif kind is TokenKind.BOI:
-                if open_start is not None:
-                    raise SequenceGrammarError(f"nested image block at {pos}")
-                open_start = pos
-                next_slot = 0
-            elif kind is TokenKind.IMG:
-                if open_start is None:
-                    raise SequenceGrammarError(f"image slot outside a block at {pos}")
-                if tok.value != next_slot:
-                    raise SequenceGrammarError(
-                        f"image slot {tok.value} at {pos}, expected slot {next_slot}"
-                    )
-                if tok.value >= m:
-                    raise SequenceGrammarError(f"image slot {tok.value} exceeds block length {m}")
-                next_slot += 1
-            elif kind is TokenKind.EOI:
-                if open_start is None:
-                    raise SequenceGrammarError(f"EOI outside a block at {pos}")
-                if next_slot != m:
-                    raise SequenceGrammarError(
-                        f"EOI at {pos} after {next_slot} slots, block length is {m}"
-                    )
-                blocks.append((open_start, pos))
-                open_start = None
-            elif kind is TokenKind.EOS:
-                if open_start is not None:
-                    raise SequenceGrammarError(f"EOS at {pos} inside an image block")
-                eos_at = pos
-            # WORD and PUNCT are legal anywhere outside a block
-            elif open_start is not None:
-                raise SequenceGrammarError(f"{kind.name} token at {pos} inside an image block")
-        if open_start is not None and not allow_in_progress:
-            raise SequenceGrammarError(f"unterminated image block starting at {open_start}")
-        return MultimodalSequence(toks, tuple(blocks), m, open_start)
+        grammar = BlockGrammar(m)
+        for tok in toks:
+            grammar.step(tok)
+        if grammar.open_start is not None and not allow_in_progress:
+            raise SequenceGrammarError(
+                f"unterminated image block starting at {grammar.open_start}"
+            )
+        return MultimodalSequence(toks, tuple(grammar.blocks), m, grammar.open_start)
 
 
 @dataclass(frozen=True)
@@ -350,7 +433,6 @@ def prompt_sequence(
 def assemble_training_sequence(
     story: Story,
     sampled_len: int,
-    rng_seed: int = 0,
     m: int = DEFAULT_BLOCK_LEN,
     v_text: int = DEFAULT_V_TEXT,
 ) -> TrainingSample:
@@ -359,11 +441,8 @@ def assemble_training_sequence(
     The sequence is BOS, the start marker, each included item's text and
     image block, then EOS. Loss is masked onto the tokens of the last
     included item and the terminating EOS; that item's image feature is the
-    regression target. ``rng_seed`` is accepted for interface symmetry with
-    the other seeded operations; assembly itself is deterministic in
-    (story, sampled_len).
+    regression target. Assembly is deterministic in (story, sampled_len).
     """
-    del rng_seed
     if not 1 <= sampled_len <= len(story.items):
         raise ValueError(
             f"sampled_len {sampled_len} out of range 1..{len(story.items)}"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mmsink import bench, engine
 from mmsink import seqmodel as sq
 from mmsink.bench import (
     load_report_json,
@@ -109,6 +110,31 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark(bench_model, bench_prompt, [CachePolicy.dense()],
                           total_steps=8, checkpoints=[10_000])
+
+    def test_position_overflow_rejected_before_running(self, bench_model, bench_prompt,
+                                                        monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        steps = 2049 - len(bench_prompt)
+        expected = rf"{len(bench_prompt)} prompt \+ {steps} steps .*\(2048\)"
+        with pytest.raises(ConfigError, match=expected):
+            run_benchmark(bench_model, bench_prompt, [CachePolicy.windowed(32)],
+                          total_steps=steps)
+
+    def test_dense_entry_reuses_reference_replay(self, bench_model, bench_prompt, monkeypatch):
+        replayed = []
+
+        def counting(model, tokens, policy, checkpoints):
+            replayed.append(policy.kind)
+            return engine.teacher_forced_logits(model, tokens, policy, checkpoints)
+
+        monkeypatch.setattr(bench, "teacher_forced_logits", counting)
+        report = run_benchmark(bench_model, bench_prompt,
+                               [CachePolicy.dense(), CachePolicy.windowed(32)],
+                               total_steps=48, seed=0)
+        assert replayed == ["dense", "window"]
+        dense = next(r for r in report.results if r.name == "dense")
+        assert dense.peak_entries == len(bench_prompt) + 48
+        assert all(d.max_abs_logit_diff == 0.0 for d in dense.divergence)
 
     def test_generated_trajectory_mode(self, bench_model, bench_prompt):
         report = run_benchmark(bench_model, bench_prompt,

@@ -1,4 +1,4 @@
-"""Retention sets, cache mutation, eviction, and remapping."""
+"""Retention sets, cache mutation, eviction, and entry order."""
 
 import numpy as np
 import pytest
@@ -239,6 +239,23 @@ class TestKvCachePush:
         # failed push leaves the cache untouched
         assert cache.size == 1 and cache.t == 1
 
+    @pytest.mark.parametrize("bad", [
+        Token.img(0), Token.img(2), Token.eoi(), Token.boi(),
+        Token.word(1), Token.punct(0), Token.eos(), Token.bos(),
+    ])
+    def test_strict_rejection_then_correct_token(self, bad):
+        cache = KvCache(CachePolicy.mmsink(1, 1, 1, 4), 1, 1, 2, 2)
+        for tok in (Token.bos(), Token.boi(), Token.img(0)):
+            push_zeros(cache, tok)
+        with pytest.raises(SequenceGrammarError):
+            push_zeros(cache, bad)
+        assert (cache.t, cache.size, cache.next_slot) == (3, 3, 1)
+        push_zeros(cache, Token.img(1))
+        push_zeros(cache, Token.eoi())
+        assert cache.blocks == [(1, 4)]
+        assert cache.open_start is None
+        assert not cache.violations
+
     def test_permissive_records_violations(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4, strict=False)
         push_zeros(cache, Token.bos())
@@ -277,18 +294,20 @@ class TestKvCachePush:
 
 
 class TestRemap:
+    """An entry's cache rank is its index in ``positions()``."""
+
     def test_rank_map(self):
         cache = KvCache(CachePolicy.sink(1, 3), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
             push_zeros(cache, tok)
         assert cache.positions() == [0, 8, 9]
-        assert cache.remap_positions() == {0: 0, 8: 1, 9: 2}
+        assert cache.keys(0).shape[1] == 3
 
     def test_identity_when_dense(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(4)]:
             push_zeros(cache, tok)
-        assert cache.remap_positions() == {i: i for i in range(5)}
+        assert cache.positions() == list(range(5))
 
     @given(st.integers(0, 999))
     @settings(max_examples=20, deadline=None)
@@ -297,14 +316,8 @@ class TestRemap:
         cache = KvCache(CachePolicy.mmsink(1, 1, 1, 7), 1, 1, 2, 4)
         for tok in make_stream(rng, 4, 50):
             push_zeros(cache, tok)
-        remap = cache.remap_positions()
-        items = sorted(remap.items())
-        assert [rank for _, rank in items] == list(range(len(items)))
-
-    def test_empty_cache_error(self):
-        cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
-        with pytest.raises(ValueError):
-            cache.remap_positions()
+        positions = cache.positions()
+        assert positions == sorted(set(positions))
 
 
 class TestAnchorPersistence:

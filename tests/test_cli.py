@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mmsink import engine
 from mmsink import seqmodel as sq
 from mmsink.cli import main
 
@@ -223,6 +224,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["bench", "--steps", "100", "--report", "r.csv"],
+        ["gen", "--policy", "dense", "--steps", "100", "--out", "g.jsonl"],
+    ])
+    def test_position_table_overflow_is_exit_one(self, tmp_path, capsys, monkeypatch, command):
+        cfg = tmp_path / "small.ini"
+        cfg.write_text("[engine]\nmax_positions = 64\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        assert main(command + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "+ 100 steps" in err and "(64)" in err
+        assert not (tmp_path / command[-1]).exists()
 
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         assert main(["train-toy", "--stories", str(tmp_path / "missing.jsonl"),

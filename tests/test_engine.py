@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_policies
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
+from mmsink.bench import divergence
 from mmsink.cachepolicy import CachePolicy
 from mmsink.engine import (
     Model,
     ModelConfig,
-    block_validity,
-    dense_oracle_divergence,
     forward_step,
     generate,
     load_model,
@@ -23,7 +22,7 @@ from mmsink.engine import (
 )
 from mmsink.errors import ConfigError, StateError
 from mmsink.oracle import recompute_attention_row
-from mmsink.seqmodel import Token
+from mmsink.seqmodel import Token, block_validity
 
 
 class TestForwardStep:
@@ -233,6 +232,15 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(small_model, small_prompt, CachePolicy.dense(), -1)
 
+    def test_dense_position_overflow_fails_before_compute(self, small_prompt, monkeypatch):
+        cfg = ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, v_text=32, m=4,
+                          q_queries=3, d_feat=4, max_positions=64, seed=3)
+        model = Model.init(cfg)
+        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        steps = 65 - len(small_prompt)
+        with pytest.raises(ConfigError, match=rf"\+ {steps} steps .*\(64\)"):
+            generate(model, small_prompt, CachePolicy.dense(), steps)
+
     def test_block_length_mismatch(self, small_model):
         story = sq.synth_stories(1, items_per_story=1, rng_seed=0, d_feat=4)[0]
         prompt = sq.prompt_sequence(story, 1, m=8, v_text=32)
@@ -240,10 +248,18 @@ class TestGenerate:
             generate(small_model, prompt, CachePolicy.dense(), 1)
 
 
+def dense_divergence(model, prompt, policy, checkpoints):
+    """A policy's replay of the dense constrained argmax run, against dense."""
+    steps = max(checkpoints) - len(prompt)
+    tokens = generate(model, prompt, CachePolicy.dense(), steps).tokens
+    dense, _ = teacher_forced_logits(model, tokens, CachePolicy.dense(), checkpoints)
+    got, _ = teacher_forced_logits(model, tokens, policy, checkpoints)
+    return [divergence(t, dense[t], got[t]) for t in sorted(set(checkpoints))]
+
+
 class TestDivergence:
     def test_dense_vs_dense_exactly_zero(self, small_model, small_prompt):
-        div = dense_oracle_divergence(small_model, small_prompt, CachePolicy.dense(),
-                                      [20, 40, 64])
+        div = dense_divergence(small_model, small_prompt, CachePolicy.dense(), [20, 40, 64])
         for d in div:
             assert d.max_abs_logit_diff == 0.0
             assert d.kl == 0.0
@@ -251,14 +267,13 @@ class TestDivergence:
     def test_zero_within_window(self, small_model, small_prompt):
         for pol in (CachePolicy.windowed(64), CachePolicy.sink(4, 64),
                     CachePolicy.mmsink(4, 1, 2, 64)):
-            div = dense_oracle_divergence(small_model, small_prompt, pol, [40, 64])
+            div = dense_divergence(small_model, small_prompt, pol, [40, 64])
             for d in div:
                 assert d.max_abs_logit_diff <= 1e-9
                 assert abs(d.kl) <= 1e-9
 
     def test_window_diverges_past_budget(self, small_model, small_prompt):
-        div = dense_oracle_divergence(small_model, small_prompt,
-                                      CachePolicy.windowed(8), [64])
+        div = dense_divergence(small_model, small_prompt, CachePolicy.windowed(8), [64])
         assert div[0].max_abs_logit_diff > 0.0
         assert div[0].kl > 0.0
         # frozen regression values for this seed
@@ -266,11 +281,11 @@ class TestDivergence:
         assert div[0].kl == pytest.approx(0.012010301920463576, rel=1e-6)
 
     def test_checkpoint_validation(self, small_model, small_prompt):
+        tokens = list(small_prompt.tokens)
         with pytest.raises(ValueError):
-            dense_oracle_divergence(small_model, small_prompt, CachePolicy.dense(),
-                                    [10_000], steps=4)
+            teacher_forced_logits(small_model, tokens, CachePolicy.dense(), [10_000])
         with pytest.raises(ValueError):
-            dense_oracle_divergence(small_model, small_prompt, CachePolicy.dense(), [])
+            teacher_forced_logits(small_model, tokens, CachePolicy.dense(), [0])
 
 
 class TestModelIO:
