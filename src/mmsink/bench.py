@@ -115,9 +115,9 @@ def run_benchmark(
     guarantees completed image blocks regardless of what the model would
     generate; "generated" uses the dense run's own constrained output.
 
-    The dense reference replay always runs, and a ``dense`` entry in
-    ``policies`` reuses it. So ``prompt + total_steps`` must fit the model's
-    position table, or :class:`ConfigError` is raised before any compute.
+    The dense reference replay always runs, so ``prompt + total_steps``
+    must fit the model's position table, or :class:`ConfigError` is raised
+    before any compute.
     """
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
@@ -151,16 +151,13 @@ def run_benchmark(
         )
         tokens = dense_run.tokens
 
-    dense_logits, dense_peak = teacher_forced_logits(
+    dense_logits, _ = teacher_forced_logits(
         model, tokens, CachePolicy.dense(), checkpoints
     )
 
     results = []
     for policy in policies:
-        if policy.kind == "dense":
-            policy_logits, peak = dense_logits, dense_peak
-        else:
-            policy_logits, peak = teacher_forced_logits(model, tokens, policy, checkpoints)
+        policy_logits, peak = teacher_forced_logits(model, tokens, policy, checkpoints)
         divergences = [
             divergence(t, dense_logits[t], policy_logits[t]) for t in sorted(set(checkpoints))
         ]

@@ -390,8 +390,9 @@ def generate(
     In free mode tokens are sampled from the unmasked distribution and the
     grammar's violations are recorded, never repaired.
 
-    A dense run must fit the position table: ``len(prompt) + steps`` above
-    ``max_positions`` raises :class:`ConfigError` before any compute.
+    A dense run must fit the position table, or :class:`ConfigError` is
+    raised before any compute. The bound is ``len(prompt) + steps``, plus
+    ``m + 1`` in constrained mode for a block completed after the budget.
     """
     if mode not in ("constrained", "free"):
         raise ConfigError(f"unknown generation mode {mode!r}")
@@ -402,12 +403,13 @@ def generate(
             f"prompt block length {prompt.m} differs from model block length {model.config.m}"
         )
     cfg = model.config
-    if policy.kind == "dense" and len(prompt) + steps > cfg.max_positions:
-        raise ConfigError(
-            f"dense run of {len(prompt)} prompt + {steps} steps exceeds "
-            f"the position table ({cfg.max_positions})"
-        )
     constrained = mode == "constrained"
+    completion = cfg.m + 1 if constrained else 0
+    if policy.kind == "dense" and len(prompt) + steps + completion > cfg.max_positions:
+        raise ConfigError(
+            f"dense run of {len(prompt)} prompt + {steps} steps (+ {completion} to "
+            f"complete a block) exceeds the position table ({cfg.max_positions})"
+        )
     cache = make_cache(model, policy, strict=constrained)
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()

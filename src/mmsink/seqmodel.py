@@ -210,9 +210,6 @@ class GrammarStep:
     abandoned: bool = False
 
 
-_NO_CHANGE = GrammarStep()
-
-
 class BlockGrammar:
     """The image-block grammar as an automaton over one token stream.
 
@@ -281,8 +278,6 @@ class BlockGrammar:
             self.open_start = None
         if kind is TokenKind.BOI:
             self.open_start, self.next_slot = pos, 0
-        if not (violations or completed or breaks):
-            return _NO_CHANGE
         return GrammarStep(tuple(violations), completed, breaks)
 
     def legal_next(self, v_text: int) -> list[int]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmsink import bench, engine
+from mmsink import engine
 from mmsink import seqmodel as sq
 from mmsink.bench import (
     load_report_json,
@@ -119,22 +119,9 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError, match=expected):
             run_benchmark(bench_model, bench_prompt, [CachePolicy.windowed(32)],
                           total_steps=steps)
-
-    def test_dense_entry_reuses_reference_replay(self, bench_model, bench_prompt, monkeypatch):
-        replayed = []
-
-        def counting(model, tokens, policy, checkpoints):
-            replayed.append(policy.kind)
-            return engine.teacher_forced_logits(model, tokens, policy, checkpoints)
-
-        monkeypatch.setattr(bench, "teacher_forced_logits", counting)
-        report = run_benchmark(bench_model, bench_prompt,
-                               [CachePolicy.dense(), CachePolicy.windowed(32)],
-                               total_steps=48, seed=0)
-        assert replayed == ["dense", "window"]
-        dense = next(r for r in report.results if r.name == "dense")
-        assert dense.peak_entries == len(bench_prompt) + 48
-        assert all(d.max_abs_logit_diff == 0.0 for d in dense.divergence)
+        with pytest.raises(ConfigError, match=r"to complete a block\) .*\(2048\)"):
+            run_benchmark(bench_model, bench_prompt, [CachePolicy.windowed(32)],
+                          total_steps=steps - 1, trajectory="generated")
 
     def test_generated_trajectory_mode(self, bench_model, bench_prompt):
         report = run_benchmark(bench_model, bench_prompt,

@@ -241,6 +241,21 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=rf"\+ {steps} steps .*\(64\)"):
             generate(model, small_prompt, CachePolicy.dense(), steps)
 
+    def test_constrained_dense_counts_block_completion(self, small_prompt, monkeypatch):
+        cfg = ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, v_text=32, m=4,
+                          q_queries=3, d_feat=4, max_positions=64, seed=3)
+        model = Model.init(cfg)
+        room = 64 - len(small_prompt)
+        assert len(generate(model, small_prompt, CachePolicy.dense(), room,
+                            mode="free").tokens) == 64
+        steps = room - 5  # leaves room for a block opened by the last step
+        result = generate(model, small_prompt, CachePolicy.dense(), steps, boi_every=6)
+        assert result.trace.forced_completion_steps > 0
+        assert len(result.tokens) <= 64
+        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        with pytest.raises(ConfigError, match=r"\+ 5 to complete a block\) .*\(64\)"):
+            generate(model, small_prompt, CachePolicy.dense(), steps + 1, boi_every=6)
+
     def test_block_length_mismatch(self, small_model):
         story = sq.synth_stories(1, items_per_story=1, rng_seed=0, d_feat=4)[0]
         prompt = sq.prompt_sequence(story, 1, m=8, v_text=32)
