@@ -359,7 +359,10 @@ def cmd_bench(args) -> int:
     raw_ckpts = cfg[("bench", "checkpoints")]
     checkpoints = None
     if raw_ckpts:
-        checkpoints = [int(x) for x in str(raw_ckpts).split(",") if x.strip()]
+        try:
+            checkpoints = [int(x) for x in str(raw_ckpts).split(",") if x.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bench.checkpoints must be comma-separated integers ({exc})") from None
     timing_mode = str(cfg[("bench", "timing")])
     if timing_mode not in ("off", "wall"):
         raise ConfigError(f"timing must be 'off' or 'wall', got {timing_mode!r}")
@@ -398,7 +401,7 @@ def _validate_jsonl(path) -> str:
         stories = seqmodel.read_stories(path)
         return f"story file with {len(stories)} stories"
     if record.get("kind") == "mmsink-generation-v1":
-        required = ("policy", "mode", "seed", "steps", "labels", "blocks",
+        required = ("policy", "mode", "seed", "steps", "valid", "labels", "blocks",
                     "violations", "peak_entries")
         missing = [k for k in required if k not in record]
         if missing:
@@ -423,14 +426,17 @@ def _validate_csv(path) -> str:
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {line} has {len(row)} fields, the header has {len(header)}"
+            )
     if header == bench.CSV_HEADER:
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {i + 2} has {len(row)} fields")
+        for row in rows:
             float(row[5]); float(row[6]); float(row[7])
         return f"benchmark report with {len(rows)} rows"
     if header == ["label", "count"]:
-        for i, row in enumerate(rows):
+        for row in rows:
             int(row[1])
         return f"occurrence table with {len(rows)} labels"
     if header == ["category", "share"]:

@@ -10,6 +10,13 @@ Positions are cache-relative: a token entering a cache that currently holds
 ``c`` entries is embedded at position index ``c``. While nothing has been
 evicted this equals the token's original position, which is what makes
 pruned-cache runs bitwise identical to dense runs inside the window.
+
+:func:`block` is the one transformer layer: a decode step runs it on one row
+over the cache plus itself, feature prediction on the learnable queries over
+the cache, and :mod:`mmsink.losses` on a whole sequence (causal, no past) and
+on the queries over that sequence's key/value prefix. Scores and contexts are
+BLAS matrix products throughout, so a decode step and the batched pass agree
+to rounding (under 1e-15 on the logits), not bit for bit.
 """
 
 from __future__ import annotations
@@ -217,12 +224,49 @@ def load_model(path) -> Model:
     return Model(config, params)
 
 
+# -- the transformer block ------------------------------------------------------
+
+def block(model: Model, l: int, x: np.ndarray, past_k: np.ndarray, past_v: np.ndarray,
+          causal: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Pre-norm transformer layer ``l`` over the rows ``x`` (N, d_model).
+
+    The rows attend over ``past_k``/``past_v`` (heads, K, d_head) and, when
+    ``causal``, also over their own keys/values up to their own position.
+    Returns the output rows and the activations the hand-written backward
+    in :mod:`mmsink.losses` reads. The rows' own keys and values (``kh``,
+    ``vh``, shape (heads, N, d_head)) are computed only when ``causal``.
+    """
+    cfg = model.config
+    p = model.p
+    n, H, dh = len(x), cfg.heads, cfg.d_head
+    a, lnc1 = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
+    qh = (a @ p[f"l{l}.wq"]).reshape(n, H, dh).transpose(1, 0, 2)
+    acts = dict(a=a, lnc1=lnc1, qh=qh)
+    keys, vals = past_k, past_v
+    if causal:
+        kh = (a @ p[f"l{l}.wk"]).reshape(n, H, dh).transpose(1, 0, 2)
+        vh = (a @ p[f"l{l}.wv"]).reshape(n, H, dh).transpose(1, 0, 2)
+        keys = np.concatenate([past_k, kh], axis=1)
+        vals = np.concatenate([past_v, vh], axis=1)
+        acts.update(kh=kh, vh=vh)
+    s = qh @ keys.transpose(0, 2, 1) / math.sqrt(dh)
+    if causal and n > 1:
+        s = np.where(np.tri(n, keys.shape[1], past_k.shape[1], dtype=bool), s, -np.inf)
+    pr = softmax(s, axis=2)
+    ctx = (pr @ vals).transpose(1, 0, 2).reshape(n, cfg.d_model)
+    x_attn = x + ctx @ p[f"l{l}.wo"]
+    b, lnc2 = layer_norm(x_attn, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
+    f1 = b @ p[f"l{l}.w1"]
+    gact = gelu(f1)
+    acts.update(pr=pr, ctx=ctx, b=b, lnc2=lnc2, f1=f1, gact=gact)
+    return x_attn + gact @ p[f"l{l}.w2"], acts
+
+
 # -- single-step forward -------------------------------------------------------
 
 @dataclass
 class StepResult:
     logits: np.ndarray                  # (vocab,)
-    hidden: np.ndarray                  # (d_model,)
     attention: list[np.ndarray]         # per layer: (heads, retained + 1)
 
 
@@ -247,31 +291,20 @@ def forward_step(model: Model, cache: KvCache, token: Token) -> StepResult:
         raise StateError(
             f"cache position {c} exceeds the position table ({cfg.max_positions})"
         )
-    scale = math.sqrt(dh)
 
-    x = p["tok_emb"][vocab_id(token, cfg.m, cfg.v_text)] + p["pos_emb"][c]
+    vid = vocab_id(token, cfg.m, cfg.v_text)
+    x = p["tok_emb"][vid : vid + 1] + p["pos_emb"][c : c + 1]
     k_new = np.empty((cfg.layers, H, dh))
     v_new = np.empty((cfg.layers, H, dh))
     rows: list[np.ndarray] = []
     for l in range(cfg.layers):
-        a, _ = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
-        q = (a @ p[f"l{l}.wq"]).reshape(H, dh)
-        k = (a @ p[f"l{l}.wk"]).reshape(H, dh)
-        v = (a @ p[f"l{l}.wv"]).reshape(H, dh)
-        keys = np.concatenate([cache.keys(l), k[:, None, :]], axis=1)
-        vals = np.concatenate([cache.values(l), v[:, None, :]], axis=1)
-        s = np.einsum("hd,hkd->hk", q, keys) / scale
-        row = softmax(s, axis=1)
-        ctx = np.einsum("hk,hkd->hd", row, vals).reshape(cfg.d_model)
-        x = x + ctx @ p[f"l{l}.wo"]
-        b, _ = layer_norm(x, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
-        x = x + gelu(b @ p[f"l{l}.w1"]) @ p[f"l{l}.w2"]
-        k_new[l], v_new[l] = k, v
-        rows.append(row)
+        x, acts = block(model, l, x, cache.keys(l), cache.values(l), causal=True)
+        k_new[l], v_new[l] = acts["kh"][:, 0], acts["vh"][:, 0]
+        rows.append(acts["pr"][:, 0])
     hf, _ = layer_norm(x, p["lnf_g"], p["lnf_b"])
-    logits = hf @ p["w_out"]
+    logits = (hf @ p["w_out"])[0]
     cache.push(token, k_new, v_new)
-    return StepResult(logits, hf, rows)
+    return StepResult(logits, rows)
 
 
 def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
@@ -279,31 +312,21 @@ def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
     output latent to feature space. Shape (q_queries, d_feat).
 
     Legal only when the cache ends right after a begin-of-image marker.
-    The queries read the cache but never enter it.
+    The queries read the cache but never enter it, nor attend to each other.
     """
     if not (cache.in_block and cache.next_slot == 0):
         raise StateError("image feature prediction requires a freshly opened image block")
     cfg = model.config
     p = model.p
-    H, dh, Q = cfg.heads, cfg.d_head, cfg.q_queries
-    c = cache.size
+    c, Q = cache.size, cfg.q_queries
     if c + Q > cfg.max_positions:
         raise StateError(
             f"query positions {c}..{c + Q - 1} exceed the position table"
         )
-    scale = math.sqrt(dh)
 
     x = p["queries"] + p["pos_emb"][c : c + Q]
     for l in range(cfg.layers):
-        a, _ = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
-        q = (a @ p[f"l{l}.wq"]).reshape(Q, H, dh).transpose(1, 0, 2)
-        s = np.einsum("hqd,hkd->hqk", q, cache.keys(l)) / scale
-        row = softmax(s, axis=2)
-        ctx = np.einsum("hqk,hkd->hqd", row, cache.values(l))
-        ctx = ctx.transpose(1, 0, 2).reshape(Q, cfg.d_model)
-        x = x + ctx @ p[f"l{l}.wo"]
-        b, _ = layer_norm(x, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
-        x = x + gelu(b @ p[f"l{l}.w1"]) @ p[f"l{l}.w2"]
+        x, _ = block(model, l, x, cache.keys(l), cache.values(l), causal=False)
     hf, _ = layer_norm(x, p["lnf_g"], p["lnf_b"])
     return hf @ p["w_feat"]
 

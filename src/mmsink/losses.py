@@ -1,16 +1,17 @@
 """Dual training objective: next-token cross entropy plus cosine feature
 regression, with analytic gradients and a toy gradient-descent loop.
 
-The forward pass mirrors the engine's step-by-step arithmetic as a full
-teacher-forced sequence pass (dense attention, causal mask). Text targets
+The forward pass runs the engine's transformer block over the full
+teacher-forced sequence (dense attention, causal mask). Text targets
 are the loss-masked tokens, each predicted from the hidden state one
 position earlier. For every loss-masked image block the learnable queries
 attend over the prefix ending at the block's begin marker and their output
 latents are regressed onto the block's target feature vector, one cosine
 term per query row, averaged.
 
-The backward pass is written by hand; the query branches feed gradient back
-into the main stream through the keys and values they attended to.
+The backward pass is written by hand, one block backward for both the main
+stream and the query branches; the query branches feed gradient back into
+the main stream through the keys and values they attended to.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import numpy as np
 
 from .engine import (
     Model,
-    gelu,
+    block,
     gelu_grad,
     layer_norm,
     layer_norm_grad,
     log_softmax,
     param_names,
-    softmax,
 )
 from .errors import StateError, TrainingDiverged
 from .seqmodel import Story, TrainingSample, assemble_training_sequence, vocab_id
@@ -101,36 +101,19 @@ def combined_loss(ce: float, img: float, lam: float) -> float:
 
 def _main_forward(model: Model, ids: np.ndarray):
     """Teacher-forced pass over the whole sequence. Returns logits plus the
-    intermediate activations the backward pass needs."""
+    per-layer activations the backward pass needs."""
     cfg = model.config
     p = model.p
     T = len(ids)
     if T > cfg.max_positions:
         raise StateError(f"sequence length {T} exceeds the position table")
-    H, dh, d = cfg.heads, cfg.d_head, cfg.d_model
-    scale = math.sqrt(dh)
-    causal = np.tril(np.ones((T, T), dtype=bool))
+    no_past = np.empty((cfg.heads, 0, cfg.d_head))
 
     x = p["tok_emb"][ids] + p["pos_emb"][:T]
     layers = []
     for l in range(cfg.layers):
-        a, lnc1 = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
-        qh = (a @ p[f"l{l}.wq"]).reshape(T, H, dh).transpose(1, 0, 2)
-        kh = (a @ p[f"l{l}.wk"]).reshape(T, H, dh).transpose(1, 0, 2)
-        vh = (a @ p[f"l{l}.wv"]).reshape(T, H, dh).transpose(1, 0, 2)
-        s = np.where(causal, qh @ kh.transpose(0, 2, 1) / scale, -np.inf)
-        pr = softmax(s, axis=2)
-        ctx = (pr @ vh).transpose(1, 0, 2).reshape(T, d)
-        x_attn = x + ctx @ p[f"l{l}.wo"]
-        b, lnc2 = layer_norm(x_attn, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
-        f1 = b @ p[f"l{l}.w1"]
-        gact = gelu(f1)
-        x_out = x_attn + gact @ p[f"l{l}.w2"]
-        layers.append(
-            dict(x_in=x, a=a, lnc1=lnc1, qh=qh, kh=kh, vh=vh, pr=pr,
-                 ctx=ctx, x_attn=x_attn, b=b, lnc2=lnc2, f1=f1, gact=gact)
-        )
-        x = x_out
+        x, acts = block(model, l, x, no_past, no_past, causal=True)
+        layers.append(acts)
     hf, lncf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     logits = hf @ p["w_out"]
     return logits, hf, lncf, layers
@@ -146,37 +129,61 @@ def sequence_logits(model: Model, tokens) -> np.ndarray:
 
 def _query_forward(model: Model, layers, ctx_len: int):
     """Run the learnable queries against the main stream's keys/values up to
-    ``ctx_len``. Mirrors the engine's feature prediction."""
+    ``ctx_len``, as the engine's feature prediction does over a cache."""
     cfg = model.config
     p = model.p
-    H, dh, d, Q = cfg.heads, cfg.d_head, cfg.d_model, cfg.q_queries
-    scale = math.sqrt(dh)
+    Q = cfg.q_queries
     if ctx_len + Q > cfg.max_positions:
         raise StateError("query positions exceed the position table")
 
     x = p["queries"] + p["pos_emb"][ctx_len : ctx_len + Q]
     qlayers = []
     for l in range(cfg.layers):
-        a, lnc1 = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
-        qh = (a @ p[f"l{l}.wq"]).reshape(Q, H, dh).transpose(1, 0, 2)
-        keys = layers[l]["kh"][:, :ctx_len]
-        vals = layers[l]["vh"][:, :ctx_len]
-        s = qh @ keys.transpose(0, 2, 1) / scale
-        pr = softmax(s, axis=2)
-        ctx = (pr @ vals).transpose(1, 0, 2).reshape(Q, d)
-        x_attn = x + ctx @ p[f"l{l}.wo"]
-        b, lnc2 = layer_norm(x_attn, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
-        f1 = b @ p[f"l{l}.w1"]
-        gact = gelu(f1)
-        x_out = x_attn + gact @ p[f"l{l}.w2"]
-        qlayers.append(
-            dict(x_in=x, a=a, lnc1=lnc1, qh=qh, pr=pr, ctx=ctx,
-                 x_attn=x_attn, b=b, lnc2=lnc2, f1=f1, gact=gact)
-        )
-        x = x_out
+        keys, vals = layers[l]["kh"][:, :ctx_len], layers[l]["vh"][:, :ctx_len]
+        x, acts = block(model, l, x, keys, vals, causal=False)
+        qlayers.append(acts)
     hq, lnqf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     pred = hq @ p["w_feat"]
     return pred, hq, lnqf, qlayers
+
+
+def _block_backward(model: Model, l: int, acts, dx: np.ndarray, keys, vals, grads):
+    """Backward of :func:`~mmsink.engine.block` for layer ``l``.
+
+    ``dx`` is the gradient at the block's output rows, ``keys``/``vals`` the
+    (heads, K, d_head) entries the rows attended over. Adds the layer's
+    weight gradients to ``grads``, except ``ln1`` and the key/value
+    projections, which belong to the caller. Returns the residual gradient
+    at the block input, the query path's gradient at ln1's output, and the
+    gradients of ``keys`` and ``vals``.
+    """
+    cfg = model.config
+    p = model.p
+    n, H, dh = len(dx), cfg.heads, cfg.d_head
+    scale = math.sqrt(dh)
+    # feed-forward
+    dgact = dx @ p[f"l{l}.w2"].T
+    grads[f"l{l}.w2"] += acts["gact"].T @ dx
+    df1 = dgact * gelu_grad(acts["f1"])
+    grads[f"l{l}.w1"] += acts["b"].T @ df1
+    db_ln = df1 @ p[f"l{l}.w1"].T
+    dx_attn, dg, db = layer_norm_grad(db_ln, acts["lnc2"], p[f"l{l}.ln2_g"])
+    grads[f"l{l}.ln2_g"] += dg
+    grads[f"l{l}.ln2_b"] += db
+    dx_attn = dx_attn + dx
+    # attention
+    grads[f"l{l}.wo"] += acts["ctx"].T @ dx_attn
+    dctx = dx_attn @ p[f"l{l}.wo"].T
+    dch = dctx.reshape(n, H, dh).transpose(1, 0, 2)
+    pr = acts["pr"]
+    dpr = np.einsum("hqd,hkd->hqk", dch, vals)
+    dvals = np.einsum("hqk,hqd->hkd", pr, dch)
+    ds = pr * (dpr - (dpr * pr).sum(axis=2, keepdims=True))
+    dqh = np.einsum("hqk,hkd->hqd", ds, keys) / scale
+    dkeys = np.einsum("hqk,hqd->hkd", ds, acts["qh"]) / scale
+    dqm = dqh.transpose(1, 0, 2).reshape(n, cfg.d_model)
+    grads[f"l{l}.wq"] += acts["a"].T @ dqm
+    return dx_attn, dqm @ p[f"l{l}.wq"].T, dkeys, dvals
 
 
 def _ce_inputs(sample: TrainingSample, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +213,6 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     p = model.p
     H, dh, d, Q = cfg.heads, cfg.d_head, cfg.d_model, cfg.q_queries
     L = cfg.layers
-    scale = math.sqrt(dh)
     tokens = sample.sequence.tokens
     T = len(tokens)
     ids = np.array([vocab_id(tok, cfg.m, cfg.v_text) for tok in tokens])
@@ -274,30 +280,10 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         grads["lnf_b"] += db
         for l in reversed(range(L)):
             qc = qlayers[l]
-            keys = layers[l]["kh"][:, :ctx_len]
-            vals = layers[l]["vh"][:, :ctx_len]
-            # feed-forward
-            dgact = dxq @ p[f"l{l}.w2"].T
-            grads[f"l{l}.w2"] += qc["gact"].T @ dxq
-            df1 = dgact * gelu_grad(qc["f1"])
-            grads[f"l{l}.w1"] += qc["b"].T @ df1
-            db_ln = df1 @ p[f"l{l}.w1"].T
-            dx_attn, dg, db = layer_norm_grad(db_ln, qc["lnc2"], p[f"l{l}.ln2_g"])
-            grads[f"l{l}.ln2_g"] += dg
-            grads[f"l{l}.ln2_b"] += db
-            dx_attn = dx_attn + dxq
-            # attention
-            grads[f"l{l}.wo"] += qc["ctx"].T @ dx_attn
-            dctx = dx_attn @ p[f"l{l}.wo"].T
-            dch = dctx.reshape(Q, H, dh).transpose(1, 0, 2)
-            dpr = np.einsum("hqd,hkd->hqk", dch, vals)
-            dvh_extra[l][:, :ctx_len] += np.einsum("hqk,hqd->hkd", qc["pr"], dch)
-            ds = qc["pr"] * (dpr - (dpr * qc["pr"]).sum(axis=2, keepdims=True))
-            dqh = np.einsum("hqk,hkd->hqd", ds, keys) / scale
-            dkh_extra[l][:, :ctx_len] += np.einsum("hqk,hqd->hkd", ds, qc["qh"]) / scale
-            dqm = dqh.transpose(1, 0, 2).reshape(Q, d)
-            grads[f"l{l}.wq"] += qc["a"].T @ dqm
-            da = dqm @ p[f"l{l}.wq"].T
+            keys, vals = layers[l]["kh"][:, :ctx_len], layers[l]["vh"][:, :ctx_len]
+            dx_attn, da, dk, dv = _block_backward(model, l, qc, dxq, keys, vals, grads)
+            dkh_extra[l][:, :ctx_len] += dk
+            dvh_extra[l][:, :ctx_len] += dv
             dx_ln, dg, db = layer_norm_grad(da, qc["lnc1"], p[f"l{l}.ln1_g"])
             grads[f"l{l}.ln1_g"] += dg
             grads[f"l{l}.ln1_b"] += db
@@ -305,35 +291,16 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         grads["queries"] += dxq
         grads["pos_emb"][ctx_len : ctx_len + Q] += dxq
 
-    # main stream
+    # main stream: its keys/values also carry the query branches' gradient
     dx = dx_main
     for l in reversed(range(L)):
         c = layers[l]
-        dgact = dx @ p[f"l{l}.w2"].T
-        grads[f"l{l}.w2"] += c["gact"].T @ dx
-        df1 = dgact * gelu_grad(c["f1"])
-        grads[f"l{l}.w1"] += c["b"].T @ df1
-        db_ln = df1 @ p[f"l{l}.w1"].T
-        dx_attn, dg, db = layer_norm_grad(db_ln, c["lnc2"], p[f"l{l}.ln2_g"])
-        grads[f"l{l}.ln2_g"] += dg
-        grads[f"l{l}.ln2_b"] += db
-        dx_attn = dx_attn + dx
-
-        grads[f"l{l}.wo"] += c["ctx"].T @ dx_attn
-        dctx = dx_attn @ p[f"l{l}.wo"].T
-        dch = dctx.reshape(T, H, dh).transpose(1, 0, 2)
-        dpr = np.einsum("hid,hjd->hij", dch, c["vh"])
-        dvh = np.einsum("hij,hid->hjd", c["pr"], dch) + dvh_extra[l]
-        ds = c["pr"] * (dpr - (dpr * c["pr"]).sum(axis=2, keepdims=True))
-        dqh = np.einsum("hij,hjd->hid", ds, c["kh"]) / scale
-        dkh = np.einsum("hij,hid->hjd", ds, c["qh"]) / scale + dkh_extra[l]
-        dqm = dqh.transpose(1, 0, 2).reshape(T, d)
-        dkm = dkh.transpose(1, 0, 2).reshape(T, d)
-        dvm = dvh.transpose(1, 0, 2).reshape(T, d)
-        grads[f"l{l}.wq"] += c["a"].T @ dqm
+        dx_attn, da, dkh, dvh = _block_backward(model, l, c, dx, c["kh"], c["vh"], grads)
+        dkm = (dkh + dkh_extra[l]).transpose(1, 0, 2).reshape(T, d)
+        dvm = (dvh + dvh_extra[l]).transpose(1, 0, 2).reshape(T, d)
         grads[f"l{l}.wk"] += c["a"].T @ dkm
         grads[f"l{l}.wv"] += c["a"].T @ dvm
-        da = dqm @ p[f"l{l}.wq"].T + dkm @ p[f"l{l}.wk"].T + dvm @ p[f"l{l}.wv"].T
+        da = da + dkm @ p[f"l{l}.wk"].T + dvm @ p[f"l{l}.wv"].T
         dx_ln, dg, db = layer_norm_grad(da, c["lnc1"], p[f"l{l}.ln1_g"])
         grads[f"l{l}.ln1_g"] += dg
         grads[f"l{l}.ln1_b"] += db

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mmsink import engine
+from mmsink.bench import CSV_HEADER
 from mmsink import seqmodel as sq
 from mmsink.cli import main
 
@@ -164,6 +165,23 @@ class TestValidate:
     def test_missing_file(self):
         assert main(["validate", "does-not-exist.csv"]) == 1
 
+    @pytest.mark.parametrize("name, text, expected", [
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,1,2\n", "row 2 has 3 fields"),
+        ("occ.csv", "label,count\nBOS,3\nTXT\n", "row 3 has 1 fields"),
+        ("cat.csv", "category,share\nsink\n", "row 2 has 1 fields"),
+        ("curve.csv", "step,ce,img,combined\n0,1.0,0.5\n", "row 2 has 3 fields"),
+        ("gen.jsonl", json.dumps({
+            "kind": "mmsink-generation-v1", "policy": "dense", "mode": "free", "seed": 0,
+            "steps": 1, "labels": ["BOS"], "blocks": [], "violations": [],
+            "peak_entries": 1}) + "\n", "missing ['valid']"),
+    ], ids=["bench", "occurrence", "category", "curve", "generation"])
+    def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err
+
 
 class TestConfigHandling:
     def test_config_file_overrides_profile_and_flags_win(self, tmp_path, capsys):
@@ -238,6 +256,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "+ 100 steps" in err and "(64)" in err
         assert not (tmp_path / command[-1]).exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_checkpoint_is_config_error(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(engine, "forward_step", None)  # fails before any forward step
+        args = ["bench", "--steps", "8", "--report", str(tmp_path / "r.csv")]
+        if source == "flag":
+            args += ["--checkpoints", "3,x"]
+        else:
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text("[bench]\ncheckpoints = 3,x\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "bench.checkpoints" in err and "'x'" in err
 
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         assert main(["train-toy", "--stories", str(tmp_path / "missing.jsonl"),

@@ -55,7 +55,7 @@ class TestForwardStep:
         cache = make_cache(small_model, CachePolicy.dense())
         for i, tok in enumerate(tokens):
             step = forward_step(small_model, cache, tok)
-            np.testing.assert_allclose(step.logits, batch[i], atol=1e-9)
+            np.testing.assert_allclose(step.logits, batch[i], atol=1e-12)
 
     def test_attention_against_scalar_recompute(self, small_model, small_prompt):
         cache = make_cache(small_model, CachePolicy.dense())
@@ -161,7 +161,7 @@ class TestPredictImageFeatures:
         ])
         _, _, _, layers = losses._main_forward(small_model, ids)
         batch_feats, _, _, _ = losses._query_forward(small_model, layers, bpos + 1)
-        np.testing.assert_allclose(step_feats, batch_feats, atol=1e-9)
+        np.testing.assert_allclose(step_feats, batch_feats, atol=1e-12)
 
 
 class TestGenerate:

@@ -1,0 +1,157 @@
+"""Write the CLI output matrix, or compare two written matrices.
+
+    python tools/cli_outputs.py OUT [--src DIR]
+    python tools/cli_outputs.py --compare A B
+
+The first form runs the fixed set of CLI commands below, writing their 20
+output files into OUT, and prints one SHA-256 per file. ``--src`` picks the
+source tree to run (default: this checkout's ``src``), so the same script
+can write the matrix of another revision.
+
+The second form reports, per file, either "identical" or the largest
+absolute difference over its float fields. It exits non-zero when a file is
+missing, when any non-float field differs (labels, blocks, counts,
+validity, structure) or when a float differs by more than ``FLOAT_ATOL``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FLOAT_ATOL = 1e-12
+POLICIES = ("dense", "window", "sink", "mmsink")
+FREE_SEEDS = (0, 1, 2, 5)
+TRAJECTORIES = ("synthetic", "generated")
+
+
+def commands(out: Path) -> list[tuple[list[str], list[str]]]:
+    """(CLI arguments, output file names) for every run of the matrix."""
+    runs = []
+    for policy in POLICIES:
+        gen, dump = f"gen-{policy}.jsonl", f"gen-{policy}.dump.jsonl"
+        runs.append((["gen", "--policy", policy, "--steps", "512", "--boi-every", "24",
+                      "--features", "--attn-dump", out / dump, "--out", out / gen],
+                     [gen, dump]))
+    for seed in FREE_SEEDS:
+        name = f"free-seed{seed}.jsonl"
+        runs.append((["gen", "--policy", "mmsink", "--mode", "free", "--temperature", "1.0",
+                      "--steps", "512", "--seed", str(seed), "--out", out / name], [name]))
+    for trajectory in TRAJECTORIES:
+        report, js = f"bench-{trajectory}.csv", f"bench-{trajectory}.json"
+        runs.append((["bench", "--steps", "512", "--trajectory", trajectory,
+                      "--report", out / report, "--json", out / js], [report, js]))
+    runs.append((["train-toy", "--steps", "50", "--model-out", out / "train-model.json",
+                  "--curve-out", out / "train-curve.csv"],
+                 ["train-model.json", "train-curve.csv"]))
+    runs.append((["stats", "--dumps", out / "gen-mmsink.dump.jsonl",
+                  "--occ-out", out / "stats-occurrence.csv",
+                  "--cat-out", out / "stats-category.csv"],
+                 ["stats-occurrence.csv", "stats-category.csv"]))
+    return [([str(a) for a in argv], names) for argv, names in runs]
+
+
+def file_names() -> list[str]:
+    return [name for _, names in commands(Path(".")) for name in names]
+
+
+def write_matrix(out: Path, src: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    for argv, names in commands(out):
+        done = subprocess.run([sys.executable, "-m", "mmsink.cli", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if done.returncode:
+            print(f"mmsink {' '.join(argv)} exited {done.returncode}:\n{done.stderr}",
+                  file=sys.stderr)
+            return 1
+        for name in names:
+            print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}")
+    return 0
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def load(path: Path):
+    """The file's values: JSON types, with CSV cells read as int, float or str."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if path.suffix == ".csv":
+            return [[_cell(c) for c in row] for row in csv.reader(fh)]
+        if path.suffix == ".jsonl":
+            return [json.loads(line) for line in fh if line.strip()]
+        return json.load(fh)
+
+
+def max_float_delta(a, b, where: str = "") -> float:
+    """Largest |a - b| over paired float leaves; raises ValueError naming the
+    first place where the non-float content differs."""
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b)
+    if type(a) is not type(b):
+        raise ValueError(f"{where or '/'}: {a!r} != {b!r}")
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            raise ValueError(f"{where or '/'}: keys {sorted(a)} != {sorted(b)}")
+        return max((max_float_delta(a[k], b[k], f"{where}/{k}") for k in a), default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            raise ValueError(f"{where or '/'}: length {len(a)} != {len(b)}")
+        return max((max_float_delta(x, y, f"{where}/{i}") for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    if a != b:
+        raise ValueError(f"{where or '/'}: {a!r} != {b!r}")
+    return 0.0
+
+
+def compare(a_dir: Path, b_dir: Path) -> int:
+    failures = 0
+    for name in file_names():
+        a, b = a_dir / name, b_dir / name
+        if not (a.exists() and b.exists()):
+            print(f"{name}: missing")
+            failures += 1
+        elif a.read_bytes() == b.read_bytes():
+            print(f"{name}: identical")
+        else:
+            try:
+                delta = max_float_delta(load(a), load(b))
+            except ValueError as exc:
+                print(f"{name}: non-float field differs at {exc}")
+                failures += 1
+                continue
+            over = delta > FLOAT_ATOL
+            failures += over
+            print(f"{name}: floats differ, max |delta| {delta:.3g}"
+                  + (f" > {FLOAT_ATOL:g}" if over else ""))
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", type=Path, help="directory to write the matrix into")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="source tree to run (default: this checkout's src)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give OUT or --compare A B")
+    return write_matrix(args.out, args.src)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
