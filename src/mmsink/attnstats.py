@@ -1,10 +1,12 @@
 """Attention-map key statistics.
 
-Takes causal attention maps (one per layer/head per run), averages each key
-column over the query dimension, ranks keys, and aggregates how often each
-token label lands in the top k across many maps. Labels are classified into
-the retention-relevant categories: sequence-start tokens, punctuation,
-slots near an image block's begin marker, and slots near its end marker.
+Reads per-step attention dumps and reduces each causal map (one per
+layer/head per run) to the mean attention each key receives over the query
+steps, without ever building the map itself. It ranks keys by that mean and
+aggregates how often each token label lands in the top k across many maps.
+Labels are classified into the retention-relevant categories:
+sequence-start tokens, punctuation, slots near an image block's begin
+marker, and slots near its end marker.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,25 +27,11 @@ ROW_SUM_TOL = 1e-9
 CATEGORIES = ("starting", "punctuation", "near_boi", "near_eoi", "other")
 
 
-@dataclass(frozen=True)
-class AttentionRecord:
-    """One causal attention map: row i covers keys 0..i, zero-padded."""
+class KeyMeans(NamedTuple):
+    """One causal map of T query steps: the label and mean attention of each key."""
 
     labels: tuple[str, ...]
-    rows: np.ndarray  # (n, n), float64
-
-    def validate(self) -> None:
-        n = len(self.labels)
-        if n == 0:
-            raise ValueError("empty attention record")
-        if self.rows.shape != (n, n):
-            raise ValueError(f"rows shape {self.rows.shape}, expected ({n}, {n})")
-        for i in range(n):
-            if i + 1 < n and np.any(self.rows[i, i + 1 :] != 0.0):
-                raise ValueError(f"row {i} has nonzero padding beyond key {i}")
-            s = self.rows[i, : i + 1].sum()
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"row {i} sums to {s}, expected 1")
+    means: np.ndarray  # (T,), float64; sums to one
 
 
 @dataclass(frozen=True)
@@ -56,15 +45,6 @@ class OccurrenceTable:
         return dict(self.counts)
 
 
-def key_mean_attention(record: AttentionRecord) -> np.ndarray:
-    """Mean attention per key over every query row, padding included.
-
-    When each row sums to one, the output sums to one as well.
-    """
-    record.validate()
-    return record.rows.mean(axis=0)
-
-
 def top_k_keys(means: Sequence[float], k: int = 10) -> list[int]:
     """Indices of the k largest means, descending, ties to the lower index."""
     if k < 1:
@@ -73,20 +53,16 @@ def top_k_keys(means: Sequence[float], k: int = 10) -> list[int]:
     return order[:k]
 
 
-def aggregate_occurrence(records: Iterable[AttentionRecord], k: int = 10) -> OccurrenceTable:
+def aggregate_occurrence(records: Iterable[KeyMeans], k: int = 10) -> OccurrenceTable:
     """Count, per label, the maps where it appeared among the top-k keys.
 
     A label is counted at most once per map, so no count can exceed the
     number of maps analyzed.
     """
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     total = 0
-    for record in records:
-        total += 1
-        means = key_mean_attention(record)
-        top = top_k_keys(means, k)
-        for label in {record.labels[j] for j in top}:
-            counts[label] = counts.get(label, 0) + 1
+    for total, (labels, means) in enumerate(records, start=1):
+        counts.update({labels[j] for j in top_k_keys(means, k)})
     if total == 0:
         raise ValueError("no records to aggregate")
     ordered = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
@@ -125,39 +101,56 @@ def category_shares(table: OccurrenceTable, m: int, k_head: int, k_tail: int) ->
 
 # -- attention dump ingestion ----------------------------------------------------
 
-def records_from_dumps(dumps: Iterable[dict]) -> list[AttentionRecord]:
-    """Rebuild full causal maps from per-step dump records.
+def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
+    """Per-key mean attention of each (layer, head) map in one run's dumps.
 
-    Dumps carry, per step and per layer/head, the attention row over the
-    retained keys along with their original positions; rows are scattered
-    back to original-position columns, leaving exact zeros at evicted keys.
-    One record per (layer, head) group.
+    Each dump row holds one step's attention over the retained keys, with
+    their original positions. The rows of a map are added into one vector
+    of per-key sums in ascending t, and the sums are divided once by T.
+    That is the column mean of the zero-padded T x T map, float for float
+    (numpy also adds such a map's rows one at a time), with no T x T array.
+    Evicted keys simply receive nothing from later rows.
     """
     groups: dict[tuple[int, int], list[dict]] = {}
     for rec in dumps:
         groups.setdefault((rec["layer"], rec["head"]), []).append(rec)
     records = []
-    for key in sorted(groups):
-        recs = sorted(groups[key], key=lambda r: r["t"])
-        width = max(r["t"] for r in recs)
-        labels: list[str | None] = [None] * width
-        rows = np.zeros((width, width))
-        for r in recs:
-            i = r["t"] - 1
-            for pos, label, weight in zip(r["positions"], r["labels"], r["row"]):
-                if pos > i:
-                    raise ValueError(f"dump at t={r['t']} attends to future position {pos}")
-                rows[i, pos] = weight
-                if labels[pos] is None:
-                    labels[pos] = label
-                elif labels[pos] != label:
-                    raise ValueError(f"conflicting labels for position {pos}")
-        if any(l is None for l in labels):
-            missing = [i for i, l in enumerate(labels) if l is None]
-            raise ValueError(f"positions never observed in dumps: {missing[:5]}")
-        record = AttentionRecord(tuple(labels), rows)
-        record.validate()
-        records.append(record)
+    for layer, head in sorted(groups):
+        recs = sorted(groups[(layer, head)], key=lambda r: r["t"])
+        width = len(recs)
+        labels: dict[int, str] = {}
+        sums = np.zeros(width)
+        for t, r in enumerate(recs, start=1):
+            where = f"dump row t={r['t']} layer={layer} head={head}"
+            if r["t"] != t:
+                problem = "a second row for this step" if r["t"] == t - 1 >= 1 else (
+                    f"no row for t={t}; steps run from 1 to T")
+                raise ValueError(f"{where}: {problem}")
+            positions, row_labels, weights = r["positions"], r["labels"], r["row"]
+            if not len(positions) == len(row_labels) == len(weights):
+                raise ValueError(f"{where}: {len(positions)} positions, {len(row_labels)} "
+                                 f"labels and {len(weights)} weights")
+            if positions and min(positions) < 0:
+                raise ValueError(f"{where}: negative position {min(positions)}")
+            if positions and max(positions) >= t:
+                raise ValueError(f"{where}: future position {max(positions)}")
+            if len(set(positions)) != len(positions):
+                repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
+                raise ValueError(f"{where}: position {repeated} appears twice")
+            first = labels.setdefault
+            clashes = [(p, l) for p, l in zip(positions, row_labels) if first(p, l) != l]
+            if clashes:
+                pos, label = clashes[0]
+                raise ValueError(f"{where}: label {label!r} for position {pos}, "
+                                 f"earlier rows gave {labels[pos]!r}")
+            weights = np.asarray(weights, dtype=np.float64)
+            if not abs(weights.sum() - 1.0) <= ROW_SUM_TOL:
+                raise ValueError(f"{where}: row sums to {weights.sum()}, expected 1")
+            sums[np.asarray(positions)] += weights
+        if len(labels) < width:
+            missing = sorted(set(range(width)) - labels.keys())[:5]
+            raise ValueError(f"layer={layer} head={head}: positions never observed: {missing}")
+        records.append(KeyMeans(tuple(labels[i] for i in range(width)), sums / width))
     return records
 
 
@@ -178,8 +171,8 @@ def load_dump_file(path) -> list[dict]:
     return out
 
 
-def load_records(path) -> list[AttentionRecord]:
-    """Load attention records from a dump file or a directory of dump files.
+def load_records(path) -> list[KeyMeans]:
+    """Key means of every map in a dump file or a directory of dump files.
 
     Each file is one run; maps are grouped per (layer, head) within a file.
     """
@@ -194,20 +187,17 @@ def load_records(path) -> list[AttentionRecord]:
     return records_from_dumps(load_dump_file(path))
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_occurrence_csv(table: OccurrenceTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "count"])
-        for label, count in table.counts:
-            writer.writerow([label, count])
+    _write_csv(path, ["label", "count"], table.counts)
 
 
-def write_category_csv(
-    table: OccurrenceTable, m: int, k_head: int, k_tail: int, path
-) -> None:
+def write_category_csv(table: OccurrenceTable, m: int, k_head: int, k_tail: int, path) -> None:
     shares = category_shares(table, m, k_head, k_tail)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "share"])
-        for cat in CATEGORIES:
-            writer.writerow([cat, repr(shares[cat])])
+    _write_csv(path, ["category", "share"], [(cat, repr(shares[cat])) for cat in CATEGORIES])

@@ -418,6 +418,16 @@ def _validate_jsonl(path) -> str:
     raise ValueError(f"{path}: unrecognized JSONL content")
 
 
+# header -> (columns parsed as int or float, description with the row count)
+_CSV_TABLES = {
+    tuple(bench.CSV_HEADER): ({5: float, 6: float, 7: float}, "benchmark report with {} rows"),
+    ("label", "count"): ({1: int}, "occurrence table with {} labels"),
+    ("category", "share"): ({1: float}, "category share table"),
+    ("step", "ce", "img", "combined"): ({0: int, 1: float, 2: float, 3: float},
+                                        "loss curve with {} steps"),
+}
+
+
 def _validate_csv(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -431,25 +441,21 @@ def _validate_csv(path) -> str:
             raise ValueError(
                 f"{path}: row {line} has {len(row)} fields, the header has {len(header)}"
             )
-    if header == bench.CSV_HEADER:
-        for row in rows:
-            float(row[5]); float(row[6]); float(row[7])
-        return f"benchmark report with {len(rows)} rows"
-    if header == ["label", "count"]:
-        for row in rows:
-            int(row[1])
-        return f"occurrence table with {len(rows)} labels"
-    if header == ["category", "share"]:
-        for row in rows:
-            if row[0] not in attnstats.CATEGORIES:
-                raise ValueError(f"{path}: unknown category {row[0]!r}")
-            float(row[1])
-        return "category share table"
-    if header == ["step", "ce", "img", "combined"]:
-        for row in rows:
-            int(row[0]); float(row[1]); float(row[2]); float(row[3])
-        return f"loss curve with {len(rows)} steps"
-    raise ValueError(f"{path}: unrecognized CSV header {header}")
+    if tuple(header) not in _CSV_TABLES:
+        raise ValueError(f"{path}: unrecognized CSV header {header}")
+    kinds, description = _CSV_TABLES[tuple(header)]
+    for line, row in enumerate(rows, start=2):
+        if header[0] == "category" and row[0] not in attnstats.CATEGORIES:
+            raise ValueError(f"{path}: row {line}: unknown category {row[0]!r}")
+        for col, kind in kinds.items():
+            try:
+                kind(row[col])
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(
+                    f"{path}: row {line} column {header[col]!r}: {row[col]!r} is not {what}"
+                ) from None
+    return description.format(len(rows))
 
 
 def _validate_one(path) -> str:

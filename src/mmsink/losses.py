@@ -64,8 +64,11 @@ def text_ce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(-lsm[np.arange(len(targets)), targets].mean())
 
 
-def _cosine_rows(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (1 - cosine) losses and the zero-norm-prediction row mask."""
+def _cosine_rows(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-row cosine, zero-norm-prediction mask, and prediction and target norms.
+
+    Zero-norm prediction rows get cosine 0 and prediction norm 1.
+    """
     pn = np.linalg.norm(pred, axis=1)
     tn = np.linalg.norm(target, axis=1)
     if np.any(tn <= _ZERO_NORM_TOL):
@@ -74,7 +77,7 @@ def _cosine_rows(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.n
     safe_pn = np.where(zero, 1.0, pn)
     cos = (pred * target).sum(axis=1) / (safe_pn * tn)
     cos = np.where(zero, 0.0, cos)
-    return 1.0 - cos, zero
+    return cos, zero, safe_pn, tn
 
 
 def image_regression_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -87,8 +90,8 @@ def image_regression_loss(pred: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 2:
         raise ValueError(f"shape mismatch: pred {pred.shape}, target {target.shape}")
-    row_losses, _ = _cosine_rows(pred, target)
-    return float(row_losses.mean())
+    cos, _zero, _pn, _tn = _cosine_rows(pred, target)
+    return float((1.0 - cos).mean())
 
 
 def combined_loss(ce: float, img: float, lam: float) -> float:
@@ -236,10 +239,10 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         ctx_len = bpos + 1
         pred, hq, lnqf, qlayers = _query_forward(model, layers, ctx_len)
         tgt = np.tile(np.asarray(sample.target_features[bi], dtype=np.float64), (Q, 1))
-        row_losses, zero = _cosine_rows(pred, tgt)
+        cos, zero, safe_pn, tn = _cosine_rows(pred, tgt)
         n_zero += int(zero.sum())
-        img_terms.append(float(row_losses.mean()))
-        branches.append((ctx_len, pred, hq, lnqf, qlayers, tgt, zero))
+        img_terms.append(float((1.0 - cos).mean()))
+        branches.append((ctx_len, pred, hq, lnqf, qlayers, tgt, cos, zero, safe_pn, tn))
     img = float(np.mean(img_terms)) if img_terms else 0.0
     combined = combined_loss(ce, img, lam)
     report = LossReport(ce, img, combined, n_ce, len(blocks), n_zero)
@@ -263,11 +266,7 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     dkh_extra = [np.zeros((H, T, dh)) for _ in range(L)]
     dvh_extra = [np.zeros((H, T, dh)) for _ in range(L)]
     n_blocks = max(len(blocks), 1)
-    for ctx_len, pred, hq, lnqf, qlayers, tgt, zero in branches:
-        pn = np.linalg.norm(pred, axis=1)
-        tn = np.linalg.norm(tgt, axis=1)
-        safe_pn = np.where(zero, 1.0, pn)
-        cos = np.where(zero, 0.0, (pred * tgt).sum(axis=1) / (safe_pn * tn))
+    for ctx_len, pred, hq, lnqf, qlayers, tgt, cos, zero, safe_pn, tn in branches:
         # d(1 - cos)/dpred, zero for zero-norm prediction rows
         dpred = cos[:, None] * pred / (safe_pn**2)[:, None] - tgt / (safe_pn * tn)[:, None]
         dpred = np.where(zero[:, None], 0.0, dpred)

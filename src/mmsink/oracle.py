@@ -93,21 +93,22 @@ def brute_block_validity(tokens, m: int) -> tuple[int, int]:
     return attempted, valid
 
 
-def recount_occurrences(records, k: int = 10) -> dict[str, int]:
+def recount_occurrences(maps, k: int = 10) -> dict[str, int]:
     """Independent top-k label occurrence recount.
 
-    For each record: average each key column over all rows, rank by the
-    average with ties to the lower index, take the first k, and count each
-    distinct label once.
+    ``maps`` holds (labels, rows) pairs, each a full causal map with row i
+    over keys 0..i. For each map: average each key column over all rows,
+    rank by the average with ties to the lower index, take the first k, and
+    count each distinct label once.
     """
     counts: Counter[str] = Counter()
-    for record in records:
-        rows = np.asarray(record.rows, dtype=np.float64)
+    for labels, rows in maps:
+        rows = np.asarray(rows, dtype=np.float64)
         width = rows.shape[1]
         means = [float(rows[:, j].sum()) / rows.shape[0] for j in range(width)]
         order = sorted(range(width), key=lambda j: (-means[j], j))
         top = order[: min(k, width)]
-        for label in {record.labels[j] for j in top}:
+        for label in {labels[j] for j in top}:
             counts[label] += 1
     return dict(counts)
 

@@ -76,3 +76,24 @@ def all_policies(w: int, n_sink: int = 2, k_head: int = 1, k_tail: int = 2) -> l
         CachePolicy.sink(n_sink, w),
         CachePolicy.mmsink(n_sink, k_head, k_tail, w),
     ]
+
+
+def dumps_from_maps(maps) -> list[dict]:
+    """Attention dump rows for hand-built (labels, rows) causal maps.
+
+    Map i becomes layer i, head 0, so ingestion returns the maps in order.
+    Row t-1 of a map becomes step t's dump row over keys 0..t-1, plus every
+    nonzero weight beyond them (which the ingestion rejects as future keys).
+    """
+    dumps = []
+    for layer, (labels, rows) in enumerate(maps):
+        for t in range(1, len(rows) + 1):
+            row = rows[t - 1]
+            positions = [j for j in range(len(row)) if j < t or row[j] != 0.0]
+            dumps.append({
+                "t": t, "layer": layer, "head": 0,
+                "labels": [labels[j] for j in positions],
+                "positions": positions,
+                "row": [float(row[j]) for j in positions],
+            })
+    return dumps

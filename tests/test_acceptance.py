@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_stream
+from conftest import dumps_from_maps, make_stream
 from mmsink import attnstats, bench, engine, losses
 from mmsink import seqmodel as sq
 from mmsink.cachepolicy import BlockHistory, CachePolicy, KvCache, retain_set
@@ -221,11 +221,11 @@ def test_criterion_5_gradient_check(tiny_config):
 
 
 def test_criterion_6_attention_stats_oracle():
-    """aggregate_occurrence equals an independent recount on 1,000 records."""
+    """aggregate_occurrence equals an independent recount on 1,000 maps."""
     rng = np.random.default_rng(7)
     pool = ["BOS", "EOS", ",", ".", ";", "BOI", "EOI",
             "IMG00", "IMG01", "IMG06", "IMG07", "W1", "W2", "W3", "the"]
-    records = []
+    maps = []
     for _ in range(1000):
         n = int(rng.integers(2, 20))
         rows = np.zeros((n, n))
@@ -233,23 +233,24 @@ def test_criterion_6_attention_stats_oracle():
             weights = rng.random(i + 1) + 1e-9
             rows[i, : i + 1] = weights / weights.sum()
         labels = tuple(pool[int(rng.integers(len(pool)))] for _ in range(n))
-        records.append(attnstats.AttentionRecord(labels, rows))
+        maps.append((labels, rows))
+    records = attnstats.records_from_dumps(dumps_from_maps(maps))
 
     table = attnstats.aggregate_occurrence(records, k=10)
-    assert table.as_dict() == recount_occurrences(records, k=10)
+    assert table.as_dict() == recount_occurrences(maps, k=10)
     assert table.total_maps == 1000
     for record in records:
-        assert attnstats.key_mean_attention(record).sum() == pytest.approx(1.0, abs=1e-9)
+        assert record.means.sum() == pytest.approx(1.0, abs=1e-9)
 
     # deterministic tie-break: equal means resolve to the lower key index
     assert attnstats.top_k_keys([0.4, 0.4, 0.2], 1) == [0]
-    tied = attnstats.AttentionRecord(
-        ("left", "right"), np.array([[1.0, 0.0], [0.0, 1.0]])
-    )
-    means = attnstats.key_mean_attention(tied)
+    tied = attnstats.records_from_dumps(dumps_from_maps(
+        [(("left", "right"), np.array([[1.0, 0.0], [0.0, 1.0]]))]
+    ))
+    means = tied[0].means
     assert means[0] == means[1]
     assert attnstats.top_k_keys(means, 1) == [0]
-    assert attnstats.aggregate_occurrence([tied], k=1).as_dict() == {"left": 1}
+    assert attnstats.aggregate_occurrence(tied, k=1).as_dict() == {"left": 1}
 
 
 def test_criterion_7_loss_masking(tiny_config):

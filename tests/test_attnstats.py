@@ -1,25 +1,29 @@
 """Per-key mean attention, top-k selection, occurrence counting, and labels."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsink import attnstats, engine
 from mmsink.attnstats import (
-    AttentionRecord,
     aggregate_occurrence,
     category_shares,
     classify_token,
-    key_mean_attention,
     load_records,
     records_from_dumps,
     top_k_keys,
 )
 from mmsink.cachepolicy import CachePolicy
+from mmsink.cli import main
 from mmsink.oracle import recount_occurrences
 
+from conftest import dumps_from_maps
 
-def causal_record(rng: np.random.Generator, n: int, labels=None) -> AttentionRecord:
+
+def causal_map(rng: np.random.Generator, n: int, labels=None) -> tuple[tuple[str, ...], np.ndarray]:
     rows = np.zeros((n, n))
     for i in range(n):
         weights = rng.random(i + 1) + 1e-9
@@ -27,13 +31,22 @@ def causal_record(rng: np.random.Generator, n: int, labels=None) -> AttentionRec
     if labels is None:
         pool = ["BOS", ",", ".", "EOI", "BOI", "IMG01", "IMG06", "W3", "W9", "the"]
         labels = tuple(pool[int(rng.integers(len(pool)))] for _ in range(n))
-    return AttentionRecord(tuple(labels), rows)
+    return tuple(labels), rows
+
+
+def ingest(*maps):
+    """Key means of hand-built (labels, rows) maps, through their dump rows."""
+    return records_from_dumps(dumps_from_maps(maps))
+
+
+def key_means(labels, rows) -> np.ndarray:
+    return ingest((labels, rows))[0].means
 
 
 class TestKeyMeanAttention:
     def test_two_row_example(self):
-        rec = AttentionRecord(("a", "b"), np.array([[1.0, 0.0], [0.5, 0.5]]))
-        np.testing.assert_allclose(key_mean_attention(rec), [0.75, 0.25])
+        np.testing.assert_allclose(key_means(("a", "b"), [[1.0, 0.0], [0.5, 0.5]]),
+                                   [0.75, 0.25])
 
     def test_uniform_causal_three(self):
         rows = np.array([
@@ -41,33 +54,30 @@ class TestKeyMeanAttention:
             [0.5, 0.5, 0.0],
             [1 / 3, 1 / 3, 1 / 3],
         ])
-        rec = AttentionRecord(("x", "y", "z"), rows)
         np.testing.assert_allclose(
-            key_mean_attention(rec), [11 / 18, 5 / 18, 1 / 9], atol=1e-12
+            key_means(("x", "y", "z"), rows), [11 / 18, 5 / 18, 1 / 9], atol=1e-12
         )
 
     @given(st.integers(0, 9999), st.integers(1, 25))
     @settings(max_examples=50)
     def test_means_sum_to_one(self, seed, n):
-        rec = causal_record(np.random.default_rng(seed), n)
-        assert key_mean_attention(rec).sum() == pytest.approx(1.0, abs=1e-9)
+        labels, rows = causal_map(np.random.default_rng(seed), n)
+        assert key_means(labels, rows).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_record_rejected(self):
-        rec = AttentionRecord((), np.zeros((0, 0)))
+        empty = {"t": 1, "layer": 0, "head": 0, "labels": [], "positions": [], "row": []}
         with pytest.raises(ValueError):
-            key_mean_attention(rec)
+            records_from_dumps([empty])
 
     def test_nonzero_padding_rejected(self):
         rows = np.array([[0.9, 0.1], [0.5, 0.5]])
-        rec = AttentionRecord(("a", "b"), rows)
-        with pytest.raises(ValueError, match="padding"):
-            key_mean_attention(rec)
+        with pytest.raises(ValueError, match="future"):
+            key_means(("a", "b"), rows)
 
     def test_bad_row_sum_rejected(self):
         rows = np.array([[0.9, 0.0], [0.5, 0.5]])
-        rec = AttentionRecord(("a", "b"), rows)
         with pytest.raises(ValueError, match="sums"):
-            key_mean_attention(rec)
+            key_means(("a", "b"), rows)
 
 
 class TestTopK:
@@ -90,42 +100,40 @@ class TestTopK:
 class TestAggregateOccurrence:
     def test_identical_top_keys_count_per_map(self):
         rows = np.array([[1.0, 0.0], [0.6, 0.4]])
-        rec = AttentionRecord(("BOS", "W1"), rows)
-        table = aggregate_occurrence([rec, rec], k=10)
+        table = aggregate_occurrence(ingest((("BOS", "W1"), rows), (("BOS", "W1"), rows)), k=10)
         assert table.as_dict() == {"BOS": 2, "W1": 2}
         assert table.total_maps == 2
 
     def test_duplicate_labels_in_one_map_count_once(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.4, 0.3, 0.3]])
-        rec = AttentionRecord((",", ",", "W2"), rows)
-        table = aggregate_occurrence([rec], k=3)
+        table = aggregate_occurrence(ingest(((",", ",", "W2"), rows)), k=3)
         assert table.as_dict()[","] == 1
 
     def test_counts_bounded_by_total(self):
         rng = np.random.default_rng(0)
-        records = [causal_record(rng, int(rng.integers(2, 14))) for _ in range(40)]
+        records = ingest(*[causal_map(rng, int(rng.integers(2, 14))) for _ in range(40)])
         table = aggregate_occurrence(records, k=5)
         assert all(c <= table.total_maps for _, c in table.counts)
 
     def test_sorted_by_count_descending(self):
         rng = np.random.default_rng(1)
-        records = [causal_record(rng, 12) for _ in range(25)]
+        records = ingest(*[causal_map(rng, 12) for _ in range(25)])
         table = aggregate_occurrence(records, k=4)
         counts = [c for _, c in table.counts]
         assert counts == sorted(counts, reverse=True)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
-        records = [causal_record(rng, int(rng.integers(2, 10))) for _ in range(20)]
+        records = ingest(*[causal_map(rng, int(rng.integers(2, 10))) for _ in range(20)])
         a = aggregate_occurrence(records, k=3)
         b = aggregate_occurrence(list(reversed(records)), k=3)
         assert a.as_dict() == b.as_dict()
 
     def test_matches_independent_recount(self):
         rng = np.random.default_rng(3)
-        records = [causal_record(rng, int(rng.integers(2, 16))) for _ in range(60)]
-        table = aggregate_occurrence(records, k=10)
-        assert table.as_dict() == recount_occurrences(records, k=10)
+        maps = [causal_map(rng, int(rng.integers(2, 16))) for _ in range(60)]
+        table = aggregate_occurrence(ingest(*maps), k=10)
+        assert table.as_dict() == recount_occurrences(maps, k=10)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +168,7 @@ class TestClassifyToken:
 
     def test_category_shares_sum_to_one(self):
         rng = np.random.default_rng(4)
-        records = [causal_record(rng, 10) for _ in range(10)]
+        records = ingest(*[causal_map(rng, 10) for _ in range(10)])
         table = aggregate_occurrence(records, k=4)
         shares = category_shares(table, m=8, k_head=1, k_tail=2)
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
@@ -175,24 +183,39 @@ def dump_records(small_model, small_prompt):
     return result.trace.attention_dumps, len(result.tokens)
 
 
+def dense_rebuild(dumps, layer: int, head: int) -> np.ndarray:
+    """The zero-padded T x T map of one (layer, head), scattered from its dumps."""
+    recs = [r for r in dumps if (r["layer"], r["head"]) == (layer, head)]
+    rows = np.zeros((len(recs), len(recs)))
+    for r in recs:
+        rows[r["t"] - 1, r["positions"]] = r["row"]
+    return rows
+
+
 class TestDumpIngestion:
 
-    def test_rebuilds_square_causal_maps(self, dump_records, small_model):
+    def test_one_mean_vector_per_map(self, dump_records, small_model):
         dumps, n_tokens = dump_records
         records = records_from_dumps(dumps)
         cfg = small_model.config
         assert len(records) == cfg.layers * cfg.heads
         for rec in records:
-            assert rec.rows.shape == (n_tokens, n_tokens)
-            rec.validate()
+            assert rec.means.shape == (n_tokens,)
+            assert len(rec.labels) == n_tokens
+            assert rec.means.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_eviction_leaves_exact_zeros(self, dump_records):
+    def test_eviction_leaves_exact_zeros(self, dump_records, small_model):
         dumps, _ = dump_records
-        rec = records_from_dumps(dumps)[0]
-        n = rec.rows.shape[0]
+        dense = dense_rebuild(dumps, 0, 0)
+        n = dense.shape[0]
         # late rows must contain evicted (zero) keys inside their prefix
-        late = rec.rows[n - 1, : n - 1]
+        late = dense[n - 1, : n - 1]
         assert np.any(late == 0.0)
+        # and the per-key sums give that zero-padded map's column means exactly
+        cfg = small_model.config
+        for rec, (layer, head) in zip(records_from_dumps(dumps),
+                                      np.ndindex(cfg.layers, cfg.heads)):
+            np.testing.assert_array_equal(rec.means, dense_rebuild(dumps, layer, head).mean(axis=0))
 
     def test_future_position_rejected(self):
         bad = [{
@@ -215,7 +238,7 @@ class TestDumpIngestion:
         assert len(records) == len(direct)
         for a, b in zip(records, direct):
             assert a.labels == b.labels
-            np.testing.assert_array_equal(a.rows, b.rows)
+            np.testing.assert_array_equal(a.means, b.means)
 
     def test_load_records_directory(self, dump_records, tmp_path):
         import json
@@ -228,11 +251,55 @@ class TestDumpIngestion:
         records = load_records(tmp_path)
         assert len(records) == 2 * len(records_from_dumps(dumps))
 
+    @pytest.mark.parametrize("t, change, expected", [
+        (2, {"positions": [0, -1]}, "negative position -1"),
+        (1, {"row": [1.0, 0.0, 7.0]}, "1 positions, 1 labels and 3 weights"),
+        (2, {"labels": ["BOS", "BOS"], "positions": [0, 0]}, "position 0 appears twice"),
+        (3, {"t": 2}, "a second row for this step"),
+        (2, {"labels": ["W5", "W1"]}, "label 'W5' for position 0"),
+        (2, {"row": [0.5, 0.6]}, "sums to"),
+        (3, {"t": 4}, "no row for t=3"),
+    ], ids=["negative", "lengths", "repeated", "duplicate-t", "label", "row-sum", "missing-t"])
+    def test_malformed_row_rejected(self, tmp_path, capsys, t, change, expected):
+        import json
+
+        dumps = [{"t": s, "layer": 1, "head": 0, "labels": ["BOS", "W1", "."][:s],
+                  "positions": list(range(s)), "row": [1.0 / s] * s} for s in (1, 2, 3)]
+        dumps[t - 1] = dict(dumps[t - 1], **change)
+        where = f"t={change.get('t', t)} layer=1 head=0"
+        with pytest.raises(ValueError, match=f"{where}: .*{re.escape(expected)}"):
+            records_from_dumps(dumps)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in dumps))
+        assert main(["validate", str(path)]) == 1
+        assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count(where) == 2 and err.count(expected) == 2
+
+    def test_window_dump_never_builds_a_full_map(self):
+        t_max, keys = 4_000, 8
+        dumps = []
+        for t in range(1, t_max + 1):
+            positions = list(range(max(0, t - keys), t))
+            dumps.append({"t": t, "layer": 0, "head": 0,
+                          "labels": [f"W{p % 32}" for p in positions],
+                          "positions": positions,
+                          "row": [1.0 / len(positions)] * len(positions)})
+        tracemalloc.start()
+        try:
+            (record,) = records_from_dumps(dumps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.means.shape == (t_max,)
+        # one T x T float64 map would be 4,000 * 4,000 * 8 bytes = 128 MB
+        assert peak < 10 * 2**20
+
 
 class TestCsvOutputs:
     def test_occurrence_schema(self, tmp_path):
         rng = np.random.default_rng(5)
-        table = aggregate_occurrence([causal_record(rng, 8) for _ in range(6)], k=3)
+        table = aggregate_occurrence(ingest(*[causal_map(rng, 8) for _ in range(6)]), k=3)
         path = tmp_path / "occ.csv"
         attnstats.write_occurrence_csv(table, path)
         lines = path.read_text().splitlines()
@@ -241,7 +308,7 @@ class TestCsvOutputs:
 
     def test_category_schema(self, tmp_path):
         rng = np.random.default_rng(6)
-        table = aggregate_occurrence([causal_record(rng, 8) for _ in range(6)], k=3)
+        table = aggregate_occurrence(ingest(*[causal_map(rng, 8) for _ in range(6)]), k=3)
         path = tmp_path / "cat.csv"
         attnstats.write_category_csv(table, 8, 1, 2, path)
         lines = path.read_text().splitlines()

@@ -174,7 +174,11 @@ class TestValidate:
             "kind": "mmsink-generation-v1", "policy": "dense", "mode": "free", "seed": 0,
             "steps": 1, "labels": ["BOS"], "blocks": [], "violations": [],
             "peak_entries": 1}) + "\n", "missing ['valid']"),
-    ], ids=["bench", "occurrence", "category", "curve", "generation"])
+        ("occ.csv", "label,count\nBOS,x\n", "row 2 column 'count': 'x' is not an integer"),
+        ("curve.csv", "step,ce,img,combined\n0,1.0,0.5,1.5\n1,a,b,c\n",
+         "row 3 column 'ce': 'a' is not a number"),
+    ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
+            "curve-cell"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)

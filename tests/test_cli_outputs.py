@@ -20,14 +20,15 @@ _CONTENT = {
 
 def _matrix(root: Path) -> Path:
     root.mkdir()
+    (root / "dumps").mkdir()
     for name in cli_outputs.file_names():
         (root / name).write_text(_CONTENT[Path(name).suffix])
     return root
 
 
-def test_matrix_has_twenty_files():
+def test_matrix_has_twenty_two_files():
     names = cli_outputs.file_names()
-    assert len(names) == len(set(names)) == 20
+    assert len(names) == len(set(names)) == 22
 
 
 @pytest.mark.parametrize("text, code, verdict", [

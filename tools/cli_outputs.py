@@ -3,10 +3,11 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 20
-output files into OUT, and prints one SHA-256 per file. ``--src`` picks the
-source tree to run (default: this checkout's ``src``), so the same script
-can write the matrix of another revision.
+The first form runs the fixed set of CLI commands below, writing their 22
+output files into OUT (the four attention dumps under OUT/dumps/), and
+prints one SHA-256 per file. ``--src`` picks the source tree to run
+(default: this checkout's ``src``), so the same script can write the matrix
+of another revision.
 
 The second form reports, per file, either "identical" or the largest
 absolute difference over its float fields. It exits non-zero when a file is
@@ -35,7 +36,7 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
     """(CLI arguments, output file names) for every run of the matrix."""
     runs = []
     for policy in POLICIES:
-        gen, dump = f"gen-{policy}.jsonl", f"gen-{policy}.dump.jsonl"
+        gen, dump = f"gen-{policy}.jsonl", f"dumps/gen-{policy}.dump.jsonl"
         runs.append((["gen", "--policy", policy, "--steps", "512", "--boi-every", "24",
                       "--features", "--attn-dump", out / dump, "--out", out / gen],
                      [gen, dump]))
@@ -50,10 +51,14 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
     runs.append((["train-toy", "--steps", "50", "--model-out", out / "train-model.json",
                   "--curve-out", out / "train-curve.csv"],
                  ["train-model.json", "train-curve.csv"]))
-    runs.append((["stats", "--dumps", out / "gen-mmsink.dump.jsonl",
+    runs.append((["stats", "--dumps", out / "dumps/gen-mmsink.dump.jsonl",
                   "--occ-out", out / "stats-occurrence.csv",
                   "--cat-out", out / "stats-category.csv"],
                  ["stats-occurrence.csv", "stats-category.csv"]))
+    runs.append((["stats", "--dumps", out / "dumps",
+                  "--occ-out", out / "stats-dumps-occurrence.csv",
+                  "--cat-out", out / "stats-dumps-category.csv"],
+                 ["stats-dumps-occurrence.csv", "stats-dumps-category.csv"]))
     return [([str(a) for a in argv], names) for argv, names in runs]
 
 
@@ -62,7 +67,7 @@ def file_names() -> list[str]:
 
 
 def write_matrix(out: Path, src: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "dumps").mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     for argv, names in commands(out):
         done = subprocess.run([sys.executable, "-m", "mmsink.cli", *argv], env=env,
