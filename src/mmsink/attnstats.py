@@ -113,6 +113,10 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     """
     groups: dict[tuple[int, int], list[dict]] = {}
     for rec in dumps:
+        for name in ("t", "layer", "head"):
+            if type(rec[name]) is not int:
+                raise ValueError(f"dump row t={rec['t']} layer={rec['layer']} head={rec['head']}: "
+                                 f"{name} {rec[name]!r} is not an integer")
         groups.setdefault((rec["layer"], rec["head"]), []).append(rec)
     records = []
     for layer, head in sorted(groups):
@@ -127,9 +131,17 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
                     f"no row for t={t}; steps run from 1 to T")
                 raise ValueError(f"{where}: {problem}")
             positions, row_labels, weights = r["positions"], r["labels"], r["row"]
+            if not all(isinstance(v, list) for v in (positions, row_labels, weights)):
+                raise ValueError(f"{where}: positions, labels and row must be lists")
             if not len(positions) == len(row_labels) == len(weights):
                 raise ValueError(f"{where}: {len(positions)} positions, {len(row_labels)} "
                                  f"labels and {len(weights)} weights")
+            odd = [v for v in positions if type(v) is not int]
+            if odd:
+                raise ValueError(f"{where}: position {odd[0]!r} is not an integer")
+            odd = [v for v in weights if type(v) is not float and type(v) is not int]
+            if odd:
+                raise ValueError(f"{where}: weight {odd[0]!r} is not a number")
             if positions and min(positions) < 0:
                 raise ValueError(f"{where}: negative position {min(positions)}")
             if positions and max(positions) >= t:

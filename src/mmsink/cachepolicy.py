@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,6 +114,54 @@ def _block_anchors(b: int, e: int, k_head: int, k_tail: int) -> set[int]:
     return {b, e} | set(range(b + 1, b + 1 + k_head)) | set(range(e - k_tail, e))
 
 
+_FOREVER = np.iinfo(np.int64).max
+
+
+def protected_until(
+    policy: CachePolicy,
+    blocks: Sequence[tuple[int, int]],
+    open_start: int | None,
+    t: int,
+) -> np.ndarray:
+    """For each position below ``t``, the longest prefix that protects it.
+
+    ``blocks`` and ``open_start`` are the block structure of the first
+    ``t`` tokens. Sinks, image anchors and the members of the open block
+    are protected after any number of tokens; the other members of a
+    completed block only while it is open, that is for prefixes up to its
+    end marker's position; everything else never (0).
+    """
+    until = np.zeros(t, dtype=np.int64)
+    if policy.kind == "mmsink":
+        for b, e in blocks:
+            until[b : e + 1] = e
+            until[sorted(_block_anchors(b, e, policy.k_head, policy.k_tail))] = _FOREVER
+        if open_start is not None:
+            until[open_start:] = _FOREVER
+    if policy.kind in ("sink", "mmsink"):
+        until[: policy.n_sink] = _FOREVER
+    return until
+
+
+def retained_rows(policy: CachePolicy, until: np.ndarray, steps: Sequence[int]) -> np.ndarray:
+    """Retention as a boolean (len(steps), len(until)) array.
+
+    Entry [r, p] says whether position p is retained after ``steps[r]``
+    tokens, given :func:`protected_until` of a stream at least that long:
+    p must precede the step, and the policy is dense, the step is within
+    the window, p is among the window's most recent ``w - n_sink``
+    positions, or p is still protected.
+    """
+    i = np.asarray(steps, dtype=np.int64)[:, None]
+    p = np.arange(len(until))
+    before = p < i
+    if policy.kind == "dense":
+        return before
+    w = policy.window
+    recent = w - (policy.n_sink if policy.kind in ("sink", "mmsink") else 0)
+    return before & ((i <= w) | (p >= i - recent) | (i <= until))
+
+
 def retain_set(
     policy: CachePolicy,
     prefix: MultimodalSequence | BlockHistory,
@@ -121,26 +170,16 @@ def retain_set(
     """Positions retained after ``t`` tokens, in ascending order.
 
     ``prefix`` supplies the image-block structure; when it is a full
-    sequence its length must equal ``t``.
+    sequence its length must equal ``t``. This is the last row of
+    :func:`retained_rows` over the prefix.
     """
     if isinstance(prefix, MultimodalSequence) and len(prefix) != t:
         raise ValueError(f"t={t} does not match prefix length {len(prefix)}")
     if t < 1:
         raise ValueError("t must be at least 1")
-    if policy.kind == "dense" or t <= policy.window:
-        return list(range(t))
-    w = policy.window
-    if policy.kind == "window":
-        return list(range(t - w, t))
-    keep = set(range(policy.n_sink))
-    keep.update(range(t - (w - policy.n_sink), t))
-    if policy.kind == "mmsink":
-        history = BlockHistory.of(prefix)
-        for b, e in history.blocks:
-            keep.update(_block_anchors(b, e, policy.k_head, policy.k_tail))
-        if history.open_start is not None:
-            keep.update(range(history.open_start, t))
-    return sorted(keep)
+    history = BlockHistory.of(prefix)
+    until = protected_until(policy, history.blocks, history.open_start, t)
+    return np.flatnonzero(retained_rows(policy, until, [t])[0]).tolist()
 
 
 def entry_count(policy: CachePolicy, history: MultimodalSequence | BlockHistory, t: int) -> int:

@@ -13,10 +13,12 @@ pruned-cache runs bitwise identical to dense runs inside the window.
 
 :func:`block` is the one transformer layer: a decode step runs it on one row
 over the cache plus itself, feature prediction on the learnable queries over
-the cache, and :mod:`mmsink.losses` on a whole sequence (causal, no past) and
-on the queries over that sequence's key/value prefix. Scores and contexts are
-BLAS matrix products throughout, so a decode step and the batched pass agree
-to rounding (under 1e-15 on the logits), not bit for bit.
+the cache, :mod:`mmsink.losses` on a whole sequence (causal, no past) and on
+the queries over that sequence's key/value prefix, and the teacher-forced
+replay on chunks of a token stream, each row masked to the entries its
+policy retains. Scores and contexts are BLAS matrix products throughout, so
+a decode step and a batched pass agree to rounding (under 1e-15 on the
+logits), not bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import json
 
 import numpy as np
 
-from .cachepolicy import CachePolicy, KvCache
+from .cachepolicy import CachePolicy, KvCache, protected_until, retained_rows
 from .errors import ConfigError, SequenceGrammarError, StateError
 from .seqmodel import (
+    BlockGrammar,
     MultimodalSequence,
     Token,
     token_from_vocab_id,
@@ -42,6 +45,7 @@ from .seqmodel import (
 )
 
 LN_EPS = 1e-5
+REPLAY_ROWS = 16  # rows per teacher-forced replay chunk; bounds its (heads, rows, keys) tiles
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -227,14 +231,18 @@ def load_model(path) -> Model:
 # -- the transformer block ------------------------------------------------------
 
 def block(model: Model, l: int, x: np.ndarray, past_k: np.ndarray, past_v: np.ndarray,
-          causal: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+          causal: bool, mask: np.ndarray | None = None,
+          ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Pre-norm transformer layer ``l`` over the rows ``x`` (N, d_model).
 
     The rows attend over ``past_k``/``past_v`` (heads, K, d_head) and, when
     ``causal``, also over their own keys/values up to their own position.
-    Returns the output rows and the activations the hand-written backward
-    in :mod:`mmsink.losses` reads. The rows' own keys and values (``kh``,
-    ``vh``, shape (heads, N, d_head)) are computed only when ``causal``.
+    A boolean ``mask`` (N, K + N) replaces that causal triangle: row r
+    attends to exactly the keys where ``mask[r]`` is set (each row needs
+    at least one). Returns the output rows and the activations the
+    hand-written backward in :mod:`mmsink.losses` reads. The rows' own keys
+    and values (``kh``, ``vh``, shape (heads, N, d_head)) are computed only
+    when ``causal``.
     """
     cfg = model.config
     p = model.p
@@ -250,7 +258,9 @@ def block(model: Model, l: int, x: np.ndarray, past_k: np.ndarray, past_v: np.nd
         vals = np.concatenate([past_v, vh], axis=1)
         acts.update(kh=kh, vh=vh)
     s = qh @ keys.transpose(0, 2, 1) / math.sqrt(dh)
-    if causal and n > 1:
+    if mask is not None:
+        s = np.where(mask, s, -np.inf)
+    elif causal and n > 1:
         s = np.where(np.tri(n, keys.shape[1], past_k.shape[1], dtype=bool), s, -np.inf)
     pr = softmax(s, axis=2)
     ctx = (pr @ vals).transpose(1, 0, 2).reshape(n, cfg.d_model)
@@ -506,15 +516,62 @@ def teacher_forced_logits(
 
     Returns logits keyed by prefix length for each requested checkpoint,
     plus the peak retained-entry count of the replay.
+
+    A decode step of token i attends to ``R_i`` (the positions retained
+    after i tokens) plus itself, at position index ``|R_i|``, and its keys
+    and values never change once computed. So the replay needs no decode
+    loop: the stream runs through all layers in chunks of ``REPLAY_ROWS``
+    rows, each row masked to its ``R_i`` by :func:`retained_rows`, over one
+    key/value buffer per layer. A chunk attends only to the earlier keys
+    some row of it retains, so no (T, T) array is ever built. The logits
+    agree with stepwise decoding to rounding (under 1e-15), not bit for
+    bit, because masked keys change how the softmax sums group.
+
+    The stream must follow the block grammar (:class:`SequenceGrammarError`
+    naming the position otherwise), and every position index must fit the
+    position table (:class:`StateError` otherwise).
     """
     wanted = set(checkpoints)
     bad = [t for t in wanted if t < 1 or t > len(tokens)]
     if bad:
         raise ValueError(f"checkpoints {sorted(bad)} outside 1..{len(tokens)}")
-    cache = make_cache(model, policy)
-    out: dict[int, np.ndarray] = {}
+    cfg = model.config
+    p = model.p
+    policy.check_block_length(cfg.m)
+    grammar = BlockGrammar(cfg.m)
     for token in tokens:
-        step = forward_step(model, cache, token)
-        if cache.t in wanted:
-            out[cache.t] = step.logits.copy()
-    return out, cache.peak_entries
+        grammar.step(token)
+    T = len(tokens)
+    until = protected_until(policy, grammar.blocks, grammar.open_start, T)
+    ids = np.array([vocab_id(tk, cfg.m, cfg.v_text) for tk in tokens], dtype=np.int64)
+    keys = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
+    vals = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
+    out: dict[int, np.ndarray] = {}
+    peak = int(retained_rows(policy, until, [T]).sum())
+    for lo in range(0, T, REPLAY_ROWS):
+        hi = min(lo + REPLAY_ROWS, T)
+        steps = np.arange(lo, hi)
+        attend = retained_rows(policy, until[:hi], steps)
+        pos = attend.sum(axis=1)
+        over = np.flatnonzero(pos >= cfg.max_positions)
+        if over.size:
+            raise StateError(
+                f"cache position {pos[over[0]]} exceeds the position table ({cfg.max_positions})"
+            )
+        peak = max(peak, int(pos.max()))
+        attend[np.arange(len(steps)), steps] = True
+        past = np.flatnonzero(attend[:, :lo].any(axis=0))
+        mask = attend[:, np.concatenate([past, steps])]
+        if len(past) == lo:
+            past = slice(0, lo)  # every earlier key (dense): a view instead of a gathered copy
+        x = p["tok_emb"][ids[steps]] + p["pos_emb"][pos]
+        for l in range(cfg.layers):
+            x, acts = block(model, l, x, keys[l][:, past], vals[l][:, past], causal=True,
+                            mask=mask)
+            keys[l][:, lo:hi], vals[l][:, lo:hi] = acts["kh"], acts["vh"]
+        hit = [r for r in range(hi - lo) if lo + r + 1 in wanted]
+        if hit:
+            hf, _ = layer_norm(x[hit], p["lnf_g"], p["lnf_b"])
+            for r, row in zip(hit, hf @ p["w_out"]):
+                out[lo + r + 1] = row
+    return out, peak

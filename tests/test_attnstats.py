@@ -259,14 +259,24 @@ class TestDumpIngestion:
         (2, {"labels": ["W5", "W1"]}, "label 'W5' for position 0"),
         (2, {"row": [0.5, 0.6]}, "sums to"),
         (3, {"t": 4}, "no row for t=3"),
-    ], ids=["negative", "lengths", "repeated", "duplicate-t", "label", "row-sum", "missing-t"])
+        (2, {"positions": ["a", 1]}, "position 'a' is not an integer"),
+        (2, {"positions": [0.0, 1]}, "position 0.0 is not an integer"),
+        (2, {"positions": [0, True]}, "position True is not an integer"),
+        (2, {"t": "x"}, "t 'x' is not an integer"),
+        (2, {"layer": 1.0}, "layer 1.0 is not an integer"),
+        (2, {"head": None}, "head None is not an integer"),
+        (2, {"row": [0.5, "0.5"]}, "weight '0.5' is not a number"),
+        (2, {"positions": 7}, "must be lists"),
+    ], ids=["negative", "lengths", "repeated", "duplicate-t", "label", "row-sum", "missing-t",
+            "str-position", "float-position", "bool-position", "str-t", "float-layer",
+            "null-head", "str-weight", "scalar-positions"])
     def test_malformed_row_rejected(self, tmp_path, capsys, t, change, expected):
         import json
 
         dumps = [{"t": s, "layer": 1, "head": 0, "labels": ["BOS", "W1", "."][:s],
                   "positions": list(range(s)), "row": [1.0 / s] * s} for s in (1, 2, 3)]
-        dumps[t - 1] = dict(dumps[t - 1], **change)
-        where = f"t={change.get('t', t)} layer=1 head=0"
+        bad = dumps[t - 1] = dict(dumps[t - 1], **change)
+        where = f"t={bad['t']} layer={bad['layer']} head={bad['head']}"
         with pytest.raises(ValueError, match=f"{where}: .*{re.escape(expected)}"):
             records_from_dumps(dumps)
         path = tmp_path / "bad.jsonl"

@@ -113,7 +113,9 @@ class TestRunBenchmark:
 
     def test_position_overflow_rejected_before_running(self, bench_model, bench_prompt,
                                                         monkeypatch):
-        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        # any forward pass would fail: decode steps and the replay both run block
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
         steps = 2049 - len(bench_prompt)
         expected = rf"{len(bench_prompt)} prompt \+ {steps} steps .*\(2048\)"
         with pytest.raises(ConfigError, match=expected):

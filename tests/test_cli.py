@@ -255,7 +255,9 @@ class TestExitCodes:
         cfg = tmp_path / "small.ini"
         cfg.write_text("[engine]\nmax_positions = 64\n")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        # any forward pass would fail: decode steps and the replay both run block
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
         assert main(command + ["--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and "+ 100 steps" in err and "(64)" in err
@@ -263,7 +265,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_checkpoint_is_config_error(self, tmp_path, capsys, monkeypatch, source):
-        monkeypatch.setattr(engine, "forward_step", None)  # fails before any forward step
+        # any forward pass would fail: decode steps and the replay both run block
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
         args = ["bench", "--steps", "8", "--report", str(tmp_path / "r.csv")]
         if source == "flag":
             args += ["--checkpoints", "3,x"]

@@ -236,7 +236,9 @@ class TestGenerate:
         cfg = ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, v_text=32, m=4,
                           q_queries=3, d_feat=4, max_positions=64, seed=3)
         model = Model.init(cfg)
-        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        # any forward pass would fail: decode steps and the replay both run block
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
         steps = 65 - len(small_prompt)
         with pytest.raises(ConfigError, match=rf"\+ {steps} steps .*\(64\)"):
             generate(model, small_prompt, CachePolicy.dense(), steps)
@@ -252,7 +254,9 @@ class TestGenerate:
         result = generate(model, small_prompt, CachePolicy.dense(), steps, boi_every=6)
         assert result.trace.forced_completion_steps > 0
         assert len(result.tokens) <= 64
-        monkeypatch.setattr(engine, "forward_step", None)  # any forward step would fail
+        # any forward pass would fail: decode steps and the replay both run block
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
         with pytest.raises(ConfigError, match=r"\+ 5 to complete a block\) .*\(64\)"):
             generate(model, small_prompt, CachePolicy.dense(), steps + 1, boi_every=6)
 
