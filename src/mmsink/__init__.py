@@ -6,7 +6,7 @@ dual next-token/feature-regression objective at desk scale, and reproduces
 the attention-map key-statistics methodology the mmsink anchors come from.
 """
 
-from .cachepolicy import BlockHistory, CachePolicy, KvCache, bytes_estimate, entry_count, retain_set
+from .cachepolicy import CachePolicy, KvCache, bytes_estimate, retain_set
 from .engine import Model, ModelConfig, forward_step, generate, predict_image_features
 from .losses import LossReport, combined_loss, image_regression_loss, text_ce_loss, train_toy
 from .seqmodel import (
@@ -25,7 +25,6 @@ from .seqmodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockHistory",
     "CachePolicy",
     "KvCache",
     "LossReport",
@@ -39,7 +38,6 @@ __all__ = [
     "assemble_training_sequence",
     "bytes_estimate",
     "combined_loss",
-    "entry_count",
     "forward_step",
     "generate",
     "image_regression_loss",

@@ -13,19 +13,25 @@ generation:
   until the block closes. Punctuation gets no special treatment.
 
 The sink budget lives inside the window budget, so window and sink caches
-are always the same size; the image anchors of mmsink are extra on top.
+are always the same size; the image anchors of mmsink are extra on top,
+``2 + k_head + k_tail`` per completed block with no bound on their number.
+
+All four are one rule. Each position p carries ``until[p]``, the longest
+prefix that protects it (:func:`protected_until`), and is retained after t
+tokens when ``t <= w``, ``p >= t - (w - n_sink)`` or ``t <= until[p]``
+(dense has an unbounded window). :func:`retained_rows` evaluates the rule
+for a whole stream, and :class:`KvCache` evicts with it after every push.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .seqmodel import BlockGrammar, MultimodalSequence, Token
+from .seqmodel import BlockGrammar, Token
 
 POLICY_KINDS = ("dense", "window", "sink", "mmsink")
 
@@ -95,26 +101,36 @@ class CachePolicy:
         )
 
 
-@dataclass(frozen=True)
-class BlockHistory:
-    """Image-block structure of a token prefix: completed spans and an
-    optionally open trailing block."""
-
-    blocks: tuple[tuple[int, int], ...] = ()
-    open_start: int | None = None
-
-    @staticmethod
-    def of(prefix: "MultimodalSequence | BlockHistory") -> "BlockHistory":
-        if isinstance(prefix, BlockHistory):
-            return prefix
-        return BlockHistory(tuple(prefix.image_blocks), prefix.open_block)
-
-
-def _block_anchors(b: int, e: int, k_head: int, k_tail: int) -> set[int]:
-    return {b, e} | set(range(b + 1, b + 1 + k_head)) | set(range(e - k_tail, e))
-
-
 _FOREVER = np.iinfo(np.int64).max
+
+
+def _n_sink(policy: CachePolicy) -> int:
+    return policy.n_sink if policy.kind in ("sink", "mmsink") else 0
+
+
+def _completed_until(policy: CachePolicy, b: int, e: int, p: np.ndarray) -> np.ndarray:
+    """``until`` of positions ``p`` of the completed block (b, e).
+
+    Sinks and the anchors (begin and end marker, first ``k_head`` and last
+    ``k_tail`` slots) are protected forever, the other members until e.
+    """
+    anchor = (p < _n_sink(policy)) | (p <= b + policy.k_head) | (p >= e - policy.k_tail)
+    return np.where(anchor, _FOREVER, e)
+
+
+def _recent(policy: CachePolicy) -> int:
+    """How many of the latest positions the policy keeps unconditionally."""
+    return _FOREVER if policy.kind == "dense" else policy.window - _n_sink(policy)
+
+
+def _kept(policy: CachePolicy, t, p, until):
+    """The retention rule: is position ``p < t`` retained after ``t`` tokens?
+
+    It is when ``t`` is within the window, p is among the latest
+    :func:`_recent` positions (all of them under dense), or p is protected
+    for prefixes up to ``until`` and t is one of them.
+    """
+    return (t <= policy.window) | (p >= t - _recent(policy)) | (t <= until)
 
 
 def protected_until(
@@ -131,15 +147,13 @@ def protected_until(
     completed block only while it is open, that is for prefixes up to its
     end marker's position; everything else never (0).
     """
-    until = np.zeros(t, dtype=np.int64)
+    p = np.arange(t)
+    until = np.where(p < _n_sink(policy), _FOREVER, 0)
     if policy.kind == "mmsink":
         for b, e in blocks:
-            until[b : e + 1] = e
-            until[sorted(_block_anchors(b, e, policy.k_head, policy.k_tail))] = _FOREVER
+            until[b : e + 1] = _completed_until(policy, b, e, p[b : e + 1])
         if open_start is not None:
             until[open_start:] = _FOREVER
-    if policy.kind in ("sink", "mmsink"):
-        until[: policy.n_sink] = _FOREVER
     return until
 
 
@@ -148,43 +162,28 @@ def retained_rows(policy: CachePolicy, until: np.ndarray, steps: Sequence[int]) 
 
     Entry [r, p] says whether position p is retained after ``steps[r]``
     tokens, given :func:`protected_until` of a stream at least that long:
-    p must precede the step, and the policy is dense, the step is within
-    the window, p is among the window's most recent ``w - n_sink``
-    positions, or p is still protected.
+    p must precede the step and pass the retention rule.
     """
     i = np.asarray(steps, dtype=np.int64)[:, None]
     p = np.arange(len(until))
-    before = p < i
-    if policy.kind == "dense":
-        return before
-    w = policy.window
-    recent = w - (policy.n_sink if policy.kind in ("sink", "mmsink") else 0)
-    return before & ((i <= w) | (p >= i - recent) | (i <= until))
+    return (p < i) & _kept(policy, i, p, until)
 
 
 def retain_set(
     policy: CachePolicy,
-    prefix: MultimodalSequence | BlockHistory,
+    blocks: Sequence[tuple[int, int]],
+    open_start: int | None,
     t: int,
 ) -> list[int]:
     """Positions retained after ``t`` tokens, in ascending order.
 
-    ``prefix`` supplies the image-block structure; when it is a full
-    sequence its length must equal ``t``. This is the last row of
-    :func:`retained_rows` over the prefix.
+    ``blocks`` and ``open_start`` are the block structure of the first
+    ``t`` tokens. This is the last row of :func:`retained_rows`.
     """
-    if isinstance(prefix, MultimodalSequence) and len(prefix) != t:
-        raise ValueError(f"t={t} does not match prefix length {len(prefix)}")
     if t < 1:
         raise ValueError("t must be at least 1")
-    history = BlockHistory.of(prefix)
-    until = protected_until(policy, history.blocks, history.open_start, t)
+    until = protected_until(policy, blocks, open_start, t)
     return np.flatnonzero(retained_rows(policy, until, [t])[0]).tolist()
-
-
-def entry_count(policy: CachePolicy, history: MultimodalSequence | BlockHistory, t: int) -> int:
-    """Number of retained entries at step ``t``."""
-    return len(retain_set(policy, BlockHistory.of(history), t))
 
 
 def bytes_estimate(
@@ -204,6 +203,15 @@ class KvCache:
     The retained position set is identical across layers and heads, so
     positions, tokens, and block structure are stored once; keys and values
     live in per-layer arrays of shape (heads, capacity, d_head).
+
+    Each entry also carries its ``until``, the value :func:`protected_until`
+    gives its position, kept current from the grammar's events: an entry
+    starts protected forever if it is a sink or (mmsink) opens or extends a
+    block, and at 0 otherwise; a completed block takes its values from the
+    same rule as :func:`protected_until`; an abandoned block's non-sink
+    members drop to 0. Every push evicts the entries that fail the rule
+    :func:`retained_rows` evaluates, so the positions always equal
+    :func:`retain_set` at the current t.
 
     Block structure comes from one :class:`BlockGrammar` fed every pushed
     token. In strict mode a structurally illegal token raises
@@ -235,11 +243,11 @@ class KvCache:
         cap = 64
         self._k = [np.empty((heads, cap, d_head)) for _ in range(layers)]
         self._v = [np.empty((heads, cap, d_head)) for _ in range(layers)]
+        self._pos = np.empty(cap, dtype=np.int64)
+        self._until = np.empty(cap, dtype=np.int64)
         self._count = 0
 
-        self._positions: list[int] = []
         self._tokens: list[Token] = []
-        self._protected: set[int] = set()
         self.violations: list[str] = []
         self.peak_entries = 0
 
@@ -250,7 +258,7 @@ class KvCache:
         return self._count
 
     def positions(self) -> list[int]:
-        return list(self._positions)
+        return self._pos[: self._count].tolist()
 
     def tokens(self) -> list[Token]:
         return list(self._tokens)
@@ -290,60 +298,31 @@ class KvCache:
     # -- mutation -----------------------------------------------------------
 
     def _grow(self) -> None:
-        cap = self._k[0].shape[1]
+        cap = len(self._pos)
         if self._count < cap:
             return
-        new_cap = cap * 2
         for l in range(self.layers):
             for store in (self._k, self._v):
-                bigger = np.empty((self.heads, new_cap, self.d_head))
-                bigger[:, : self._count, :] = store[l][:, : self._count, :]
+                bigger = np.empty((self.heads, 2 * cap, self.d_head))
+                bigger[:, :cap, :] = store[l]
                 store[l] = bigger
+        self._pos = np.concatenate([self._pos, np.empty(cap, dtype=np.int64)])
+        self._until = np.concatenate([self._until, np.empty(cap, dtype=np.int64)])
 
-    def _keep_entry(self, pos: int, t: int) -> bool:
-        w = self.policy.window
-        n = self.policy.n_sink if self.policy.kind in ("sink", "mmsink") else 0
-        if pos >= t - (w - n):
-            return True
-        if pos in self._protected:
-            return True
-        return (
-            self.policy.kind == "mmsink"
-            and self.open_start is not None
-            and pos >= self.open_start
-        )
-
-    def _compact(self, keep_idx: list[int]) -> None:
-        nk = len(keep_idx)
-        for l in range(self.layers):
-            self._k[l][:, :nk, :] = self._k[l][:, keep_idx, :]
-            self._v[l][:, :nk, :] = self._v[l][:, keep_idx, :]
-        self._positions = [self._positions[i] for i in keep_idx]
-        self._tokens = [self._tokens[i] for i in keep_idx]
-        self._count = nk
-
-    def _evict(self, rescan: bool) -> None:
-        t = self.t
-        if self.policy.kind == "dense" or t <= self.policy.window:
-            return
-        if rescan:
-            keep = [i for i, p in enumerate(self._positions) if self._keep_entry(p, t)]
-            if len(keep) != self._count:
-                self._compact(keep)
-            return
-        # The window boundary advances one position per push; only the entry
-        # that just left the window can become evictable.
-        w = self.policy.window
-        n = self.policy.n_sink if self.policy.kind in ("sink", "mmsink") else 0
-        boundary = t - (w - n) - 1
-        i = bisect_left(self._positions, boundary)
-        if i < self._count and self._positions[i] == boundary and not self._keep_entry(boundary, t):
+    def _compact(self, drop: list[int]) -> None:
+        """Remove the entries at the ascending indices ``drop``, shifting each
+        run of kept entries left over the dropped ones before it."""
+        ends = drop[1:] + [self._count]
+        for shift, (i, end) in enumerate(zip(drop, ends), start=1):
+            src, dst = slice(i + 1, end), slice(i + 1 - shift, end - shift)
             for l in range(self.layers):
-                self._k[l][:, i : self._count - 1, :] = self._k[l][:, i + 1 : self._count, :]
-                self._v[l][:, i : self._count - 1, :] = self._v[l][:, i + 1 : self._count, :]
-            del self._positions[i]
+                self._k[l][:, dst, :] = self._k[l][:, src, :]
+                self._v[l][:, dst, :] = self._v[l][:, src, :]
+            self._pos[dst] = self._pos[src]
+            self._until[dst] = self._until[src]
+        for i in reversed(drop):
             del self._tokens[i]
-            self._count -= 1
+        self._count -= len(drop)
 
     def push(self, token: Token, keys: np.ndarray, values: np.ndarray) -> None:
         """Append one entry and apply the policy's eviction.
@@ -357,23 +336,35 @@ class KvCache:
             )
         if values.shape != keys.shape:
             raise ValueError("keys and values shapes differ")
-        pos = self.t
+        pos, open_start = self.t, self.open_start
         change = self.grammar.step(token)
         self.violations.extend(f"t={pos}: {message}" for message in change.violations)
-        if change.completed is not None and self.policy.kind == "mmsink":
-            self._protected.update(
-                _block_anchors(*change.completed, self.policy.k_head, self.policy.k_tail)
-            )
+        mmsink = self.policy.kind == "mmsink"
         self._grow()
+        n = self._count
         for l in range(self.layers):
-            self._k[l][:, self._count, :] = keys[l]
-            self._v[l][:, self._count, :] = values[l]
-        self._positions.append(pos)
+            self._k[l][:, n, :] = keys[l]
+            self._v[l][:, n, :] = values[l]
+        self._pos[n] = pos
+        forever = pos < _n_sink(self.policy) or (mmsink and self.in_block)
+        self._until[n] = _FOREVER if forever else 0
         self._tokens.append(token)
-        self._count += 1
-        if self.policy.kind in ("sink", "mmsink") and pos < self.policy.n_sink:
-            self._protected.add(pos)
-        # A completed or abandoned block can release more than the entry that
-        # just left the window, so eviction must rescan every entry.
-        self._evict(change.completed is not None or change.abandoned)
+        self._count = n + 1
+        # An open block's members are never evicted, so they are the last
+        # entries and each event rewrites a tail of ``_until``.
+        if mmsink and change.completed is not None:
+            b, e = change.completed
+            tail = slice(n - (e - b), n + 1)
+            self._until[tail] = _completed_until(self.policy, b, e, self._pos[tail])
+        elif mmsink and change.abandoned:
+            tail = slice(n - (pos - open_start), n)
+            self._until[tail][self._pos[tail] >= _n_sink(self.policy)] = 0
+        # The latest _recent entries pass the rule whatever their until, so
+        # only the older ones are tested.
+        old = n + 1 - _recent(self.policy)
+        if old > 0:
+            kept = _kept(self.policy, self.t, self._pos[:old], self._until[:old])
+            drop = np.nonzero(~kept)[0].tolist()
+            if drop:
+                self._compact(drop)
         self.peak_entries = max(self.peak_entries, self._count)

@@ -261,7 +261,7 @@ def cmd_gen(args) -> int:
         "prompt_seed": args.prompt_seed if args.prompt_seed is not None else seed,
         "attn_dump": args.attn_dump or "<none>",
         "features": args.features,
-        "boi_every": args.boi_every or "<none>",
+        "boi_every": "<none>" if args.boi_every is None else args.boi_every,
     }
     _print_effective("gen", cfg, extras)
     model = _obtain_model(args, cfg, seed)

@@ -417,8 +417,9 @@ def generate(
     through their slots to the end marker, and begin/end-of-sequence tokens
     are never sampled (the harness targets fixed-length runs). If the step
     budget ends mid-block the block is completed anyway and the extra steps
-    are reported on the trace. ``boi_every`` forces a block start every so
-    many steps, which gives benchmarks a guaranteed block cadence.
+    are reported on the trace. ``boi_every`` (``None`` or at least 1) forces
+    a block start every so many steps, which gives benchmarks a guaranteed
+    block cadence.
 
     In free mode tokens are sampled from the unmasked distribution and the
     grammar's violations are recorded, never repaired.
@@ -431,6 +432,8 @@ def generate(
         raise ConfigError(f"unknown generation mode {mode!r}")
     if steps < 0:
         raise ConfigError("steps must be non-negative")
+    if boi_every is not None and boi_every < 1:
+        raise ConfigError(f"boi_every must be a positive number of steps, got {boi_every}")
     if prompt.m != model.config.m:
         raise ConfigError(
             f"prompt block length {prompt.m} differs from model block length {model.config.m}"

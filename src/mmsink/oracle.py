@@ -9,28 +9,24 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cachepolicy import BlockHistory, CachePolicy
-from .seqmodel import MultimodalSequence
+from .cachepolicy import CachePolicy
 
 
 def brute_retain_set(
     policy: CachePolicy,
-    prefix: MultimodalSequence | BlockHistory,
+    blocks: Sequence[tuple[int, int]],
+    open_start: int | None,
     t: int,
 ) -> list[int]:
-    """Scan every position and test retention membership directly."""
-    if isinstance(prefix, MultimodalSequence):
-        if len(prefix.tokens) != t:
-            raise ValueError(f"t={t} does not match prefix length {len(prefix.tokens)}")
-        blocks = list(prefix.image_blocks)
-        open_start = prefix.open_block
-    else:
-        blocks = list(prefix.blocks)
-        open_start = prefix.open_start
+    """Scan every position and test retention membership directly.
+
+    ``blocks`` and ``open_start`` are the block structure of the first
+    ``t`` tokens.
+    """
     if t < 1:
         raise ValueError("t must be at least 1")
 

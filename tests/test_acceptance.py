@@ -15,7 +15,7 @@ import pytest
 from conftest import dumps_from_maps, make_stream
 from mmsink import attnstats, bench, engine, losses
 from mmsink import seqmodel as sq
-from mmsink.cachepolicy import BlockHistory, CachePolicy, KvCache, retain_set
+from mmsink.cachepolicy import CachePolicy, KvCache, retain_set
 from mmsink.cli import main
 from mmsink.oracle import brute_retain_set, fd_gradient, recount_occurrences, relative_error
 from mmsink.seqmodel import TokenKind
@@ -35,8 +35,8 @@ def _random_policy(rng: np.random.Generator, kind: str, m: int) -> CachePolicy:
     return CachePolicy.mmsink(n, k_head, k_tail, w)
 
 
-def _history_snapshots(tokens) -> list[BlockHistory]:
-    """Block structure of every prefix of a valid token stream."""
+def _history_snapshots(tokens) -> list[tuple[tuple[tuple[int, int], ...], int | None]]:
+    """Block structure (blocks, open_start) of every prefix of a valid token stream."""
     blocks: list[tuple[int, int]] = []
     open_start = None
     out = []
@@ -46,7 +46,7 @@ def _history_snapshots(tokens) -> list[BlockHistory]:
         elif tok.kind is TokenKind.EOI:
             blocks.append((open_start, pos))
             open_start = None
-        out.append(BlockHistory(tuple(blocks), open_start))
+        out.append((tuple(blocks), open_start))
     return out
 
 
@@ -65,12 +65,12 @@ def test_criterion_1_retention_set_oracle_equivalence():
         streams += 1
         # spot-check the snapshot structure against the sequence validator
         seq = sq.MultimodalSequence.from_tokens(tokens, m, allow_in_progress=True)
-        assert histories[-1] == BlockHistory(seq.image_blocks, seq.open_block)
+        assert histories[-1] == (seq.image_blocks, seq.open_block)
         for _ in range(24):
             t = int(rng.integers(1, length + 1))
             policy = _random_policy(rng, kinds[cases % 4], m)
-            got = retain_set(policy, histories[t - 1], t)
-            want = brute_retain_set(policy, histories[t - 1], t)
+            got = retain_set(policy, *histories[t - 1], t)
+            want = brute_retain_set(policy, *histories[t - 1], t)
             assert got == want, (
                 f"mismatch: {policy} t={t} blocks={histories[t - 1]}"
             )
@@ -120,7 +120,7 @@ def test_criterion_3_memory_relation_and_closed_forms(small_model):
     prompt = sq.prompt_sequence(story, 1, m=m, v_text=small_model.config.v_text)
     tokens = bench.synthetic_trajectory(prompt, 512, seed=0,
                                         v_text=small_model.config.v_text)
-    completed = _history_snapshots(tokens)[-1].blocks
+    completed, _ = _history_snapshots(tokens)[-1]
     outside = [b for b in completed if b[1] < len(tokens) - (w - n)]
     assert len(outside) >= 3, "scenario precondition: blocks outside the window"
 
@@ -134,7 +134,7 @@ def test_criterion_3_memory_relation_and_closed_forms(small_model):
         peaks[name] = cache.peak_entries
         finals[name] = cache.size
         assert cache.positions() == brute_retain_set(
-            policy, BlockHistory(tuple(cache.blocks), cache.open_start), cache.t
+            policy, cache.blocks, cache.open_start, cache.t
         )
 
     assert peaks["dense"] > peaks["mmsink"] > peaks["sink"] == peaks["window"]
@@ -150,7 +150,7 @@ def test_criterion_3_memory_relation_and_closed_forms(small_model):
     # a pure scenario with every anchor group disjoint from window and sinks
     blocks = tuple((10 + 20 * i, 19 + 20 * i) for i in range(5))
     pure = CachePolicy.mmsink(4, 1, 2, 100)
-    assert len(retain_set(pure, BlockHistory(blocks), 1000)) == 100 + 5 * (2 + 1 + 2)
+    assert len(retain_set(pure, blocks, None, 1000)) == 100 + 5 * (2 + 1 + 2)
 
 
 def test_criterion_4_anchor_persistence_2048_steps(small_model, small_prompt):

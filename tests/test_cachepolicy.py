@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_policies, make_stream
-from mmsink.cachepolicy import (
-    BlockHistory,
-    CachePolicy,
-    KvCache,
-    bytes_estimate,
-    entry_count,
-    retain_set,
-)
+from mmsink.cachepolicy import CachePolicy, KvCache, bytes_estimate, retain_set
 from mmsink.errors import ConfigError, SequenceGrammarError
 from mmsink.oracle import brute_retain_set
 from mmsink.seqmodel import MultimodalSequence, Token
@@ -22,6 +15,11 @@ def flat_seq(t: int, m: int = 8) -> MultimodalSequence:
     return MultimodalSequence.from_tokens(
         [Token.bos()] + [Token.word(i % 16) for i in range(t - 1)], m
     )
+
+
+def retained(policy: CachePolicy, seq: MultimodalSequence) -> list[int]:
+    """``retain_set`` after the whole of ``seq``."""
+    return retain_set(policy, seq.image_blocks, seq.open_block, len(seq))
 
 
 def push_zeros(cache: KvCache, token: Token) -> None:
@@ -55,14 +53,14 @@ class TestPolicyConfig:
 
 class TestRetainSet:
     def test_dense_t5(self):
-        assert retain_set(CachePolicy.dense(), flat_seq(5), 5) == [0, 1, 2, 3, 4]
+        assert retained(CachePolicy.dense(), flat_seq(5)) == [0, 1, 2, 3, 4]
 
     def test_window3_t5(self):
-        assert retain_set(CachePolicy.windowed(3), flat_seq(5), 5) == [2, 3, 4]
+        assert retained(CachePolicy.windowed(3), flat_seq(5)) == [2, 3, 4]
 
     def test_sink_n1_w3_t10(self):
         # frozen from the brute-force enumerator
-        assert retain_set(CachePolicy.sink(1, 3), flat_seq(10), 10) == [0, 8, 9]
+        assert retained(CachePolicy.sink(1, 3), flat_seq(10)) == [0, 8, 9]
 
     def test_mmsink_block_anchors(self):
         # block at (BoI@2, slots@3..6, EoI@7), m=4, t=12
@@ -70,65 +68,57 @@ class TestRetainSet:
             [Token.img(s) for s in range(4)] + [Token.eoi()] + \
             [Token.word(i) for i in range(4)]
         seq = MultimodalSequence.from_tokens(toks, 4)
-        got = retain_set(CachePolicy.mmsink(1, 1, 1, 4), seq, 12)
+        got = retained(CachePolicy.mmsink(1, 1, 1, 4), seq)
         assert got == [0, 2, 3, 6, 7, 9, 10, 11]
 
     def test_full_prefix_upto_window(self):
         for pol in all_policies(8):
             for t in range(1, 9):
-                assert retain_set(pol, flat_seq(t), t) == list(range(t))
-
-    def test_t_mismatch_is_error(self):
-        with pytest.raises(ValueError):
-            retain_set(CachePolicy.dense(), flat_seq(5), 6)
+                assert retained(pol, flat_seq(t)) == list(range(t))
 
     def test_window_and_sink_same_cardinality(self):
         for t in (1, 5, 9, 30, 100):
-            w = retain_set(CachePolicy.windowed(9), flat_seq(t), t)
-            s = retain_set(CachePolicy.sink(3, 9), flat_seq(t), t)
+            w = retained(CachePolicy.windowed(9), flat_seq(t))
+            s = retained(CachePolicy.sink(3, 9), flat_seq(t))
             assert len(w) == len(s) == min(t, 9)
 
     def test_in_progress_block_fully_retained(self):
         toks = [Token.bos()] + [Token.word(i) for i in range(20)] + \
             [Token.boi(), Token.img(0), Token.img(1)]
         seq = MultimodalSequence.from_tokens(toks, 4, allow_in_progress=True)
-        got = retain_set(CachePolicy.mmsink(1, 1, 1, 4), seq, len(seq))
+        got = retained(CachePolicy.mmsink(1, 1, 1, 4), seq)
         assert {21, 22, 23} <= set(got)
 
 
 class TestEntryCount:
     def test_dense_1000(self):
-        assert entry_count(CachePolicy.dense(), BlockHistory(), 1000) == 1000
+        assert len(retain_set(CachePolicy.dense(), (), None, 1000)) == 1000
 
     def test_window_equals_sink(self):
-        hist = BlockHistory()
-        assert entry_count(CachePolicy.windowed(100), hist, 1000) == 100
-        assert entry_count(CachePolicy.sink(4, 100), hist, 1000) == 100
+        assert len(retain_set(CachePolicy.windowed(100), (), None, 1000)) == 100
+        assert len(retain_set(CachePolicy.sink(4, 100), (), None, 1000)) == 100
 
     def test_mmsink_extra_anchors(self):
         # five completed blocks (m=8) fully outside the window and after sinks
         blocks = tuple((10 + 20 * i, 19 + 20 * i) for i in range(5))
-        hist = BlockHistory(blocks)
         pol = CachePolicy.mmsink(4, 1, 2, 100)
-        assert entry_count(pol, hist, 1000) == 100 + 5 * (2 + 1 + 2)
+        assert len(retain_set(pol, blocks, None, 1000)) == 100 + 5 * (2 + 1 + 2)
 
     def test_ordering_matches_memory_relation(self):
         blocks = tuple((10 + 20 * i, 19 + 20 * i) for i in range(5))
-        hist = BlockHistory(blocks)
         t = 1000
-        dense = entry_count(CachePolicy.dense(), hist, t)
-        mm = entry_count(CachePolicy.mmsink(4, 1, 2, 100), hist, t)
-        sink = entry_count(CachePolicy.sink(4, 100), hist, t)
-        win = entry_count(CachePolicy.windowed(100), hist, t)
+        dense = len(retain_set(CachePolicy.dense(), blocks, None, t))
+        mm = len(retain_set(CachePolicy.mmsink(4, 1, 2, 100), blocks, None, t))
+        sink = len(retain_set(CachePolicy.sink(4, 100), blocks, None, t))
+        win = len(retain_set(CachePolicy.windowed(100), blocks, None, t))
         assert dense > mm > sink == win
 
     def test_mmsink_upper_bound(self):
         blocks = tuple((10 + 20 * i, 19 + 20 * i) for i in range(5))
-        hist = BlockHistory(blocks, open_start=990)
         pol = CachePolicy.mmsink(4, 1, 2, 100)
         m = 8
         bound = 100 + len(blocks) * (2 + 1 + 2) + m
-        assert entry_count(pol, hist, 1000) <= bound
+        assert len(retain_set(pol, blocks, 990, 1000)) <= bound
 
     def test_bytes_estimate(self):
         assert bytes_estimate(125, layers=2, heads=2, d_head=32, scalar_width=8) == \
@@ -160,7 +150,7 @@ class TestBruteOracleAgreement:
             k_head = int(rng.integers(1, m)) if m > 1 else 1
             k_tail = int(rng.integers(1, m - k_head + 1)) if m - k_head >= 1 else 1
             pol = CachePolicy.mmsink(n, k_head, k_tail, w)
-        assert retain_set(pol, seq, t) == brute_retain_set(pol, seq, t)
+        assert retained(pol, seq) == brute_retain_set(pol, seq.image_blocks, seq.open_block, t)
 
 
 class TestKvCachePush:
@@ -208,7 +198,7 @@ class TestKvCachePush:
                 prefix.append(tok)
                 push_zeros(cache, tok)
                 seq = MultimodalSequence.from_tokens(prefix, 4, allow_in_progress=True)
-                assert cache.positions() == retain_set(pol, seq, len(prefix)), (
+                assert cache.positions() == retained(pol, seq), (
                     f"{pol.kind} diverged at t={len(prefix)}"
                 )
 
@@ -228,8 +218,9 @@ class TestKvCachePush:
             prefix.append(tok)
             push_zeros(cache, tok)
         seq = MultimodalSequence.from_tokens(prefix, m, allow_in_progress=True)
-        assert cache.positions() == retain_set(pol, seq, len(prefix))
-        assert cache.positions() == brute_retain_set(pol, seq, len(prefix))
+        assert cache.positions() == retained(pol, seq)
+        assert cache.positions() == brute_retain_set(pol, seq.image_blocks, seq.open_block,
+                                                     len(prefix))
 
     def test_strict_rejects_img_outside_block(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
@@ -291,6 +282,87 @@ class TestKvCachePush:
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
             push_zeros(dense, tok)
         assert dense.peak_entries == 10
+
+
+def _runs(m: int):
+    """Token runs for permissive streams: text, complete blocks, blocks
+    left open (broken by whatever follows), stray or out-of-order slots,
+    and every marker out of place."""
+    slots = [Token.img(s) for s in range(m)]
+    return st.one_of(
+        st.integers(0, 15).map(lambda i: [Token.word(i)]),
+        st.just([Token.boi(), *slots, Token.eoi()]),
+        st.integers(0, m).map(lambda k: [Token.boi(), *slots[:k]]),
+        st.integers(0, m).map(lambda s: [Token.img(s)]),
+        st.sampled_from([[Token.boi()], [Token.eoi()], [Token.bos()], [Token.eos()],
+                         [Token.punct(0)]]),
+    )
+
+
+class TestPermissiveCache:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_after_every_push(self, data):
+        m = data.draw(st.integers(2, 5))
+        w = data.draw(st.integers(3, 16))
+        n = data.draw(st.integers(1, w - 1))
+        k_head = data.draw(st.integers(1, m - 1))
+        k_tail = data.draw(st.integers(1, m - k_head))
+        policy = data.draw(st.sampled_from(
+            [CachePolicy.sink(n, w), CachePolicy.mmsink(n, k_head, k_tail, w)]))
+        block = [Token.boi(), *(Token.img(s) for s in range(m)), Token.eoi()]
+        breaks = [
+            [Token.boi(), Token.img(0), *block],         # nested begin marker
+            [Token.boi(), Token.img(1)],                 # slot out of order
+            [Token.boi(), Token.img(0), Token.word(3)],  # text inside a block
+        ]
+        runs = data.draw(st.permutations(breaks + data.draw(st.lists(_runs(m), max_size=30))))
+        # the first block starts at position 0, inside the sink range
+        stream = block + [token for run in runs for token in run]
+        cache = KvCache(policy, 1, 1, 1, m, strict=False)
+        for token in stream:
+            push_zeros(cache, token)
+            want = brute_retain_set(policy, cache.blocks, cache.open_start, cache.t)
+            assert cache.positions() == want, f"t={cache.t}"
+        assert len(cache.violations) >= len(breaks)
+
+
+def _blocks_every(period: int, m: int, length: int):
+    """BOS, then an image block at positions 1, 1 + period, ... and text
+    in between."""
+    block = [Token.boi(), *(Token.img(s) for s in range(m)), Token.eoi()]
+    yield Token.bos()
+    for t in range(1, length):
+        i = (t - 1) % period
+        yield block[i] if i < len(block) else Token.word(t % 16)
+
+
+class TestLongRuns:
+    """Bookkeeping-only caches (one layer, head and dimension) over long runs."""
+
+    M = 4
+
+    @pytest.mark.parametrize("policy", [CachePolicy.windowed(64), CachePolicy.sink(4, 64)])
+    def test_window_and_sink_stay_within_budget(self, policy):
+        cache = KvCache(policy, 1, 1, 1, self.M)
+        z = np.zeros((1, 1, 1))
+        for token in _blocks_every(24, self.M, 100_000):
+            cache.push(token, z, z)
+            assert cache.size <= policy.window, f"t={cache.t}"
+        assert cache.t == 100_000 and len(cache.blocks) == len(range(1, 100_000, 24))
+
+    def test_mmsink_within_anchor_bound(self):
+        policy = CachePolicy.mmsink(4, 1, 2, 64)
+        anchors = 2 + policy.k_head + policy.k_tail
+        cache = KvCache(policy, 1, 1, 1, self.M)
+        z = np.zeros((1, 1, 1))
+        for token in _blocks_every(24, self.M, 10_000):
+            cache.push(token, z, z)
+            bound = policy.window + anchors * len(cache.blocks) + self.M + 1
+            assert cache.size <= bound, f"t={cache.t}"
+        assert cache.t == 10_000 and len(cache.blocks) == len(range(1, 10_000, 24))
+        assert cache.positions() == brute_retain_set(policy, cache.blocks, cache.open_start,
+                                                     cache.t)
 
 
 class TestRemap:

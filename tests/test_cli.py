@@ -279,6 +279,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "bench.checkpoints" in err and "'x'" in err
 
+    @pytest.mark.parametrize("boi_every", ["-3", "0"])
+    def test_nonpositive_boi_every_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   boi_every):
+        monkeypatch.setattr(engine, "forward_step", None)
+        out = tmp_path / "g.jsonl"
+        assert main(["gen", "--policy", "window", "--steps", "8",
+                     "--boi-every", boi_every, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"boi_every = {boi_every}" in captured.out
+        assert "ConfigError" in captured.err and "boi_every" in captured.err
+        assert not out.exists()
+
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         assert main(["train-toy", "--stories", str(tmp_path / "missing.jsonl"),
                      "--model-out", str(tmp_path / "m.json")]) == 1

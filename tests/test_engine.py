@@ -232,6 +232,14 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(small_model, small_prompt, CachePolicy.dense(), -1)
 
+    @pytest.mark.parametrize("boi_every", [-3, 0])
+    def test_nonpositive_boi_every_rejected(self, small_model, small_prompt, monkeypatch,
+                                            boi_every):
+        monkeypatch.setattr(engine, "forward_step", None)
+        with pytest.raises(ConfigError, match=rf"boi_every .* got {boi_every}$"):
+            generate(small_model, small_prompt, CachePolicy.windowed(8), 10,
+                     boi_every=boi_every)
+
     def test_dense_position_overflow_fails_before_compute(self, small_prompt, monkeypatch):
         cfg = ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, v_text=32, m=4,
                           q_queries=3, d_feat=4, max_positions=64, seed=3)

@@ -130,7 +130,8 @@ def test_every_mask_row_is_the_oracle_retain_set(data):
     assert not rows[0].any()
     for i in range(1, len(tokens) + 1):
         prefix = MultimodalSequence.from_tokens(tokens[:i], m, allow_in_progress=True)
-        assert np.flatnonzero(rows[i]).tolist() == brute_retain_set(policy, prefix, i), i
+        want = brute_retain_set(policy, prefix.image_blocks, prefix.open_block, i)
+        assert np.flatnonzero(rows[i]).tolist() == want, i
 
 
 def test_window_replay_builds_no_full_map(small_model):
