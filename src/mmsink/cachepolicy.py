@@ -202,7 +202,9 @@ class KvCache:
 
     The retained position set is identical across layers and heads, so
     positions, tokens, and block structure are stored once; keys and values
-    live in per-layer arrays of shape (heads, capacity, d_head).
+    live in per-layer arrays of shape (heads, capacity, d_head). A decode
+    step appends in place: it writes row ``size`` of the buffers
+    :meth:`reserve` returns, attends over them, then :meth:`push` evicts.
 
     Each entry also carries its ``until``, the value :func:`protected_until`
     gives its position, kept current from the grammar's events: an entry
@@ -297,17 +299,20 @@ class KvCache:
 
     # -- mutation -----------------------------------------------------------
 
-    def _grow(self) -> None:
+    def reserve(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Make room for row ``size`` and return the per-layer key and value
+        buffers (heads, capacity, d_head) for the caller to write it. Rows
+        from ``size`` on are no entries, so a rejected push changes nothing."""
         cap = len(self._pos)
-        if self._count < cap:
-            return
-        for l in range(self.layers):
-            for store in (self._k, self._v):
-                bigger = np.empty((self.heads, 2 * cap, self.d_head))
-                bigger[:, :cap, :] = store[l]
-                store[l] = bigger
-        self._pos = np.concatenate([self._pos, np.empty(cap, dtype=np.int64)])
-        self._until = np.concatenate([self._until, np.empty(cap, dtype=np.int64)])
+        if self._count == cap:
+            for l in range(self.layers):
+                for store in (self._k, self._v):
+                    bigger = np.empty((self.heads, 2 * cap, self.d_head))
+                    bigger[:, :cap, :] = store[l]
+                    store[l] = bigger
+            self._pos = np.concatenate([self._pos, np.empty(cap, dtype=np.int64)])
+            self._until = np.concatenate([self._until, np.empty(cap, dtype=np.int64)])
+        return self._k, self._v
 
     def _compact(self, drop: list[int]) -> None:
         """Remove the entries at the ascending indices ``drop``, shifting each
@@ -324,27 +329,18 @@ class KvCache:
             del self._tokens[i]
         self._count -= len(drop)
 
-    def push(self, token: Token, keys: np.ndarray, values: np.ndarray) -> None:
-        """Append one entry and apply the policy's eviction.
-
-        ``keys`` and ``values`` have shape (layers, heads, d_head). After the
-        push the retained position set equals ``retain_set`` at the new t.
+    def push(self, token: Token) -> None:
+        """Make row ``size`` (keys and values as written after
+        :meth:`reserve`) the entry of ``token`` and apply the policy's
+        eviction. After the push the retained position set equals
+        ``retain_set`` at the new t.
         """
-        if keys.shape != (self.layers, self.heads, self.d_head):
-            raise ValueError(
-                f"keys shape {keys.shape}, expected {(self.layers, self.heads, self.d_head)}"
-            )
-        if values.shape != keys.shape:
-            raise ValueError("keys and values shapes differ")
         pos, open_start = self.t, self.open_start
         change = self.grammar.step(token)
         self.violations.extend(f"t={pos}: {message}" for message in change.violations)
         mmsink = self.policy.kind == "mmsink"
-        self._grow()
+        self.reserve()
         n = self._count
-        for l in range(self.layers):
-            self._k[l][:, n, :] = keys[l]
-            self._v[l][:, n, :] = values[l]
         self._pos[n] = pos
         forever = pos < _n_sink(self.policy) or (mmsink and self.in_block)
         self._until[n] = _FOREVER if forever else 0

@@ -11,14 +11,14 @@ Positions are cache-relative: a token entering a cache that currently holds
 evicted this equals the token's original position, which is what makes
 pruned-cache runs bitwise identical to dense runs inside the window.
 
-:func:`block` is the one transformer layer: a decode step runs it on one row
-over the cache plus itself, feature prediction on the learnable queries over
-the cache, :mod:`mmsink.losses` on a whole sequence (causal, no past) and on
-the queries over that sequence's key/value prefix, and the teacher-forced
-replay on chunks of a token stream, each row masked to the entries its
-policy retains. Scores and contexts are BLAS matrix products throughout, so
-a decode step and a batched pass agree to rounding (under 1e-15 on the
-logits), not bit for bit.
+:func:`block` is the one transformer layer. It writes its rows' keys and
+values into the caller's buffers at an offset and attends over them in
+place: a decode step into the cache slot it reserves before pushing the
+token, :mod:`mmsink.losses` into fresh buffers for a whole sequence, and the
+teacher-forced replay chunk by chunk, each row masked to the entries its
+policy retains. Feature prediction only reads. Scores and contexts are BLAS
+matrix products throughout, so a decode step and a batched pass agree to
+rounding (under 1e-15 on the logits), not bit for bit.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     """Normalize over the last axis. Returns (y, cache) for the backward pass."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
+    # a sum over the axis divided by its length is np.mean, without its overhead
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv)
@@ -77,8 +77,8 @@ def layer_norm_grad(dy: np.ndarray, cache, g: np.ndarray):
     dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     db = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    mean1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / dy.shape[-1]
+    mean2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / dy.shape[-1]
     dx = inv * (dxhat - mean1 - xhat * mean2)
     return dx, dg, db
 
@@ -230,45 +230,44 @@ def load_model(path) -> Model:
 
 # -- the transformer block ------------------------------------------------------
 
-def block(model: Model, l: int, x: np.ndarray, past_k: np.ndarray, past_v: np.ndarray,
-          causal: bool, mask: np.ndarray | None = None,
+def block(model: Model, l: int, x: np.ndarray, keys: np.ndarray, vals: np.ndarray,
+          at: int | None = None, cols=None, mask: np.ndarray | None = None,
           ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Pre-norm transformer layer ``l`` over the rows ``x`` (N, d_model).
 
-    The rows attend over ``past_k``/``past_v`` (heads, K, d_head) and, when
-    ``causal``, also over their own keys/values up to their own position.
-    A boolean ``mask`` (N, K + N) replaces that causal triangle: row r
-    attends to exactly the keys where ``mask[r]`` is set (each row needs
+    ``keys``/``vals`` are (heads, K, d_head) buffers. With ``at``, the rows
+    first write their own keys and values into rows ``at .. at + N - 1``
+    of the buffers, then attend over the view ``[:at + N]``, each row up to
+    its own position. Without it they only read, attending over every row.
+    ``cols`` narrows the attended keys to those buffer columns (a gather),
+    and a boolean ``mask`` (N, len(cols)) replaces the causal triangle: row
+    r attends to exactly the keys where ``mask[r]`` is set (each row needs
     at least one). Returns the output rows and the activations the
-    hand-written backward in :mod:`mmsink.losses` reads. The rows' own keys
-    and values (``kh``, ``vh``, shape (heads, N, d_head)) are computed only
-    when ``causal``.
+    hand-written backward in :mod:`mmsink.losses` reads.
     """
     cfg = model.config
     p = model.p
     n, H, dh = len(x), cfg.heads, cfg.d_head
     a, lnc1 = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
     qh = (a @ p[f"l{l}.wq"]).reshape(n, H, dh).transpose(1, 0, 2)
-    acts = dict(a=a, lnc1=lnc1, qh=qh)
-    keys, vals = past_k, past_v
-    if causal:
-        kh = (a @ p[f"l{l}.wk"]).reshape(n, H, dh).transpose(1, 0, 2)
-        vh = (a @ p[f"l{l}.wv"]).reshape(n, H, dh).transpose(1, 0, 2)
-        keys = np.concatenate([past_k, kh], axis=1)
-        vals = np.concatenate([past_v, vh], axis=1)
-        acts.update(kh=kh, vh=vh)
+    if at is not None:
+        keys[:, at : at + n] = (a @ p[f"l{l}.wk"]).reshape(n, H, dh).transpose(1, 0, 2)
+        vals[:, at : at + n] = (a @ p[f"l{l}.wv"]).reshape(n, H, dh).transpose(1, 0, 2)
+        keys, vals = keys[:, : at + n], vals[:, : at + n]
+    if cols is not None:
+        keys, vals = keys[:, cols], vals[:, cols]
     s = qh @ keys.transpose(0, 2, 1) / math.sqrt(dh)
     if mask is not None:
         s = np.where(mask, s, -np.inf)
-    elif causal and n > 1:
-        s = np.where(np.tri(n, keys.shape[1], past_k.shape[1], dtype=bool), s, -np.inf)
+    elif at is not None and n > 1:
+        s = np.where(np.tri(n, at + n, at, dtype=bool), s, -np.inf)
     pr = softmax(s, axis=2)
     ctx = (pr @ vals).transpose(1, 0, 2).reshape(n, cfg.d_model)
     x_attn = x + ctx @ p[f"l{l}.wo"]
     b, lnc2 = layer_norm(x_attn, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
     f1 = b @ p[f"l{l}.w1"]
     gact = gelu(f1)
-    acts.update(pr=pr, ctx=ctx, b=b, lnc2=lnc2, f1=f1, gact=gact)
+    acts = dict(a=a, lnc1=lnc1, qh=qh, pr=pr, ctx=ctx, b=b, lnc2=lnc2, f1=f1, gact=gact)
     return x_attn + gact @ p[f"l{l}.w2"], acts
 
 
@@ -281,8 +280,9 @@ class StepResult:
 
 
 def forward_step(model: Model, cache: KvCache, token: Token) -> StepResult:
-    """Run one token through the stack, attending over the retained entries
-    plus itself, then push its per-layer keys/values into the cache.
+    """Run one token through the stack: write its per-layer keys/values into
+    the slot ``cache.reserve()`` makes, attend over the cache up to that
+    slot, then push the token, which records the entry and evicts.
 
     Every attention row is a softmax over (cache entries, self), so it is
     non-negative and sums to one; causality holds because every cache entry
@@ -304,16 +304,14 @@ def forward_step(model: Model, cache: KvCache, token: Token) -> StepResult:
 
     vid = vocab_id(token, cfg.m, cfg.v_text)
     x = p["tok_emb"][vid : vid + 1] + p["pos_emb"][c : c + 1]
-    k_new = np.empty((cfg.layers, H, dh))
-    v_new = np.empty((cfg.layers, H, dh))
+    keys, vals = cache.reserve()
     rows: list[np.ndarray] = []
     for l in range(cfg.layers):
-        x, acts = block(model, l, x, cache.keys(l), cache.values(l), causal=True)
-        k_new[l], v_new[l] = acts["kh"][:, 0], acts["vh"][:, 0]
+        x, acts = block(model, l, x, keys[l], vals[l], at=c)
         rows.append(acts["pr"][:, 0])
     hf, _ = layer_norm(x, p["lnf_g"], p["lnf_b"])
     logits = (hf @ p["w_out"])[0]
-    cache.push(token, k_new, v_new)
+    cache.push(token)
     return StepResult(logits, rows)
 
 
@@ -336,7 +334,7 @@ def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
 
     x = p["queries"] + p["pos_emb"][c : c + Q]
     for l in range(cfg.layers):
-        x, _ = block(model, l, x, cache.keys(l), cache.values(l), causal=False)
+        x, _ = block(model, l, x, cache.keys(l), cache.values(l))
     hf, _ = layer_norm(x, p["lnf_g"], p["lnf_b"])
     return hf @ p["w_feat"]
 
@@ -364,7 +362,7 @@ class GenerationResult:
 
 def _sample(
     logits: np.ndarray,
-    legal: list[int] | None,
+    legal: np.ndarray | None,
     temperature: float | None,
     rng: np.random.Generator,
 ) -> int:
@@ -424,9 +422,10 @@ def generate(
     In free mode tokens are sampled from the unmasked distribution and the
     grammar's violations are recorded, never repaired.
 
-    A dense run must fit the position table, or :class:`ConfigError` is
-    raised before any compute. The bound is ``len(prompt) + steps``, plus
-    ``m + 1`` in constrained mode for a block completed after the budget.
+    ``boi_every`` in free mode raises :class:`ConfigError` before any
+    compute, as does a dense run that does not fit the position table. The
+    bound is ``len(prompt) + steps``, plus ``m + 1`` in constrained mode for
+    a block completed after the budget.
     """
     if mode not in ("constrained", "free"):
         raise ConfigError(f"unknown generation mode {mode!r}")
@@ -434,6 +433,8 @@ def generate(
         raise ConfigError("steps must be non-negative")
     if boi_every is not None and boi_every < 1:
         raise ConfigError(f"boi_every must be a positive number of steps, got {boi_every}")
+    if boi_every is not None and mode != "constrained":
+        raise ConfigError(f"boi_every applies to constrained generation only, not mode {mode!r}")
     if prompt.m != model.config.m:
         raise ConfigError(
             f"prompt block length {prompt.m} differs from model block length {model.config.m}"
@@ -475,7 +476,7 @@ def generate(
         t0 = time.perf_counter()
         legal = None
         if force_boi:
-            legal = [vocab_id(Token.boi())]
+            legal = np.array([vocab_id(Token.boi())])
         elif constrained:
             legal = cache.grammar.legal_next(cfg.v_text)
         vid = _sample(last.logits, legal, temperature, rng)
@@ -563,15 +564,14 @@ def teacher_forced_logits(
             )
         peak = max(peak, int(pos.max()))
         attend[np.arange(len(steps)), steps] = True
-        past = np.flatnonzero(attend[:, :lo].any(axis=0))
-        mask = attend[:, np.concatenate([past, steps])]
-        if len(past) == lo:
-            past = slice(0, lo)  # every earlier key (dense): a view instead of a gathered copy
+        # the earlier keys some row of the chunk retains, then the chunk itself
+        cols = np.flatnonzero(attend.any(axis=0))
+        mask = attend[:, cols]
+        if len(cols) == hi:
+            cols = None  # every key (dense): attend over the view, not a gathered copy
         x = p["tok_emb"][ids[steps]] + p["pos_emb"][pos]
         for l in range(cfg.layers):
-            x, acts = block(model, l, x, keys[l][:, past], vals[l][:, past], causal=True,
-                            mask=mask)
-            keys[l][:, lo:hi], vals[l][:, lo:hi] = acts["kh"], acts["vh"]
+            x, _ = block(model, l, x, keys[l], vals[l], at=lo, cols=cols, mask=mask)
         hit = [r for r in range(hi - lo) if lo + r + 1 in wanted]
         if hit:
             hf, _ = layer_norm(x[hit], p["lnf_g"], p["lnf_b"])

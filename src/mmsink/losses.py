@@ -110,13 +110,13 @@ def _main_forward(model: Model, ids: np.ndarray):
     T = len(ids)
     if T > cfg.max_positions:
         raise StateError(f"sequence length {T} exceeds the position table")
-    no_past = np.empty((cfg.heads, 0, cfg.d_head))
 
     x = p["tok_emb"][ids] + p["pos_emb"][:T]
     layers = []
     for l in range(cfg.layers):
-        x, acts = block(model, l, x, no_past, no_past, causal=True)
-        layers.append(acts)
+        kh, vh = np.empty((cfg.heads, T, cfg.d_head)), np.empty((cfg.heads, T, cfg.d_head))
+        x, acts = block(model, l, x, kh, vh, at=0)
+        layers.append(dict(acts, kh=kh, vh=vh))
     hf, lncf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     logits = hf @ p["w_out"]
     return logits, hf, lncf, layers
@@ -142,8 +142,7 @@ def _query_forward(model: Model, layers, ctx_len: int):
     x = p["queries"] + p["pos_emb"][ctx_len : ctx_len + Q]
     qlayers = []
     for l in range(cfg.layers):
-        keys, vals = layers[l]["kh"][:, :ctx_len], layers[l]["vh"][:, :ctx_len]
-        x, acts = block(model, l, x, keys, vals, causal=False)
+        x, acts = block(model, l, x, layers[l]["kh"][:, :ctx_len], layers[l]["vh"][:, :ctx_len])
         qlayers.append(acts)
     hq, lnqf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     pred = hq @ p["w_feat"]

@@ -280,8 +280,8 @@ class BlockGrammar:
             self.open_start, self.next_slot = pos, 0
         return GrammarStep(tuple(violations), completed, breaks)
 
-    def legal_next(self, v_text: int) -> list[int]:
-        """Vocabulary ids constrained decoding may emit next.
+    def legal_next(self, v_text: int) -> np.ndarray:
+        """Vocabulary ids constrained decoding may emit next, as an int array.
 
         Inside a block that is the expected slot, or the end marker once
         every slot is in; outside, a begin marker or any text token. BOS and
@@ -289,10 +289,12 @@ class BlockGrammar:
         """
         if self.open_start is not None:
             if self.next_slot < self.m:
-                return [vocab_id(Token.img(self.next_slot), self.m, v_text)]
-            return [vocab_id(Token.eoi())]
+                return np.array([vocab_id(Token.img(self.next_slot), self.m, v_text)])
+            return np.array([vocab_id(Token.eoi())])
         text = N_SPECIALS + self.m
-        return [vocab_id(Token.boi())] + list(range(text, text + N_PUNCT + v_text))
+        ids = np.arange(text - 1, text + N_PUNCT + v_text)
+        ids[0] = vocab_id(Token.boi())  # in place of the last image slot's id
+        return ids
 
 
 def block_validity(tokens: Iterable[Token], m: int) -> tuple[int, int]:

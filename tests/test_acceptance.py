@@ -128,9 +128,8 @@ def test_criterion_3_memory_relation_and_closed_forms(small_model):
     finals = {}
     for name, policy in policies.items():
         cache = KvCache(policy, 1, 1, 2, m)
-        z = np.zeros((1, 1, 2))
         for tok in tokens:
-            cache.push(tok, z, z)
+            cache.push(tok)
         peaks[name] = cache.peak_entries
         finals[name] = cache.size
         assert cache.positions() == brute_retain_set(

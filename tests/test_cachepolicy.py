@@ -22,11 +22,6 @@ def retained(policy: CachePolicy, seq: MultimodalSequence) -> list[int]:
     return retain_set(policy, seq.image_blocks, seq.open_block, len(seq))
 
 
-def push_zeros(cache: KvCache, token: Token) -> None:
-    z = np.zeros((cache.layers, cache.heads, cache.d_head))
-    cache.push(token, z, z)
-
-
 class TestPolicyConfig:
     def test_sink_budget_must_fit_window(self):
         with pytest.raises(ConfigError):
@@ -157,13 +152,13 @@ class TestKvCachePush:
     def test_window_keeps_last_three(self):
         cache = KvCache(CachePolicy.windowed(3), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(4)]:
-            push_zeros(cache, tok)
+            cache.push(tok)
         assert cache.positions() == [2, 3, 4]
 
     def test_dense_size_equals_t(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
         for i, tok in enumerate([Token.bos()] + [Token.word(j) for j in range(20)]):
-            push_zeros(cache, tok)
+            cache.push(tok)
             assert cache.size == i + 1
 
     def test_block_protected_then_reduced_to_anchors(self):
@@ -173,16 +168,16 @@ class TestKvCachePush:
         prefix = [Token.bos(), Token.word(1)]
         block = [Token.boi()] + [Token.img(s) for s in range(m)]
         for tok in prefix:
-            push_zeros(cache, tok)
+            cache.push(tok)
         # while the block is in progress none of its tokens is evicted,
         # even though the window (w=4) is far smaller than the block
         for tok in block:
-            push_zeros(cache, tok)
+            cache.push(tok)
             assert set(range(2, cache.t)) <= set(cache.positions())
-        push_zeros(cache, Token.eoi())
+        cache.push(Token.eoi())
         # once completed and outside the window, only the anchors survive
         for i in range(12):
-            push_zeros(cache, Token.word(i))
+            cache.push(Token.word(i))
         b, e = 2, 2 + m + 1
         anchors = {b, b + 1, e - 1, e}
         inside = set(cache.positions()) & set(range(b, e + 1))
@@ -196,7 +191,7 @@ class TestKvCachePush:
             prefix = []
             for tok in tokens:
                 prefix.append(tok)
-                push_zeros(cache, tok)
+                cache.push(tok)
                 seq = MultimodalSequence.from_tokens(prefix, 4, allow_in_progress=True)
                 assert cache.positions() == retained(pol, seq), (
                     f"{pol.kind} diverged at t={len(prefix)}"
@@ -216,7 +211,7 @@ class TestKvCachePush:
         prefix = []
         for tok in make_stream(rng, m, 90):
             prefix.append(tok)
-            push_zeros(cache, tok)
+            cache.push(tok)
         seq = MultimodalSequence.from_tokens(prefix, m, allow_in_progress=True)
         assert cache.positions() == retained(pol, seq)
         assert cache.positions() == brute_retain_set(pol, seq.image_blocks, seq.open_block,
@@ -224,9 +219,9 @@ class TestKvCachePush:
 
     def test_strict_rejects_img_outside_block(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
-        push_zeros(cache, Token.bos())
+        cache.push(Token.bos())
         with pytest.raises(SequenceGrammarError):
-            push_zeros(cache, Token.img(0))
+            cache.push(Token.img(0))
         # failed push leaves the cache untouched
         assert cache.size == 1 and cache.t == 1
 
@@ -237,50 +232,45 @@ class TestKvCachePush:
     def test_strict_rejection_then_correct_token(self, bad):
         cache = KvCache(CachePolicy.mmsink(1, 1, 1, 4), 1, 1, 2, 2)
         for tok in (Token.bos(), Token.boi(), Token.img(0)):
-            push_zeros(cache, tok)
+            cache.push(tok)
         with pytest.raises(SequenceGrammarError):
-            push_zeros(cache, bad)
+            cache.push(bad)
         assert (cache.t, cache.size, cache.next_slot) == (3, 3, 1)
-        push_zeros(cache, Token.img(1))
-        push_zeros(cache, Token.eoi())
+        cache.push(Token.img(1))
+        cache.push(Token.eoi())
         assert cache.blocks == [(1, 4)]
         assert cache.open_start is None
         assert not cache.violations
 
     def test_permissive_records_violations(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4, strict=False)
-        push_zeros(cache, Token.bos())
-        push_zeros(cache, Token.img(0))
-        push_zeros(cache, Token.eoi())
+        cache.push(Token.bos())
+        cache.push(Token.img(0))
+        cache.push(Token.eoi())
         assert len(cache.violations) == 2
         assert cache.size == 3
 
     def test_permissive_abandoned_block_gets_no_anchors(self):
         pol = CachePolicy.mmsink(1, 1, 1, 4)
         cache = KvCache(pol, 1, 1, 2, 4, strict=False)
-        push_zeros(cache, Token.bos())
-        push_zeros(cache, Token.boi())
-        push_zeros(cache, Token.img(0))
-        push_zeros(cache, Token.word(5))  # breaks the block
+        cache.push(Token.bos())
+        cache.push(Token.boi())
+        cache.push(Token.img(0))
+        cache.push(Token.word(5))  # breaks the block
         assert cache.violations
         for i in range(14):
-            push_zeros(cache, Token.word(i))
+            cache.push(Token.word(i))
         # the broken block's positions were evicted once outside the window
         assert all(p >= cache.t - pol.window or p < pol.n_sink for p in cache.positions())
-
-    def test_keys_shape_validation(self):
-        cache = KvCache(CachePolicy.dense(), 2, 2, 4, 4)
-        with pytest.raises(ValueError):
-            cache.push(Token.bos(), np.zeros((1, 2, 4)), np.zeros((1, 2, 4)))
 
     def test_peak_entries_tracked(self):
         cache = KvCache(CachePolicy.windowed(3), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
-            push_zeros(cache, tok)
+            cache.push(tok)
         assert cache.peak_entries == 3
         dense = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
-            push_zeros(dense, tok)
+            dense.push(tok)
         assert dense.peak_entries == 10
 
 
@@ -321,7 +311,7 @@ class TestPermissiveCache:
         stream = block + [token for run in runs for token in run]
         cache = KvCache(policy, 1, 1, 1, m, strict=False)
         for token in stream:
-            push_zeros(cache, token)
+            cache.push(token)
             want = brute_retain_set(policy, cache.blocks, cache.open_start, cache.t)
             assert cache.positions() == want, f"t={cache.t}"
         assert len(cache.violations) >= len(breaks)
@@ -345,9 +335,8 @@ class TestLongRuns:
     @pytest.mark.parametrize("policy", [CachePolicy.windowed(64), CachePolicy.sink(4, 64)])
     def test_window_and_sink_stay_within_budget(self, policy):
         cache = KvCache(policy, 1, 1, 1, self.M)
-        z = np.zeros((1, 1, 1))
         for token in _blocks_every(24, self.M, 100_000):
-            cache.push(token, z, z)
+            cache.push(token)
             assert cache.size <= policy.window, f"t={cache.t}"
         assert cache.t == 100_000 and len(cache.blocks) == len(range(1, 100_000, 24))
 
@@ -355,9 +344,8 @@ class TestLongRuns:
         policy = CachePolicy.mmsink(4, 1, 2, 64)
         anchors = 2 + policy.k_head + policy.k_tail
         cache = KvCache(policy, 1, 1, 1, self.M)
-        z = np.zeros((1, 1, 1))
         for token in _blocks_every(24, self.M, 10_000):
-            cache.push(token, z, z)
+            cache.push(token)
             bound = policy.window + anchors * len(cache.blocks) + self.M + 1
             assert cache.size <= bound, f"t={cache.t}"
         assert cache.t == 10_000 and len(cache.blocks) == len(range(1, 10_000, 24))
@@ -371,14 +359,14 @@ class TestRemap:
     def test_rank_map(self):
         cache = KvCache(CachePolicy.sink(1, 3), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
-            push_zeros(cache, tok)
+            cache.push(tok)
         assert cache.positions() == [0, 8, 9]
         assert cache.keys(0).shape[1] == 3
 
     def test_identity_when_dense(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
         for tok in [Token.bos()] + [Token.word(i) for i in range(4)]:
-            push_zeros(cache, tok)
+            cache.push(tok)
         assert cache.positions() == list(range(5))
 
     @given(st.integers(0, 999))
@@ -387,7 +375,7 @@ class TestRemap:
         rng = np.random.default_rng(seed)
         cache = KvCache(CachePolicy.mmsink(1, 1, 1, 7), 1, 1, 2, 4)
         for tok in make_stream(rng, 4, 50):
-            push_zeros(cache, tok)
+            cache.push(tok)
         positions = cache.positions()
         assert positions == sorted(set(positions))
 
@@ -397,20 +385,20 @@ class TestAnchorPersistence:
         m = 4
         pol = CachePolicy.mmsink(1, 1, 2, 6)
         cache = KvCache(pol, 1, 1, 2, m)
-        push_zeros(cache, Token.bos())
+        cache.push(Token.bos())
         completed = []
         rng = np.random.default_rng(0)
         for step in range(300):
             if not cache.in_block and step % 11 == 0:
-                push_zeros(cache, Token.boi())
+                cache.push(Token.boi())
             elif cache.in_block:
                 s = cache.next_slot
                 if s < m:
-                    push_zeros(cache, Token.img(s))
+                    cache.push(Token.img(s))
                 else:
-                    push_zeros(cache, Token.eoi())
+                    cache.push(Token.eoi())
             else:
-                push_zeros(cache, Token.word(int(rng.integers(16))))
+                cache.push(Token.word(int(rng.integers(16))))
             completed = list(cache.blocks)
             held = set(cache.positions())
             for b, e in completed:

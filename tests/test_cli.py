@@ -291,6 +291,15 @@ class TestExitCodes:
         assert "ConfigError" in captured.err and "boi_every" in captured.err
         assert not out.exists()
 
+    def test_boi_every_in_free_mode_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)
+        out = tmp_path / "g.jsonl"
+        assert main(["gen", "--policy", "mmsink", "--mode", "free", "--temperature", "1.0",
+                     "--steps", "8", "--boi-every", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "boi_every" in err and "'free'" in err
+        assert not out.exists()
+
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         assert main(["train-toy", "--stories", str(tmp_path / "missing.jsonl"),
                      "--model-out", str(tmp_path / "m.json")]) == 1

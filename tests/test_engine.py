@@ -1,5 +1,7 @@
 """Forward-step attention, feature prediction, generation, and divergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from mmsink.engine import (
     save_model,
     teacher_forced_logits,
 )
-from mmsink.errors import ConfigError, StateError
+from mmsink.errors import ConfigError, SequenceGrammarError, StateError
 from mmsink.oracle import recompute_attention_row
 from mmsink.seqmodel import Token, block_validity
 
@@ -93,6 +95,48 @@ class TestForwardStep:
             forward_step(model, cache, tok)
         with pytest.raises(StateError):
             forward_step(model, cache, Token.word(3))
+
+    def test_dense_step_does_not_copy_the_cache(self):
+        """One step writes its keys/values into the cache slot and attends
+        over the buffer view: its allocations stay far below one copy of
+        the cache (2 layers x 2 x (2, 2000, 32) float64, about 2 MB)."""
+        model = Model.init(ModelConfig())
+        cache = make_cache(model, CachePolicy.dense())
+        for tok in [Token.bos()] + [Token.word(i % 256) for i in range(1999)]:
+            forward_step(model, cache, tok)
+        assert cache.size == 2000
+        tracemalloc.start()
+        try:
+            forward_step(model, cache, Token.word(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, f"peak {peak} bytes"
+
+    def test_rejected_token_leaves_cache_unchanged(self, small_model, small_prompt):
+        """The slot written before the grammar rejects the token is not an
+        entry: the cache reads as before and the next step overwrites it."""
+        def fed():
+            cache = make_cache(small_model, CachePolicy.dense())
+            tokens = list(small_prompt.tokens)
+            tokens += [Token.word(i % 8) for i in range(64 - len(tokens))]
+            for tok in tokens:
+                forward_step(small_model, cache, tok)
+            return cache
+
+        cache, clean = fed(), fed()
+        assert cache.size == 64 and not cache.in_block  # the rejected step grows the buffers
+        layers = range(small_model.config.layers)
+        before = ([cache.keys(l).copy() for l in layers], [cache.values(l).copy() for l in layers])
+        with pytest.raises(SequenceGrammarError):
+            forward_step(small_model, cache, Token.img(0))
+        assert (cache.size, cache.t, cache.positions()) == (64, 64, list(range(64)))
+        for l in layers:
+            np.testing.assert_array_equal(cache.keys(l), before[0][l])
+            np.testing.assert_array_equal(cache.values(l), before[1][l])
+        got = forward_step(small_model, cache, Token.word(3))
+        want = forward_step(small_model, clean, Token.word(3))
+        np.testing.assert_array_equal(got.logits, want.logits)
 
 
 class TestWithinWindowEquivalence:
@@ -239,6 +283,12 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=rf"boi_every .* got {boi_every}$"):
             generate(small_model, small_prompt, CachePolicy.windowed(8), 10,
                      boi_every=boi_every)
+
+    def test_boi_every_rejected_in_free_mode(self, small_model, small_prompt, monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)
+        with pytest.raises(ConfigError, match=r"boi_every .* mode 'free'$"):
+            generate(small_model, small_prompt, CachePolicy.windowed(8), 10, mode="free",
+                     boi_every=5)
 
     def test_dense_position_overflow_fails_before_compute(self, small_prompt, monkeypatch):
         cfg = ModelConfig(layers=2, heads=2, d_model=32, d_ff=64, v_text=32, m=4,

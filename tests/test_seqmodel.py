@@ -190,7 +190,7 @@ class TestBlockGrammar:
         assert block_validity(tokens, m) == brute_block_validity(tokens, m)
         cache = KvCache(CachePolicy.dense(), 1, 1, 1, m, strict=False)
         for tok in tokens:
-            cache.push(tok, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
+            cache.push(tok)
         expect_ok = bool(tokens) and tokens[0].kind is TokenKind.BOS and not cache.violations
         try:
             seq = MultimodalSequence.from_tokens(tokens, m, allow_in_progress=True)
@@ -222,12 +222,12 @@ class TestBlockGrammar:
             [Token.word(w) for w in range(v_text)]
         g = BlockGrammar(m)
         g.step(Token.bos())
-        assert g.legal_next(v_text) == [vocab_id(t, m, v_text) for t in outside]
+        assert g.legal_next(v_text).tolist() == [vocab_id(t, m, v_text) for t in outside]
         g.step(Token.boi())
         for expected in (Token.img(0), Token.img(1), Token.eoi()):
-            assert g.legal_next(v_text) == [vocab_id(expected, m, v_text)]
+            assert g.legal_next(v_text).tolist() == [vocab_id(expected, m, v_text)]
             g.step(expected)
-        assert g.legal_next(v_text) == [vocab_id(t, m, v_text) for t in outside]
+        assert g.legal_next(v_text).tolist() == [vocab_id(t, m, v_text) for t in outside]
 
 
 @st.composite
