@@ -301,8 +301,8 @@ class KvCache:
 
     def reserve(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Make room for row ``size`` and return the per-layer key and value
-        buffers (heads, capacity, d_head) for the caller to write it. Rows
-        from ``size`` on are no entries, so a rejected push changes nothing."""
+        buffers (heads, capacity, d_head) for the caller to write it. That
+        row is not an entry until :meth:`push` accepts the token."""
         cap = len(self._pos)
         if self._count == cap:
             for l in range(self.layers):
