@@ -98,8 +98,8 @@ class TestForwardStep:
 
     def test_dense_step_does_not_copy_the_cache(self):
         """One step writes its keys/values into the cache slot and attends
-        over the buffer view: its allocations stay far below one copy of
-        the cache (2 layers x 2 x (2, 2000, 32) float64, about 2 MB)."""
+        over the buffer view: its allocations stay far below one layer's
+        keys plus values (2 x (2, 2000, 32) float64, about 2 MB)."""
         model = Model.init(ModelConfig())
         cache = make_cache(model, CachePolicy.dense())
         for tok in [Token.bos()] + [Token.word(i % 256) for i in range(1999)]:
