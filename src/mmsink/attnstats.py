@@ -2,8 +2,9 @@
 
 Reads per-step attention dumps and reduces each causal map (one per
 layer/head per run) to the mean attention each key receives over the query
-steps, without ever building the map itself. It ranks keys by that mean and
-aggregates how often each token label lands in the top k across many maps.
+steps, one dump row at a time, without ever building the map itself. It
+ranks keys by that mean and aggregates how often each token label lands in
+the top k across many maps.
 Labels are classified into the retention-relevant categories:
 sequence-start tokens, punctuation, slots near an image block's begin
 marker, and slots near its end marker.
@@ -14,9 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,69 +106,71 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     """Per-key mean attention of each (layer, head) map in one run's dumps.
 
     Each dump row holds one step's attention over the retained keys, with
-    their original positions. The rows of a map are added into one vector
-    of per-key sums in ascending t, and the sums are divided once by T.
-    That is the column mean of the zero-padded T x T map, float for float
-    (numpy also adds such a map's rows one at a time), with no T x T array.
+    their original positions. Rows are added into their map's per-key sums
+    as they arrive (``dumps`` may be a generator; a map's rows must come in
+    ascending t), and the sums are divided once by T. That is the column
+    mean of the zero-padded T x T map, float for float (numpy also adds such
+    a map's rows one at a time), with no T x T array and no row kept.
     Evicted keys simply receive nothing from later rows.
     """
-    groups: dict[tuple[int, int], list[dict]] = {}
-    for rec in dumps:
+    last_t: Counter[tuple[int, int]] = Counter()
+    labels_of: dict[tuple[int, int], dict[int, str]] = defaultdict(dict)
+    sums_of: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros(1))
+    for r in dumps:
         for name in ("t", "layer", "head"):
-            if type(rec[name]) is not int:
-                raise ValueError(f"dump row t={rec['t']} layer={rec['layer']} head={rec['head']}: "
-                                 f"{name} {rec[name]!r} is not an integer")
-        groups.setdefault((rec["layer"], rec["head"]), []).append(rec)
+            if type(r[name]) is not int:
+                raise ValueError(f"dump row t={r['t']} layer={r['layer']} head={r['head']}: "
+                                 f"{name} {r[name]!r} is not an integer")
+        layer, head = key = r["layer"], r["head"]
+        t, labels, sums = last_t[key] + 1, labels_of[key], sums_of[key]
+        where = f"dump row t={r['t']} layer={layer} head={head}"
+        if r["t"] != t:
+            problem = "a second row for this step" if r["t"] == t - 1 >= 1 else (
+                f"no row for t={t}; steps run from 1 to T")
+            raise ValueError(f"{where}: {problem}")
+        positions, row_labels, weights = r["positions"], r["labels"], r["row"]
+        if not all(isinstance(v, list) for v in (positions, row_labels, weights)):
+            raise ValueError(f"{where}: positions, labels and row must be lists")
+        if not len(positions) == len(row_labels) == len(weights):
+            raise ValueError(f"{where}: {len(positions)} positions, {len(row_labels)} "
+                             f"labels and {len(weights)} weights")
+        odd = [v for v in positions if type(v) is not int]
+        if odd:
+            raise ValueError(f"{where}: position {odd[0]!r} is not an integer")
+        odd = [v for v in weights if type(v) is not float and type(v) is not int]
+        if odd:
+            raise ValueError(f"{where}: weight {odd[0]!r} is not a number")
+        if positions and min(positions) < 0:
+            raise ValueError(f"{where}: negative position {min(positions)}")
+        if positions and max(positions) >= t:
+            raise ValueError(f"{where}: future position {max(positions)}")
+        if len(set(positions)) != len(positions):
+            repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
+            raise ValueError(f"{where}: position {repeated} appears twice")
+        if list(map(labels.setdefault, positions, row_labels)) != row_labels:
+            pos, label = next((p, l) for p, l in zip(positions, row_labels) if labels[p] != l)
+            raise ValueError(f"{where}: label {label!r} for position {pos}, "
+                             f"earlier rows gave {labels[pos]!r}")
+        weights = np.asarray(weights, dtype=np.float64)
+        if not abs(weights.sum() - 1.0) <= ROW_SUM_TOL:
+            raise ValueError(f"{where}: row sums to {weights.sum()}, expected 1")
+        if t > len(sums):  # grow by doubling
+            sums = sums_of[key] = np.concatenate([sums, np.zeros(len(sums))])
+        sums[np.asarray(positions)] += weights
+        last_t[key] = t
     records = []
-    for layer, head in sorted(groups):
-        recs = sorted(groups[(layer, head)], key=lambda r: r["t"])
-        width = len(recs)
-        labels: dict[int, str] = {}
-        sums = np.zeros(width)
-        for t, r in enumerate(recs, start=1):
-            where = f"dump row t={r['t']} layer={layer} head={head}"
-            if r["t"] != t:
-                problem = "a second row for this step" if r["t"] == t - 1 >= 1 else (
-                    f"no row for t={t}; steps run from 1 to T")
-                raise ValueError(f"{where}: {problem}")
-            positions, row_labels, weights = r["positions"], r["labels"], r["row"]
-            if not all(isinstance(v, list) for v in (positions, row_labels, weights)):
-                raise ValueError(f"{where}: positions, labels and row must be lists")
-            if not len(positions) == len(row_labels) == len(weights):
-                raise ValueError(f"{where}: {len(positions)} positions, {len(row_labels)} "
-                                 f"labels and {len(weights)} weights")
-            odd = [v for v in positions if type(v) is not int]
-            if odd:
-                raise ValueError(f"{where}: position {odd[0]!r} is not an integer")
-            odd = [v for v in weights if type(v) is not float and type(v) is not int]
-            if odd:
-                raise ValueError(f"{where}: weight {odd[0]!r} is not a number")
-            if positions and min(positions) < 0:
-                raise ValueError(f"{where}: negative position {min(positions)}")
-            if positions and max(positions) >= t:
-                raise ValueError(f"{where}: future position {max(positions)}")
-            if len(set(positions)) != len(positions):
-                repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
-                raise ValueError(f"{where}: position {repeated} appears twice")
-            first = labels.setdefault
-            clashes = [(p, l) for p, l in zip(positions, row_labels) if first(p, l) != l]
-            if clashes:
-                pos, label = clashes[0]
-                raise ValueError(f"{where}: label {label!r} for position {pos}, "
-                                 f"earlier rows gave {labels[pos]!r}")
-            weights = np.asarray(weights, dtype=np.float64)
-            if not abs(weights.sum() - 1.0) <= ROW_SUM_TOL:
-                raise ValueError(f"{where}: row sums to {weights.sum()}, expected 1")
-            sums[np.asarray(positions)] += weights
+    for layer, head in sorted(last_t):
+        width, labels = last_t[layer, head], labels_of[layer, head]
         if len(labels) < width:
             missing = sorted(set(range(width)) - labels.keys())[:5]
             raise ValueError(f"layer={layer} head={head}: positions never observed: {missing}")
-        records.append(KeyMeans(tuple(labels[i] for i in range(width)), sums / width))
+        means = sums_of[layer, head][:width] / width
+        records.append(KeyMeans(tuple(labels[i] for i in range(width)), means))
     return records
 
 
-def load_dump_file(path) -> list[dict]:
-    out = []
+def _file_rows(path) -> Iterator[dict]:
+    """The rows of a dump file, parsed one line at a time."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -176,11 +179,15 @@ def load_dump_file(path) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            for field in ("t", "layer", "head", "labels", "positions", "row"):
-                if field not in rec:
-                    raise ValueError(f"{path}: line {lineno}: missing field {field!r}")
-            out.append(rec)
-    return out
+            for name in ("t", "layer", "head", "labels", "positions", "row"):
+                if name not in rec:
+                    raise ValueError(f"{path}: line {lineno}: missing field {name!r}")
+            yield rec
+
+
+def load_dump_file(path) -> list[KeyMeans]:
+    """Key means of every map in one dump file (one run), read row by row."""
+    return records_from_dumps(_file_rows(path))
 
 
 def load_records(path) -> list[KeyMeans]:
@@ -192,11 +199,11 @@ def load_records(path) -> list[KeyMeans]:
         records = []
         for name in sorted(os.listdir(path)):
             if name.endswith(".jsonl"):
-                records.extend(records_from_dumps(load_dump_file(os.path.join(path, name))))
+                records.extend(load_dump_file(os.path.join(path, name)))
         if not records:
             raise ValueError(f"{path}: no .jsonl dump files found")
         return records
-    return records_from_dumps(load_dump_file(path))
+    return load_dump_file(path)
 
 
 def _write_csv(path, header: list[str], rows) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import os
@@ -244,6 +245,20 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """A text file that replaces ``path`` if the block completes, else is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.unlink(tmp)
+            raise
+    os.replace(tmp, path)
+
+
 def cmd_gen(args) -> int:
     cfg, seed = _resolve_config(args, {
         ("cachepolicy", "policy"): args.policy,
@@ -268,43 +283,39 @@ def cmd_gen(args) -> int:
     policy = _policy_from_cfg(cfg)
     prompt_seed = args.prompt_seed if args.prompt_seed is not None else seed
     prompt = _build_prompt(model, args.prompt_items, prompt_seed)
-    result = engine.generate(
-        model, prompt, policy, args.steps,
-        mode=args.mode, seed=seed, temperature=args.temperature,
-        attn_dump=bool(args.attn_dump), predict_features=args.features,
-        boi_every=args.boi_every,
-    )
-    record = {
-        "kind": "mmsink-generation-v1",
-        "policy": policy.kind,
-        "params": {"window": policy.window, "n_sink": policy.n_sink,
-                   "k_head": policy.k_head, "k_tail": policy.k_tail},
-        "mode": args.mode,
-        "seed": seed,
-        "steps": args.steps,
-        "prompt_len": len(prompt),
-        "m": model.config.m,
-        "valid": result.sequence is not None,
-        "labels": [seqmodel.token_label(t) for t in result.tokens],
-        "blocks": [list(b) for b in result.sequence.image_blocks] if result.sequence else [],
-        "violations": result.trace.violations,
-        "peak_entries": result.peak_entries,
-        "entry_counts": result.trace.entry_counts,
-        "forced_completion_steps": result.trace.forced_completion_steps,
-    }
-    if args.features:
-        record["features"] = [
-            {"block_start": pos, "values": [[float(x) for x in row] for row in feats]}
-            for pos, feats in result.trace.predicted_features
-        ]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(record))
-        fh.write("\n")
-    if args.attn_dump:
-        with open(args.attn_dump, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in result.trace.attention_dumps:
-                fh.write(json.dumps(rec))
-                fh.write("\n")
+    with _replaced_on_success(args.attn_dump) if args.attn_dump else contextlib.nullcontext() as dump:
+        result = engine.generate(
+            model, prompt, policy, args.steps,
+            mode=args.mode, seed=seed, temperature=args.temperature,
+            attn_dump=None if dump is None else lambda rec: dump.write(json.dumps(rec) + "\n"),
+            predict_features=args.features, boi_every=args.boi_every,
+        )
+        record = {
+            "kind": "mmsink-generation-v1",
+            "policy": policy.kind,
+            "params": {"window": policy.window, "n_sink": policy.n_sink,
+                       "k_head": policy.k_head, "k_tail": policy.k_tail},
+            "mode": args.mode,
+            "seed": seed,
+            "steps": args.steps,
+            "prompt_len": len(prompt),
+            "m": model.config.m,
+            "valid": result.sequence is not None,
+            "labels": [seqmodel.token_label(t) for t in result.tokens],
+            "blocks": [list(b) for b in result.sequence.image_blocks] if result.sequence else [],
+            "violations": result.trace.violations,
+            "peak_entries": result.peak_entries,
+            "entry_counts": result.trace.entry_counts,
+            "forced_completion_steps": result.trace.forced_completion_steps,
+        }
+        if args.features:
+            record["features"] = [
+                {"block_start": pos, "values": [[float(x) for x in row] for row in feats]}
+                for pos, feats in result.trace.predicted_features
+            ]
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(record))
+            fh.write("\n")
     print(
         f"generated {len(result.generated)} tokens under {policy.describe()}, "
         f"peak entries {result.peak_entries}, valid={record['valid']}"
@@ -317,6 +328,8 @@ def cmd_stats(args) -> int:
     extras = {"dumps": args.dumps, "k": args.k,
               "occ_out": args.occ_out, "cat_out": args.cat_out or "<none>"}
     _print_effective("stats", cfg, extras)
+    if args.k < 1:
+        raise ConfigError(f"stats.k must be at least 1, got {args.k}")
     records = attnstats.load_records(args.dumps)
     table = attnstats.aggregate_occurrence(records, k=args.k)
     attnstats.write_occurrence_csv(table, args.occ_out)
@@ -413,7 +426,7 @@ def _validate_jsonl(path) -> str:
                     raise ValueError(f"{path}: block ({b}, {e}) out of range")
         return "generation record"
     if all(k in record for k in ("t", "layer", "head", "labels", "positions", "row")):
-        records = attnstats.records_from_dumps(attnstats.load_dump_file(path))
+        records = attnstats.load_dump_file(path)
         return f"attention dump with {len(records)} maps"
     raise ValueError(f"{path}: unrecognized JSONL content")
 

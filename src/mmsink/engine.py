@@ -346,7 +346,6 @@ class GenerationTrace:
     entry_counts: list[int] = field(default_factory=list)
     step_seconds: list[float] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
-    attention_dumps: list[dict] = field(default_factory=list)
     predicted_features: list[tuple[int, np.ndarray]] = field(default_factory=list)
     forced_completion_steps: int = 0
 
@@ -377,23 +376,6 @@ def _sample(
     return int(rng.choice(len(probs), p=probs))
 
 
-def _dump_rows(step: StepResult, labels: list[str], positions: list[int], t_after: int) -> list[dict]:
-    records = []
-    for l, rows in enumerate(step.attention):
-        for h in range(rows.shape[0]):
-            records.append(
-                {
-                    "t": t_after,
-                    "layer": l,
-                    "head": h,
-                    "labels": labels,
-                    "positions": positions,
-                    "row": [float(x) for x in rows[h]],
-                }
-            )
-    return records
-
-
 def generate(
     model: Model,
     prompt: MultimodalSequence,
@@ -402,7 +384,7 @@ def generate(
     mode: str = "constrained",
     seed: int = 0,
     temperature: float | None = None,
-    attn_dump: bool = False,
+    attn_dump: Callable[[dict], None] | None = None,
     predict_features: bool = False,
     boi_every: int | None = None,
     on_step: Callable[[KvCache], None] | None = None,
@@ -421,6 +403,9 @@ def generate(
 
     In free mode tokens are sampled from the unmasked distribution and the
     grammar's violations are recorded, never repaired.
+
+    ``attn_dump``, if given, is called with each attention dump row as its
+    step is computed, by t, then layer, then head; no row is kept.
 
     ``boi_every`` in free mode raises :class:`ConfigError` before any
     compute, as does a dense run that does not fit the position table. The
@@ -455,12 +440,15 @@ def generate(
     def feed(token: Token) -> StepResult:
         # Dump metadata snapshots the pre-push keys (retained entries + the
         # incoming token); eviction may remove some of them right after.
-        if attn_dump:
+        if attn_dump is not None:
             labels = [token_label(tk) for tk in cache.tokens()] + [token_label(token)]
             positions = cache.positions() + [cache.t]
         step = forward_step(model, cache, token)
-        if attn_dump:
-            trace.attention_dumps.extend(_dump_rows(step, labels, positions, cache.t))
+        if attn_dump is not None:
+            for l, rows in enumerate(step.attention):
+                for h, row in enumerate(rows):
+                    attn_dump({"t": cache.t, "layer": l, "head": h, "labels": labels,
+                               "positions": positions, "row": row.tolist()})
         if on_step is not None:
             on_step(cache)
         return step

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmsink import attnstats, engine
+from mmsink import attnstats, cli, engine
 from mmsink.attnstats import (
     aggregate_occurrence,
     category_shares,
@@ -176,11 +176,12 @@ class TestClassifyToken:
 
 @pytest.fixture(scope="module")
 def dump_records(small_model, small_prompt):
+    rows = []
     result = engine.generate(
         small_model, small_prompt, CachePolicy.mmsink(2, 1, 1, 12), 24,
-        seed=0, attn_dump=True, boi_every=10,
+        seed=0, attn_dump=rows.append, boi_every=10,
     )
-    return result.trace.attention_dumps, len(result.tokens)
+    return rows, len(result.tokens)
 
 
 def dense_rebuild(dumps, layer: int, head: int) -> np.ndarray:
@@ -240,6 +241,19 @@ class TestDumpIngestion:
             assert a.labels == b.labels
             np.testing.assert_array_equal(a.means, b.means)
 
+    def test_collected_rows_are_the_gen_dump(self, small_model, tmp_path):
+        import json
+
+        model_path, dump = tmp_path / "model.json", tmp_path / "dump.jsonl"
+        engine.save_model(small_model, model_path)
+        assert main(["gen", "--model", str(model_path), "--policy", "window", "--window", "10",
+                     "--steps", "20", "--seed", "3", "--prompt-seed", "9", "--boi-every", "7",
+                     "--attn-dump", str(dump), "--out", str(tmp_path / "g.jsonl")]) == 0
+        rows = []
+        engine.generate(small_model, cli._build_prompt(small_model, 1, 9),
+                        CachePolicy.windowed(10), 20, seed=3, attn_dump=rows.append, boi_every=7)
+        assert dump.read_bytes() == "".join(json.dumps(r) + "\n" for r in rows).encode()
+
     def test_load_records_directory(self, dump_records, tmp_path):
         import json
 
@@ -285,6 +299,43 @@ class TestDumpIngestion:
         assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert err.count(where) == 2 and err.count(expected) == 2
+
+    def test_rows_out_of_t_order_rejected(self, tmp_path, capsys):
+        import json
+
+        dumps = [{"t": s, "layer": 1, "head": 0, "labels": ["BOS", "W1", "."][:s],
+                  "positions": list(range(s)), "row": [1.0 / s] * s} for s in (2, 1, 3)]
+        expected = "dump row t=2 layer=1 head=0: no row for t=1"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            records_from_dumps(dumps)
+        path = tmp_path / "swapped.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in dumps))
+        assert main(["validate", str(path)]) == 1
+        assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.count(expected) == 2
+
+    def test_generator_of_rows_is_held_one_row_at_a_time(self):
+        t_max, maps, keys = 2_000, 16, 64
+        names = [f"W{p}" for p in range(32)]
+
+        def rows():
+            for t in range(1, t_max + 1):
+                positions = list(range(max(0, t - keys), t))
+                for layer in range(maps):
+                    yield {"t": t, "layer": layer, "head": 0,
+                           "labels": [names[p % 32] for p in positions],
+                           "positions": positions,
+                           "row": [1.0 / len(positions)] * len(positions)}
+
+        tracemalloc.start()
+        try:
+            records = records_from_dumps(rows())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == maps and records[0].means.shape == (t_max,)
+        # the 32,000 rows as dicts of lists would take well over 100 MB
+        assert peak < 8 * 2**20
 
     def test_window_dump_never_builds_a_full_map(self):
         t_max, keys = 4_000, 8

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from mmsink import engine
+from mmsink import attnstats, engine
+from mmsink.errors import StateError
 from mmsink.bench import CSV_HEADER
 from mmsink import seqmodel as sq
 from mmsink.cli import main
@@ -299,6 +300,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "boi_every" in err and "'free'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("failure", ["config", "mid-run"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier dump\n"])
+    def test_failed_gen_leaves_dump_path_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                   failure, existing):
+        dump = tmp_path / "d.jsonl"
+        if existing is not None:
+            dump.write_bytes(existing)
+        args = ["gen", "--policy", "window", "--steps", "8", "--attn-dump", str(dump),
+                "--out", str(tmp_path / "g.jsonl")]
+        if failure == "config":
+            args += ["--boi-every", "0"]
+        else:  # the fourth step fails after three steps' rows were written
+            calls, step = [], engine.forward_step
+
+            def failing_step(*a, **kw):
+                calls.append(1)
+                if len(calls) > 3:
+                    raise StateError("step failed")
+                return step(*a, **kw)
+
+            monkeypatch.setattr(engine, "forward_step", failing_step)
+        assert main(args) == 1
+        assert ("ConfigError" if failure == "config" else "step failed") in capsys.readouterr().err
+        assert (dump.read_bytes() if dump.exists() else None) == existing
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["d.jsonl"])
+
+    def test_stats_k_below_one_fails_before_reading_dumps(self, tmp_path, capsys, monkeypatch):
+        dump, occ = tmp_path / "d.jsonl", tmp_path / "o.csv"
+        dump.write_text(json.dumps({"t": 1, "layer": 0, "head": 0, "labels": ["BOS"],
+                                    "positions": [0], "row": [1.0]}) + "\n")
+        monkeypatch.setattr(attnstats, "records_from_dumps", None)
+        assert main(["stats", "--k", "0", "--dumps", str(dump), "--occ-out", str(occ)]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "stats.k" in err
+        assert not occ.exists()
 
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         assert main(["train-toy", "--stories", str(tmp_path / "missing.jsonl"),

@@ -259,12 +259,13 @@ class TestGenerate:
         assert all(c <= w for c in tail)
 
     def test_attention_dump_schema(self, small_model, small_prompt):
+        rows = []
         result = generate(small_model, small_prompt, CachePolicy.windowed(10), 6,
-                          seed=0, attn_dump=True)
+                          seed=0, attn_dump=rows.append)
         cfg = small_model.config
         n_steps = len(result.tokens)
-        assert len(result.trace.attention_dumps) == n_steps * cfg.layers * cfg.heads
-        for rec in result.trace.attention_dumps:
+        assert len(rows) == n_steps * cfg.layers * cfg.heads
+        for rec in rows:
             assert set(rec) == {"t", "layer", "head", "labels", "positions", "row"}
             assert len(rec["labels"]) == len(rec["positions"]) == len(rec["row"])
             assert all(pos <= rec["t"] - 1 for pos in rec["positions"])  # causality
