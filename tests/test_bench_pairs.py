@@ -40,9 +40,8 @@ def _git(repo: Path, *args: str) -> None:
                     "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
 
 
-@pytest.mark.skipif(shutil.which("git") is None or shutil.which("tar") is None,
-                    reason="needs git and tar")
-def test_two_commit_repository(tmp_path, monkeypatch):
+def _two_commit_repository(tmp_path: Path) -> Path:
+    """Base commit WALL=2.0, change commit WALL=1.0, uncommitted WALL=1.5."""
     repo = tmp_path / "repo"
     (repo / "src" / "mmsink").mkdir(parents=True)
     (repo / "perfbench").mkdir()
@@ -57,8 +56,18 @@ def test_two_commit_repository(tmp_path, monkeypatch):
     _git(repo, "commit", "-q", "-m", "base")
     wall.write_text("1.0")
     _git(repo, "commit", "-q", "-am", "change")
-    wall.write_text("1.5")  # the change side is the working tree, uncommitted edits included
+    wall.write_text("1.5")
+    return repo
 
+
+needs_git = pytest.mark.skipif(shutil.which("git") is None or shutil.which("tar") is None,
+                               reason="needs git and tar")
+
+
+@needs_git
+def test_two_commit_repository(tmp_path, monkeypatch):
+    repo = _two_commit_repository(tmp_path)
+    # the change side is the working tree, uncommitted edits included
     log = tmp_path / "runs.log"
     monkeypatch.setenv("BENCH_LOG", str(log))
     monkeypatch.setenv("TMPDIR", str(tmp_path))
@@ -89,3 +98,27 @@ def test_two_commit_repository(tmp_path, monkeypatch):
     assert report["change"]["src_uncommitted_changes"] is True
     assert len(report["base"]["rev"]) == 40 and report["base"]["rev"] != report["change"]["rev"]
     assert not list(tmp_path.glob("bench-pairs-*"))  # the base tree is removed
+
+
+@needs_git
+def test_change_revision_is_archived_like_the_base(tmp_path, monkeypatch):
+    repo = _two_commit_repository(tmp_path)
+    log = tmp_path / "runs.log"
+    monkeypatch.setenv("BENCH_LOG", str(log))
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    out = tmp_path / "BENCH.json"
+    subprocess.run([sys.executable, str(repo / "tools" / "bench_pairs.py"), "--base", "HEAD~1",
+                    "--change", "HEAD", "--workload", "w", "--pairs", "2", "--out", str(out)],
+                   check=True, capture_output=True)
+
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    # the committed WALL=1.0, not the working tree's 1.5
+    assert log.read_text().split() == ["2.0", "1.0", "1.01", "2.01"]
+    assert [p["change"]["wall_s"] for p in report["pairs"]] == [1.0, 1.01]
+    assert report["change"]["provenance"] == {"src": "1"}
+    assert report["change"]["src_uncommitted_changes"] is False
+    head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert report["change"]["rev"] == head != report["base"]["rev"]
+    assert not list(tmp_path.glob("bench-pairs-*"))

@@ -1,11 +1,12 @@
 """Alternating before/after runs of the benchmark, written as one JSON file.
 
     python tools/bench_pairs.py --base REV --workload W --pairs N --out BENCH_<pr>.json
-        [--first-seed K]
+        [--change REV] [--first-seed K]
 
 The base side is a ``git archive`` of REV's ``src/`` in a temporary
 directory (``$TMPDIR``), next to a copy of this checkout's ``perfbench/``
-and ``BENCHMARK.json``; the change side is this checkout. Both run the
+and ``BENCHMARK.json``; the change side is this checkout, or with
+``--change`` a second revision's ``src/`` archived the same way. Both run the
 same, current ``perfbench/run.py --trace 0``, for the ``run_seconds`` that
 ``BENCHMARK.json`` fixes. Pair i uses seed K + i and runs the base first
 when i is even, the change first when it is odd.
@@ -36,7 +37,7 @@ def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
                           stdout=subprocess.PIPE, **kwargs)
 
 
-def base_tree(rev: str, dest: Path) -> None:
+def archived_tree(rev: str, dest: Path) -> None:
     """REV's ``src/`` beside this checkout's benchmark, under ``dest``."""
     archive = git("archive", "--format=tar", rev, "src").stdout
     dest.mkdir(parents=True)
@@ -86,14 +87,23 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
     return out
 
 
-def bench_pairs(base_rev: str, workload: str, pairs: int, first_seed: int) -> dict:
-    base_sha = git("rev-parse", "--verify", f"{base_rev}^{{commit}}", text=True).stdout.strip()
+def commit(rev: str) -> str:
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}", text=True).stdout.strip()
+
+
+def bench_pairs(base_rev: str, workload: str, pairs: int, first_seed: int,
+                change_rev: str | None = None) -> dict:
+    revs = {"base": commit(base_rev)}
+    if change_rev is not None:
+        revs["change"] = commit(change_rev)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     provenance: dict[str, dict] = {}
     records = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"base": Path(tmp) / "base", "change": ROOT}
-        base_tree(base_sha, trees["base"])
+        trees = {"change": ROOT}
+        for side, rev in revs.items():
+            trees[side] = Path(tmp) / side
+            archived_tree(rev, trees[side])
         for i in range(pairs):
             seed = first_seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -108,13 +118,14 @@ def bench_pairs(base_rev: str, workload: str, pairs: int, first_seed: int) -> di
                 print(f"pair {i} seed {seed} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in pair[side].items()), file=sys.stderr)
             records.append(pair)
-    dirty = bool(git("status", "--porcelain", "--", "src", text=True).stdout.strip())
+    dirty = change_rev is None and bool(
+        git("status", "--porcelain", "--", "src", text=True).stdout.strip())
     return {
         "workload": workload,
         "seconds": spec["run_seconds"],
         "seeds": [first_seed, first_seed + pairs - 1],
-        "base": {"rev": base_sha, "provenance": provenance.get("base")},
-        "change": {"rev": git("rev-parse", "HEAD", text=True).stdout.strip(),
+        "base": {"rev": revs["base"], "provenance": provenance.get("base")},
+        "change": {"rev": revs.get("change") or commit("HEAD"),
                    "src_uncommitted_changes": dirty, "provenance": provenance.get("change")},
         "summary": summarize(records, spec["end_to_end"]),
         "pairs": records,
@@ -124,6 +135,7 @@ def bench_pairs(base_rev: str, workload: str, pairs: int, first_seed: int) -> di
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
+    parser.add_argument("--change", help="git revision of the change side (default: this checkout)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
@@ -131,7 +143,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    report = bench_pairs(args.base, args.workload, args.pairs, args.first_seed)
+    report = bench_pairs(args.base, args.workload, args.pairs, args.first_seed, args.change)
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for name, entry in report["summary"].items():
         print(f"{name}: base {entry['base']['median']:.4g} (IQR {entry['base']['iqr']:.3g}), "
