@@ -246,17 +246,17 @@ def cmd_train_toy(args) -> int:
 
 
 @contextlib.contextmanager
-def _replaced_on_success(path):
-    """A text file that replaces ``path`` if the block completes, else is removed."""
+def _moved_into_place(path):
+    """A text file moved onto ``path`` if the block completes, removed if it raises."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        try:
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        except BaseException:
-            fh.close()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-            raise
-    os.replace(tmp, path)
+        raise
 
 
 def cmd_gen(args) -> int:
@@ -283,7 +283,7 @@ def cmd_gen(args) -> int:
     policy = _policy_from_cfg(cfg)
     prompt_seed = args.prompt_seed if args.prompt_seed is not None else seed
     prompt = _build_prompt(model, args.prompt_items, prompt_seed)
-    with _replaced_on_success(args.attn_dump) if args.attn_dump else contextlib.nullcontext() as dump:
+    with _moved_into_place(args.attn_dump) if args.attn_dump else contextlib.nullcontext() as dump:
         result = engine.generate(
             model, prompt, policy, args.steps,
             mode=args.mode, seed=seed, temperature=args.temperature,

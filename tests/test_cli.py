@@ -327,6 +327,14 @@ class TestExitCodes:
         assert (dump.read_bytes() if dump.exists() else None) == existing
         assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["d.jsonl"])
 
+    def test_dump_path_that_cannot_be_replaced_leaves_no_temporary(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        assert main(["gen", "--policy", "window", "--steps", "4", "--attn-dump",
+                     str(tmp_path / "d"), "--out", str(tmp_path / "g.jsonl")]) == 1
+        assert "error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "g.jsonl"]
+        assert not any((tmp_path / "d").iterdir())
+
     def test_stats_k_below_one_fails_before_reading_dumps(self, tmp_path, capsys, monkeypatch):
         dump, occ = tmp_path / "d.jsonl", tmp_path / "o.csv"
         dump.write_text(json.dumps({"t": 1, "layer": 0, "head": 0, "labels": ["BOS"],
