@@ -253,10 +253,9 @@ def _moved_into_place(path):
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    finally:  # after a successful replace there is nothing left to remove
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        raise
 
 
 def cmd_gen(args) -> int:
