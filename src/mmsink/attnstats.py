@@ -134,12 +134,12 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
         if not len(positions) == len(row_labels) == len(weights):
             raise ValueError(f"{where}: {len(positions)} positions, {len(row_labels)} "
                              f"labels and {len(weights)} weights")
-        odd = [v for v in positions if type(v) is not int]
-        if odd:
-            raise ValueError(f"{where}: position {odd[0]!r} is not an integer")
-        odd = [v for v in weights if type(v) is not float and type(v) is not int]
-        if odd:
-            raise ValueError(f"{where}: weight {odd[0]!r} is not a number")
+        if not set(map(type, positions)) <= {int}:
+            odd = next(v for v in positions if type(v) is not int)
+            raise ValueError(f"{where}: position {odd!r} is not an integer")
+        if not set(map(type, weights)) <= {float, int}:
+            odd = next(v for v in weights if type(v) is not float and type(v) is not int)
+            raise ValueError(f"{where}: weight {odd!r} is not a number")
         if positions and min(positions) < 0:
             raise ValueError(f"{where}: negative position {min(positions)}")
         if positions and max(positions) >= t:

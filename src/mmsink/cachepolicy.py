@@ -201,7 +201,7 @@ class KvCache:
     """Retained key/value entries for one generation run.
 
     The retained position set is identical across layers and heads, so
-    positions, tokens, and block structure are stored once; keys and values
+    positions and block structure are stored once; keys and values
     live in per-layer arrays of shape (heads, capacity, d_head). A decode
     step appends in place: it writes row ``size`` of the buffers
     :meth:`reserve` returns, attends over them, then :meth:`push` evicts.
@@ -213,7 +213,10 @@ class KvCache:
     same rule as :func:`protected_until`; an abandoned block's non-sink
     members drop to 0. Every push evicts the entries that fail the rule
     :func:`retained_rows` evaluates, so the positions always equal
-    :func:`retain_set` at the current t.
+    :func:`retain_set` at the current t. Past the window, every entry older
+    than the latest :func:`_recent` positions is protected forever, so a
+    push tests only the entry that leaves them and the tail whose ``until``
+    it rewrote.
 
     Block structure comes from one :class:`BlockGrammar` fed every pushed
     token. In strict mode a structurally illegal token raises
@@ -249,7 +252,6 @@ class KvCache:
         self._until = np.empty(cap, dtype=np.int64)
         self._count = 0
 
-        self._tokens: list[Token] = []
         self.violations: list[str] = []
         self.peak_entries = 0
 
@@ -261,9 +263,6 @@ class KvCache:
 
     def positions(self) -> list[int]:
         return self._pos[: self._count].tolist()
-
-    def tokens(self) -> list[Token]:
-        return list(self._tokens)
 
     def keys(self, layer: int) -> np.ndarray:
         return self._k[layer][:, : self._count, :]
@@ -325,8 +324,6 @@ class KvCache:
                 self._v[l][:, dst, :] = self._v[l][:, src, :]
             self._pos[dst] = self._pos[src]
             self._until[dst] = self._until[src]
-        for i in reversed(drop):
-            del self._tokens[i]
         self._count -= len(drop)
 
     def push(self, token: Token) -> None:
@@ -344,23 +341,25 @@ class KvCache:
         self._pos[n] = pos
         forever = pos < _n_sink(self.policy) or (mmsink and self.in_block)
         self._until[n] = _FOREVER if forever else 0
-        self._tokens.append(token)
         self._count = n + 1
         # An open block's members are never evicted, so they are the last
-        # entries and each event rewrites a tail of ``_until``.
+        # entries and each event rewrites the tail of ``_until`` from index lo.
+        lo = n
         if mmsink and change.completed is not None:
             b, e = change.completed
-            tail = slice(n - (e - b), n + 1)
-            self._until[tail] = _completed_until(self.policy, b, e, self._pos[tail])
+            lo = n - (e - b)
+            self._until[lo:n + 1] = _completed_until(self.policy, b, e, self._pos[lo:n + 1])
         elif mmsink and change.abandoned:
-            tail = slice(n - (pos - open_start), n)
-            self._until[tail][self._pos[tail] >= _n_sink(self.policy)] = 0
-        # The latest _recent entries pass the rule whatever their until, so
-        # only the older ones are tested.
+            lo = n - (pos - open_start)
+            self._until[lo:n][self._pos[lo:n] >= _n_sink(self.policy)] = 0
+        # The latest _recent entries pass the rule whatever their until. Of
+        # the older ones, only the entry that just left them and the
+        # rewritten tail can fail where the previous push passed them.
         old = n + 1 - _recent(self.policy)
-        if old > 0:
-            kept = _kept(self.policy, self.t, self._pos[:old], self._until[:old])
-            drop = np.nonzero(~kept)[0].tolist()
+        lo = max(0, min(old - 1, lo))
+        if old > lo:
+            kept = _kept(self.policy, self.t, self._pos[lo:old], self._until[lo:old])
+            drop = (np.flatnonzero(~kept) + lo).tolist()
             if drop:
                 self._compact(drop)
         self.peak_entries = max(self.peak_entries, self._count)

@@ -258,6 +258,24 @@ def _moved_into_place(path):
             os.unlink(tmp)
 
 
+def _dump_writer(fh):
+    """The ``attn_dump`` callback writing each row, fields in the order
+    :func:`engine.generate` gives them, as ``json.dumps(rec) + "\n"``. The
+    labels and positions a step's rows share are encoded once and reused
+    while later rows' lists equal copies of them."""
+    last = [None, None, ""]
+
+    def write(rec: dict) -> None:
+        labels, positions = rec["labels"], rec["positions"]
+        if labels != last[0] or positions != last[1]:
+            last[:] = list(labels), list(positions), (f'"labels": {json.dumps(labels)}, '
+                                                      f'"positions": {json.dumps(positions)}')
+        fh.write(f'{{"t": {rec["t"]}, "layer": {rec["layer"]}, "head": {rec["head"]}, '
+                 f'{last[2]}, "row": {json.dumps(rec["row"])}}}\n')
+
+    return write
+
+
 def cmd_gen(args) -> int:
     cfg, seed = _resolve_config(args, {
         ("cachepolicy", "policy"): args.policy,
@@ -286,7 +304,7 @@ def cmd_gen(args) -> int:
         result = engine.generate(
             model, prompt, policy, args.steps,
             mode=args.mode, seed=seed, temperature=args.temperature,
-            attn_dump=None if dump is None else lambda rec: dump.write(json.dumps(rec) + "\n"),
+            attn_dump=None if dump is None else _dump_writer(dump),
             predict_features=args.features, boi_every=args.boi_every,
         )
         record = {

@@ -365,13 +365,12 @@ def _sample(
     temperature: float | None,
     rng: np.random.Generator,
 ) -> int:
+    if temperature is None:  # legal ids ascend, so ties go to the lowest id either way
+        return int(np.argmax(logits) if legal is None else legal[np.argmax(logits[legal])])
+    masked = logits
     if legal is not None:
         masked = np.full_like(logits, -np.inf)
         masked[legal] = logits[legal]
-    else:
-        masked = logits
-    if temperature is None:
-        return int(np.argmax(masked))
     probs = softmax(masked / temperature)
     return int(rng.choice(len(probs), p=probs))
 
@@ -405,7 +404,9 @@ def generate(
     grammar's violations are recorded, never repaired.
 
     ``attn_dump``, if given, is called with each attention dump row as its
-    step is computed, by t, then layer, then head; no row is kept.
+    step is computed, by t, then layer, then head; no row is kept. A step's
+    rows share one ``labels`` and one ``positions`` list: the retained keys
+    plus the incoming token, each labelled once, when its position is fed.
 
     ``boi_every`` in free mode raises :class:`ConfigError` before any
     compute, as does a dense run that does not fit the position table. The
@@ -436,18 +437,22 @@ def generate(
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()
     last: StepResult | None = None
+    tokens: list[Token] = []
+    labels: list[str] = []  # token_label of each position fed, for attn_dump
 
     def feed(token: Token) -> StepResult:
+        tokens.append(token)
         # Dump metadata snapshots the pre-push keys (retained entries + the
         # incoming token); eviction may remove some of them right after.
         if attn_dump is not None:
-            labels = [token_label(tk) for tk in cache.tokens()] + [token_label(token)]
+            labels.append(token_label(token))
             positions = cache.positions() + [cache.t]
+            key_labels = [labels[p] for p in positions]
         step = forward_step(model, cache, token)
         if attn_dump is not None:
             for l, rows in enumerate(step.attention):
                 for h, row in enumerate(rows):
-                    attn_dump({"t": cache.t, "layer": l, "head": h, "labels": labels,
+                    attn_dump({"t": cache.t, "layer": l, "head": h, "labels": key_labels,
                                "positions": positions, "row": row.tolist()})
         if on_step is not None:
             on_step(cache)
@@ -456,7 +461,6 @@ def generate(
     for token in prompt.tokens:
         last = feed(token)
 
-    tokens = list(prompt.tokens)
     generated: list[Token] = []
 
     def one_step(force_boi: bool) -> Token:
@@ -479,15 +483,11 @@ def generate(
 
     for i in range(steps):
         force = bool(constrained and boi_every and not cache.in_block and i % boi_every == 0)
-        token = one_step(force)
-        generated.append(token)
-        tokens.append(token)
+        generated.append(one_step(force))
 
     if constrained:
         while cache.in_block:
-            token = one_step(False)
-            generated.append(token)
-            tokens.append(token)
+            generated.append(one_step(False))
             trace.forced_completion_steps += 1
 
     trace.violations = list(cache.violations)

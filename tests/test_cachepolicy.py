@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_policies, make_stream
+from mmsink import cachepolicy
 from mmsink.cachepolicy import CachePolicy, KvCache, bytes_estimate, retain_set
 from mmsink.errors import ConfigError, SequenceGrammarError
 from mmsink.oracle import brute_retain_set
@@ -216,6 +217,28 @@ class TestKvCachePush:
         assert cache.positions() == retained(pol, seq)
         assert cache.positions() == brute_retain_set(pol, seq.image_blocks, seq.open_block,
                                                      len(prefix))
+
+    def test_push_tests_only_entries_that_can_newly_fail(self, monkeypatch):
+        tested = []
+
+        def spy(policy, t, p, until):
+            tested.append(len(p))
+            return kept(policy, t, p, until)
+
+        kept = cachepolicy._kept
+        monkeypatch.setattr(cachepolicy, "_kept", spy)
+        window = KvCache(CachePolicy.windowed(8), 1, 1, 1, 4)
+        for tok in _blocks_every(10, 4, 300):
+            window.push(tok)
+        assert tested == [1] * (300 - 8)  # the entry leaving the window
+        tested.clear()
+        m = 6
+        mm = KvCache(CachePolicy.mmsink(2, 1, 1, 8), 1, 1, 1, m)
+        for tok in _blocks_every(12, m, 300):
+            mm.push(tok)
+        assert mm.size > 60
+        # at most the completed block's BOI..EOI tail, less its latest w - n_sink = 6
+        assert max(tested) == (m + 2) - 6
 
     def test_strict_rejects_img_outside_block(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)

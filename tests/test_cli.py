@@ -46,6 +46,33 @@ class TestGen:
             outs.append((out.read_bytes(), dump.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_dump_writer_lines_are_json_dumps(self):
+        import io
+
+        from mmsink.cli import _dump_writer
+
+        def rec(t, head, labels, positions, row):
+            return {"t": t, "layer": 0, "head": head, "labels": labels,
+                    "positions": positions, "row": row}
+
+        shared = ["BOS", "W1"]
+        out, want = io.StringIO(), []
+        write = _dump_writer(out)
+        for r in [
+            rec(1, 0, ["BOS"], [0], [1.0]),
+            rec(1, 1, ["BOS"], [0], [1.0]),  # equal lists, other objects
+            rec(2, 0, shared, [0, 1], [0.25, 0.75]),
+            rec(3, 0, shared, [0, 2], [0.5, 0.5]),  # same labels, other positions
+            rec(4, 0, ["BOS", "W2"], [0, 2], [1e-300, 1.0]),  # other labels, same positions
+            rec(5, 0, shared, [0, 2], [0.5, 0.5]),
+        ]:
+            write(r)
+            want.append(json.dumps(r) + "\n")
+        shared[1] = "P:"  # the list of the row before, changed in place: encoded again
+        write(rec(5, 1, shared, [0, 2], [0.5, 0.5]))
+        want.append(json.dumps(rec(5, 1, shared, [0, 2], [0.5, 0.5])) + "\n")
+        assert out.getvalue() == "".join(want)
+
     def test_record_is_valid_and_constrained(self, tmp_path):
         out = tmp_path / "g.jsonl"
         main(["gen", "--policy", "window", "--window", "16", "--steps", "24",

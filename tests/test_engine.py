@@ -271,6 +271,19 @@ class TestGenerate:
             assert all(pos <= rec["t"] - 1 for pos in rec["positions"])  # causality
             assert sum(rec["row"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("policy", [CachePolicy.windowed(10),
+                                        CachePolicy.mmsink(2, 1, 2, 10)],
+                             ids=["window", "mmsink"])
+    def test_attention_dump_labels_after_evictions(self, small_model, small_prompt, policy):
+        rows = []
+        result = generate(small_model, small_prompt, policy, 40, seed=1, boi_every=9,
+                          attn_dump=rows.append)
+        assert sum(len(rec["positions"]) < rec["t"] for rec in rows) > len(rows) // 2  # evicted
+        for rec in rows:
+            positions = rec["positions"]
+            assert positions == sorted(set(positions))
+            assert rec["labels"] == [sq.token_label(result.tokens[p]) for p in positions]
+
     def test_invalid_mode_and_steps(self, small_model, small_prompt):
         with pytest.raises(ConfigError):
             generate(small_model, small_prompt, CachePolicy.dense(), 1, mode="greedy")
@@ -324,6 +337,30 @@ class TestGenerate:
         prompt = sq.prompt_sequence(story, 1, m=8, v_text=32)
         with pytest.raises(ConfigError):
             generate(small_model, prompt, CachePolicy.dense(), 1)
+
+
+class TestSample:
+    def _masked_argmax(self, logits, legal):
+        masked = np.full_like(logits, -np.inf)
+        masked[legal] = logits[legal]
+        return int(np.argmax(masked))
+
+    def test_greedy_ties_go_to_the_lowest_legal_id(self):
+        logits = np.array([3.0, 1.0, 2.0, 2.0, 0.5, 2.0, 3.0])
+        legal = np.array([1, 2, 3, 5])  # ties at 2, 3 and 5; the best logits are illegal
+        rng = np.random.default_rng(0)
+        assert engine._sample(logits, legal, None, rng) == 2
+        assert engine._sample(logits, None, None, rng) == 0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_greedy_matches_masked_argmax(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.integers(0, 4, 12).astype(float)  # few values, so many ties
+        legal = np.flatnonzero(rng.random(12) < 0.5)
+        if legal.size == 0:
+            legal = np.array([int(rng.integers(12))])
+        assert engine._sample(logits, legal, None, rng) == self._masked_argmax(logits, legal)
 
 
 def dense_divergence(model, prompt, policy, checkpoints):
