@@ -111,11 +111,14 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     ascending t), and the sums are divided once by T. That is the column
     mean of the zero-padded T x T map, float for float (numpy also adds such
     a map's rows one at a time), with no T x T array and no row kept.
-    Evicted keys simply receive nothing from later rows.
+    Evicted keys simply receive nothing from later rows. The maps' rows of
+    one step usually carry the same positions, so the range and repeat
+    checks of the positions run once per run of equal t and positions.
     """
     last_t: Counter[tuple[int, int]] = Counter()
     labels_of: dict[tuple[int, int], dict[int, str]] = defaultdict(dict)
     sums_of: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros(1))
+    checked: tuple = (0, None, None)  # the last t and positions checked, and their index array
     for r in dumps:
         for name in ("t", "layer", "head"):
             if type(r[name]) is not int:
@@ -140,13 +143,15 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
         if not set(map(type, weights)) <= {float, int}:
             odd = next(v for v in weights if type(v) is not float and type(v) is not int)
             raise ValueError(f"{where}: weight {odd!r} is not a number")
-        if positions and min(positions) < 0:
-            raise ValueError(f"{where}: negative position {min(positions)}")
-        if positions and max(positions) >= t:
-            raise ValueError(f"{where}: future position {max(positions)}")
-        if len(set(positions)) != len(positions):
-            repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
-            raise ValueError(f"{where}: position {repeated} appears twice")
+        if t != checked[0] or positions != checked[1]:
+            if positions and min(positions) < 0:
+                raise ValueError(f"{where}: negative position {min(positions)}")
+            if positions and max(positions) >= t:
+                raise ValueError(f"{where}: future position {max(positions)}")
+            if len(set(positions)) != len(positions):
+                repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
+                raise ValueError(f"{where}: position {repeated} appears twice")
+            checked = t, list(positions), np.asarray(positions)
         if list(map(labels.setdefault, positions, row_labels)) != row_labels:
             pos, label = next((p, l) for p, l in zip(positions, row_labels) if labels[p] != l)
             raise ValueError(f"{where}: label {label!r} for position {pos}, "
@@ -156,7 +161,7 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
             raise ValueError(f"{where}: row sums to {weights.sum()}, expected 1")
         if t > len(sums):  # grow by doubling
             sums = sums_of[key] = np.concatenate([sums, np.zeros(len(sums))])
-        sums[np.asarray(positions)] += weights
+        sums[checked[2]] += weights
         last_t[key] = t
     records = []
     for layer, head in sorted(last_t):

@@ -314,6 +314,27 @@ class TestDumpIngestion:
         assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.count(expected) == 2
 
+    def test_equal_positions_checked_again_at_a_new_t_or_after_an_edit(self):
+        def row(t, layer, positions):
+            n = len(positions)
+            return {"t": t, "layer": layer, "head": 0, "labels": ["BOS", "W1", "."][:n],
+                    "positions": positions, "row": [1.0 / n] * n}
+
+        # the row before has equal positions at t=3; at t=2 position 2 is in the future
+        later = [row(1, 1, [0]), row(1, 0, [0]), row(2, 0, [0, 1]), row(3, 0, [0, 1, 2]),
+                 row(2, 1, [0, 1, 2])]
+        with pytest.raises(ValueError, match="t=2 layer=1 head=0: future position 2"):
+            records_from_dumps(later)
+        shared = [0]
+
+        def changed_in_place():
+            yield row(1, 0, shared)
+            shared[0] = -1
+            yield row(1, 1, shared)
+
+        with pytest.raises(ValueError, match="t=1 layer=1 head=0: negative position -1"):
+            records_from_dumps(changed_in_place())
+
     def test_generator_of_rows_is_held_one_row_at_a_time(self):
         t_max, maps, keys = 2_000, 16, 64
         names = [f"W{p}" for p in range(32)]
