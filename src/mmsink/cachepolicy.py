@@ -355,11 +355,10 @@ class KvCache:
         # The latest _recent entries pass the rule whatever their until. Of
         # the older ones, only the entry that just left them and the
         # rewritten tail can fail where the previous push passed them.
-        old = n + 1 - _recent(self.policy)
-        lo = max(0, min(old - 1, lo))
-        if old > lo:
-            kept = _kept(self.policy, self.t, self._pos[lo:old], self._until[lo:old])
-            drop = (np.flatnonzero(~kept) + lo).tolist()
-            if drop:
-                self._compact(drop)
+        # Usually that is one entry, so the rule is applied to Python ints.
+        old, t = n + 1 - _recent(self.policy), self.t
+        drop = [i for i in range(max(0, min(old - 1, lo)), old)
+                if not _kept(self.policy, t, int(self._pos[i]), int(self._until[i]))]
+        if drop:
+            self._compact(drop)
         self.peak_entries = max(self.peak_entries, self._count)

@@ -1,5 +1,7 @@
 """Retention sets, cache mutation, eviction, and entry order."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,10 +221,10 @@ class TestKvCachePush:
                                                      len(prefix))
 
     def test_push_tests_only_entries_that_can_newly_fail(self, monkeypatch):
-        tested = []
+        tested = Counter()  # t -> entries the push that made t tokens tested
 
         def spy(policy, t, p, until):
-            tested.append(len(p))
+            tested[t] += np.size(p)
             return kept(policy, t, p, until)
 
         kept = cachepolicy._kept
@@ -230,7 +232,7 @@ class TestKvCachePush:
         window = KvCache(CachePolicy.windowed(8), 1, 1, 1, 4)
         for tok in _blocks_every(10, 4, 300):
             window.push(tok)
-        assert tested == [1] * (300 - 8)  # the entry leaving the window
+        assert tested == {t: 1 for t in range(9, 301)}  # the entry leaving the window
         tested.clear()
         m = 6
         mm = KvCache(CachePolicy.mmsink(2, 1, 1, 8), 1, 1, 1, m)
@@ -238,7 +240,7 @@ class TestKvCachePush:
             mm.push(tok)
         assert mm.size > 60
         # at most the completed block's BOI..EOI tail, less its latest w - n_sink = 6
-        assert max(tested) == (m + 2) - 6
+        assert max(tested.values()) == (m + 2) - 6
 
     def test_strict_rejects_img_outside_block(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)
