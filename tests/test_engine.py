@@ -340,11 +340,6 @@ class TestGenerate:
 
 
 class TestSample:
-    def _masked_argmax(self, logits, legal):
-        masked = np.full_like(logits, -np.inf)
-        masked[legal] = logits[legal]
-        return int(np.argmax(masked))
-
     def test_greedy_ties_go_to_the_lowest_legal_id(self):
         logits = np.array([3.0, 1.0, 2.0, 2.0, 0.5, 2.0, 3.0])
         legal = np.array([1, 2, 3, 5])  # ties at 2, 3 and 5; the best logits are illegal
@@ -360,7 +355,9 @@ class TestSample:
         legal = np.flatnonzero(rng.random(12) < 0.5)
         if legal.size == 0:
             legal = np.array([int(rng.integers(12))])
-        assert engine._sample(logits, legal, None, rng) == self._masked_argmax(logits, legal)
+        masked = np.full_like(logits, -np.inf)  # the reference: argmax with illegal ids masked
+        masked[legal] = logits[legal]
+        assert engine._sample(logits, legal, None, rng) == int(np.argmax(masked))
 
 
 def dense_divergence(model, prompt, policy, checkpoints):
