@@ -20,17 +20,19 @@ All four are one rule. Each position p carries ``until[p]``, the longest
 prefix that protects it (:func:`protected_until`), and is retained after t
 tokens when ``t <= w``, ``p >= t - (w - n_sink)`` or ``t <= until[p]``
 (dense has an unbounded window). :func:`retained_rows` evaluates the rule
-for a whole stream, and :class:`KvCache` evicts with it after every push.
+for a whole stream, and :class:`KvCache` evicts with it at the end of every
+push.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SequenceGrammarError
 from .seqmodel import BlockGrammar, Token
 
 POLICY_KINDS = ("dense", "window", "sink", "mmsink")
@@ -157,15 +159,22 @@ def protected_until(
     return until
 
 
-def retained_rows(policy: CachePolicy, until: np.ndarray, steps: Sequence[int]) -> np.ndarray:
+def retained_rows(
+    policy: CachePolicy,
+    until: np.ndarray,
+    steps: Sequence[int],
+    positions: np.ndarray | None = None,
+) -> np.ndarray:
     """Retention as a boolean (len(steps), len(until)) array.
 
-    Entry [r, p] says whether position p is retained after ``steps[r]``
-    tokens, given :func:`protected_until` of a stream at least that long:
-    p must precede the step and pass the retention rule.
+    Entry [r, j] says whether position ``positions[j]`` (default: j) is
+    retained after ``steps[r]`` tokens, given its ``until`` from
+    :func:`protected_until` of a stream at least that long, or from
+    :meth:`KvCache.preview`: the position must precede the step and pass
+    the retention rule.
     """
     i = np.asarray(steps, dtype=np.int64)[:, None]
-    p = np.arange(len(until))
+    p = np.arange(len(until)) if positions is None else positions
     return (p < i) & _kept(policy, i, p, until)
 
 
@@ -203,29 +212,34 @@ class KvCache:
     The retained position set is identical across layers and heads, so
     positions and block structure are stored once; keys and values
     live in per-layer arrays of shape (heads, capacity, d_head). A decode
-    step appends in place: it writes row ``size`` of the buffers
-    :meth:`reserve` returns, attends over them, then :meth:`push` evicts.
+    step appends in place: it writes rows ``size ..`` of the buffers
+    :meth:`reserve` returns, attends over them, then :meth:`push` records
+    the tokens and evicts.
 
     Each entry also carries its ``until``, the value :func:`protected_until`
     gives its position, kept current from the grammar's events: an entry
     starts protected forever if it is a sink or (mmsink) opens or extends a
     block, and at 0 otherwise; a completed block takes its values from the
     same rule as :func:`protected_until`; an abandoned block's non-sink
-    members drop to 0. Every push evicts the entries that fail the rule
-    :func:`retained_rows` evaluates, so the positions always equal
+    members drop to the position of the token that broke it, the last
+    prefix in which the block was open. So ``until`` only ever decreases,
+    and its value after a run of tokens gives the retention of every
+    prefix within the run (:meth:`preview`). A push of several tokens
+    therefore evicts once, at its end, the entries that fail the rule
+    :func:`retained_rows` evaluates, and the positions always equal
     :func:`retain_set` at the current t. Past the window, every entry older
     than the latest :func:`_recent` positions is protected forever, so a
-    push tests only the entry that leaves them and the tail whose ``until``
-    it rewrote.
+    push tests only the entries that leave them and the tail whose
+    ``until`` it rewrote.
 
     Block structure comes from one :class:`BlockGrammar` fed every pushed
     token. In strict mode a structurally illegal token raises
-    :class:`SequenceGrammarError` and leaves the cache untouched. In
-    permissive mode (used by free-running generation) violations are
-    recorded as ``t=<position>: <message>`` and the offending token is
-    treated as plain content: an in-progress block broken by an illegal
-    token is abandoned and loses its eviction protection, and never
-    contributes anchors.
+    :class:`SequenceGrammarError` and leaves the cache untouched, also when
+    it is not the first token of a push. In permissive mode (used by
+    free-running generation) violations are recorded as ``t=<position>:
+    <message>`` and the offending token is treated as plain content: an
+    in-progress block broken by an illegal token is abandoned and loses its
+    eviction protection, and never contributes anchors.
     """
 
     def __init__(
@@ -251,6 +265,7 @@ class KvCache:
         self._pos = np.empty(cap, dtype=np.int64)
         self._until = np.empty(cap, dtype=np.int64)
         self._count = 0
+        self._end = 0  # rows below hold entries or reserved rows not yet pushed
 
         self.violations: list[str] = []
         self.peak_entries = 0
@@ -298,25 +313,29 @@ class KvCache:
 
     # -- mutation -----------------------------------------------------------
 
-    def reserve(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Make room for row ``size`` and return the per-layer key and value
-        buffers (heads, capacity, d_head) for the caller to write it. That
-        row is not an entry until :meth:`push` accepts the token."""
+    def reserve(self, n: int = 1) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Make room for rows ``size .. size + n - 1`` and return the per-layer
+        key and value buffers (heads, capacity, d_head) for the caller to
+        write them. Those rows are not entries until :meth:`push` accepts
+        their tokens; until then an eviction moves them with the entries."""
+        self._end = self._count + n
         cap = len(self._pos)
-        if self._count == cap:
+        if self._end > cap:
+            grown = max(2 * cap, self._end)
             for l in range(self.layers):
                 for store in (self._k, self._v):
-                    bigger = np.empty((self.heads, 2 * cap, self.d_head))
+                    bigger = np.empty((self.heads, grown, self.d_head))
                     bigger[:, :cap, :] = store[l]
                     store[l] = bigger
-            self._pos = np.concatenate([self._pos, np.empty(cap, dtype=np.int64)])
-            self._until = np.concatenate([self._until, np.empty(cap, dtype=np.int64)])
+            self._pos = np.concatenate([self._pos, np.empty(grown - cap, dtype=np.int64)])
+            self._until = np.concatenate([self._until, np.empty(grown - cap, dtype=np.int64)])
         return self._k, self._v
 
     def _compact(self, drop: list[int]) -> None:
         """Remove the entries at the ascending indices ``drop``, shifting each
-        run of kept entries left over the dropped ones before it."""
-        ends = drop[1:] + [self._count]
+        run of kept entries (and reserved rows) left over the dropped ones
+        before it."""
+        ends = drop[1:] + [self._end]
         for shift, (i, end) in enumerate(zip(drop, ends), start=1):
             src, dst = slice(i + 1, end), slice(i + 1 - shift, end - shift)
             for l in range(self.layers):
@@ -325,40 +344,95 @@ class KvCache:
             self._pos[dst] = self._pos[src]
             self._until[dst] = self._until[src]
         self._count -= len(drop)
+        self._end -= len(drop)
 
-    def push(self, token: Token) -> None:
-        """Make row ``size`` (keys and values as written after
-        :meth:`reserve`) the entry of ``token`` and apply the policy's
-        eviction. After the push the retained position set equals
-        ``retain_set`` at the new t.
+    def _advance(self, tokens: Sequence[Token], until: np.ndarray) -> tuple[list[str], int]:
+        """Step the grammar through ``tokens`` and write the ``until`` values
+        they leave into ``until``, indexed like the entries with the tokens'
+        rows after them. Returns the tokens' violations and the index of the
+        first entry whose ``until`` they wrote. A strict rejection restores
+        the grammar and the entries' values in ``until`` before it raises.
         """
-        pos, open_start = self.t, self.open_start
-        change = self.grammar.step(token)
-        self.violations.extend(f"t={pos}: {message}" for message in change.violations)
-        mmsink = self.policy.kind == "mmsink"
-        self.reserve()
-        n = self._count
-        self._pos[n] = pos
-        forever = pos < _n_sink(self.policy) or (mmsink and self.in_block)
-        self._until[n] = _FOREVER if forever else 0
-        self._count = n + 1
+        policy, grammar = self.policy, self.grammar
+        mmsink, sinks = policy.kind == "mmsink", _n_sink(policy)
+        c, t0 = self._count, grammar.t
         # An open block's members are never evicted, so they are the last
-        # entries and each event rewrites the tail of ``_until`` from index lo.
-        lo = n
-        if mmsink and change.completed is not None:
-            b, e = change.completed
-            lo = n - (e - b)
-            self._until[lo:n + 1] = _completed_until(self.policy, b, e, self._pos[lo:n + 1])
-        elif mmsink and change.abandoned:
-            lo = n - (pos - open_start)
-            self._until[lo:n][self._pos[lo:n] >= _n_sink(self.policy)] = 0
+        # entries, at consecutive positions, and an event that closes the
+        # block rewrites the tail of ``until`` from its start on. Before
+        # that, all of them are protected forever.
+        start = c - (t0 - grammar.open_start) if mmsink and self.in_block else c
+        lo = c
+        violations: list[str] = []
+        state = grammar.save()
+        try:
+            for i, token in enumerate(tokens, start=c):
+                pos, open_start = t0 + i - c, grammar.open_start
+                change = grammar.step(token)
+                if change.violations:
+                    violations.extend(f"t={pos}: {message}" for message in change.violations)
+                forever = pos < sinks or (mmsink and grammar.open_start is not None)
+                until[i] = _FOREVER if forever else 0
+                if mmsink and change.completed is not None:
+                    b, e = change.completed
+                    lo = min(lo, i - (e - b))
+                    until[i - (e - b) : i + 1] = _completed_until(policy, b, e, np.arange(b, e + 1))
+                elif mmsink and change.abandoned:
+                    # protected while the block was open: for prefixes up to this token
+                    lo = min(lo, i - (pos - open_start))
+                    until[i - (pos - max(open_start, sinks)) : i] = pos
+        except SequenceGrammarError:
+            grammar.restore(state)
+            until[start:c] = _FOREVER
+            raise
+        return violations, lo
+
+    def preview(self, *tokens: Token) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and ``until`` of the entries and then of ``tokens``, as
+        pushing the tokens would leave them before its eviction. The cache
+        does not change. Since ``until`` only decreases, ``_kept`` over these
+        arrays at ``t + r`` gives the entries retained after the first r
+        tokens, for every r up to their number.
+        """
+        c, t0, n = self._count, self.t, len(tokens)
+        until = np.empty(c + n, dtype=np.int64)
+        until[:c] = self._until[:c]
+        state = self.grammar.save()
+        self._advance(tokens, until)
+        self.grammar.restore(state)
+        return np.concatenate([self._pos[:c], np.arange(t0, t0 + n)]), until
+
+    def push(self, *tokens: Token) -> list[int]:
+        """Make rows ``size ..`` (keys and values as written after
+        :meth:`reserve`) the entries of ``tokens``, stepping the grammar once
+        per token, then apply the policy's eviction once. After the push the
+        retained position set equals ``retain_set`` at the new t, exactly as
+        after one push per token. Returns the entry count after each token.
+        """
+        policy, n, c, t0 = self.policy, len(tokens), self._count, self.t
+        if not n:
+            return []
+        if self._end < c + n:
+            self.reserve(n)
+        violations, lo = self._advance(tokens, self._until)
+        self.violations.extend(violations)
+        self._pos[c : c + n] = np.arange(t0, t0 + n) if n > 1 else t0
+        self._count = c + n
         # The latest _recent entries pass the rule whatever their until. Of
-        # the older ones, only the entry that just left them and the
+        # the older ones, only those that left them during the push and the
         # rewritten tail can fail where the previous push passed them.
         # Usually that is one entry, so the rule is applied to Python ints.
-        old, t = n + 1 - _recent(self.policy), self.t
-        drop = [i for i in range(max(0, min(old - 1, lo)), old)
-                if not _kept(self.policy, t, int(self._pos[i]), int(self._until[i]))]
+        recent, t = _recent(policy), self.t
+        drop = [i for i in range(max(0, min(c - recent, lo)), c + n - recent)
+                if not _kept(policy, t, int(self._pos[i]), int(self._until[i]))]
+        sizes = [c + n - len(drop)]
+        if n > 1:
+            # A dropped entry was retained while t <= max(window, p + recent,
+            # until), the rule's three clauses as bounds on t; so the count
+            # after each token leaves out the entries evicted by then.
+            gone = sorted(max(policy.window, int(self._pos[i]) + recent, int(self._until[i])) + 1
+                          for i in drop)
+            sizes = [c + k - bisect.bisect_right(gone, t0 + k) for k in range(1, n + 1)]
         if drop:
             self._compact(drop)
-        self.peak_entries = max(self.peak_entries, self._count)
+        self.peak_entries = max(self.peak_entries, *sizes)
+        return sizes

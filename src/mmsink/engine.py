@@ -13,12 +13,13 @@ pruned-cache runs bitwise identical to dense runs inside the window.
 
 :func:`block` is the one transformer layer. It writes its rows' keys and
 values into the caller's buffers at an offset and attends over them in
-place: a decode step into the cache slot it reserves before pushing the
-token, :mod:`mmsink.losses` into fresh buffers for a whole sequence, and the
-teacher-forced replay chunk by chunk, each row masked to the entries its
-policy retains. Feature prediction only reads. Scores and contexts are BLAS
-matrix products throughout, so a decode step and a batched pass agree to
-rounding (under 1e-15 on the logits), not bit for bit.
+place: a decode step into the cache rows it reserves before pushing its
+tokens, :mod:`mmsink.losses` into fresh buffers for a whole sequence, and
+the teacher-forced replay chunk by chunk. A decode step of several known
+tokens and the replay mask each row to the entries its policy retains.
+Feature prediction only reads. Scores and contexts are BLAS matrix products
+throughout, so a decode step and a batched pass agree to rounding (under
+1e-15 on the logits), not bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .seqmodel import (
 )
 
 LN_EPS = 1e-5
-REPLAY_ROWS = 16  # rows per teacher-forced replay chunk; bounds its (heads, rows, keys) tiles
+REPLAY_ROWS = 16  # rows per masked pass (replay chunk, run of decode tokens); bounds its tiles
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -271,22 +272,83 @@ def block(model: Model, l: int, x: np.ndarray, keys: np.ndarray, vals: np.ndarra
     return x_attn + gact @ p[f"l{l}.w2"], acts
 
 
-# -- single-step forward -------------------------------------------------------
+# -- decode steps ---------------------------------------------------------------
+
+def _masked_layers(model: Model, keys: list[np.ndarray], vals: list[np.ndarray],
+                   ids: np.ndarray, at: int, attend: np.ndarray | None = None):
+    """Embed the tokens ``ids`` at their retained counts and run them through
+    every layer over the per-layer buffers: row r writes its keys and values
+    at buffer row ``at + r`` and attends exactly the buffer columns set in
+    ``attend[r]``, its own included. Without ``attend`` the one row attends
+    every column up to its own, unmasked. Returns the output rows and the
+    attention maps as (cols, mask, per-layer (heads, rows, keys) weights).
+    """
+    cfg, p = model.config, model.p
+    if attend is None:
+        pos, cols, mask = np.array([at]), None, None
+    else:
+        pos = attend.sum(axis=1) - 1
+        # the columns some row attends; all of them (dense): the view, not a gathered copy
+        cols = np.flatnonzero(attend.any(axis=0))
+        mask = attend[:, cols]
+        if len(cols) == attend.shape[1]:
+            cols = None
+    if pos.max() >= cfg.max_positions:
+        raise StateError(f"cache position {pos[pos >= cfg.max_positions][0]} exceeds the "
+                         f"position table ({cfg.max_positions})")
+    x = p["tok_emb"][ids] + p["pos_emb"][pos]
+    probs = []
+    for l in range(cfg.layers):
+        x, acts = block(model, l, x, keys[l], vals[l], at=at, cols=cols, mask=mask)
+        probs.append(acts["pr"])
+    return x, (cols, mask, probs)
+
 
 @dataclass
 class StepResult:
-    logits: np.ndarray                  # (vocab,)
-    attention: list[np.ndarray]         # per layer: (heads, retained + 1)
+    """What one :func:`forward_step` call computed."""
+
+    logits: np.ndarray                  # (vocab,): the prediction after the last token
+    sizes: list[int]                    # the cache's entry count after each token
+    maps: list[tuple]                   # per chunk of rows: (cols, mask, per-layer weights)
+
+    def attention_rows(self):
+        """Per token, in order: the indices of the keys it attended, counting
+        the cache's entries before the call and then the call's tokens, and
+        per layer its (heads, keys) weights over them."""
+        for cols, mask, probs in self.maps:
+            for r in range(probs[0].shape[1]):
+                if mask is None:
+                    yield np.arange(probs[0].shape[2]), [pr[:, r] for pr in probs]
+                else:
+                    keep = mask[r]
+                    yield (np.flatnonzero(keep) if cols is None else cols[keep],
+                           [pr[:, r, keep] for pr in probs])
+
+    @property
+    def attention(self) -> list[np.ndarray]:
+        """Per layer, the last token's weights: (heads, retained + 1)."""
+        return list(self.attention_rows())[-1][1]
 
 
-def forward_step(model: Model, cache: KvCache, token: Token) -> StepResult:
-    """Run one token through the stack: write its per-layer keys/values into
-    the slot ``cache.reserve()`` makes, attend over the cache up to that
-    slot, then push the token, which records the entry and evicts.
+def forward_step(model: Model, cache: KvCache, *tokens: Token) -> StepResult:
+    """Run tokens whose values are all known in advance through the stack,
+    then push them: the prompt, say, or the slots and end marker the grammar
+    fixes once a block opens. One token is a plain decode step.
 
-    Every attention row is a softmax over (cache entries, self), so it is
-    non-negative and sums to one; causality holds because every cache entry
-    is strictly older than the incoming token.
+    The tokens' keys and values go into the rows ``cache.reserve(n)`` makes.
+    Token r attends the entries retained after the first r tokens, and
+    itself, at the position index of its retained count, as the r-th of n
+    single steps would: each row's mask is :func:`retained_rows` over the
+    positions and ``until`` :meth:`KvCache.preview` gives, which hold for
+    every prefix in the run because ``until`` only decreases. The rows pass
+    each layer as one masked :func:`block` call, ``REPLAY_ROWS`` at a time,
+    logits are computed for the last token only, and one push records the
+    entries and evicts. A single token needs no mask: it attends every entry.
+
+    Every attention row is a softmax over (retained entries, self), so it is
+    non-negative and sums to one; causality holds because every attended key
+    is older than the row or the row itself.
     """
     cfg = model.config
     p = model.p
@@ -296,23 +358,26 @@ def forward_step(model: Model, cache: KvCache, token: Token) -> StepResult:
             f"cache dimensions (L={cache.layers}, H={cache.heads}, d_head={cache.d_head}, "
             f"m={cache.m}) do not match the model"
         )
-    c = cache.size
-    if c >= cfg.max_positions:
-        raise StateError(
-            f"cache position {c} exceeds the position table ({cfg.max_positions})"
-        )
-
-    vid = vocab_id(token, cfg.m, cfg.v_text)
-    x = p["tok_emb"][vid : vid + 1] + p["pos_emb"][c : c + 1]
-    keys, vals = cache.reserve()
-    rows: list[np.ndarray] = []
-    for l in range(cfg.layers):
-        x, acts = block(model, l, x, keys[l], vals[l], at=c)
-        rows.append(acts["pr"][:, 0])
-    hf, _ = layer_norm(x, p["lnf_g"], p["lnf_b"])
+    if not tokens:
+        raise ValueError("forward_step needs at least one token")
+    n, c, t0 = len(tokens), cache.size, cache.t
+    ids = np.array([vocab_id(token, cfg.m, cfg.v_text) for token in tokens])
+    keys, vals = cache.reserve(n)
+    if n > 1:
+        pos, until = cache.preview(*tokens)
+    maps = []
+    for lo in range(0, n, REPLAY_ROWS):
+        hi = min(lo + REPLAY_ROWS, n)
+        attend = None
+        if n > 1:
+            attend = retained_rows(cache.policy, until[: c + hi], range(t0 + lo, t0 + hi),
+                                   pos[: c + hi])
+            attend[np.arange(hi - lo), np.arange(c + lo, c + hi)] = True
+        x, chunk = _masked_layers(model, keys, vals, ids[lo:hi], c + lo, attend)
+        maps.append(chunk)
+    hf, _ = layer_norm(x[-1:], p["lnf_g"], p["lnf_b"])
     logits = (hf @ p["w_out"])[0]
-    cache.push(token)
-    return StepResult(logits, rows)
+    return StepResult(logits, cache.push(*tokens), maps)
 
 
 def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
@@ -403,20 +468,35 @@ def generate(
     In free mode tokens are sampled from the unmasked distribution and the
     grammar's violations are recorded, never repaired.
 
-    ``attn_dump``, if given, is called with each attention dump row as its
-    step is computed, by t, then layer, then head; no row is kept. A step's
-    rows share one ``labels`` and one ``positions`` list: the retained keys
-    plus the incoming token, each labelled once, when its position is fed.
+    Tokens known before they are computed go through one
+    :func:`forward_step` call (jump-forward decoding): the prompt, and in
+    constrained mode the rest of an open block once its begin marker is fed
+    (after any feature prediction), since the grammar fixes each of those
+    tokens. Each of them still draws from ``rng`` as a sampled step would (a
+    one-id legal set always yields that id), so the tokens and the per-token
+    ``entry_counts`` equal those of one call per token; each token of such a
+    run gets an equal share of the run's time in ``step_seconds``. With
+    ``on_step`` set, every token is its own call and ``on_step`` sees the
+    cache after each.
 
-    ``boi_every`` in free mode raises :class:`ConfigError` before any
-    compute, as does a dense run that does not fit the position table. The
-    bound is ``len(prompt) + steps``, plus ``m + 1`` in constrained mode for
-    a block completed after the budget.
+    ``attn_dump``, if given, is called with each attention dump row as its
+    token is computed, by t, then layer, then head; no row is kept. A
+    token's rows share one ``labels`` and one ``positions`` list: the keys
+    it attends (the entries retained before it, and itself), each labelled
+    once, when its position is fed.
+
+    ``temperature`` is ``None`` (greedy) or a positive finite number. A
+    temperature that is not, ``boi_every`` in free mode, and a dense run that
+    does not fit the position table raise :class:`ConfigError` before any
+    compute. That bound is ``len(prompt) + steps``, plus ``m + 1`` in
+    constrained mode for a block completed after the budget.
     """
     if mode not in ("constrained", "free"):
         raise ConfigError(f"unknown generation mode {mode!r}")
     if steps < 0:
         raise ConfigError("steps must be non-negative")
+    if temperature is not None and not (math.isfinite(temperature) and temperature > 0):
+        raise ConfigError(f"temperature must be a positive finite number, got {temperature}")
     if boi_every is not None and boi_every < 1:
         raise ConfigError(f"boi_every must be a positive number of steps, got {boi_every}")
     if boi_every is not None and mode != "constrained":
@@ -436,59 +516,61 @@ def generate(
     cache = make_cache(model, policy, strict=constrained)
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()
-    last: StepResult | None = None
     tokens: list[Token] = []
     labels: list[str] = []  # token_label of each position fed, for attn_dump
 
-    def feed(token: Token) -> StepResult:
-        tokens.append(token)
-        # Dump metadata snapshots the pre-push keys (retained entries + the
-        # incoming token); eviction may remove some of them right after.
+    def feed(run: Sequence[Token]) -> StepResult:
+        t0 = cache.t
+        tokens.extend(run)
         if attn_dump is not None:
-            labels.append(token_label(token))
-            positions = cache.positions() + [cache.t]
-            key_labels = [labels[p] for p in positions]
-        step = forward_step(model, cache, token)
+            labels.extend(token_label(token) for token in run)
+            # the entries before the call, then the run: what its rows index
+            keys = cache.positions() + list(range(t0, t0 + len(run)))
+        step = forward_step(model, cache, *run)
         if attn_dump is not None:
-            for l, rows in enumerate(step.attention):
-                for h, row in enumerate(rows):
-                    attn_dump({"t": cache.t, "layer": l, "head": h, "labels": key_labels,
-                               "positions": positions, "row": row.tolist()})
+            for t, (attended, layers) in enumerate(step.attention_rows(), start=t0 + 1):
+                positions = keys if len(attended) == len(keys) else [keys[i] for i in attended]
+                key_labels = [labels[q] for q in positions]
+                for l, rows in enumerate(layers):
+                    for h, row in enumerate(rows):
+                        attn_dump({"t": t, "layer": l, "head": h, "labels": key_labels,
+                                   "positions": positions, "row": row.tolist()})
         if on_step is not None:
             on_step(cache)
         return step
 
-    for token in prompt.tokens:
-        last = feed(token)
+    for run in ([prompt.tokens] if on_step is None else [[token] for token in prompt.tokens]):
+        last = feed(run)
 
+    # Once a block is open the grammar fixes the rest of it: constrained runs
+    # feed those tokens in one call, each taking the draw a sampled step
+    # would take from its one-id legal set (which always yields that id).
+    closing = [Token.img(s) for s in range(cfg.m)] + [Token.eoi()]
+    closing_ids = [np.array([vocab_id(token, cfg.m, cfg.v_text)]) for token in closing]
     generated: list[Token] = []
-
-    def one_step(force_boi: bool) -> Token:
-        nonlocal last
+    while len(generated) < steps or (constrained and cache.in_block):
         t0 = time.perf_counter()
-        legal = None
-        if force_boi:
-            legal = np.array([vocab_id(Token.boi())])
-        elif constrained:
-            legal = cache.grammar.legal_next(cfg.v_text)
-        vid = _sample(last.logits, legal, temperature, rng)
-        token = token_from_vocab_id(vid, cfg.m, cfg.v_text)
-        last = feed(token)
-        trace.step_seconds.append(time.perf_counter() - t0)
-        trace.entry_counts.append(cache.size)
+        if constrained and cache.in_block and on_step is None:
+            slot = cache.next_slot
+            for legal in closing_ids[slot:]:
+                _sample(last.logits, legal, temperature, rng)
+            run = closing[slot:]
+        else:
+            legal = None
+            if constrained and boi_every and not cache.in_block and len(generated) % boi_every == 0:
+                legal = np.array([vocab_id(Token.boi())])
+            elif constrained:
+                legal = cache.grammar.legal_next(cfg.v_text)
+            vid = _sample(last.logits, legal, temperature, rng)
+            run = [token_from_vocab_id(vid, cfg.m, cfg.v_text)]
+        last = feed(run)
+        trace.step_seconds.extend([(time.perf_counter() - t0) / len(run)] * len(run))
+        trace.entry_counts.extend(last.sizes)
+        generated.extend(run)
         if predict_features and cache.in_block and cache.next_slot == 0:
             feats = predict_image_features(model, cache)
             trace.predicted_features.append((cache.t - 1, feats))
-        return token
-
-    for i in range(steps):
-        force = bool(constrained and boi_every and not cache.in_block and i % boi_every == 0)
-        generated.append(one_step(force))
-
-    if constrained:
-        while cache.in_block:
-            generated.append(one_step(False))
-            trace.forced_completion_steps += 1
+    trace.forced_completion_steps = max(0, len(generated) - steps)
 
     trace.violations = list(cache.violations)
     try:
@@ -544,22 +626,9 @@ def teacher_forced_logits(
         hi = min(lo + REPLAY_ROWS, T)
         steps = np.arange(lo, hi)
         attend = retained_rows(policy, until[:hi], steps)
-        pos = attend.sum(axis=1)
-        over = np.flatnonzero(pos >= cfg.max_positions)
-        if over.size:
-            raise StateError(
-                f"cache position {pos[over[0]]} exceeds the position table ({cfg.max_positions})"
-            )
-        peak = max(peak, int(pos.max()))
+        peak = max(peak, int(attend.sum(axis=1).max()))
         attend[np.arange(len(steps)), steps] = True
-        # the earlier keys some row of the chunk retains, then the chunk itself
-        cols = np.flatnonzero(attend.any(axis=0))
-        mask = attend[:, cols]
-        if len(cols) == hi:
-            cols = None  # every key (dense): attend over the view, not a gathered copy
-        x = p["tok_emb"][ids[steps]] + p["pos_emb"][pos]
-        for l in range(cfg.layers):
-            x, _ = block(model, l, x, keys[l], vals[l], at=lo, cols=cols, mask=mask)
+        x, _ = _masked_layers(model, keys, vals, ids[steps], lo, attend)
         hit = [r for r in range(hi - lo) if lo + r + 1 in wanted]
         if hit:
             hf, _ = layer_norm(x[hit], p["lnf_g"], p["lnf_b"])

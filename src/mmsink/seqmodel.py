@@ -11,6 +11,7 @@ functions of their inputs and seeds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -92,8 +93,10 @@ class Token:
         return Token(TokenKind.IMG, slot)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def token_label(token: Token) -> str:
-    """Human-readable label used in attention dumps and statistics."""
+    """Human-readable label used in attention dumps and statistics. Equal
+    tokens share one label string."""
     if token.kind is TokenKind.BOS:
         return "BOS"
     if token.kind is TokenKind.EOS:
@@ -140,8 +143,10 @@ def vocab_id(token: Token, m: int = DEFAULT_BLOCK_LEN, v_text: int = DEFAULT_V_T
     return N_SPECIALS + m + N_PUNCT + token.value
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def token_from_vocab_id(idx: int, m: int = DEFAULT_BLOCK_LEN, v_text: int = DEFAULT_V_TEXT) -> Token:
-    """Inverse of :func:`vocab_id`."""
+    """Inverse of :func:`vocab_id`. Each id maps to one shared (immutable)
+    :class:`Token`, so a long generation holds one object per distinct token."""
     if idx < 0 or idx >= vocab_size(m, v_text):
         raise ValueError(f"vocabulary index {idx} out of range")
     if idx == 0:
@@ -233,6 +238,15 @@ class BlockGrammar:
         self.open_start: int | None = None
         self.next_slot = 0
         self.eos_seen = False
+
+    def save(self) -> tuple:
+        """The state, for :meth:`restore` to return to."""
+        return self.t, len(self.blocks), self.open_start, self.next_slot, self.eos_seen
+
+    def restore(self, state: tuple) -> None:
+        """Go back to a state :meth:`save` returned, forgetting the tokens read since."""
+        self.t, n_blocks, self.open_start, self.next_slot, self.eos_seen = state
+        del self.blocks[n_blocks:]
 
     def step(self, token: Token) -> GrammarStep:
         """Read one token and report what it did."""

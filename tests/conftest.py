@@ -69,6 +69,26 @@ def make_stream(rng: np.random.Generator, m: int, length: int, v_text: int = 32)
     return tokens[:length]
 
 
+def breaking_stream(rng: np.random.Generator, m: int, length: int) -> list[Token]:
+    """A :func:`make_stream` with about one token in twelve replaced by an
+    arbitrary one, so a permissive grammar sees broken blocks, stray slots
+    and end markers, BOS and EOS out of place."""
+    anywhere = [Token.bos(), Token.eos(), Token.boi(), Token.eoi(), Token.word(1),
+                *(Token.img(s) for s in range(m))]
+    return [anywhere[int(rng.integers(len(anywhere)))] if i and rng.random() < 1 / 12 else tok
+            for i, tok in enumerate(make_stream(rng, m, length))]
+
+
+def split_runs(rng: np.random.Generator, tokens: list[Token], longest: int) -> list[list[Token]]:
+    """``tokens`` cut into consecutive runs of 1 .. ``longest`` tokens."""
+    runs, i = [], 0
+    while i < len(tokens):
+        n = int(rng.integers(1, longest + 1))
+        runs.append(tokens[i : i + n])
+        i += n
+    return runs
+
+
 def all_policies(w: int, n_sink: int = 2, k_head: int = 1, k_tail: int = 2) -> list[CachePolicy]:
     return [
         CachePolicy.dense(),

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_policies, make_stream
+from conftest import all_policies, breaking_stream, make_stream, split_runs
 from mmsink import cachepolicy
-from mmsink.cachepolicy import CachePolicy, KvCache, bytes_estimate, retain_set
+from mmsink.cachepolicy import CachePolicy, KvCache, bytes_estimate, retain_set, retained_rows
 from mmsink.errors import ConfigError, SequenceGrammarError
 from mmsink.oracle import brute_retain_set
 from mmsink.seqmodel import MultimodalSequence, Token
@@ -297,6 +297,85 @@ class TestKvCachePush:
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
             dense.push(tok)
         assert dense.peak_entries == 10
+
+
+class TestPushRuns:
+    """One push of a run of tokens against one push per token."""
+
+    M = 3
+    # (policy, block length): blocks of 3 slots against windows of 7, and
+    # mmsink blocks of 6 slots that outlast its 3 latest positions
+    CASES = list(zip(all_policies(7, n_sink=2, k_head=1, k_tail=1), [M] * 4)) + \
+        [(CachePolicy.mmsink(1, 1, 1, 4), 6)]
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "permissive"])
+    @pytest.mark.parametrize("policy, m", CASES,
+                             ids=["dense", "window", "sink", "mmsink", "mmsink-long-blocks"])
+    def test_run_matches_one_push_per_token(self, policy, m, strict):
+        """Runs up to 12 tokens: a run evicts its own early tokens, completes
+        and opens blocks, and (permissive) breaks them; every prefix within
+        the run is previewed."""
+        rng = np.random.default_rng(21)
+        stream = (make_stream if strict else breaking_stream)(rng, m, 400)
+        runs, single = KvCache(policy, 1, 1, 1, m, strict), KvCache(policy, 1, 1, 1, m, strict)
+        for run in split_runs(rng, stream, 12):
+            t0 = runs.t
+            pos, until = runs.preview(*run)
+            sizes = []
+            for r, token in enumerate(run):
+                kept = retained_rows(policy, until, [t0 + r], pos)[0]
+                assert pos[kept].tolist() == single.positions(), f"t={t0 + r}"
+                sizes += single.push(token)
+            assert runs.push(*run) == sizes
+            assert runs.positions() == single.positions()
+            np.testing.assert_array_equal(runs.preview()[1], single.preview()[1])
+            assert (runs.t, runs.blocks, runs.open_start, runs.next_slot) == \
+                (single.t, single.blocks, single.open_start, single.next_slot)
+        assert runs.violations == single.violations
+        assert bool(runs.violations) != strict
+        assert runs.peak_entries == single.peak_entries
+
+    def test_reserved_rows_move_with_the_entries(self):
+        """Rows reserved and written for a run, then pushed a token at a time,
+        end up where one push of the run puts them."""
+        rng = np.random.default_rng(5)
+        policy = CachePolicy.mmsink(2, 1, 1, 6)
+        whole, pieces = (KvCache(policy, 2, 2, 3, self.M) for _ in range(2))
+        for run in split_runs(rng, make_stream(rng, self.M, 160), 10):
+            for cache in (whole, pieces):
+                keys, vals = cache.reserve(len(run))
+                for l in range(2):
+                    for r in range(len(run)):  # each row names its position
+                        keys[l][:, cache.size + r] = cache.t + r + 0.5 * l
+                        vals[l][:, cache.size + r] = -(cache.t + r)
+            whole.push(*run)
+            for token in run:
+                pieces.push(token)
+            assert whole.positions() == pieces.positions()
+            for l in range(2):
+                np.testing.assert_array_equal(whole.keys(l), pieces.keys(l))
+                np.testing.assert_array_equal(whole.values(l), pieces.values(l))
+                assert whole.keys(l)[1, :, 2].tolist() == [p + 0.5 * l for p in whole.positions()]
+
+    def test_strict_rejection_mid_run_leaves_the_cache_as_it_was(self):
+        policy = CachePolicy.mmsink(1, 1, 1, 4)
+        cache, clean = KvCache(policy, 1, 1, 2, 4), KvCache(policy, 1, 1, 2, 4)
+        prefix = [Token.bos(), Token.word(1), Token.word(2), Token.boi(),
+                  Token.img(0), Token.img(1), Token.img(2)]
+        cache.push(*prefix)
+        clean.push(*prefix)
+        before = (cache.positions(), cache.preview()[1].tolist(), cache.t, cache.size,
+                  cache.blocks, cache.open_start, cache.next_slot, cache.peak_entries)
+        # the end marker completes the block, which limits the protection of
+        # its slots 1 and 2 to the block; then the stray slot is rejected
+        with pytest.raises(SequenceGrammarError, match="position 9"):
+            cache.push(Token.img(3), Token.eoi(), Token.img(0))
+        assert (cache.positions(), cache.preview()[1].tolist(), cache.t, cache.size,
+                cache.blocks, cache.open_start, cache.next_slot, cache.peak_entries) == before
+        run = [Token.img(3), Token.eoi(), Token.word(3), Token.word(4), Token.word(5)]
+        assert cache.push(*run) == clean.push(*run)
+        assert cache.positions() == clean.positions() == [0, 3, 4, 7, 8, 9, 10, 11]
+        assert cache.blocks == [(3, 8)] and not cache.violations
 
 
 def _runs(m: int):

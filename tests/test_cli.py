@@ -319,6 +319,15 @@ class TestExitCodes:
         assert "ConfigError" in captured.err and "boi_every" in captured.err
         assert not out.exists()
 
+    def test_zero_temperature_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)
+        out = tmp_path / "g.jsonl"
+        assert main(["gen", "--policy", "mmsink", "--temperature", "0", "--steps", "8",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "temperature must be a positive finite number" in err
+        assert not out.exists()
+
     def test_boi_every_in_free_mode_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(engine, "forward_step", None)
         out = tmp_path / "g.jsonl"

@@ -26,9 +26,9 @@ def _matrix(root: Path) -> Path:
     return root
 
 
-def test_matrix_has_twenty_two_files():
+def test_matrix_has_twenty_three_files():
     names = cli_outputs.file_names()
-    assert len(names) == len(set(names)) == 22
+    assert len(names) == len(set(names)) == 23
 
 
 @pytest.mark.parametrize("text, code, verdict", [

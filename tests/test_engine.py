@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_policies
+from conftest import all_policies, breaking_stream, make_stream, split_runs
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
 from mmsink.bench import divergence
 from mmsink.cachepolicy import CachePolicy
 from mmsink.engine import (
+    REPLAY_ROWS,
     Model,
     ModelConfig,
     forward_step,
@@ -137,6 +138,58 @@ class TestForwardStep:
         got = forward_step(small_model, cache, Token.word(3))
         want = forward_step(small_model, clean, Token.word(3))
         np.testing.assert_array_equal(got.logits, want.logits)
+
+
+class TestForwardStepRuns:
+    """One forward_step call over a run of known tokens against one call per
+    token: same retention and entry counts, floats within 1e-12."""
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "permissive"])
+    @pytest.mark.parametrize("policy", all_policies(7, n_sink=2, k_head=1, k_tail=2),
+                             ids=lambda p: p.kind)
+    def test_run_matches_single_steps(self, small_model, policy, strict):
+        """Runs of up to REPLAY_ROWS + 4 tokens: longer than the window (the
+        run evicts its own early tokens), split into masked chunks, and
+        completing or (permissive) breaking blocks before their last token."""
+        rng = np.random.default_rng(8)
+        m = small_model.config.m
+        stream = (make_stream if strict else breaking_stream)(rng, m, 240)
+        runs = split_runs(rng, stream, REPLAY_ROWS + 4)
+        assert any(len(run) > REPLAY_ROWS for run in runs)
+        whole, single = (make_cache(small_model, policy, strict) for _ in range(2))
+        for run in runs:
+            keys = whole.positions() + list(range(whole.t, whole.t + len(run)))
+            step = forward_step(small_model, whole, *run)
+            rows = list(step.attention_rows())
+            assert len(rows) == len(run)
+            sizes = []
+            for token, (attended, layers) in zip(run, rows):
+                want_keys = single.positions() + [single.t]
+                want = forward_step(small_model, single, token)
+                sizes += want.sizes
+                assert [keys[i] for i in attended] == want_keys
+                for got_layer, want_layer in zip(layers, want.attention):
+                    np.testing.assert_allclose(got_layer, want_layer, rtol=0, atol=1e-12)
+            assert step.sizes == sizes
+            np.testing.assert_allclose(step.logits, want.logits, rtol=0, atol=1e-12)
+            assert whole.positions() == single.positions()
+            for l in range(small_model.config.layers):
+                np.testing.assert_allclose(whole.keys(l), single.keys(l), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(whole.values(l), single.values(l), rtol=0, atol=1e-12)
+        assert whole.violations == single.violations
+        assert whole.peak_entries == single.peak_entries
+
+    def test_strict_rejection_fails_before_compute(self, small_model, small_prompt, monkeypatch):
+        cache = make_cache(small_model, CachePolicy.windowed(8))
+        forward_step(small_model, cache, *small_prompt.tokens)
+        monkeypatch.setattr(engine, "block", None)
+        with pytest.raises(SequenceGrammarError):
+            forward_step(small_model, cache, Token.word(1), Token.eoi(), Token.word(2))
+        assert cache.t == len(small_prompt)
+
+    def test_needs_a_token(self, small_model):
+        with pytest.raises(ValueError, match="at least one token"):
+            forward_step(small_model, make_cache(small_model, CachePolicy.dense()))
 
 
 class TestWithinWindowEquivalence:
@@ -398,6 +451,82 @@ class TestDivergence:
             teacher_forced_logits(small_model, tokens, CachePolicy.dense(), [10_000])
         with pytest.raises(ValueError):
             teacher_forced_logits(small_model, tokens, CachePolicy.dense(), [0])
+
+
+def refeed(model, policy, result, prompt_len, predict_features):
+    """Reference for a constrained run: ``result.tokens`` through one
+    forward_step call each, with the dump rows, the entry count after each
+    generated token and the features after each generated begin marker."""
+    cache = make_cache(model, policy)
+    rows, counts, feats = [], [], []
+    for i, token in enumerate(result.tokens):
+        positions = cache.positions() + [cache.t]
+        step = forward_step(model, cache, token)
+        labels = [sq.token_label(result.tokens[p]) for p in positions]
+        for l, layer in enumerate(step.attention):
+            rows += [(cache.t, l, h, labels, positions, row) for h, row in enumerate(layer)]
+        if i >= prompt_len:
+            counts.append(cache.size)
+            if predict_features and cache.in_block and cache.next_slot == 0:
+                feats.append((cache.t - 1, predict_image_features(model, cache)))
+    return rows, counts, feats, cache.peak_entries
+
+
+class TestJumpForward:
+    """generate feeds the prompt and the forced rest of each image block in
+    one forward_step call; refeeding its tokens one per call must give the
+    same retention, dump and features."""
+
+    @pytest.mark.parametrize("ends", ["in-a-run", "after-a-run"])
+    @pytest.mark.parametrize("temperature", [None, 1.0], ids=["greedy", "sampled"])
+    @pytest.mark.parametrize("policy", all_policies(10, n_sink=2, k_head=1, k_tail=2),
+                             ids=lambda p: p.kind)
+    def test_matches_one_call_per_token(self, small_model, small_prompt, monkeypatch, policy,
+                                        temperature, ends):
+        m = small_model.config.m
+        kwargs = dict(seed=4, temperature=temperature, boi_every=9, predict_features=True)
+        # a run's tokens do not depend on the budget: end it two tokens into
+        # the last block begun by step 55, or right after that block
+        longer = generate(small_model, small_prompt, policy, 60, **kwargs).generated
+        boi = max(i for i, token in enumerate(longer[:55]) if token == Token.boi())
+        steps = boi + (3 if ends == "in-a-run" else m + 2)
+        calls = []
+        step = engine.forward_step
+        monkeypatch.setattr(engine, "forward_step",
+                            lambda *a: calls.append(len(a) - 2) or step(*a))
+        dump = []
+        result = generate(small_model, small_prompt, policy, steps, attn_dump=dump.append,
+                          **kwargs)
+        runs = [n for n in calls if n > 1]
+        assert runs[0] == len(small_prompt) and m + 1 in runs
+        monkeypatch.setattr(engine, "forward_step", step)
+        # the one-call-per-token path (on_step watches every token) samples
+        # the same tokens: a forced token takes the same rng draw either way
+        single = generate(small_model, small_prompt, policy, steps, on_step=lambda c: None,
+                          **kwargs)
+        assert result.tokens == single.tokens
+        assert result.trace.forced_completion_steps == single.trace.forced_completion_steps
+        assert result.trace.forced_completion_steps == (m - 1 if ends == "in-a-run" else 0)
+        assert len(result.trace.step_seconds) == len(result.generated)
+
+        rows, counts, feats, peak = refeed(small_model, policy, result, len(small_prompt), True)
+        assert result.trace.entry_counts == single.trace.entry_counts == counts
+        assert result.peak_entries == peak
+        assert [(d["t"], d["layer"], d["head"], d["labels"], d["positions"]) for d in dump] == \
+            [row[:5] for row in rows]
+        for d, row in zip(dump, rows):
+            np.testing.assert_allclose(d["row"], row[5], rtol=0, atol=1e-12)
+        assert [t for t, _ in result.trace.predicted_features] == [t for t, _ in feats]
+        for (_, got), (_, want) in zip(result.trace.predicted_features, feats):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("temperature", [0, -1.0, float("nan"), float("inf")])
+    def test_bad_temperature_fails_before_compute(self, small_model, small_prompt, monkeypatch,
+                                                  temperature):
+        monkeypatch.setattr(engine, "forward_step", None)
+        with pytest.raises(ConfigError, match="temperature must be a positive finite number"):
+            generate(small_model, small_prompt, CachePolicy.windowed(8), 10,
+                     temperature=temperature)
 
 
 class TestModelIO:

@@ -88,6 +88,12 @@ class TestVocab:
         assert token_label(Token.punct(0)) == ","
         assert token_label(Token.word(12)) == "W12"
 
+    def test_equal_tokens_share_one_object_and_label(self):
+        # a long generation holds one Token and one label string per distinct token
+        assert token_from_vocab_id(40, 8, 64) is token_from_vocab_id(40, 8, 64)
+        assert token_label(Token.word(12)) is token_label(Token.word(12))
+        assert token_label(Token.img(3)) is token_label(token_from_vocab_id(7, 8, 64))
+
 
 class TestValidator:
     def test_accepts_simple_sequence(self):

@@ -3,7 +3,7 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 22
+The first form runs the fixed set of CLI commands below, writing their 23
 output files into OUT (the four attention dumps under OUT/dumps/), and
 prints one SHA-256 per file. ``--src`` picks the source tree to run
 (default: this checkout's ``src``), so the same script can write the matrix
@@ -40,6 +40,9 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
         runs.append((["gen", "--policy", policy, "--steps", "512", "--boi-every", "24",
                       "--features", "--attn-dump", out / dump, "--out", out / gen],
                      [gen, dump]))
+    runs.append((["gen", "--policy", "mmsink", "--temperature", "1.0", "--steps", "512",
+                  "--boi-every", "24", "--features", "--out", out / "gen-mmsink-sampled.jsonl"],
+                 ["gen-mmsink-sampled.jsonl"]))
     for seed in FREE_SEEDS:
         name = f"free-seed{seed}.jsonl"
         runs.append((["gen", "--policy", "mmsink", "--mode", "free", "--temperature", "1.0",
