@@ -170,7 +170,7 @@ def retained_rows(
     Entry [r, j] says whether position ``positions[j]`` (default: j) is
     retained after ``steps[r]`` tokens, given its ``until`` from
     :func:`protected_until` of a stream at least that long, or from
-    :meth:`KvCache.preview`: the position must precede the step and pass
+    :meth:`KvCache.entries`: the position must precede the step and pass
     the retention rule.
     """
     i = np.asarray(steps, dtype=np.int64)[:, None]
@@ -212,9 +212,9 @@ class KvCache:
     The retained position set is identical across layers and heads, so
     positions and block structure are stored once; keys and values
     live in per-layer arrays of shape (heads, capacity, d_head). A decode
-    step appends in place: it writes rows ``size ..`` of the buffers
-    :meth:`reserve` returns, attends over them, then :meth:`push` records
-    the tokens and evicts.
+    step of one or more tokens adds them with :meth:`append`, writes their
+    keys and values into their rows in place, attends over the entries,
+    then evicts with :meth:`push`.
 
     Each entry also carries its ``until``, the value :func:`protected_until`
     gives its position, kept current from the grammar's events: an entry
@@ -223,19 +223,19 @@ class KvCache:
     same rule as :func:`protected_until`; an abandoned block's non-sink
     members drop to the position of the token that broke it, the last
     prefix in which the block was open. So ``until`` only ever decreases,
-    and its value after a run of tokens gives the retention of every
-    prefix within the run (:meth:`preview`). A push of several tokens
-    therefore evicts once, at its end, the entries that fail the rule
-    :func:`retained_rows` evaluates, and the positions always equal
+    and its value after a run of appended tokens gives the retention of
+    every prefix within the run (:meth:`entries`). A push therefore evicts
+    once, at the end of the run, the entries that fail the rule
+    :func:`retained_rows` evaluates, and after it the positions equal
     :func:`retain_set` at the current t. Past the window, every entry older
     than the latest :func:`_recent` positions is protected forever, so a
     push tests only the entries that leave them and the tail whose
-    ``until`` it rewrote.
+    ``until`` the run rewrote.
 
-    Block structure comes from one :class:`BlockGrammar` fed every pushed
+    Block structure comes from one :class:`BlockGrammar` fed every appended
     token. In strict mode a structurally illegal token raises
     :class:`SequenceGrammarError` and leaves the cache untouched, also when
-    it is not the first token of a push. In permissive mode (used by
+    it is not the first token of an append. In permissive mode (used by
     free-running generation) violations are recorded as ``t=<position>:
     <message>`` and the offending token is treated as plain content: an
     in-progress block broken by an illegal token is abandoned and loses its
@@ -265,7 +265,8 @@ class KvCache:
         self._pos = np.empty(cap, dtype=np.int64)
         self._until = np.empty(cap, dtype=np.int64)
         self._count = 0
-        self._end = 0  # rows below hold entries or reserved rows not yet pushed
+        self._pushed = 0  # entries before the tokens appended since the last push
+        self._rewritten = 0  # lowest index whose until those appends set
 
         self.violations: list[str] = []
         self.peak_entries = 0
@@ -307,21 +308,20 @@ class KvCache:
         """Slot index the open block expects next, or None outside a block."""
         return self.grammar.next_slot if self.in_block else None
 
-    def set_value(self, layer: int, head: int, index: int, value: np.ndarray) -> None:
-        """Overwrite one retained value vector in place (test instrumentation)."""
-        self._v[layer][head, index, :] = value
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and ``until`` of the entries, as views. After an
+        :meth:`append`, :func:`retained_rows` over them gives the entries
+        retained after every prefix of the appended tokens, because ``until``
+        only decreases."""
+        return self._pos[: self._count], self._until[: self._count]
 
     # -- mutation -----------------------------------------------------------
 
-    def reserve(self, n: int = 1) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Make room for rows ``size .. size + n - 1`` and return the per-layer
-        key and value buffers (heads, capacity, d_head) for the caller to
-        write them. Those rows are not entries until :meth:`push` accepts
-        their tokens; until then an eviction moves them with the entries."""
-        self._end = self._count + n
+    def _reserve(self, rows: int) -> None:
+        """Grow the buffers to at least ``rows`` rows."""
         cap = len(self._pos)
-        if self._end > cap:
-            grown = max(2 * cap, self._end)
+        if rows > cap:
+            grown = max(2 * cap, rows)
             for l in range(self.layers):
                 for store in (self._k, self._v):
                     bigger = np.empty((self.heads, grown, self.d_head))
@@ -329,13 +329,11 @@ class KvCache:
                     store[l] = bigger
             self._pos = np.concatenate([self._pos, np.empty(grown - cap, dtype=np.int64)])
             self._until = np.concatenate([self._until, np.empty(grown - cap, dtype=np.int64)])
-        return self._k, self._v
 
     def _compact(self, drop: list[int]) -> None:
         """Remove the entries at the ascending indices ``drop``, shifting each
-        run of kept entries (and reserved rows) left over the dropped ones
-        before it."""
-        ends = drop[1:] + [self._end]
+        run of kept entries left over the dropped ones before it."""
+        ends = drop[1:] + [self._count]
         for shift, (i, end) in enumerate(zip(drop, ends), start=1):
             src, dst = slice(i + 1, end), slice(i + 1 - shift, end - shift)
             for l in range(self.layers):
@@ -344,32 +342,34 @@ class KvCache:
             self._pos[dst] = self._pos[src]
             self._until[dst] = self._until[src]
         self._count -= len(drop)
-        self._end -= len(drop)
 
-    def _advance(self, tokens: Sequence[Token], until: np.ndarray) -> tuple[list[str], int]:
-        """Step the grammar through ``tokens`` and write the ``until`` values
-        they leave into ``until``, indexed like the entries with the tokens'
-        rows after them. Returns the tokens' violations and the index of the
-        first entry whose ``until`` they wrote. A strict rejection restores
-        the grammar and the entries' values in ``until`` before it raises.
+    def append(self, *tokens: Token) -> None:
+        """Make ``tokens`` the next entries without evicting: step the grammar
+        once per token, record their positions and ``until`` (rewriting the
+        ``until`` of a block they complete or abandon), and grow the buffers.
+        The keys and values of their rows, the last ``len(tokens)`` of
+        :meth:`keys` and :meth:`values`, are the caller's to write. A strict
+        rejection restores the grammar and every ``until`` and raises, so no
+        entry is added. :meth:`push` evicts.
         """
         policy, grammar = self.policy, self.grammar
         mmsink, sinks = policy.kind == "mmsink", _n_sink(policy)
-        c, t0 = self._count, grammar.t
+        n, c, t0 = len(tokens), self._count, grammar.t
+        self._reserve(c + n)
+        until = self._until
         # An open block's members are never evicted, so they are the last
         # entries, at consecutive positions, and an event that closes the
         # block rewrites the tail of ``until`` from its start on. Before
         # that, all of them are protected forever.
         start = c - (t0 - grammar.open_start) if mmsink and self.in_block else c
         lo = c
-        violations: list[str] = []
         state = grammar.save()
         try:
             for i, token in enumerate(tokens, start=c):
                 pos, open_start = t0 + i - c, grammar.open_start
                 change = grammar.step(token)
                 if change.violations:
-                    violations.extend(f"t={pos}: {message}" for message in change.violations)
+                    self.violations.extend(f"t={pos}: {message}" for message in change.violations)
                 forever = pos < sinks or (mmsink and grammar.open_start is not None)
                 until[i] = _FOREVER if forever else 0
                 if mmsink and change.completed is not None:
@@ -384,45 +384,29 @@ class KvCache:
             grammar.restore(state)
             until[start:c] = _FOREVER
             raise
-        return violations, lo
-
-    def preview(self, *tokens: Token) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and ``until`` of the entries and then of ``tokens``, as
-        pushing the tokens would leave them before its eviction. The cache
-        does not change. Since ``until`` only decreases, ``_kept`` over these
-        arrays at ``t + r`` gives the entries retained after the first r
-        tokens, for every r up to their number.
-        """
-        c, t0, n = self._count, self.t, len(tokens)
-        until = np.empty(c + n, dtype=np.int64)
-        until[:c] = self._until[:c]
-        state = self.grammar.save()
-        self._advance(tokens, until)
-        self.grammar.restore(state)
-        return np.concatenate([self._pos[:c], np.arange(t0, t0 + n)]), until
-
-    def push(self, *tokens: Token) -> list[int]:
-        """Make rows ``size ..`` (keys and values as written after
-        :meth:`reserve`) the entries of ``tokens``, stepping the grammar once
-        per token, then apply the policy's eviction once. After the push the
-        retained position set equals ``retain_set`` at the new t, exactly as
-        after one push per token. Returns the entry count after each token.
-        """
-        policy, n, c, t0 = self.policy, len(tokens), self._count, self.t
-        if not n:
-            return []
-        if self._end < c + n:
-            self.reserve(n)
-        violations, lo = self._advance(tokens, self._until)
-        self.violations.extend(violations)
         self._pos[c : c + n] = np.arange(t0, t0 + n) if n > 1 else t0
         self._count = c + n
+        self._rewritten = min(self._rewritten, lo)
+
+    def push(self, *tokens: Token) -> list[int]:
+        """:meth:`append` ``tokens``, then apply the policy's eviction once to
+        every token appended since the last push. After the push the
+        retained position set equals ``retain_set`` at the new t, exactly as
+        after one push per token. Returns the entry count after each of
+        those tokens.
+        """
+        if tokens:
+            self.append(*tokens)
+        policy, c, t = self.policy, self._pushed, self.t
+        n, t0 = self._count - c, t - (self._count - c)
+        if not n:
+            return []
         # The latest _recent entries pass the rule whatever their until. Of
-        # the older ones, only those that left them during the push and the
-        # rewritten tail can fail where the previous push passed them.
+        # the older ones, only those that left them since the last push and
+        # the rewritten tail can fail where that push passed them.
         # Usually that is one entry, so the rule is applied to Python ints.
-        recent, t = _recent(policy), self.t
-        drop = [i for i in range(max(0, min(c - recent, lo)), c + n - recent)
+        recent = _recent(policy)
+        drop = [i for i in range(max(0, min(c - recent, self._rewritten)), c + n - recent)
                 if not _kept(policy, t, int(self._pos[i]), int(self._until[i]))]
         sizes = [c + n - len(drop)]
         if n > 1:
@@ -434,5 +418,6 @@ class KvCache:
             sizes = [c + k - bisect.bisect_right(gone, t0 + k) for k in range(1, n + 1)]
         if drop:
             self._compact(drop)
+        self._pushed = self._rewritten = self._count
         self.peak_entries = max(self.peak_entries, *sizes)
         return sizes

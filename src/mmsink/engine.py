@@ -13,13 +13,14 @@ pruned-cache runs bitwise identical to dense runs inside the window.
 
 :func:`block` is the one transformer layer. It writes its rows' keys and
 values into the caller's buffers at an offset and attends over them in
-place: a decode step into the cache rows it reserves before pushing its
-tokens, :mod:`mmsink.losses` into fresh buffers for a whole sequence, and
-the teacher-forced replay chunk by chunk. A decode step of several known
-tokens and the replay mask each row to the entries its policy retains.
-Feature prediction only reads. Scores and contexts are BLAS matrix products
-throughout, so a decode step and a batched pass agree to rounding (under
-1e-15 on the logits), not bit for bit.
+place: :func:`forward_step` into the cache rows of the tokens it has just
+appended, before the cache evicts, and :mod:`mmsink.losses` into fresh
+buffers for a whole sequence. :func:`forward_step` is the one forward path
+over a cache: a decode step, a run of known tokens, and the teacher-forced
+replay (one run over a fresh cache) mask each row to the entries its policy
+retains. Feature prediction only reads. Scores and contexts are BLAS matrix
+products throughout, so a decode step and a batched pass agree to rounding
+(under 1e-15 on the logits), not bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import json
 
 import numpy as np
 
-from .cachepolicy import CachePolicy, KvCache, protected_until, retained_rows
+from .cachepolicy import CachePolicy, KvCache, retained_rows
 from .errors import ConfigError, SequenceGrammarError, StateError
 from .seqmodel import (
-    BlockGrammar,
     MultimodalSequence,
     Token,
     token_from_vocab_id,
@@ -47,6 +47,7 @@ from .seqmodel import (
 
 LN_EPS = 1e-5
 REPLAY_ROWS = 16  # rows per masked pass (replay chunk, run of decode tokens); bounds its tiles
+SAVE_CHUNK = 4096  # weight values per json.dumps call in save_model
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -194,21 +195,26 @@ def make_cache(model: Model, policy: CachePolicy, strict: bool = True) -> KvCach
 
 
 def save_model(model: Model, path) -> None:
-    """Serialize config plus flat row-major weight arrays to JSON."""
-    payload = {
-        "format": "mmsink-model-v1",
-        "config": asdict(model.config),
-        "weights": {
-            name: {
-                "shape": list(model.p[name].shape),
-                "data": [float(x) for x in model.p[name].ravel()],
-            }
-            for name in param_names(model.config)
-        },
-    }
+    """Serialize config plus flat row-major weight arrays to JSON.
+
+    The bytes are those ``json.dump`` writes for the whole payload, but each
+    weight goes through ``json.dumps`` ``SAVE_CHUNK`` values at a time, so
+    no list of all its Python floats is ever built.
+    """
+    head = json.dumps({"format": "mmsink-model-v1", "config": asdict(model.config),
+                       "weights": {}})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(head[:-2])  # up to the weights' opening brace
+        for i, name in enumerate(param_names(model.config)):
+            w = model.p[name]
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: '
+                     f'{{"shape": {json.dumps(list(w.shape))}, "data": [')
+            flat = w.ravel()
+            for lo in range(0, len(flat), SAVE_CHUNK):
+                chunk = json.dumps(flat[lo : lo + SAVE_CHUNK].tolist())[1:-1]
+                fh.write(f", {chunk}" if lo else chunk)
+            fh.write("]}")
+        fh.write("}}\n")
 
 
 def load_model(path) -> Model:
@@ -308,7 +314,7 @@ def _masked_layers(model: Model, keys: list[np.ndarray], vals: list[np.ndarray],
 class StepResult:
     """What one :func:`forward_step` call computed."""
 
-    logits: np.ndarray                  # (vocab,): the prediction after the last token
+    logits: np.ndarray | dict[int, np.ndarray]  # the last token's (vocab,), or per logits_at
     sizes: list[int]                    # the cache's entry count after each token
     maps: list[tuple]                   # per chunk of rows: (cols, mask, per-layer weights)
 
@@ -331,20 +337,29 @@ class StepResult:
         return list(self.attention_rows())[-1][1]
 
 
-def forward_step(model: Model, cache: KvCache, *tokens: Token) -> StepResult:
-    """Run tokens whose values are all known in advance through the stack,
-    then push them: the prompt, say, or the slots and end marker the grammar
-    fixes once a block opens. One token is a plain decode step.
+def forward_step(model: Model, cache: KvCache, *tokens: Token,
+                 logits_at: Iterable[int] | None = None) -> StepResult:
+    """Run tokens whose values are all known in advance through the stack:
+    the prompt, say, the slots and end marker the grammar fixes once a block
+    opens, or a whole stream to replay. One token is a plain decode step.
 
-    The tokens' keys and values go into the rows ``cache.reserve(n)`` makes.
-    Token r attends the entries retained after the first r tokens, and
-    itself, at the position index of its retained count, as the r-th of n
-    single steps would: each row's mask is :func:`retained_rows` over the
-    positions and ``until`` :meth:`KvCache.preview` gives, which hold for
-    every prefix in the run because ``until`` only decreases. The rows pass
+    The tokens are appended to the cache first (:meth:`KvCache.append`), so
+    a strict rejection raises before any layer runs. Token r attends the
+    entries retained after the first r tokens, and itself, at the position
+    index of its retained count, as the r-th of n single steps would: each
+    row's mask is :func:`retained_rows` over :meth:`KvCache.entries`, whose
+    ``until`` holds for every prefix in the run because it only decreases.
+    The rows write their keys and values into their cache rows and pass
     each layer as one masked :func:`block` call, ``REPLAY_ROWS`` at a time,
-    logits are computed for the last token only, and one push records the
-    entries and evicts. A single token needs no mask: it attends every entry.
+    so no (n, n) array is built; one :meth:`KvCache.push` then evicts. A
+    single token needs no mask: it attends every entry. A position past the
+    table raises :class:`StateError`, leaving the run appended, not evicted.
+
+    By default ``logits`` are the last token's, and every row's attention
+    maps are kept for :meth:`StepResult.attention_rows`. With ``logits_at``,
+    prefix lengths within the run (``cache.t`` after one of its tokens),
+    ``logits`` maps each of them to its logits and no maps are kept, so a
+    replay of a whole stream holds no (n, n) weights.
 
     Every attention row is a softmax over (retained entries, self), so it is
     non-negative and sums to one; causality holds because every attended key
@@ -362,10 +377,12 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token) -> StepResult:
         raise ValueError("forward_step needs at least one token")
     n, c, t0 = len(tokens), cache.size, cache.t
     ids = np.array([vocab_id(token, cfg.m, cfg.v_text) for token in tokens])
-    keys, vals = cache.reserve(n)
-    if n > 1:
-        pos, until = cache.preview(*tokens)
-    maps = []
+    cache.append(*tokens)
+    pos, until = cache.entries()
+    keys = [cache.keys(l) for l in range(cfg.layers)]
+    vals = [cache.values(l) for l in range(cfg.layers)]
+    wanted = set(logits_at or ())
+    logits, maps = {}, []
     for lo in range(0, n, REPLAY_ROWS):
         hi = min(lo + REPLAY_ROWS, n)
         attend = None
@@ -374,10 +391,17 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token) -> StepResult:
                                    pos[: c + hi])
             attend[np.arange(hi - lo), np.arange(c + lo, c + hi)] = True
         x, chunk = _masked_layers(model, keys, vals, ids[lo:hi], c + lo, attend)
-        maps.append(chunk)
-    hf, _ = layer_norm(x[-1:], p["lnf_g"], p["lnf_b"])
-    logits = (hf @ p["w_out"])[0]
-    return StepResult(logits, cache.push(*tokens), maps)
+        if logits_at is None:
+            maps.append(chunk)
+            continue
+        hit = [r for r in range(hi - lo) if t0 + lo + r + 1 in wanted]
+        if hit:
+            hf, _ = layer_norm(x[hit], p["lnf_g"], p["lnf_b"])
+            logits.update(zip([t0 + lo + r + 1 for r in hit], hf @ p["w_out"]))
+    if logits_at is None:
+        hf, _ = layer_norm(x[-1:], p["lnf_g"], p["lnf_b"])
+        logits = (hf @ p["w_out"])[0]
+    return StepResult(logits, cache.push(), maps)
 
 
 def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
@@ -594,44 +618,19 @@ def teacher_forced_logits(
     A decode step of token i attends to ``R_i`` (the positions retained
     after i tokens) plus itself, at position index ``|R_i|``, and its keys
     and values never change once computed. So the replay needs no decode
-    loop: the stream runs through all layers in chunks of ``REPLAY_ROWS``
-    rows, each row masked to its ``R_i`` by :func:`retained_rows`, over one
-    key/value buffer per layer. A chunk attends only to the earlier keys
-    some row of it retains, so no (T, T) array is ever built. The logits
-    agree with stepwise decoding to rounding (under 1e-15), not bit for
-    bit, because masked keys change how the softmax sums group.
+    loop: it is one :func:`forward_step` call over a fresh strict cache,
+    whose rows are masked to their ``R_i`` chunk by chunk. The logits agree
+    with stepwise decoding to rounding (under 1e-15), not bit for bit,
+    because masked keys change how the softmax sums group.
 
     The stream must follow the block grammar (:class:`SequenceGrammarError`
-    naming the position otherwise), and every position index must fit the
-    position table (:class:`StateError` otherwise).
+    naming the position otherwise, before any layer runs), and every
+    position index must fit the position table (:class:`StateError`
+    otherwise).
     """
     wanted = set(checkpoints)
     bad = [t for t in wanted if t < 1 or t > len(tokens)]
     if bad:
         raise ValueError(f"checkpoints {sorted(bad)} outside 1..{len(tokens)}")
-    cfg = model.config
-    p = model.p
-    policy.check_block_length(cfg.m)
-    grammar = BlockGrammar(cfg.m)
-    for token in tokens:
-        grammar.step(token)
-    T = len(tokens)
-    until = protected_until(policy, grammar.blocks, grammar.open_start, T)
-    ids = np.array([vocab_id(tk, cfg.m, cfg.v_text) for tk in tokens], dtype=np.int64)
-    keys = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
-    vals = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
-    out: dict[int, np.ndarray] = {}
-    peak = int(retained_rows(policy, until, [T]).sum())
-    for lo in range(0, T, REPLAY_ROWS):
-        hi = min(lo + REPLAY_ROWS, T)
-        steps = np.arange(lo, hi)
-        attend = retained_rows(policy, until[:hi], steps)
-        peak = max(peak, int(attend.sum(axis=1).max()))
-        attend[np.arange(len(steps)), steps] = True
-        x, _ = _masked_layers(model, keys, vals, ids[steps], lo, attend)
-        hit = [r for r in range(hi - lo) if lo + r + 1 in wanted]
-        if hit:
-            hf, _ = layer_norm(x[hit], p["lnf_g"], p["lnf_b"])
-            for r, row in zip(hit, hf @ p["w_out"]):
-                out[lo + r + 1] = row
-    return out, peak
+    step = forward_step(model, make_cache(model, policy), *tokens, logits_at=wanted)
+    return step.logits, max(step.sizes)

@@ -122,14 +122,6 @@ def _main_forward(model: Model, ids: np.ndarray):
     return logits, hf, lncf, layers
 
 
-def sequence_logits(model: Model, tokens) -> np.ndarray:
-    """Per-position next-token logits for a full teacher-forced sequence."""
-    cfg = model.config
-    ids = np.array([vocab_id(tok, cfg.m, cfg.v_text) for tok in tokens])
-    logits, _, _, _ = _main_forward(model, ids)
-    return logits
-
-
 def _query_forward(model: Model, layers, ctx_len: int):
     """Run the learnable queries against the main stream's keys/values up to
     ``ctx_len``, as the engine's feature prediction does over a cache."""

@@ -273,7 +273,7 @@ def test_criterion_7_loss_masking(tiny_config):
             ids = np.array([
                 sq.vocab_id(t, tiny_config.m, tiny_config.v_text) for t in toks
             ])
-            logits = losses.sequence_logits(model, toks)
+            logits = losses._main_forward(model, ids)[0]
             mpos = np.nonzero(np.array(sample.loss_mask))[0]
             baseline = losses.text_ce_loss(logits[mpos - 1], ids[mpos])
             zeroed = np.zeros_like(logits)

@@ -313,44 +313,49 @@ class TestPushRuns:
                              ids=["dense", "window", "sink", "mmsink", "mmsink-long-blocks"])
     def test_run_matches_one_push_per_token(self, policy, m, strict):
         """Runs up to 12 tokens: a run evicts its own early tokens, completes
-        and opens blocks, and (permissive) breaks them; every prefix within
-        the run is previewed."""
+        and opens blocks, and (permissive) breaks them; after the run is
+        appended, its entries give the retention of every prefix within it."""
         rng = np.random.default_rng(21)
         stream = (make_stream if strict else breaking_stream)(rng, m, 400)
         runs, single = KvCache(policy, 1, 1, 1, m, strict), KvCache(policy, 1, 1, 1, m, strict)
         for run in split_runs(rng, stream, 12):
             t0 = runs.t
-            pos, until = runs.preview(*run)
+            runs.append(*run)
+            pos, until = runs.entries()
             sizes = []
             for r, token in enumerate(run):
                 kept = retained_rows(policy, until, [t0 + r], pos)[0]
                 assert pos[kept].tolist() == single.positions(), f"t={t0 + r}"
                 sizes += single.push(token)
-            assert runs.push(*run) == sizes
+            assert runs.push() == sizes
             assert runs.positions() == single.positions()
-            np.testing.assert_array_equal(runs.preview()[1], single.preview()[1])
+            np.testing.assert_array_equal(runs.entries()[1], single.entries()[1])
             assert (runs.t, runs.blocks, runs.open_start, runs.next_slot) == \
                 (single.t, single.blocks, single.open_start, single.next_slot)
         assert runs.violations == single.violations
         assert bool(runs.violations) != strict
         assert runs.peak_entries == single.peak_entries
 
-    def test_reserved_rows_move_with_the_entries(self):
-        """Rows reserved and written for a run, then pushed a token at a time,
-        end up where one push of the run puts them."""
+    def test_appended_rows_move_with_the_entries(self):
+        """Rows appended a token at a time and written, then evicted by one
+        push, end up where appending and pushing the run at once puts them,
+        and the push returns the same entry counts."""
+
+        def append(cache, *tokens):
+            cache.append(*tokens)
+            for l in range(2):
+                for r in range(1, len(tokens) + 1):  # each row names its position
+                    cache.keys(l)[:, -r] = cache.t - r + 0.5 * l
+                    cache.values(l)[:, -r] = -(cache.t - r)
+
         rng = np.random.default_rng(5)
-        policy = CachePolicy.mmsink(2, 1, 1, 6)
-        whole, pieces = (KvCache(policy, 2, 2, 3, self.M) for _ in range(2))
-        for run in split_runs(rng, make_stream(rng, self.M, 160), 10):
-            for cache in (whole, pieces):
-                keys, vals = cache.reserve(len(run))
-                for l in range(2):
-                    for r in range(len(run)):  # each row names its position
-                        keys[l][:, cache.size + r] = cache.t + r + 0.5 * l
-                        vals[l][:, cache.size + r] = -(cache.t + r)
-            whole.push(*run)
+        policy, m = self.CASES[-1]  # blocks that outlast the recent positions
+        whole, pieces = (KvCache(policy, 2, 2, 3, m) for _ in range(2))
+        for run in split_runs(rng, make_stream(rng, m, 160), 10):
+            append(whole, *run)
             for token in run:
-                pieces.push(token)
+                append(pieces, token)
+            assert whole.push() == pieces.push()
             assert whole.positions() == pieces.positions()
             for l in range(2):
                 np.testing.assert_array_equal(whole.keys(l), pieces.keys(l))
@@ -364,14 +369,15 @@ class TestPushRuns:
                   Token.img(0), Token.img(1), Token.img(2)]
         cache.push(*prefix)
         clean.push(*prefix)
-        before = (cache.positions(), cache.preview()[1].tolist(), cache.t, cache.size,
+        before = (cache.positions(), cache.entries()[1].tolist(), cache.t, cache.size,
                   cache.blocks, cache.open_start, cache.next_slot, cache.peak_entries)
         # the end marker completes the block, which limits the protection of
         # its slots 1 and 2 to the block; then the stray slot is rejected
         with pytest.raises(SequenceGrammarError, match="position 9"):
-            cache.push(Token.img(3), Token.eoi(), Token.img(0))
-        assert (cache.positions(), cache.preview()[1].tolist(), cache.t, cache.size,
+            cache.append(Token.img(3), Token.eoi(), Token.img(0))
+        assert (cache.positions(), cache.entries()[1].tolist(), cache.t, cache.size,
                 cache.blocks, cache.open_start, cache.next_slot, cache.peak_entries) == before
+        assert cache.push() == []  # nothing was appended
         run = [Token.img(3), Token.eoi(), Token.word(3), Token.word(4), Token.word(5)]
         assert cache.push(*run) == clean.push(*run)
         assert cache.positions() == clean.positions() == [0, 3, 4, 7, 8, 9, 10, 11]

@@ -1,6 +1,8 @@
 """Forward-step attention, feature prediction, generation, and divergence."""
 
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -54,7 +56,9 @@ class TestForwardStep:
 
     def test_matches_batch_forward_under_dense(self, small_model, small_prompt):
         tokens = small_prompt.tokens
-        batch = losses.sequence_logits(small_model, tokens)
+        cfg = small_model.config
+        ids = np.array([sq.vocab_id(tok, cfg.m, cfg.v_text) for tok in tokens])
+        batch = losses._main_forward(small_model, ids)[0]  # the training pass: no cache
         cache = make_cache(small_model, CachePolicy.dense())
         for i, tok in enumerate(tokens):
             step = forward_step(small_model, cache, tok)
@@ -236,8 +240,7 @@ class TestPredictImageFeatures:
     def test_sensitive_to_retained_values(self, small_model, small_prompt):
         cache = self._cache_after_boi(small_model, small_prompt)
         base = predict_image_features(small_model, cache)
-        bumped = cache.values(0)[0, 3, :].copy() + 0.25
-        cache.set_value(0, 0, 3, bumped)
+        cache.values(0)[0, 3, :] += 0.25  # the view writes the cache's buffer
         perturbed = predict_image_features(small_model, cache)
         assert not np.array_equal(base, perturbed)
 
@@ -543,6 +546,25 @@ class TestModelIO:
         save_model(small_model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_writes_the_bytes_of_one_json_dump(self, small_model, tmp_path, monkeypatch):
+        """Streamed a few values at a time, the file is ``json.dump`` of the
+        whole payload, non-finite and negative-zero weights included."""
+        model = small_model.copy()
+        model.p["l0.wq"][0, :5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        model.p["lnf_b"][-1] = -np.inf
+        monkeypatch.setattr(engine, "SAVE_CHUNK", 7)
+        save_model(model, tmp_path / "m.json")
+        payload = {
+            "format": "mmsink-model-v1",
+            "config": asdict(model.config),
+            "weights": {
+                name: {"shape": list(model.p[name].shape),
+                       "data": [float(x) for x in model.p[name].ravel()]}
+                for name in engine.param_names(model.config)
+            },
+        }
+        assert (tmp_path / "m.json").read_bytes() == (json.dumps(payload) + "\n").encode()
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"

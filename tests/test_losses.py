@@ -203,7 +203,7 @@ class TestLossMasking:
         ids = np.array([
             sq.vocab_id(t, cfg.m, cfg.v_text) for t in tiny_sample.sequence.tokens
         ])
-        logits = losses.sequence_logits(tiny_model, tiny_sample.sequence.tokens)
+        logits = losses._main_forward(tiny_model, ids)[0]
         mpos = np.nonzero(np.array(tiny_sample.loss_mask))[0]
         baseline = text_ce_loss(logits[mpos - 1], ids[mpos])
         zeroed = np.zeros_like(logits)

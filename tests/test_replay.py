@@ -1,4 +1,5 @@
-"""Teacher-forced replay: the chunked masked pass against stepwise decoding."""
+"""Teacher-forced replay: one forward_step run over a fresh cache, against
+stepwise decoding, the replay algorithm it replaced, and the oracle."""
 
 import tracemalloc
 
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_policies, make_stream
 from mmsink import engine
-from mmsink.cachepolicy import CachePolicy, KvCache, protected_until, retained_rows
-from mmsink.engine import REPLAY_ROWS, Model, ModelConfig, forward_step, make_cache, \
-    teacher_forced_logits
+from mmsink.cachepolicy import CachePolicy, protected_until, retained_rows
+from mmsink.engine import REPLAY_ROWS, Model, ModelConfig, forward_step, layer_norm, \
+    make_cache, teacher_forced_logits
 from mmsink.errors import SequenceGrammarError, StateError
 from mmsink.oracle import brute_retain_set
-from mmsink.seqmodel import BlockGrammar, MultimodalSequence, Token
+from mmsink.seqmodel import BlockGrammar, MultimodalSequence, Token, vocab_id
 
 LOGIT_ATOL = 1e-12
 
@@ -28,6 +29,33 @@ def stepwise_logits(model, tokens, policy, checkpoints):
         if cache.t in wanted:
             out[cache.t] = step.logits.copy()
     return out, cache.peak_entries
+
+
+def separate_replay(model, tokens, policy, checkpoints):
+    """The replay as a pass of its own, without a cache: the whole stream's
+    grammar, one ``protected_until`` and T-row key/value buffers, run chunk
+    by chunk through the masked layers."""
+    wanted, T, cfg = set(checkpoints), len(tokens), model.config
+    grammar = BlockGrammar(cfg.m)
+    for token in tokens:
+        grammar.step(token)
+    until = protected_until(policy, grammar.blocks, grammar.open_start, T)
+    ids = np.array([vocab_id(tk, cfg.m, cfg.v_text) for tk in tokens])
+    keys = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
+    vals = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
+    out, peak = {}, int(retained_rows(policy, until, [T]).sum())
+    for lo in range(0, T, REPLAY_ROWS):
+        hi = min(lo + REPLAY_ROWS, T)
+        steps = np.arange(lo, hi)
+        attend = retained_rows(policy, until[:hi], steps)
+        peak = max(peak, int(attend.sum(axis=1).max()))
+        attend[np.arange(len(steps)), steps] = True
+        x, _ = engine._masked_layers(model, keys, vals, ids[steps], lo, attend)
+        hit = [r for r in range(hi - lo) if lo + r + 1 in wanted]
+        if hit:
+            hf, _ = layer_norm(x[hit], model.p["lnf_g"], model.p["lnf_b"])
+            out.update(zip([lo + r + 1 for r in hit], hf @ model.p["w_out"]))
+    return out, peak
 
 
 def open_block_stream(m: int, min_length: int) -> list[Token]:
@@ -76,23 +104,47 @@ class TestStepwiseEquivalence:
         got, _ = teacher_forced_logits(small_model, tokens, CachePolicy.windowed(8), [3, 40])
         assert sorted(got) == [3, 40]
 
-    def test_no_decode_step_and_no_cache(self, small_model, monkeypatch):
-        monkeypatch.setattr(engine, "forward_step", None)
-        monkeypatch.setattr(KvCache, "push", None)
+    def test_one_forward_step_over_a_fresh_strict_cache(self, small_model, monkeypatch):
+        calls = []
+
+        def spy(model, cache, *tokens, **kwargs):
+            calls.append((cache.t, cache.grammar.strict, len(tokens), kwargs))
+            return forward_step(model, cache, *tokens, **kwargs)
+
+        monkeypatch.setattr(engine, "forward_step", spy)
         tokens = streams(small_model.config.m)["three-chunks-and-5"]
-        got, _ = teacher_forced_logits(small_model, tokens, CachePolicy.mmsink(2, 1, 2, 11),
-                                       [len(tokens)])
-        assert np.all(np.isfinite(got[len(tokens)]))
+        teacher_forced_logits(small_model, tokens, CachePolicy.mmsink(2, 1, 2, 11), [3, 40])
+        assert calls == [(0, True, len(tokens), {"logits_at": {3, 40}})]
+
+
+class TestSeparateReplay:
+    """The checkpoint logits and peak of the replay equal, bit for bit, those
+    of the separate replay pass it replaced."""
+
+    @pytest.mark.parametrize("policy", [CachePolicy.dense(), CachePolicy.windowed(64),
+                                        CachePolicy.sink(4, 64),
+                                        CachePolicy.mmsink(4, 1, 2, 64)], ids=lambda p: p.kind)
+    def test_bitwise_equal(self, small_model, policy):
+        tokens = make_stream(np.random.default_rng(17), small_model.config.m, 700)
+        ts = sorted({*range(1, len(tokens) + 1, 13), len(tokens)})
+        want, want_peak = separate_replay(small_model, tokens, policy, ts)
+        got, peak = teacher_forced_logits(small_model, tokens, policy, ts)
+        assert sorted(got) == ts
+        for t in ts:
+            np.testing.assert_array_equal(got[t], want[t])
+        assert peak == want_peak
+        assert peak < len(tokens) or policy.kind == "dense"
 
 
 class TestReplayErrors:
-    def test_grammar_violation_names_the_same_position(self, small_model):
+    def test_grammar_violation_names_the_same_position(self, small_model, monkeypatch):
         tokens = streams(small_model.config.m)["seven-chunks-and-9"]
         for bad_at in (30, 77):
             broken = tokens[:bad_at] + [Token.bos()] + tokens[bad_at:]
             with pytest.raises(SequenceGrammarError) as stepwise:
                 stepwise_logits(small_model, broken, CachePolicy.windowed(8), [1])
-            with pytest.raises(SequenceGrammarError) as batched:
+            with monkeypatch.context() as patch, pytest.raises(SequenceGrammarError) as batched:
+                patch.setattr(engine, "block", None)  # raised before any layer runs
                 teacher_forced_logits(small_model, broken, CachePolicy.windowed(8), [1])
             assert str(batched.value) == str(stepwise.value)
             assert str(batched.value).startswith(f"position {bad_at}: ")
@@ -112,26 +164,42 @@ class TestReplayErrors:
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_every_mask_row_is_the_oracle_retain_set(data):
-    """Row i of the replay's mask, built from the whole stream's block
-    structure, is the retain set of the first i tokens."""
+    """Token i of a replay, one forward_step run over a fresh cache, attends
+    the oracle's retain set of the first i tokens and itself; so does row i
+    of :func:`retained_rows` over the whole stream's :func:`protected_until`,
+    the closed form :func:`retain_set` evaluates."""
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     m = int(rng.integers(2, 6))
-    tokens = make_stream(rng, m, int(rng.integers(2, 90)))
+    tokens = make_stream(rng, m, int(rng.integers(2, 90)), v_text=8)
     w = int(rng.integers(2, 30))
     n = int(rng.integers(1, w))
     k_head = int(rng.integers(1, m))
     k_tail = int(rng.integers(1, m - k_head + 1))
     policy = data.draw(st.sampled_from(all_policies(w, n_sink=n, k_head=k_head, k_tail=k_tail)))
+    model = Model.init(ModelConfig(layers=1, heads=1, d_model=4, d_ff=4, v_text=8, m=m,
+                                   q_queries=1, d_feat=1, max_positions=96, seed=0))
+    cache = make_cache(model, policy)
+    step = forward_step(model, cache, *tokens)
     grammar = BlockGrammar(m)
     for token in tokens:
         grammar.step(token)
     until = protected_until(policy, grammar.blocks, grammar.open_start, len(tokens))
     rows = retained_rows(policy, until, range(len(tokens) + 1))
-    assert not rows[0].any()
-    for i in range(1, len(tokens) + 1):
+
+    def oracle(i):
+        if not i:
+            return []
         prefix = MultimodalSequence.from_tokens(tokens[:i], m, allow_in_progress=True)
-        want = brute_retain_set(policy, prefix.image_blocks, prefix.open_block, i)
+        return brute_retain_set(policy, prefix.image_blocks, prefix.open_block, i)
+
+    attended = [keys.tolist() for keys, _ in step.attention_rows()]
+    assert len(attended) == len(tokens)
+    for i, keys in enumerate(attended):
+        want = oracle(i)
+        assert keys == want + [i], i
         assert np.flatnonzero(rows[i]).tolist() == want, i
+    want = oracle(len(tokens))
+    assert cache.positions() == np.flatnonzero(rows[-1]).tolist() == want
 
 
 def test_window_replay_builds_no_full_map(small_model):
