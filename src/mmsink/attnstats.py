@@ -25,6 +25,9 @@ from .seqmodel import PUNCT_CHARS
 
 ROW_SUM_TOL = 1e-9
 
+# the fields of a dump row, in the order each line holds them
+DUMP_FIELDS = ("t", "layer", "head", "labels", "positions", "row")
+
 CATEGORIES = ("starting", "punctuation", "near_boi", "near_eoi", "other")
 
 
@@ -120,18 +123,17 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     sums_of: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros(1))
     checked: tuple = (0, None, None)  # the last t and positions checked, and their index array
     for r in dumps:
-        for name in ("t", "layer", "head"):
-            if type(r[name]) is not int:
-                raise ValueError(f"dump row t={r['t']} layer={r['layer']} head={r['head']}: "
-                                 f"{name} {r[name]!r} is not an integer")
-        layer, head = key = r["layer"], r["head"]
+        row_t, layer, head, row_labels, positions, weights = map(r.__getitem__, DUMP_FIELDS)
+        where = f"dump row t={row_t} layer={layer} head={head}"
+        for name, value in zip(DUMP_FIELDS, (row_t, layer, head)):
+            if type(value) is not int:
+                raise ValueError(f"{where}: {name} {value!r} is not an integer")
+        key = layer, head
         t, labels, sums = last_t[key] + 1, labels_of[key], sums_of[key]
-        where = f"dump row t={r['t']} layer={layer} head={head}"
-        if r["t"] != t:
-            problem = "a second row for this step" if r["t"] == t - 1 >= 1 else (
+        if row_t != t:
+            problem = "a second row for this step" if row_t == t - 1 >= 1 else (
                 f"no row for t={t}; steps run from 1 to T")
             raise ValueError(f"{where}: {problem}")
-        positions, row_labels, weights = r["positions"], r["labels"], r["row"]
         if not all(isinstance(v, list) for v in (positions, row_labels, weights)):
             raise ValueError(f"{where}: positions, labels and row must be lists")
         if not len(positions) == len(row_labels) == len(weights):
@@ -174,6 +176,22 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     return records
 
 
+def dump_writer(fh):
+    """The ``attn_dump`` callback of :func:`mmsink.engine.generate` that
+    writes each token's dump rows to ``fh``, by layer, then head: one line
+    per row, ``json.dumps`` of its :data:`DUMP_FIELDS` dict. The token's
+    labels and positions are encoded once for all its rows."""
+    line = "{{" + ", ".join(f"{json.dumps(name)}: {{}}" for name in DUMP_FIELDS) + "}}\n"
+
+    def write(t: int, positions: list[int], labels: list[str], layers) -> None:
+        shared = json.dumps(labels), json.dumps(positions)
+        for l, rows in enumerate(layers):
+            for h, row in enumerate(rows):
+                fh.write(line.format(t, l, h, *shared, json.dumps(row.tolist())))
+
+    return write
+
+
 def _file_rows(path) -> Iterator[dict]:
     """The rows of a dump file, parsed one line at a time."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -184,7 +202,7 @@ def _file_rows(path) -> Iterator[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            for name in ("t", "layer", "head", "labels", "positions", "row"):
+            for name in DUMP_FIELDS:
                 if name not in rec:
                     raise ValueError(f"{path}: line {lineno}: missing field {name!r}")
             yield rec

@@ -213,6 +213,11 @@ def cmd_train_toy(args) -> int:
     _print_effective("train-toy", cfg, extras)
     if args.stories:
         stories = seqmodel.read_stories(args.stories)
+        d_feat = cfg[("seqmodel", "d_feat")]
+        for story in stories:
+            if story.feat_dim != d_feat:
+                raise ConfigError(f"{args.stories}: story {story.story_id!r} has {story.feat_dim}"
+                                  f"-dimensional image features, [seqmodel] d_feat is {d_feat}")
     else:
         stories = seqmodel.synth_stories(
             args.synth_stories,
@@ -258,24 +263,6 @@ def _moved_into_place(path):
             os.unlink(tmp)
 
 
-def _dump_writer(fh):
-    """The ``attn_dump`` callback writing each row, fields in the order
-    :func:`engine.generate` gives them, as ``json.dumps(rec) + "\n"``. The
-    labels and positions a step's rows share are encoded once and reused
-    while later rows' lists equal copies of them."""
-    last = [None, None, ""]
-
-    def write(rec: dict) -> None:
-        labels, positions = rec["labels"], rec["positions"]
-        if labels != last[0] or positions != last[1]:
-            last[:] = list(labels), list(positions), (f'"labels": {json.dumps(labels)}, '
-                                                      f'"positions": {json.dumps(positions)}')
-        fh.write(f'{{"t": {rec["t"]}, "layer": {rec["layer"]}, "head": {rec["head"]}, '
-                 f'{last[2]}, "row": {json.dumps(rec["row"])}}}\n')
-
-    return write
-
-
 def cmd_gen(args) -> int:
     cfg, seed = _resolve_config(args, {
         ("cachepolicy", "policy"): args.policy,
@@ -304,7 +291,7 @@ def cmd_gen(args) -> int:
         result = engine.generate(
             model, prompt, policy, args.steps,
             mode=args.mode, seed=seed, temperature=args.temperature,
-            attn_dump=None if dump is None else _dump_writer(dump),
+            attn_dump=None if dump is None else attnstats.dump_writer(dump),
             predict_features=args.features, boi_every=args.boi_every,
         )
         record = {
@@ -442,7 +429,7 @@ def _validate_jsonl(path) -> str:
                 if not (0 <= b < e < n_labels):
                     raise ValueError(f"{path}: block ({b}, {e}) out of range")
         return "generation record"
-    if all(k in record for k in ("t", "layer", "head", "labels", "positions", "row")):
+    if all(k in record for k in attnstats.DUMP_FIELDS):
         records = attnstats.load_dump_file(path)
         return f"attention dump with {len(records)} maps"
     raise ValueError(f"{path}: unrecognized JSONL content")

@@ -18,16 +18,17 @@ appended, before the cache evicts, and :mod:`mmsink.losses` into fresh
 buffers for a whole sequence. :func:`forward_step` is the one forward path
 over a cache: a decode step, a run of known tokens, and the teacher-forced
 replay (one run over a fresh cache) mask each row to the entries its policy
-retains. Feature prediction only reads. Scores and contexts are BLAS matrix
-products throughout, so a decode step and a batched pass agree to rounding
-(under 1e-15 on the logits), not bit for bit.
+retains. Feature prediction (:func:`query_features`, which training shares)
+only reads. Scores and contexts are BLAS matrix products throughout, so a
+decode step and a batched pass agree to rounding (under 1e-15 on the
+logits), not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Iterable, Sequence
 
 import json
@@ -130,21 +131,23 @@ class ModelConfig:
         return vocab_size(self.m, self.v_text)
 
 
-def _layer_param_names(l: int) -> list[str]:
-    return [
-        f"l{l}.ln1_g", f"l{l}.ln1_b",
-        f"l{l}.wq", f"l{l}.wk", f"l{l}.wv", f"l{l}.wo",
-        f"l{l}.ln2_g", f"l{l}.ln2_b",
-        f"l{l}.w1", f"l{l}.w2",
-    ]
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every weight's shape by name, in the order models store and draw them."""
+    d, ff = config.d_model, config.d_ff
+    shapes = {"tok_emb": (config.vocab, d), "pos_emb": (config.max_positions, d),
+              "queries": (config.q_queries, d)}
+    for l in range(config.layers):
+        shapes.update({f"l{l}.ln1_g": (d,), f"l{l}.ln1_b": (d,), f"l{l}.wq": (d, d),
+                       f"l{l}.wk": (d, d), f"l{l}.wv": (d, d), f"l{l}.wo": (d, d),
+                       f"l{l}.ln2_g": (d,), f"l{l}.ln2_b": (d,),
+                       f"l{l}.w1": (d, ff), f"l{l}.w2": (ff, d)})
+    shapes.update({"lnf_g": (d,), "lnf_b": (d,), "w_out": (d, config.vocab),
+                   "w_feat": (d, config.d_feat)})
+    return shapes
 
 
 def param_names(config: ModelConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb", "queries"]
-    for l in range(config.layers):
-        names.extend(_layer_param_names(l))
-    names.extend(["lnf_g", "lnf_b", "w_out", "w_feat"])
-    return names
+    return list(param_shapes(config))
 
 
 class Model:
@@ -156,33 +159,13 @@ class Model:
 
     @staticmethod
     def init(config: ModelConfig) -> "Model":
+        """Layer-norm gains one and biases zero; every other weight drawn
+        N(0, 0.02^2) from the config's seed, in :func:`param_shapes` order."""
         rng = np.random.default_rng(config.seed)
-        d, ff = config.d_model, config.d_ff
-        scale = 0.02
-
-        def w(*shape):
-            return rng.standard_normal(shape) * scale
-
-        p: dict[str, np.ndarray] = {
-            "tok_emb": w(config.vocab, d),
-            "pos_emb": w(config.max_positions, d),
-            "queries": w(config.q_queries, d),
-        }
-        for l in range(config.layers):
-            p[f"l{l}.ln1_g"] = np.ones(d)
-            p[f"l{l}.ln1_b"] = np.zeros(d)
-            p[f"l{l}.wq"] = w(d, d)
-            p[f"l{l}.wk"] = w(d, d)
-            p[f"l{l}.wv"] = w(d, d)
-            p[f"l{l}.wo"] = w(d, d)
-            p[f"l{l}.ln2_g"] = np.ones(d)
-            p[f"l{l}.ln2_b"] = np.zeros(d)
-            p[f"l{l}.w1"] = w(d, ff)
-            p[f"l{l}.w2"] = w(ff, d)
-        p["lnf_g"] = np.ones(d)
-        p["lnf_b"] = np.zeros(d)
-        p["w_out"] = w(d, config.vocab)
-        p["w_feat"] = w(d, config.d_feat)
+        p: dict[str, np.ndarray] = {}
+        for name, shape in param_shapes(config).items():
+            fill = {"_g": np.ones, "_b": np.zeros}.get(name[-2:])
+            p[name] = fill(shape) if fill else rng.standard_normal(shape) * 0.02
         return Model(config, p)
 
     def copy(self) -> "Model":
@@ -218,17 +201,42 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a :func:`save_model` file. A config key that is unknown, missing
+    or not an integer, and a weight that is missing, has another shape than
+    the config gives, or is not that many finite numbers, raise
+    :class:`ConfigError` naming the file and the key or weight."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "mmsink-model-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "mmsink-model-v1":
         raise ConfigError(f"{path}: not a model file")
-    config = ModelConfig(**payload["config"])
+    for part in ("config", "weights"):
+        if not isinstance(payload.get(part), dict):
+            raise ConfigError(f"{path}: {part} is missing or not an object")
+    raw, keys = payload["config"], {f.name for f in fields(ModelConfig)}
+    for key in sorted(raw.keys() | keys):
+        if key not in keys or type(raw.get(key)) is not int:
+            problem = ("is unknown" if key not in keys else "is missing" if key not in raw
+                       else f"value {raw[key]!r} is not an integer")
+            raise ConfigError(f"{path}: config key {key!r} {problem}")
+    try:
+        config = ModelConfig(**raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     params: dict[str, np.ndarray] = {}
-    for name in param_names(config):
-        if name not in payload["weights"]:
+    for name, shape in param_shapes(config).items():
+        entry = payload["weights"].get(name)
+        if not isinstance(entry, dict):
             raise ConfigError(f"{path}: missing weight {name}")
-        entry = payload["weights"][name]
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        got, data, size = entry.get("shape"), entry.get("data"), math.prod(shape)
+        if got != list(shape) or any(type(n) is not int for n in got):
+            raise ConfigError(f"{path}: weight {name}: shape {got!r}, "
+                              f"the config gives {list(shape)}")
+        if not isinstance(data, list) or len(data) != size:
+            raise ConfigError(f"{path}: weight {name}: data is not a list of {size} values")
+        if not set(map(type, data)) <= {float, int}:
+            odd = next(v for v in data if type(v) is not float and type(v) is not int)
+            raise ConfigError(f"{path}: weight {name}: value {odd!r} is not a number")
+        arr = np.array(data, dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{path}: non-finite values in {name}")
         params[name] = arr
@@ -404,28 +412,39 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
     return StepResult(logits, cache.push(), maps)
 
 
+def query_features(model: Model, keys: Sequence[np.ndarray], vals: Sequence[np.ndarray]):
+    """Run the learnable queries over per-layer (heads, c, d_head) ``keys``
+    and ``vals``, at positions c .. c + Q - 1, and map each output latent to
+    feature space. The queries read the entries but never enter them, nor
+    attend to each other. Returns the (q_queries, d_feat) features, then the
+    final norm's output and cache and each layer's activations, which the
+    backward in :mod:`mmsink.losses` reads.
+    """
+    cfg = model.config
+    p = model.p
+    c, Q = keys[0].shape[1], cfg.q_queries
+    if c + Q > cfg.max_positions:
+        raise StateError(f"query positions {c}..{c + Q - 1} exceed the position table")
+    x = p["queries"] + p["pos_emb"][c : c + Q]
+    qlayers = []
+    for l in range(cfg.layers):
+        x, acts = block(model, l, x, keys[l], vals[l])
+        qlayers.append(acts)
+    hq, lnqf = layer_norm(x, p["lnf_g"], p["lnf_b"])
+    return hq @ p["w_feat"], hq, lnqf, qlayers
+
+
 def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
-    """Run the learnable queries over the retained entries and map each
-    output latent to feature space. Shape (q_queries, d_feat).
+    """:func:`query_features` over the retained entries. Shape
+    (q_queries, d_feat).
 
     Legal only when the cache ends right after a begin-of-image marker.
-    The queries read the cache but never enter it, nor attend to each other.
     """
     if not (cache.in_block and cache.next_slot == 0):
         raise StateError("image feature prediction requires a freshly opened image block")
-    cfg = model.config
-    p = model.p
-    c, Q = cache.size, cfg.q_queries
-    if c + Q > cfg.max_positions:
-        raise StateError(
-            f"query positions {c}..{c + Q - 1} exceed the position table"
-        )
-
-    x = p["queries"] + p["pos_emb"][c : c + Q]
-    for l in range(cfg.layers):
-        x, _ = block(model, l, x, cache.keys(l), cache.values(l))
-    hf, _ = layer_norm(x, p["lnf_g"], p["lnf_b"])
-    return hf @ p["w_feat"]
+    layers = range(model.config.layers)
+    return query_features(model, [cache.keys(l) for l in layers],
+                          [cache.values(l) for l in layers])[0]
 
 
 # -- generation ----------------------------------------------------------------
@@ -472,10 +491,9 @@ def generate(
     mode: str = "constrained",
     seed: int = 0,
     temperature: float | None = None,
-    attn_dump: Callable[[dict], None] | None = None,
+    attn_dump: Callable[[int, list[int], list[str], list[np.ndarray]], None] | None = None,
     predict_features: bool = False,
     boi_every: int | None = None,
-    on_step: Callable[[KvCache], None] | None = None,
 ) -> GenerationResult:
     """Autoregressive generation under a retention policy.
 
@@ -499,15 +517,15 @@ def generate(
     tokens. Each of them still draws from ``rng`` as a sampled step would (a
     one-id legal set always yields that id), so the tokens and the per-token
     ``entry_counts`` equal those of one call per token; each token of such a
-    run gets an equal share of the run's time in ``step_seconds``. With
-    ``on_step`` set, every token is its own call and ``on_step`` sees the
-    cache after each.
+    run gets an equal share of the run's time in ``step_seconds``.
 
-    ``attn_dump``, if given, is called with each attention dump row as its
-    token is computed, by t, then layer, then head; no row is kept. A
-    token's rows share one ``labels`` and one ``positions`` list: the keys
-    it attends (the entries retained before it, and itself), each labelled
-    once, when its position is fed.
+    ``attn_dump``, if given, is called once per token as it is computed, in
+    order, as ``attn_dump(t, positions, labels, layers)``: ``positions`` are
+    the keys token ``t`` attends (the entries retained before it, and
+    itself), ``labels`` their token labels, each fixed when its position is
+    fed, and ``layers[l]`` its (heads, keys) weights in layer ``l``. Nothing
+    is kept; :func:`mmsink.attnstats.dump_writer` writes the calls as dump
+    rows.
 
     ``temperature`` is ``None`` (greedy) or a positive finite number. A
     temperature that is not, ``boi_every`` in free mode, and a dense run that
@@ -554,34 +572,24 @@ def generate(
         if attn_dump is not None:
             for t, (attended, layers) in enumerate(step.attention_rows(), start=t0 + 1):
                 positions = keys if len(attended) == len(keys) else [keys[i] for i in attended]
-                key_labels = [labels[q] for q in positions]
-                for l, rows in enumerate(layers):
-                    for h, row in enumerate(rows):
-                        attn_dump({"t": t, "layer": l, "head": h, "labels": key_labels,
-                                   "positions": positions, "row": row.tolist()})
-        if on_step is not None:
-            on_step(cache)
+                attn_dump(t, positions, [labels[q] for q in positions], layers)
         return step
 
-    for run in ([prompt.tokens] if on_step is None else [[token] for token in prompt.tokens]):
-        last = feed(run)
+    last = feed(prompt.tokens)
 
-    # Once a block is open the grammar fixes the rest of it: constrained runs
-    # feed those tokens in one call, each taking the draw a sampled step
-    # would take from its one-id legal set (which always yields that id).
     closing = [Token.img(s) for s in range(cfg.m)] + [Token.eoi()]
     closing_ids = [np.array([vocab_id(token, cfg.m, cfg.v_text)]) for token in closing]
     generated: list[Token] = []
     while len(generated) < steps or (constrained and cache.in_block):
         t0 = time.perf_counter()
-        if constrained and cache.in_block and on_step is None:
+        if constrained and cache.in_block:
             slot = cache.next_slot
             for legal in closing_ids[slot:]:
                 _sample(last.logits, legal, temperature, rng)
             run = closing[slot:]
         else:
             legal = None
-            if constrained and boi_every and not cache.in_block and len(generated) % boi_every == 0:
+            if constrained and boi_every and len(generated) % boi_every == 0:
                 legal = np.array([vocab_id(Token.boi())])
             elif constrained:
                 legal = cache.grammar.legal_next(cfg.v_text)

@@ -29,6 +29,7 @@ from .engine import (
     layer_norm_grad,
     log_softmax,
     param_names,
+    query_features,
 )
 from .errors import StateError, TrainingDiverged
 from .seqmodel import Story, TrainingSample, assemble_training_sequence, vocab_id
@@ -122,25 +123,6 @@ def _main_forward(model: Model, ids: np.ndarray):
     return logits, hf, lncf, layers
 
 
-def _query_forward(model: Model, layers, ctx_len: int):
-    """Run the learnable queries against the main stream's keys/values up to
-    ``ctx_len``, as the engine's feature prediction does over a cache."""
-    cfg = model.config
-    p = model.p
-    Q = cfg.q_queries
-    if ctx_len + Q > cfg.max_positions:
-        raise StateError("query positions exceed the position table")
-
-    x = p["queries"] + p["pos_emb"][ctx_len : ctx_len + Q]
-    qlayers = []
-    for l in range(cfg.layers):
-        x, acts = block(model, l, x, layers[l]["kh"][:, :ctx_len], layers[l]["vh"][:, :ctx_len])
-        qlayers.append(acts)
-    hq, lnqf = layer_norm(x, p["lnf_g"], p["lnf_b"])
-    pred = hq @ p["w_feat"]
-    return pred, hq, lnqf, qlayers
-
-
 def _block_backward(model: Model, l: int, acts, dx: np.ndarray, keys, vals, grads):
     """Backward of :func:`~mmsink.engine.block` for layer ``l``.
 
@@ -228,7 +210,8 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     n_zero = 0
     for bi, (bpos, _e) in enumerate(blocks):
         ctx_len = bpos + 1
-        pred, hq, lnqf, qlayers = _query_forward(model, layers, ctx_len)
+        pred, hq, lnqf, qlayers = query_features(
+            model, [c["kh"][:, :ctx_len] for c in layers], [c["vh"][:, :ctx_len] for c in layers])
         tgt = np.tile(np.asarray(sample.target_features[bi], dtype=np.float64), (Q, 1))
         cos, zero, safe_pn, tn = _cosine_rows(pred, tgt)
         n_zero += int(zero.sum())

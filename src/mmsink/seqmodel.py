@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -541,8 +542,9 @@ def write_stories(stories: Iterable[Story], path) -> None:
 def read_stories(path) -> list[Story]:
     """Read a JSON-lines story file, validating structure per line.
 
-    Raises :class:`StoryFormatError` naming the offending line (and item,
-    for feature-length mismatches).
+    Raises :class:`StoryFormatError` naming the offending line, and the
+    item for a feature that is not a list of finite numbers (bools are not
+    numbers), is empty, has zero norm, or differs in length from the first.
     """
     stories = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -558,21 +560,19 @@ def read_stories(path) -> list[Story]:
             if "items" not in record or not isinstance(record["items"], list) or not record["items"]:
                 raise StoryFormatError(f"line {lineno}: missing or empty items")
             items = []
-            d = None
             for i, raw in enumerate(record["items"]):
                 if not isinstance(raw, dict) or "text" not in raw or "image_feature" not in raw:
                     raise StoryFormatError(f"line {lineno}: item {i}: missing text or image_feature")
                 feat = raw["image_feature"]
-                if not isinstance(feat, list) or not all(isinstance(x, (int, float)) for x in feat):
+                if not isinstance(feat, list) or not set(map(type, feat)) <= {int, float}:
                     raise StoryFormatError(f"line {lineno}: item {i}: image_feature must be a number list")
-                if d is None:
-                    d = len(feat)
-                    if d == 0:
-                        raise StoryFormatError(f"line {lineno}: item {i}: empty image_feature")
-                elif len(feat) != d:
-                    raise StoryFormatError(
-                        f"line {lineno}: item {i}: feature length {len(feat)}, expected {d}"
-                    )
+                if not all(abs(x) <= sys.float_info.max for x in feat):  # NaN, inf, too large
+                    raise StoryFormatError(f"line {lineno}: item {i}: non-finite image_feature")
+                if feat and not any(feat):
+                    raise StoryFormatError(f"line {lineno}: item {i}: image_feature has zero norm")
                 items.append(StoryItem(str(raw["text"]), tuple(float(x) for x in feat)))
-            stories.append(Story(str(record["story_id"]), tuple(items)))
+            try:  # Story checks that every feature has the first one's nonzero length
+                stories.append(Story(str(record["story_id"]), tuple(items)))
+            except ValueError as exc:
+                raise StoryFormatError(f"line {lineno}: {exc}") from None
     return stories

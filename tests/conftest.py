@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmsink import engine, seqmodel
+from mmsink.attnstats import DUMP_FIELDS
 from mmsink.cachepolicy import CachePolicy
 from mmsink.seqmodel import Token
 
@@ -96,6 +97,17 @@ def all_policies(w: int, n_sink: int = 2, k_head: int = 1, k_tail: int = 2) -> l
         CachePolicy.sink(n_sink, w),
         CachePolicy.mmsink(n_sink, k_head, k_tail, w),
     ]
+
+
+def dump_rows(rows: list):
+    """An ``attn_dump`` callback for :func:`engine.generate` that appends each
+    token's dump rows to ``rows`` as :data:`DUMP_FIELDS` dicts, by layer, then
+    head; a token's rows share its labels and positions lists."""
+    def collect(t, positions, labels, layers):
+        rows.extend(dict(zip(DUMP_FIELDS, (t, l, h, labels, positions, row.tolist())))
+                    for l, heads in enumerate(layers) for h, row in enumerate(heads))
+
+    return collect
 
 
 def dumps_from_maps(maps) -> list[dict]:

@@ -154,39 +154,57 @@ def test_criterion_3_memory_relation_and_closed_forms(small_model):
 
 def test_criterion_4_anchor_persistence_2048_steps(small_model, small_prompt):
     """Completed-block anchors survive every later step; window keeps only
-    the recent positions."""
-    m = small_model.config.m
+    the recent positions. Each token's attended positions (its attention
+    dump) are the entries retained before it plus itself; the state after
+    the last token comes from a bookkeeping-only replay of the tokens."""
     policy = CachePolicy.mmsink(4, 1, 2, 64)
 
-    failures: list[str] = []
+    def anchors(b: int, e: int) -> set[int]:
+        return {b, e} | set(range(b + 1, b + 1 + policy.k_head)) | \
+            set(range(e - policy.k_tail, e))
 
-    def check_anchors(cache: KvCache) -> None:
-        held = set(cache.positions())
-        for b, e in cache.blocks:
-            wanted = {b, e} | set(range(b + 1, b + 1 + policy.k_head)) | \
-                set(range(e - policy.k_tail, e))
-            if not wanted <= held:
-                failures.append(f"t={cache.t} block=({b},{e}) missing {wanted - held}")
+    attended: dict[int, np.ndarray] = {}
+
+    def record_attended(t, positions, labels, layers) -> None:
+        attended[t] = np.array(positions)
 
     result = engine.generate(
         small_model, small_prompt, policy, 2048,
-        mode="constrained", seed=0, boi_every=24, on_step=check_anchors,
+        mode="constrained", seed=0, boi_every=24, attn_dump=record_attended,
     )
-    assert not failures, failures[:3]
-    assert len(result.sequence.image_blocks) >= 40
     assert result.sequence is not None
+    blocks = result.sequence.image_blocks
+    assert len(blocks) >= 40
+    assert sorted(attended) == list(range(1, len(result.tokens) + 1))
+    failures: list[str] = []
+    for t, positions in attended.items():  # token t sits at position t - 1
+        held = set(positions.tolist())
+        for b, e in blocks:
+            if e < t - 1 and not anchors(b, e) <= held:
+                failures.append(f"t={t} block=({b},{e}) missing {anchors(b, e) - held}")
+    cache = KvCache(policy, layers=1, heads=1, d_head=1, m=small_model.config.m)
+    cache.push(*result.tokens)
+    held = set(cache.positions())
+    failures += [f"end block=({b},{e}) missing {anchors(b, e) - held}"
+                 for b, e in blocks if not anchors(b, e) <= held]
+    assert not failures, failures[:3]
 
     w = 64
-    stale: list[str] = []
+    oldest: dict[int, int] = {}
 
-    def check_window(cache: KvCache) -> None:
-        if cache.t > w and cache.positions()[0] < cache.t - w:
-            stale.append(f"t={cache.t} oldest={cache.positions()[0]}")
+    def record_oldest(t, positions, labels, layers) -> None:
+        oldest[t] = min(positions)
 
-    engine.generate(
+    result = engine.generate(
         small_model, small_prompt, CachePolicy.windowed(w), 2048,
-        mode="constrained", seed=0, boi_every=24, on_step=check_window,
+        mode="constrained", seed=0, boi_every=24, attn_dump=record_oldest,
     )
+    assert sorted(oldest) == list(range(1, len(result.tokens) + 1))
+    stale = [f"t={t} oldest={p}" for t, p in oldest.items() if t - 1 > w and p < t - 1 - w]
+    cache = KvCache(CachePolicy.windowed(w), layers=1, heads=1, d_head=1, m=small_model.config.m)
+    cache.push(*result.tokens)
+    if cache.positions()[0] < cache.t - w:
+        stale.append(f"end t={cache.t} oldest={cache.positions()[0]}")
     assert not stale, stale[:3]
 
 

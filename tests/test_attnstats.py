@@ -20,7 +20,7 @@ from mmsink.cachepolicy import CachePolicy
 from mmsink.cli import main
 from mmsink.oracle import recount_occurrences
 
-from conftest import dumps_from_maps
+from conftest import dump_rows, dumps_from_maps
 
 
 def causal_map(rng: np.random.Generator, n: int, labels=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -179,7 +179,7 @@ def dump_records(small_model, small_prompt):
     rows = []
     result = engine.generate(
         small_model, small_prompt, CachePolicy.mmsink(2, 1, 1, 12), 24,
-        seed=0, attn_dump=rows.append, boi_every=10,
+        seed=0, attn_dump=dump_rows(rows), boi_every=10,
     )
     return rows, len(result.tokens)
 
@@ -250,9 +250,28 @@ class TestDumpIngestion:
                      "--steps", "20", "--seed", "3", "--prompt-seed", "9", "--boi-every", "7",
                      "--attn-dump", str(dump), "--out", str(tmp_path / "g.jsonl")]) == 0
         rows = []
-        engine.generate(small_model, cli._build_prompt(small_model, 1, 9),
-                        CachePolicy.windowed(10), 20, seed=3, attn_dump=rows.append, boi_every=7)
+        engine.generate(small_model, cli._build_prompt(small_model, 1, 9), CachePolicy.windowed(10),
+                        20, seed=3, attn_dump=dump_rows(rows), boi_every=7)
         assert dump.read_bytes() == "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+    def test_dump_writer_lines_are_json_dumps(self):
+        """Each line is ``json.dumps`` of its row dict: floats in their
+        shortest repr, 1e-300 included, and labels escaped."""
+        import io
+        import json
+
+        out, rows = io.StringIO(), []
+        write, collect = attnstats.dump_writer(out), dump_rows(rows)
+        for call in [
+            (1, [0], ["BOS"], [np.array([[1.0], [1.0]])]),
+            (2, [0, 1], ["BOS", 'W"1'], [np.array([[0.25, 0.75], [1e-300, 1.0]]),
+                                         np.array([[1 / 3, 2 / 3], [0.5, 0.5]])]),
+            (4, [0, 3], ["BOS", "IMG01"], [np.array([[0.1, 0.9]])]),
+        ]:
+            write(*call)
+            collect(*call)
+        assert len(rows) == 7
+        assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in rows)
 
     def test_load_records_directory(self, dump_records, tmp_path):
         import json

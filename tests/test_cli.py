@@ -46,33 +46,6 @@ class TestGen:
             outs.append((out.read_bytes(), dump.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_dump_writer_lines_are_json_dumps(self):
-        import io
-
-        from mmsink.cli import _dump_writer
-
-        def rec(t, head, labels, positions, row):
-            return {"t": t, "layer": 0, "head": head, "labels": labels,
-                    "positions": positions, "row": row}
-
-        shared = ["BOS", "W1"]
-        out, want = io.StringIO(), []
-        write = _dump_writer(out)
-        for r in [
-            rec(1, 0, ["BOS"], [0], [1.0]),
-            rec(1, 1, ["BOS"], [0], [1.0]),  # equal lists, other objects
-            rec(2, 0, shared, [0, 1], [0.25, 0.75]),
-            rec(3, 0, shared, [0, 2], [0.5, 0.5]),  # same labels, other positions
-            rec(4, 0, ["BOS", "W2"], [0, 2], [1e-300, 1.0]),  # other labels, same positions
-            rec(5, 0, shared, [0, 2], [0.5, 0.5]),
-        ]:
-            write(r)
-            want.append(json.dumps(r) + "\n")
-        shared[1] = "P:"  # the list of the row before, changed in place: encoded again
-        write(rec(5, 1, shared, [0, 2], [0.5, 0.5]))
-        want.append(json.dumps(rec(5, 1, shared, [0, 2], [0.5, 0.5])) + "\n")
-        assert out.getvalue() == "".join(want)
-
     def test_record_is_valid_and_constrained(self, tmp_path):
         out = tmp_path / "g.jsonl"
         main(["gen", "--policy", "window", "--window", "16", "--steps", "24",
@@ -113,6 +86,19 @@ class TestTrainToy:
         assert main(["train-toy", "--stories", str(stories_path), "--steps", "2",
                      "--lr", "0.1", "--seed", "0",
                      "--model-out", str(model_out)]) == 0
+
+
+    def test_story_feature_dimension_must_match_the_config(self, tmp_path, capsys,
+                                                           monkeypatch):
+        stories_path = tmp_path / "s.jsonl"
+        sq.write_stories(sq.synth_stories(2, 2, rng_seed=0, d_feat=2), stories_path)
+        monkeypatch.setattr(engine.Model, "init", None)  # fails before any model is built
+        assert main(["train-toy", "--stories", str(stories_path), "--steps", "2",
+                     "--model-out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ConfigError" in err
+        assert "story 'synth-0-0000' has 2-dimensional image features" in err
+        assert "d_feat is 16" in err
 
 
 class TestStats:
@@ -213,6 +199,69 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
+
+
+def _transpose_w_out(payload):
+    entry = payload["weights"]["w_out"]
+    entry["shape"] = entry["shape"][::-1]
+
+
+# payload edit -> what the one-line error names
+_MODEL_DEFECTS = {
+    "transposed-shape": (_transpose_w_out, "weight w_out: shape"),
+    "unknown-config-key": (lambda p: p["config"].update(width=3), "config key 'width' is unknown"),
+    "missing-config-key": (lambda p: p["config"].pop("d_ff"), "config key 'd_ff' is missing"),
+    "missing-config": (lambda p: p.pop("config"), "config is missing"),
+    "non-integer-shape": (lambda p: p["weights"]["lnf_g"].update(shape=[8.0]),
+                          "weight lnf_g: shape [8.0], the config gives [8]"),
+    "data-length": (lambda p: p["weights"]["lnf_b"]["data"].pop(),
+                    "weight lnf_b: data is not a list of 8 values"),
+    "non-numeric-data": (lambda p: p["weights"]["queries"]["data"].__setitem__(3, "0.5"),
+                         "weight queries: value '0.5' is not a number"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("defect", list(_MODEL_DEFECTS))
+    def test_malformed_model_file_is_one_line_error(self, tmp_path, capsys, tiny_config, defect):
+        """validate and gen --model both exit 1 with one error line naming the
+        file and the key or weight."""
+        edit, expected = _MODEL_DEFECTS[defect]
+        path = tmp_path / "m.json"
+        engine.save_model(engine.Model.init(tiny_config), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        for args in (["validate", str(path)],
+                     ["gen", "--model", str(path), "--steps", "4",
+                      "--out", str(tmp_path / "g.jsonl")]):
+            capsys.readouterr()
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and str(path) in err and expected in err, err
+        assert not (tmp_path / "g.jsonl").exists()
+
+    @pytest.mark.parametrize("feature, expected", [
+        ([0.0, 0.0], "item 1: image_feature has zero norm"),
+        ([float("nan"), 1.0], "item 1: non-finite image_feature"),
+        ([10**400, 1.0], "item 1: non-finite image_feature"),
+        ([True, 1.0], "item 1: image_feature must be a number list"),
+    ], ids=["zeros", "nan", "too-large", "bool"])
+    def test_bad_story_feature_is_one_line_error(self, tmp_path, capsys, feature, expected):
+        """validate and train-toy both reject the story file at its line and item."""
+        path = tmp_path / "s.jsonl"
+        items = [{"text": "a", "image_feature": [1.0, 0.0]},
+                 {"text": "b", "image_feature": feature}]
+        path.write_text(json.dumps({"story_id": "s0", "items": items[:1]}) + "\n"
+                        + json.dumps({"story_id": "s1", "items": items}) + "\n")
+        for args in (["validate", str(path)],
+                     ["train-toy", "--stories", str(path), "--steps", "1",
+                      "--model-out", str(tmp_path / "m.json")]):
+            capsys.readouterr()
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and f"line 2: {expected}" in err, err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestConfigHandling:

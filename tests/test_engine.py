@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_policies, breaking_stream, make_stream, split_runs
+from conftest import all_policies, breaking_stream, dump_rows, make_stream, split_runs
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
 from mmsink.bench import divergence
@@ -260,7 +260,9 @@ class TestPredictImageFeatures:
             for t in sample.sequence.tokens
         ])
         _, _, _, layers = losses._main_forward(small_model, ids)
-        batch_feats, _, _, _ = losses._query_forward(small_model, layers, bpos + 1)
+        batch_feats, _, _, _ = engine.query_features(
+            small_model, [c["kh"][:, : bpos + 1] for c in layers],
+            [c["vh"][:, : bpos + 1] for c in layers])
         np.testing.assert_allclose(step_feats, batch_feats, atol=1e-12)
 
 
@@ -317,7 +319,7 @@ class TestGenerate:
     def test_attention_dump_schema(self, small_model, small_prompt):
         rows = []
         result = generate(small_model, small_prompt, CachePolicy.windowed(10), 6,
-                          seed=0, attn_dump=rows.append)
+                          seed=0, attn_dump=dump_rows(rows))
         cfg = small_model.config
         n_steps = len(result.tokens)
         assert len(rows) == n_steps * cfg.layers * cfg.heads
@@ -333,7 +335,7 @@ class TestGenerate:
     def test_attention_dump_labels_after_evictions(self, small_model, small_prompt, policy):
         rows = []
         result = generate(small_model, small_prompt, policy, 40, seed=1, boi_every=9,
-                          attn_dump=rows.append)
+                          attn_dump=dump_rows(rows))
         assert sum(len(rec["positions"]) < rec["t"] for rec in rows) > len(rows) // 2  # evicted
         for rec in rows:
             positions = rec["positions"]
@@ -475,6 +477,31 @@ def refeed(model, policy, result, prompt_len, predict_features):
     return rows, counts, feats, cache.peak_entries
 
 
+def one_call_per_token(model, prompt, policy, steps, seed, temperature, boi_every):
+    """Reference for a constrained run: the decode loop that feeds every
+    token, the prompt's and each forced one included, through its own
+    forward_step call, sampling each generated token from the grammar's
+    legal set (the begin marker alone when a block start is due). Returns
+    the tokens, the entry count after each generated token, and the steps
+    run past the budget to complete a block."""
+    cfg = model.config
+    cache = make_cache(model, policy)
+    rng = np.random.default_rng(seed)
+    for token in prompt.tokens:
+        last = forward_step(model, cache, token)
+    generated, counts = [], []
+    while len(generated) < steps or cache.in_block:
+        if boi_every and not cache.in_block and len(generated) % boi_every == 0:
+            legal = np.array([sq.vocab_id(Token.boi())])
+        else:
+            legal = cache.grammar.legal_next(cfg.v_text)
+        vid = engine._sample(last.logits, legal, temperature, rng)
+        generated.append(sq.token_from_vocab_id(vid, cfg.m, cfg.v_text))
+        last = forward_step(model, cache, generated[-1])
+        counts += last.sizes
+    return list(prompt.tokens) + generated, counts, max(0, len(generated) - steps)
+
+
 class TestJumpForward:
     """generate feeds the prompt and the forced rest of each image block in
     one forward_step call; refeeding its tokens one per call must give the
@@ -498,22 +525,22 @@ class TestJumpForward:
         monkeypatch.setattr(engine, "forward_step",
                             lambda *a: calls.append(len(a) - 2) or step(*a))
         dump = []
-        result = generate(small_model, small_prompt, policy, steps, attn_dump=dump.append,
+        result = generate(small_model, small_prompt, policy, steps, attn_dump=dump_rows(dump),
                           **kwargs)
         runs = [n for n in calls if n > 1]
         assert runs[0] == len(small_prompt) and m + 1 in runs
         monkeypatch.setattr(engine, "forward_step", step)
-        # the one-call-per-token path (on_step watches every token) samples
-        # the same tokens: a forced token takes the same rng draw either way
-        single = generate(small_model, small_prompt, policy, steps, on_step=lambda c: None,
-                          **kwargs)
-        assert result.tokens == single.tokens
-        assert result.trace.forced_completion_steps == single.trace.forced_completion_steps
+        # the one-call-per-token loop samples the same tokens: a forced token
+        # takes the same rng draw either way
+        tokens, single_counts, forced = one_call_per_token(
+            small_model, small_prompt, policy, steps, seed=4, temperature=temperature, boi_every=9)
+        assert result.tokens == tokens
+        assert result.trace.forced_completion_steps == forced
         assert result.trace.forced_completion_steps == (m - 1 if ends == "in-a-run" else 0)
         assert len(result.trace.step_seconds) == len(result.generated)
 
         rows, counts, feats, peak = refeed(small_model, policy, result, len(small_prompt), True)
-        assert result.trace.entry_counts == single.trace.entry_counts == counts
+        assert result.trace.entry_counts == single_counts == counts
         assert result.peak_entries == peak
         assert [(d["t"], d["layer"], d["head"], d["labels"], d["positions"]) for d in dump] == \
             [row[:5] for row in rows]
