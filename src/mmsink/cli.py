@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import attnstats, bench, engine, losses, seqmodel
 from .cachepolicy import CachePolicy
@@ -43,17 +44,13 @@ KNOWN_KEYS: dict[str, dict[str, type]] = {
     "bench": {"steps": int, "repeats": int, "checkpoints": str, "timing": str},
 }
 
-_DESK = {
-    ("seqmodel", "v_text"): 256,
-    ("seqmodel", "m"): 8,
-    ("seqmodel", "d_feat"): 16,
+# each ModelConfig field that a config section sets: the model's settings
+_MODEL_KEYS = [(section, key) for section in ("seqmodel", "engine")
+               for key in KNOWN_KEYS[section] if key in {f.name for f in fields(ModelConfig)}]
+
+_DESK = {(section, key): getattr(ModelConfig(), key) for section, key in _MODEL_KEYS}
+_DESK.update({
     ("seqmodel", "items_per_story"): 30,
-    ("engine", "layers"): 2,
-    ("engine", "heads"): 2,
-    ("engine", "d_model"): 64,
-    ("engine", "d_ff"): 256,
-    ("engine", "q_queries"): 4,
-    ("engine", "max_positions"): 4096,
     ("cachepolicy", "policy"): "mmsink",
     ("cachepolicy", "window"): 64,
     ("cachepolicy", "n_sink"): 4,
@@ -66,7 +63,7 @@ _DESK = {
     ("bench", "repeats"): 3,
     ("bench", "checkpoints"): "",
     ("bench", "timing"): "off",
-}
+})
 
 _PAPER_FAITHFUL = dict(_DESK)
 _PAPER_FAITHFUL.update({
@@ -138,18 +135,7 @@ def _print_effective(command: str, cfg: dict, extras: dict) -> None:
 
 
 def _model_config(cfg, seed: int) -> ModelConfig:
-    return ModelConfig(
-        layers=cfg[("engine", "layers")],
-        heads=cfg[("engine", "heads")],
-        d_model=cfg[("engine", "d_model")],
-        d_ff=cfg[("engine", "d_ff")],
-        v_text=cfg[("seqmodel", "v_text")],
-        m=cfg[("seqmodel", "m")],
-        q_queries=cfg[("engine", "q_queries")],
-        d_feat=cfg[("seqmodel", "d_feat")],
-        max_positions=cfg[("engine", "max_positions")],
-        seed=seed,
-    )
+    return ModelConfig(**{key: cfg[(section, key)] for section, key in _MODEL_KEYS}, seed=seed)
 
 
 def _policy_from_cfg(cfg, kind: str | None = None) -> CachePolicy:
@@ -481,8 +467,10 @@ def _validate_one(path) -> str:
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: the top level is not a JSON object")
         if payload.get("format") == "mmsink-model-v1":
-            engine.load_model(path)
+            engine.model_from_payload(payload, path)
             return "model file"
         if "policies" in payload:
             bench.load_report_json(path)

@@ -36,7 +36,7 @@ import json
 import numpy as np
 
 from .cachepolicy import CachePolicy, KvCache, retained_rows
-from .errors import ConfigError, SequenceGrammarError, StateError
+from .errors import ConfigError, StateError
 from .seqmodel import (
     MultimodalSequence,
     Token,
@@ -201,12 +201,16 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a :func:`save_model` file. A config key that is unknown, missing
-    or not an integer, and a weight that is missing, has another shape than
-    the config gives, or is not that many finite numbers, raise
-    :class:`ConfigError` naming the file and the key or weight."""
+    """Read a :func:`save_model` file: :func:`model_from_payload` of its JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        return model_from_payload(json.load(fh), path)
+
+
+def model_from_payload(payload, path) -> Model:
+    """The model a parsed :func:`save_model` file holds. A config key that is
+    unknown, missing or not an integer, and a weight that is missing, has
+    another shape than the config gives, or is not that many finite numbers,
+    raise :class:`ConfigError` naming the file ``path`` and the key or weight."""
     if not isinstance(payload, dict) or payload.get("format") != "mmsink-model-v1":
         raise ConfigError(f"{path}: not a model file")
     for part in ("config", "weights"):
@@ -324,20 +328,16 @@ class StepResult:
 
     logits: np.ndarray | dict[int, np.ndarray]  # the last token's (vocab,), or per logits_at
     sizes: list[int]                    # the cache's entry count after each token
-    maps: list[tuple]                   # per chunk of rows: (cols, mask, per-layer weights)
+    maps: list[tuple]                   # per chunk of rows: (positions, mask, per-layer weights)
 
     def attention_rows(self):
-        """Per token, in order: the indices of the keys it attended, counting
-        the cache's entries before the call and then the call's tokens, and
-        per layer its (heads, keys) weights over them."""
-        for cols, mask, probs in self.maps:
+        """Per token, in order: the positions of the keys it attended (the
+        entries retained before it, and itself), and per layer its (heads,
+        keys) weights over them."""
+        for positions, mask, probs in self.maps:
             for r in range(probs[0].shape[1]):
-                if mask is None:
-                    yield np.arange(probs[0].shape[2]), [pr[:, r] for pr in probs]
-                else:
-                    keep = mask[r]
-                    yield (np.flatnonzero(keep) if cols is None else cols[keep],
-                           [pr[:, r, keep] for pr in probs])
+                keep = slice(None) if mask is None else mask[r]
+                yield positions[keep], [pr[:, r, keep] for pr in probs]
 
     @property
     def attention(self) -> list[np.ndarray]:
@@ -364,7 +364,8 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
     table raises :class:`StateError`, leaving the run appended, not evicted.
 
     By default ``logits`` are the last token's, and every row's attention
-    maps are kept for :meth:`StepResult.attention_rows`. With ``logits_at``,
+    maps are kept for :meth:`StepResult.attention_rows`, with the positions
+    of the keys they attended, read before the push. With ``logits_at``,
     prefix lengths within the run (``cache.t`` after one of its tokens),
     ``logits`` maps each of them to its logits and no maps are kept, so a
     replay of a whole stream holds no (n, n) weights.
@@ -398,9 +399,9 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
             attend = retained_rows(cache.policy, until[: c + hi], range(t0 + lo, t0 + hi),
                                    pos[: c + hi])
             attend[np.arange(hi - lo), np.arange(c + lo, c + hi)] = True
-        x, chunk = _masked_layers(model, keys, vals, ids[lo:hi], c + lo, attend)
-        if logits_at is None:
-            maps.append(chunk)
+        x, (cols, mask, probs) = _masked_layers(model, keys, vals, ids[lo:hi], c + lo, attend)
+        if logits_at is None:  # positions read now: push() compacts the buffers
+            maps.append((pos[: c + hi].copy() if cols is None else pos[cols], mask, probs))
             continue
         hit = [r for r in range(hi - lo) if t0 + lo + r + 1 in wanted]
         if hit:
@@ -508,7 +509,9 @@ def generate(
     block cadence.
 
     In free mode tokens are sampled from the unmasked distribution and the
-    grammar's violations are recorded, never repaired.
+    grammar's violations are recorded, never repaired. The result's
+    ``sequence`` comes from the cache's grammar, which read every token: it
+    is ``None`` when that grammar recorded a violation or a block is open.
 
     Tokens known before they are computed go through one
     :func:`forward_step` call (jump-forward decoding): the prompt, and in
@@ -564,14 +567,11 @@ def generate(
     def feed(run: Sequence[Token]) -> StepResult:
         t0 = cache.t
         tokens.extend(run)
-        if attn_dump is not None:
-            labels.extend(token_label(token) for token in run)
-            # the entries before the call, then the run: what its rows index
-            keys = cache.positions() + list(range(t0, t0 + len(run)))
         step = forward_step(model, cache, *run)
         if attn_dump is not None:
+            labels.extend(token_label(token) for token in run)
             for t, (attended, layers) in enumerate(step.attention_rows(), start=t0 + 1):
-                positions = keys if len(attended) == len(keys) else [keys[i] for i in attended]
+                positions = attended.tolist()
                 attn_dump(t, positions, [labels[q] for q in positions], layers)
         return step
 
@@ -605,10 +605,9 @@ def generate(
     trace.forced_completion_steps = max(0, len(generated) - steps)
 
     trace.violations = list(cache.violations)
-    try:
-        sequence = MultimodalSequence.from_tokens(tokens, cfg.m)
-    except SequenceGrammarError:
-        sequence = None
+    sequence = None  # the cache's grammar read every token: no second pass
+    if not (cache.violations or cache.in_block):
+        sequence = MultimodalSequence(tuple(tokens), tuple(cache.blocks), cfg.m)
     return GenerationResult(tokens, generated, sequence, trace, cache.peak_entries)
 
 

@@ -543,8 +543,10 @@ def read_stories(path) -> list[Story]:
     """Read a JSON-lines story file, validating structure per line.
 
     Raises :class:`StoryFormatError` naming the offending line, and the
-    item for a feature that is not a list of finite numbers (bools are not
-    numbers), is empty, has zero norm, or differs in length from the first.
+    item for a text that is not a string or a feature that is not a list of
+    finite numbers (bools are not numbers), is empty, has zero norm, or
+    differs in length from the first; and the story for one whose feature
+    length differs from the first story's.
     """
     stories = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -563,6 +565,8 @@ def read_stories(path) -> list[Story]:
             for i, raw in enumerate(record["items"]):
                 if not isinstance(raw, dict) or "text" not in raw or "image_feature" not in raw:
                     raise StoryFormatError(f"line {lineno}: item {i}: missing text or image_feature")
+                if not isinstance(raw["text"], str):
+                    raise StoryFormatError(f"line {lineno}: item {i}: text must be a string")
                 feat = raw["image_feature"]
                 if not isinstance(feat, list) or not set(map(type, feat)) <= {int, float}:
                     raise StoryFormatError(f"line {lineno}: item {i}: image_feature must be a number list")
@@ -570,9 +574,14 @@ def read_stories(path) -> list[Story]:
                     raise StoryFormatError(f"line {lineno}: item {i}: non-finite image_feature")
                 if feat and not any(feat):
                     raise StoryFormatError(f"line {lineno}: item {i}: image_feature has zero norm")
-                items.append(StoryItem(str(raw["text"]), tuple(float(x) for x in feat)))
+                items.append(StoryItem(raw["text"], tuple(float(x) for x in feat)))
             try:  # Story checks that every feature has the first one's nonzero length
-                stories.append(Story(str(record["story_id"]), tuple(items)))
+                story = Story(str(record["story_id"]), tuple(items))
             except ValueError as exc:
                 raise StoryFormatError(f"line {lineno}: {exc}") from None
+            if stories and story.feat_dim != stories[0].feat_dim:
+                raise StoryFormatError(
+                    f"line {lineno}: story {story.story_id!r} has {story.feat_dim}-dimensional "
+                    f"image features, the first story has {stories[0].feat_dim}")
+            stories.append(story)
     return stories

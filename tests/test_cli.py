@@ -200,6 +200,26 @@ class TestValidate:
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
 
+    def test_reads_a_model_file_once(self, tmp_path, tiny_config, monkeypatch):
+        path = tmp_path / "m.json"
+        engine.save_model(engine.Model.init(tiny_config), path)
+        loads, load = [], json.load
+
+        def counted_load(fh):
+            loads.append(fh.name)
+            return load(fh)
+
+        monkeypatch.setattr(json, "load", counted_load)
+        assert main(["validate", str(path)]) == 0
+        assert loads == [str(path)]
+
+    def test_non_object_json_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "lst.json"
+        path.write_text("[1, 2]\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {path}: {path}: the top level is not a JSON object"]
+
 
 def _transpose_w_out(payload):
     entry = payload["weights"]["w_out"]
@@ -261,6 +281,26 @@ class TestMalformedFiles:
             assert main(args) == 1
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and f"line 2: {expected}" in err, err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("second, expected", [
+        ({"text": 5, "image_feature": [1.0, 0.0]}, "line 2: item 0: text must be a string"),
+        ({"text": "b", "image_feature": [1.0]},
+         "line 2: story 's1' has 1-dimensional image features, the first story has 2"),
+    ], ids=["text-not-a-string", "feature-dimension"])
+    def test_unusable_story_is_one_line_error(self, tmp_path, capsys, second, expected):
+        """validate and train-toy both reject a story train-toy could not use."""
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            json.dumps({"story_id": "s0", "items": [{"text": "a", "image_feature": [1.0, 0.0]}]})
+            + "\n" + json.dumps({"story_id": "s1", "items": [second]}) + "\n")
+        for args in (["validate", str(path)],
+                     ["train-toy", "--stories", str(path), "--steps", "1",
+                      "--model-out", str(tmp_path / "m.json")]):
+            capsys.readouterr()
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and expected in err, err
         assert not (tmp_path / "m.json").exists()
 
 

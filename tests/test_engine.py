@@ -162,7 +162,6 @@ class TestForwardStepRuns:
         assert any(len(run) > REPLAY_ROWS for run in runs)
         whole, single = (make_cache(small_model, policy, strict) for _ in range(2))
         for run in runs:
-            keys = whole.positions() + list(range(whole.t, whole.t + len(run)))
             step = forward_step(small_model, whole, *run)
             rows = list(step.attention_rows())
             assert len(rows) == len(run)
@@ -171,7 +170,7 @@ class TestForwardStepRuns:
                 want_keys = single.positions() + [single.t]
                 want = forward_step(small_model, single, token)
                 sizes += want.sizes
-                assert [keys[i] for i in attended] == want_keys
+                assert attended.tolist() == want_keys
                 for got_layer, want_layer in zip(layers, want.attention):
                     np.testing.assert_allclose(got_layer, want_layer, rtol=0, atol=1e-12)
             assert step.sizes == sizes
@@ -309,6 +308,28 @@ class TestGenerate:
                           80, mode="free", seed=5)
         assert len(result.generated) == 80
         assert result.trace.violations  # untrained models break the grammar
+
+    @pytest.mark.parametrize("mode, seed, temperature, steps, shows", [
+        ("constrained", 0, None, 40, "blocks"),
+        ("constrained", 5, 0.9, 40, "blocks"),
+        ("free", 5, None, 80, "violations"),
+        ("free", 15, 1.0, 4, "open block"),  # its last token opens a block
+    ], ids=["greedy", "sampled", "free-violations", "free-open"])
+    def test_sequence_equals_a_strict_parse(self, small_model, small_prompt, mode, seed,
+                                            temperature, steps, shows):
+        """The sequence read off the cache's grammar is what a strict parse of
+        the tokens gives, or None where that parse raises."""
+        result = generate(small_model, small_prompt, CachePolicy.mmsink(2, 1, 2, 16), steps,
+                          mode=mode, seed=seed, temperature=temperature,
+                          boi_every=9 if mode == "constrained" else None)
+        try:
+            want = sq.MultimodalSequence.from_tokens(result.tokens, small_model.config.m)
+        except SequenceGrammarError:
+            want = None
+        assert result.sequence == want
+        assert {"blocks": bool(want and want.image_blocks),
+                "violations": bool(result.trace.violations),
+                "open block": not result.trace.violations and want is None}[shows]
 
     def test_trace_entry_counts_bounded_by_policy(self, small_model, small_prompt):
         w = 12
