@@ -201,16 +201,20 @@ def _file_rows(path) -> Iterator[dict]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
             for name in DUMP_FIELDS:
                 if name not in rec:
-                    raise ValueError(f"{path}: line {lineno}: missing field {name!r}")
+                    raise ValueError(f"line {lineno}: missing field {name!r}")
             yield rec
 
 
 def load_dump_file(path) -> list[KeyMeans]:
-    """Key means of every map in one dump file (one run), read row by row."""
-    return records_from_dumps(_file_rows(path))
+    """Key means of every map in one dump file (one run), read row by row.
+    A malformed file raises :class:`ValueError` naming it, then the line or row."""
+    try:
+        return records_from_dumps(_file_rows(path))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_records(path) -> list[KeyMeans]:

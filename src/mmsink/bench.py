@@ -223,12 +223,7 @@ def report_to_dict(report: BenchReport) -> dict:
         "policies": [
             {
                 "policy": r.name,
-                "params": {
-                    "window": r.policy.window,
-                    "n_sink": r.policy.n_sink,
-                    "k_head": r.policy.k_head,
-                    "k_tail": r.policy.k_tail,
-                },
+                "params": r.policy.params(),
                 "peak_entries": r.peak_entries,
                 "bytes": r.bytes_estimate,
                 "mean_tok_s": r.mean_tok_s,

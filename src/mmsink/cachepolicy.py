@@ -27,7 +27,7 @@ push.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +82,10 @@ class CachePolicy:
     @staticmethod
     def mmsink(n_sink: int, k_head: int, k_tail: int, window: int) -> "CachePolicy":
         return CachePolicy("mmsink", window=window, n_sink=n_sink, k_head=k_head, k_tail=k_tail)
+
+    def params(self) -> dict[str, int]:
+        """The numeric parameters by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "kind"}
 
     def check_block_length(self, m: int) -> None:
         """Anchors must fit inside one image block of length ``m``."""

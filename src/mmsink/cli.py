@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields
 
 from . import attnstats, bench, engine, losses, seqmodel
-from .cachepolicy import CachePolicy
+from .cachepolicy import POLICY_KINDS, CachePolicy
 from .engine import Model, ModelConfig
 from .errors import (
     ConfigError,
@@ -99,15 +99,17 @@ def _load_config_file(path) -> dict[tuple[str, str], object]:
     return values
 
 
-def _resolve_config(args, flag_overrides: dict[tuple[str, str], object]):
-    """Profile defaults, then config file, then flags. Returns (cfg, seed)."""
+def _resolve_config(args):
+    """Profile defaults, then config file, then flags. A flag that sets a
+    config key has that key, ``section.key``, as its dest. Returns (cfg, seed)."""
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     profile = getattr(args, "profile", None) or file_values.get(("cli", "profile")) or "desk"
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
     cfg = dict(PROFILES[profile])
     cfg.update({k: v for k, v in file_values.items() if k != ("cli", "profile")})
-    cfg.update({k: v for k, v in flag_overrides.items() if v is not None})
+    cfg.update({tuple(k.split(".")): v for k, v in vars(args).items()
+                if "." in k and v is not None})
     cfg[("cli", "profile")] = profile
 
     seed = getattr(args, "seed", None)
@@ -169,10 +171,7 @@ def _build_prompt(model: Model, items: int, prompt_seed: int) -> seqmodel.Multim
 # -- subcommands -------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg, seed = _resolve_config(args, {
-        ("seqmodel", "items_per_story"): args.len,
-        ("seqmodel", "d_feat"): args.d_feat,
-    })
+    cfg, seed = _resolve_config(args)
     _print_effective("synth", cfg, {"stories": args.stories, "out": args.out})
     stories = seqmodel.synth_stories(
         args.stories,
@@ -186,11 +185,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    cfg, seed = _resolve_config(args, {
-        ("losses", "steps"): args.steps,
-        ("losses", "lr"): args.lr,
-        ("losses", "lam"): args.lam,
-    })
+    cfg, seed = _resolve_config(args)
     extras = {
         "stories": args.stories or f"<synthetic x{args.synth_stories}>",
         "model_out": args.model_out,
@@ -250,13 +245,7 @@ def _moved_into_place(path):
 
 
 def cmd_gen(args) -> int:
-    cfg, seed = _resolve_config(args, {
-        ("cachepolicy", "policy"): args.policy,
-        ("cachepolicy", "window"): args.window,
-        ("cachepolicy", "n_sink"): args.n_sink,
-        ("cachepolicy", "k_head"): args.k_head,
-        ("cachepolicy", "k_tail"): args.k_tail,
-    })
+    cfg, seed = _resolve_config(args)
     extras = {
         "model": args.model or "<fresh from config>",
         "out": args.out,
@@ -283,8 +272,7 @@ def cmd_gen(args) -> int:
         record = {
             "kind": "mmsink-generation-v1",
             "policy": policy.kind,
-            "params": {"window": policy.window, "n_sink": policy.n_sink,
-                       "k_head": policy.k_head, "k_tail": policy.k_tail},
+            "params": policy.params(),
             "mode": args.mode,
             "seed": seed,
             "steps": args.steps,
@@ -314,7 +302,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg, _seed = _resolve_config(args, {})
+    cfg, _seed = _resolve_config(args)
     extras = {"dumps": args.dumps, "k": args.k,
               "occ_out": args.occ_out, "cat_out": args.cat_out or "<none>"}
     _print_effective("stats", cfg, extras)
@@ -336,16 +324,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg, seed = _resolve_config(args, {
-        ("bench", "steps"): args.steps,
-        ("bench", "repeats"): args.repeats,
-        ("bench", "checkpoints"): args.checkpoints,
-        ("bench", "timing"): args.timing,
-        ("cachepolicy", "window"): args.window,
-        ("cachepolicy", "n_sink"): args.n_sink,
-        ("cachepolicy", "k_head"): args.k_head,
-        ("cachepolicy", "k_tail"): args.k_tail,
-    })
+    cfg, seed = _resolve_config(args)
     extras = {
         "model": args.model or "<fresh from config>",
         "policies": args.policies,
@@ -488,8 +467,8 @@ def cmd_validate(args) -> int:
     for path in args.paths:
         try:
             kind = _validate_one(path)
-        except Exception as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        except Exception as exc:  # the path once, whether or not the message begins with it
+            print(f"error: {path}: {str(exc).removeprefix(f'{path}: ')}", file=sys.stderr)
             failures += 1
             continue
         print(f"ok: {path}: {kind}")
@@ -504,12 +483,16 @@ def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, help="run seed (fallback: MMSINK_SEED, then 0)")
 
 
+def _key_flag(sub, flag: str, key: str, **kwargs) -> None:
+    """A flag that sets the config key ``key`` (``section.key``): its dest and its type."""
+    section, name = key.split(".")
+    kwargs.setdefault("help", f"[{section}] {name}")
+    sub.add_argument(flag, dest=key, type=KNOWN_KEYS[section][name], **kwargs)
+
+
 def _add_policy_flags(sub) -> None:
-    sub.add_argument("--policy", choices=["dense", "window", "sink", "mmsink"])
-    sub.add_argument("--window", type=int)
-    sub.add_argument("--n-sink", type=int, dest="n_sink")
-    sub.add_argument("--k-head", type=int, dest="k_head")
-    sub.add_argument("--k-tail", type=int, dest="k_tail")
+    for name in ("window", "n_sink", "k_head", "k_tail"):
+        _key_flag(sub, "--" + name.replace("_", "-"), f"cachepolicy.{name}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -522,8 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic stories")
     _add_common(p)
     p.add_argument("--stories", type=int, required=True)
-    p.add_argument("--len", type=int, default=None, help="items per story")
-    p.add_argument("--d-feat", type=int, default=None, dest="d_feat")
+    _key_flag(p, "--len", "seqmodel.items_per_story")
+    _key_flag(p, "--d-feat", "seqmodel.d_feat")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -532,15 +515,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stories", help="story JSONL file (default: synthesize)")
     p.add_argument("--synth-stories", type=int, default=20, dest="synth_stories")
     p.add_argument("--synth-len", type=int, default=4, dest="synth_len")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
+    _key_flag(p, "--steps", "losses.steps")
+    _key_flag(p, "--lr", "losses.lr")
+    _key_flag(p, "--lam", "losses.lam")
     p.add_argument("--model-out", required=True, dest="model_out")
     p.add_argument("--curve-out", dest="curve_out")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("gen", help="generate a sequence under a policy")
     _add_common(p)
+    _key_flag(p, "--policy", "cachepolicy.policy", choices=POLICY_KINDS)
     _add_policy_flags(p)
     p.add_argument("--model", help="model JSON (default: fresh seeded model)")
     p.add_argument("--steps", type=int, required=True)
@@ -567,10 +551,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(p)
     p.add_argument("--model", help="model JSON (default: fresh seeded model)")
     p.add_argument("--policies", default="dense,window,sink,mmsink")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--checkpoints", default=None, help="comma-separated prefix lengths")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--timing", choices=["off", "wall"], default=None)
+    _key_flag(p, "--steps", "bench.steps")
+    _key_flag(p, "--checkpoints", "bench.checkpoints", help="comma-separated prefix lengths")
+    _key_flag(p, "--repeats", "bench.repeats")
+    _key_flag(p, "--timing", "bench.timing", choices=["off", "wall"])
     p.add_argument("--trajectory", choices=["synthetic", "generated"], default="synthetic")
     p.add_argument("--prompt-items", type=int, default=1, dest="prompt_items")
     p.add_argument("--report", required=True)

@@ -517,8 +517,8 @@ def generate(
     :func:`forward_step` call (jump-forward decoding): the prompt, and in
     constrained mode the rest of an open block once its begin marker is fed
     (after any feature prediction), since the grammar fixes each of those
-    tokens. Each of them still draws from ``rng`` as a sampled step would (a
-    one-id legal set always yields that id), so the tokens and the per-token
+    tokens. When sampling, each of them still draws the one double from
+    ``rng`` that a sampled step draws, so the tokens and the per-token
     ``entry_counts`` equal those of one call per token; each token of such a
     run gets an equal share of the run's time in ``step_seconds``.
 
@@ -578,15 +578,13 @@ def generate(
     last = feed(prompt.tokens)
 
     closing = [Token.img(s) for s in range(cfg.m)] + [Token.eoi()]
-    closing_ids = [np.array([vocab_id(token, cfg.m, cfg.v_text)]) for token in closing]
     generated: list[Token] = []
     while len(generated) < steps or (constrained and cache.in_block):
         t0 = time.perf_counter()
         if constrained and cache.in_block:
-            slot = cache.next_slot
-            for legal in closing_ids[slot:]:
-                _sample(last.logits, legal, temperature, rng)
-            run = closing[slot:]
+            run = closing[cache.next_slot:]
+            if temperature is not None:  # a sampled step draws one double, whatever its legal set
+                rng.random(len(run))
         else:
             legal = None
             if constrained and boi_every and len(generated) % boi_every == 0:

@@ -25,7 +25,6 @@ from .errors import SequenceGrammarError, StoryFormatError
 
 PUNCT_CHARS = ",.;!?"
 N_PUNCT = len(PUNCT_CHARS)
-N_SPECIALS = 4  # BOS, EOS, BOI, EOI
 
 DEFAULT_V_TEXT = 256
 DEFAULT_BLOCK_LEN = 8
@@ -46,6 +45,11 @@ class TokenKind(Enum):
     EOI = "eoi"
 
 
+# The marker kinds: each one's index is its vocabulary id, its name its label.
+MARKERS = (TokenKind.BOS, TokenKind.EOS, TokenKind.BOI, TokenKind.EOI)
+N_SPECIALS = len(MARKERS)
+
+
 @dataclass(frozen=True)
 class Token:
     """One sequence element.
@@ -60,7 +64,7 @@ class Token:
     def __post_init__(self) -> None:
         if self.value < 0:
             raise ValueError(f"token value must be non-negative, got {self.value}")
-        if self.kind in (TokenKind.BOS, TokenKind.EOS, TokenKind.BOI, TokenKind.EOI) and self.value != 0:
+        if self.kind in MARKERS and self.value != 0:
             raise ValueError(f"{self.kind.name} token carries no value")
         if self.kind is TokenKind.PUNCT and self.value >= N_PUNCT:
             raise ValueError(f"punctuation index {self.value} out of range")
@@ -98,14 +102,8 @@ class Token:
 def token_label(token: Token) -> str:
     """Human-readable label used in attention dumps and statistics. Equal
     tokens share one label string."""
-    if token.kind is TokenKind.BOS:
-        return "BOS"
-    if token.kind is TokenKind.EOS:
-        return "EOS"
-    if token.kind is TokenKind.BOI:
-        return "BOI"
-    if token.kind is TokenKind.EOI:
-        return "EOI"
+    if token.kind in MARKERS:
+        return token.kind.name
     if token.kind is TokenKind.IMG:
         return f"IMG{token.value:02d}"
     if token.kind is TokenKind.PUNCT:
@@ -121,27 +119,21 @@ def vocab_size(m: int = DEFAULT_BLOCK_LEN, v_text: int = DEFAULT_V_TEXT) -> int:
 def vocab_id(token: Token, m: int = DEFAULT_BLOCK_LEN, v_text: int = DEFAULT_V_TEXT) -> int:
     """Map a token to its dense vocabulary index.
 
-    Layout: BOS=0, EOS=1, BOI=2, EOI=3, then image slots, punctuation,
-    and word buckets, in that order.
+    Layout: the :data:`MARKERS` (BOS=0, EOS=1, BOI=2, EOI=3), then image
+    slots, punctuation, and word buckets, in that order.
     """
     kind = token.kind
-    if kind is TokenKind.BOS:
-        return 0
-    if kind is TokenKind.EOS:
-        return 1
-    if kind is TokenKind.BOI:
-        return 2
-    if kind is TokenKind.EOI:
-        return 3
+    if kind is TokenKind.WORD:  # the commonest kind first
+        if token.value >= v_text:
+            raise ValueError(f"word id {token.value} out of range for vocabulary {v_text}")
+        return N_SPECIALS + m + N_PUNCT + token.value
     if kind is TokenKind.IMG:
         if token.value >= m:
             raise ValueError(f"image slot {token.value} out of range for block length {m}")
         return N_SPECIALS + token.value
     if kind is TokenKind.PUNCT:
         return N_SPECIALS + m + token.value
-    if token.value >= v_text:
-        raise ValueError(f"word id {token.value} out of range for vocabulary {v_text}")
-    return N_SPECIALS + m + N_PUNCT + token.value
+    return MARKERS.index(kind)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -150,14 +142,8 @@ def token_from_vocab_id(idx: int, m: int = DEFAULT_BLOCK_LEN, v_text: int = DEFA
     :class:`Token`, so a long generation holds one object per distinct token."""
     if idx < 0 or idx >= vocab_size(m, v_text):
         raise ValueError(f"vocabulary index {idx} out of range")
-    if idx == 0:
-        return Token.bos()
-    if idx == 1:
-        return Token.eos()
-    if idx == 2:
-        return Token.boi()
-    if idx == 3:
-        return Token.eoi()
+    if idx < N_SPECIALS:
+        return Token(MARKERS[idx])
     idx -= N_SPECIALS
     if idx < m:
         return Token.img(idx)
@@ -542,7 +528,7 @@ def write_stories(stories: Iterable[Story], path) -> None:
 def read_stories(path) -> list[Story]:
     """Read a JSON-lines story file, validating structure per line.
 
-    Raises :class:`StoryFormatError` naming the offending line, and the
+    Raises :class:`StoryFormatError` naming the file and line, and the
     item for a text that is not a string or a feature that is not a list of
     finite numbers (bools are not numbers), is empty, has zero norm, or
     differs in length from the first; and the story for one whose feature
@@ -553,35 +539,36 @@ def read_stories(path) -> list[Story]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise StoryFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+                raise StoryFormatError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or "story_id" not in record:
-                raise StoryFormatError(f"line {lineno}: missing story_id")
+                raise StoryFormatError(f"{where}: missing story_id")
             if "items" not in record or not isinstance(record["items"], list) or not record["items"]:
-                raise StoryFormatError(f"line {lineno}: missing or empty items")
+                raise StoryFormatError(f"{where}: missing or empty items")
             items = []
             for i, raw in enumerate(record["items"]):
                 if not isinstance(raw, dict) or "text" not in raw or "image_feature" not in raw:
-                    raise StoryFormatError(f"line {lineno}: item {i}: missing text or image_feature")
+                    raise StoryFormatError(f"{where}: item {i}: missing text or image_feature")
                 if not isinstance(raw["text"], str):
-                    raise StoryFormatError(f"line {lineno}: item {i}: text must be a string")
+                    raise StoryFormatError(f"{where}: item {i}: text must be a string")
                 feat = raw["image_feature"]
                 if not isinstance(feat, list) or not set(map(type, feat)) <= {int, float}:
-                    raise StoryFormatError(f"line {lineno}: item {i}: image_feature must be a number list")
+                    raise StoryFormatError(f"{where}: item {i}: image_feature must be a number list")
                 if not all(abs(x) <= sys.float_info.max for x in feat):  # NaN, inf, too large
-                    raise StoryFormatError(f"line {lineno}: item {i}: non-finite image_feature")
+                    raise StoryFormatError(f"{where}: item {i}: non-finite image_feature")
                 if feat and not any(feat):
-                    raise StoryFormatError(f"line {lineno}: item {i}: image_feature has zero norm")
+                    raise StoryFormatError(f"{where}: item {i}: image_feature has zero norm")
                 items.append(StoryItem(raw["text"], tuple(float(x) for x in feat)))
             try:  # Story checks that every feature has the first one's nonzero length
                 story = Story(str(record["story_id"]), tuple(items))
             except ValueError as exc:
-                raise StoryFormatError(f"line {lineno}: {exc}") from None
+                raise StoryFormatError(f"{where}: {exc}") from None
             if stories and story.feat_dim != stories[0].feat_dim:
                 raise StoryFormatError(
-                    f"line {lineno}: story {story.story_id!r} has {story.feat_dim}-dimensional "
+                    f"{where}: story {story.story_id!r} has {story.feat_dim}-dimensional "
                     f"image features, the first story has {stories[0].feat_dim}")
             stories.append(story)
     return stories

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: subcommands, config, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from mmsink import attnstats, engine
 from mmsink.errors import StateError
 from mmsink.bench import CSV_HEADER
 from mmsink import seqmodel as sq
-from mmsink.cli import main
+from mmsink.cli import KNOWN_KEYS, _build_parser, main
 
 
 def run(args, capsys=None):
@@ -218,7 +219,7 @@ class TestValidate:
         path.write_text("[1, 2]\n")
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {path}: {path}: the top level is not a JSON object"]
+        assert err.splitlines() == [f"error: {path}: the top level is not a JSON object"]
 
 
 def _transpose_w_out(payload):
@@ -280,7 +281,8 @@ class TestMalformedFiles:
             capsys.readouterr()
             assert main(args) == 1
             err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1 and f"line 2: {expected}" in err, err
+            assert len(err.splitlines()) == 1 and f"{path}: line 2: {expected}" in err, err
+            assert err.count(str(path)) == 1, err
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("second, expected", [
@@ -300,8 +302,84 @@ class TestMalformedFiles:
             capsys.readouterr()
             assert main(args) == 1
             err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1 and expected in err, err
+            assert len(err.splitlines()) == 1 and f"{path}: {expected}" in err, err
+            assert err.count(str(path)) == 1, err
         assert not (tmp_path / "m.json").exists()
+
+    def test_bad_dump_in_a_directory_is_named(self, tmp_path, capsys):
+        """stats --dumps DIR names the file that holds a bad row."""
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        row = {"t": 1, "layer": 0, "head": 0, "labels": ["BOS"], "positions": [0]}
+        (dumps / "a.jsonl").write_text(json.dumps(dict(row, row=[1.0])) + "\n")
+        bad = dumps / "b.jsonl"
+        bad.write_text(json.dumps(dict(row, row=[0.5])) + "\n")
+        assert main(["stats", "--dumps", str(dumps), "--occ-out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ValueError: {bad}: dump row t=1 layer=0 head=0: row sums to 0.5, expected 1"]
+
+
+# the config keys each subcommand's flags set, as their dests
+_FLAG_KEYS = {
+    "synth": {"seqmodel.items_per_story", "seqmodel.d_feat"},
+    "train-toy": {"losses.steps", "losses.lr", "losses.lam"},
+    "gen": {f"cachepolicy.{k}" for k in ("policy", "window", "n_sink", "k_head", "k_tail")},
+    "stats": set(),
+    "bench": {f"cachepolicy.{k}" for k in ("window", "n_sink", "k_head", "k_tail")}
+    | {f"bench.{k}" for k in ("steps", "checkpoints", "repeats", "timing")},
+    "validate": set(),
+}
+
+# the other arguments of a tiny run of each subcommand
+_TINY_RUN = {
+    "synth": ["--stories", "1", "--out", "s.jsonl"],
+    "train-toy": ["--synth-stories", "1", "--synth-len", "1", "--model-out", "m.json"],
+    "gen": ["--steps", "2", "--out", "g.jsonl"],
+    "bench": ["--policies", "window", "--report", "r.csv"],
+}
+
+
+class TestConfigFlags:
+    def test_each_flag_dest_is_its_config_key(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sub.choices.keys() == _FLAG_KEYS.keys()
+        for command, parser in sub.choices.items():
+            keyed = [a for a in parser._actions if "." in a.dest]
+            assert {a.dest for a in keyed} == _FLAG_KEYS[command], command
+            for action in keyed:
+                section, key = action.dest.split(".")
+                assert action.type is KNOWN_KEYS[section][key], action.dest
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("synth", "--len", "3", "seqmodel.items_per_story"),
+        ("synth", "--d-feat", "5", "seqmodel.d_feat"),
+        ("train-toy", "--steps", "2", "losses.steps"),
+        ("train-toy", "--lr", "0.25", "losses.lr"),
+        ("train-toy", "--lam", "0.5", "losses.lam"),
+        ("gen", "--policy", "window", "cachepolicy.policy"),
+        ("gen", "--window", "16", "cachepolicy.window"),
+        ("gen", "--n-sink", "2", "cachepolicy.n_sink"),
+        ("gen", "--k-head", "2", "cachepolicy.k_head"),
+        ("gen", "--k-tail", "1", "cachepolicy.k_tail"),
+        ("bench", "--window", "16", "cachepolicy.window"),
+        ("bench", "--n-sink", "2", "cachepolicy.n_sink"),
+        ("bench", "--k-head", "2", "cachepolicy.k_head"),
+        ("bench", "--k-tail", "1", "cachepolicy.k_tail"),
+        ("bench", "--steps", "12", "bench.steps"),
+        ("bench", "--checkpoints", "4,8", "bench.checkpoints"),
+        ("bench", "--repeats", "2", "bench.repeats"),
+        ("bench", "--timing", "wall", "bench.timing"),
+    ])
+    def test_flag_sets_its_config_line(self, tmp_path, capsys, monkeypatch,
+                                       command, flag, value, key):
+        """Each value differs from the config file's and the desk profile's."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.ini").write_text(
+            "[losses]\nsteps = 1\n[bench]\nsteps = 16\ncheckpoints = 8\nrepeats = 1\n")
+        assert main([command, *_TINY_RUN[command], "--config", "tiny.ini", flag, value]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  {key} = {value}" in lines
 
 
 class TestConfigHandling:
@@ -357,6 +435,11 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--stories", "1", "--frobnicate", "--out", "x"])
+        assert exc.value.code == 2
+
+    def test_bench_takes_policies_not_policy(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--policy", "dense", "--report", "r.csv"])
         assert exc.value.code == 2
 
     def test_unknown_subcommand_is_usage_error(self):

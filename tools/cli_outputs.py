@@ -3,7 +3,7 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 23
+The first form runs the fixed set of CLI commands below, writing their 28
 output files into OUT (the four attention dumps under OUT/dumps/), and
 prints one SHA-256 per file. ``--src`` picks the source tree to run
 (default: this checkout's ``src``), so the same script can write the matrix
@@ -51,9 +51,20 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
         report, js = f"bench-{trajectory}.csv", f"bench-{trajectory}.json"
         runs.append((["bench", "--steps", "512", "--trajectory", trajectory,
                       "--report", out / report, "--json", out / js], [report, js]))
+    runs.append((["bench", "--policies", "window,sink,mmsink", "--window", "16", "--n-sink", "2",
+                  "--k-head", "2", "--k-tail", "1", "--steps", "128", "--checkpoints", "40,80",
+                  "--repeats", "2", "--report", out / "bench-flags.csv",
+                  "--json", out / "bench-flags.json"],
+                 ["bench-flags.csv", "bench-flags.json"]))
     runs.append((["train-toy", "--steps", "50", "--model-out", out / "train-model.json",
                   "--curve-out", out / "train-curve.csv"],
                  ["train-model.json", "train-curve.csv"]))
+    runs.append((["train-toy", "--steps", "5", "--lr", "0.1", "--lam", "0.5",
+                  "--model-out", out / "train-flags-model.json",
+                  "--curve-out", out / "train-flags-curve.csv"],
+                 ["train-flags-model.json", "train-flags-curve.csv"]))
+    runs.append((["synth", "--stories", "3", "--len", "5", "--d-feat", "4",
+                  "--out", out / "synth-stories.jsonl"], ["synth-stories.jsonl"]))
     runs.append((["stats", "--dumps", out / "dumps/gen-mmsink.dump.jsonl",
                   "--occ-out", out / "stats-occurrence.csv",
                   "--cat-out", out / "stats-category.csv"],
