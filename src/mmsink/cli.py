@@ -484,7 +484,8 @@ def _add_common(sub) -> None:
 
 
 def _key_flag(sub, flag: str, key: str, **kwargs) -> None:
-    """A flag that sets the config key ``key`` (``section.key``): its dest and its type."""
+    """A flag that sets the config key ``key`` (``section.key``): its dest, its
+    type and, unless given, its help."""
     section, name = key.split(".")
     kwargs.setdefault("help", f"[{section}] {name}")
     sub.add_argument(flag, dest=key, type=KNOWN_KEYS[section][name], **kwargs)
