@@ -74,7 +74,9 @@ def aggregate_occurrence(records: Iterable[KeyMeans], k: int = 10) -> Occurrence
 
 
 def classify_token(label: str, m: int, k_head: int, k_tail: int) -> str:
-    """Token category for retention analysis. Unknown labels are 'other'."""
+    """Token category for retention analysis. Unknown labels are 'other'.
+    A slot label that a block of length ``m`` cannot hold raises
+    :class:`ValueError`: the dump came from another block length."""
     if label == "BOS":
         return "starting"
     if len(label) == 1 and label in PUNCT_CHARS:
@@ -85,6 +87,8 @@ def classify_token(label: str, m: int, k_head: int, k_tail: int) -> str:
         return "near_eoi"
     if label.startswith("IMG") and label[3:].isdigit():
         slot = int(label[3:])
+        if slot >= m:
+            raise ValueError(f"label {label!r}: slot {slot} does not fit a block of length m={m}")
         if slot < k_head:
             return "near_boi"
         if slot >= m - k_tail:

@@ -321,18 +321,19 @@ class KvCache:
 
     # -- mutation -----------------------------------------------------------
 
-    def _reserve(self, rows: int) -> None:
-        """Grow the buffers to at least ``rows`` rows."""
-        cap = len(self._pos)
+    def reserve(self, rows: int) -> None:
+        """Grow the buffers to exactly ``rows`` rows, keeping the entries, if
+        they hold fewer. A caller that knows how many entries the run will
+        hold at most allocates them once; :meth:`append` grows by doubling."""
+        cap, c = len(self._pos), self._count
         if rows > cap:
-            grown = max(2 * cap, rows)
             for l in range(self.layers):
                 for store in (self._k, self._v):
-                    bigger = np.empty((self.heads, grown, self.d_head))
-                    bigger[:, :cap, :] = store[l]
+                    bigger = np.empty((self.heads, rows, self.d_head))
+                    bigger[:, :c, :] = store[l][:, :c, :]
                     store[l] = bigger
-            self._pos = np.concatenate([self._pos, np.empty(grown - cap, dtype=np.int64)])
-            self._until = np.concatenate([self._until, np.empty(grown - cap, dtype=np.int64)])
+            self._pos = np.concatenate([self._pos, np.empty(rows - cap, dtype=np.int64)])
+            self._until = np.concatenate([self._until, np.empty(rows - cap, dtype=np.int64)])
 
     def _compact(self, drop: list[int]) -> None:
         """Remove the entries at the ascending indices ``drop``, shifting each
@@ -359,7 +360,8 @@ class KvCache:
         policy, grammar = self.policy, self.grammar
         mmsink, sinks = policy.kind == "mmsink", _n_sink(policy)
         n, c, t0 = len(tokens), self._count, grammar.t
-        self._reserve(c + n)
+        if c + n > len(self._pos):
+            self.reserve(max(2 * len(self._pos), c + n))
         until = self._until
         # An open block's members are never evicted, so they are the last
         # entries, at consecutive positions, and an event that closes the

@@ -128,12 +128,20 @@ def _resolve_config(args):
     return cfg, int(seed)
 
 
-def _print_effective(command: str, cfg: dict, extras: dict) -> None:
+# arguments that are not printed as ``command.dest`` lines: the config
+# lines hold the profile and seed, and what the file set
+_UNPRINTED = {"func", "command", "config", "profile", "seed"}
+
+
+def _print_effective(command: str, cfg: dict, args) -> None:
+    """The config keys, then each other argument of the run as
+    ``command.dest``, so the lines reproduce the run."""
     print(f"[{command}] effective config:")
     for (section, key) in sorted(cfg):
         print(f"  {section}.{key} = {cfg[(section, key)]}")
-    for key in sorted(extras):
-        print(f"  {command}.{key} = {extras[key]}")
+    for dest, value in sorted(vars(args).items()):
+        if "." not in dest and dest not in _UNPRINTED:
+            print(f"  {command}.{dest} = {'<none>' if value is None else value}")
 
 
 def _model_config(cfg, seed: int) -> ModelConfig:
@@ -172,7 +180,7 @@ def _build_prompt(model: Model, items: int, prompt_seed: int) -> seqmodel.Multim
 
 def cmd_synth(args) -> int:
     cfg, seed = _resolve_config(args)
-    _print_effective("synth", cfg, {"stories": args.stories, "out": args.out})
+    _print_effective("synth", cfg, args)
     stories = seqmodel.synth_stories(
         args.stories,
         items_per_story=cfg[("seqmodel", "items_per_story")],
@@ -186,12 +194,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train_toy(args) -> int:
     cfg, seed = _resolve_config(args)
-    extras = {
-        "stories": args.stories or f"<synthetic x{args.synth_stories}>",
-        "model_out": args.model_out,
-        "curve_out": args.curve_out or "<none>",
-    }
-    _print_effective("train-toy", cfg, extras)
+    _print_effective("train-toy", cfg, args)
     if args.stories:
         stories = seqmodel.read_stories(args.stories)
         d_feat = cfg[("seqmodel", "d_feat")]
@@ -246,18 +249,7 @@ def _moved_into_place(path):
 
 def cmd_gen(args) -> int:
     cfg, seed = _resolve_config(args)
-    extras = {
-        "model": args.model or "<fresh from config>",
-        "out": args.out,
-        "steps": args.steps,
-        "mode": args.mode,
-        "prompt_items": args.prompt_items,
-        "prompt_seed": args.prompt_seed if args.prompt_seed is not None else seed,
-        "attn_dump": args.attn_dump or "<none>",
-        "features": args.features,
-        "boi_every": "<none>" if args.boi_every is None else args.boi_every,
-    }
-    _print_effective("gen", cfg, extras)
+    _print_effective("gen", cfg, args)
     model = _obtain_model(args, cfg, seed)
     policy = _policy_from_cfg(cfg)
     prompt_seed = args.prompt_seed if args.prompt_seed is not None else seed
@@ -303,17 +295,17 @@ def cmd_gen(args) -> int:
 
 def cmd_stats(args) -> int:
     cfg, _seed = _resolve_config(args)
-    extras = {"dumps": args.dumps, "k": args.k,
-              "occ_out": args.occ_out, "cat_out": args.cat_out or "<none>"}
-    _print_effective("stats", cfg, extras)
+    _print_effective("stats", cfg, args)
     if args.k < 1:
         raise ConfigError(f"stats.k must be at least 1, got {args.k}")
     records = attnstats.load_records(args.dumps)
-    table = attnstats.aggregate_occurrence(records, k=args.k)
-    attnstats.write_occurrence_csv(table, args.occ_out)
     m = cfg[("seqmodel", "m")]
     k_head = cfg[("cachepolicy", "k_head")]
     k_tail = cfg[("cachepolicy", "k_tail")]
+    for label in set().union(*(r.labels for r in records)):  # a slot m cannot hold raises
+        attnstats.classify_token(label, m, k_head, k_tail)
+    table = attnstats.aggregate_occurrence(records, k=args.k)
+    attnstats.write_occurrence_csv(table, args.occ_out)
     if args.cat_out:
         attnstats.write_category_csv(table, m, k_head, k_tail, args.cat_out)
     shares = attnstats.category_shares(table, m, k_head, k_tail)
@@ -325,15 +317,8 @@ def cmd_stats(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, seed = _resolve_config(args)
-    extras = {
-        "model": args.model or "<fresh from config>",
-        "policies": args.policies,
-        "report": args.report,
-        "json": args.json_out or "<none>",
-        "trajectory": args.trajectory,
-        "prompt_items": args.prompt_items,
-    }
-    _print_effective("bench", cfg, extras)
+    del cfg[("cachepolicy", "policy")]  # bench runs each of --policies
+    _print_effective("bench", cfg, args)
     model = _obtain_model(args, cfg, seed)
     kinds = [p.strip() for p in args.policies.split(",") if p.strip()]
     policies = [_policy_from_cfg(cfg, kind) for kind in kinds]
@@ -543,6 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dumps", required=True, help="dump file or directory")
     p.add_argument("--k", type=int, default=10)
+    _key_flag(p, "--k-head", "cachepolicy.k_head")
+    _key_flag(p, "--k-tail", "cachepolicy.k_tail")
     p.add_argument("--occ-out", required=True, dest="occ_out")
     p.add_argument("--cat-out", dest="cat_out")
     p.set_defaults(func=cmd_stats)

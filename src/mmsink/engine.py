@@ -534,7 +534,8 @@ def generate(
     temperature that is not, ``boi_every`` in free mode, and a dense run that
     does not fit the position table raise :class:`ConfigError` before any
     compute. That bound is ``len(prompt) + steps``, plus ``m + 1`` in
-    constrained mode for a block completed after the budget.
+    constrained mode for a block completed after the budget. A dense cache
+    keeps every token, so it allocates that many rows once, up front.
     """
     if mode not in ("constrained", "free"):
         raise ConfigError(f"unknown generation mode {mode!r}")
@@ -553,12 +554,15 @@ def generate(
     cfg = model.config
     constrained = mode == "constrained"
     completion = cfg.m + 1 if constrained else 0
-    if policy.kind == "dense" and len(prompt) + steps + completion > cfg.max_positions:
+    most = len(prompt) + steps + completion  # tokens the run can feed
+    if policy.kind == "dense" and most > cfg.max_positions:
         raise ConfigError(
             f"dense run of {len(prompt)} prompt + {steps} steps (+ {completion} to "
             f"complete a block) exceeds the position table ({cfg.max_positions})"
         )
     cache = make_cache(model, policy, strict=constrained)
+    if policy.kind == "dense":  # it keeps every token: its rows, allocated once
+        cache.reserve(most)
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()
     tokens: list[Token] = []

@@ -166,6 +166,11 @@ class TestClassifyToken:
         assert classify_token("IMG04", 64, 5, 8) == "near_boi"
         assert classify_token("IMG05", 64, 5, 8) == "other"
 
+    def test_slot_past_the_block_raises(self):
+        assert classify_token("IMG07", 8, 1, 2) == "near_eoi"
+        with pytest.raises(ValueError, match="'IMG20': slot 20 .* m=8"):
+            classify_token("IMG20", 8, 1, 2)
+
     def test_category_shares_sum_to_one(self):
         rng = np.random.default_rng(4)
         records = ingest(*[causal_map(rng, 10) for _ in range(10)])

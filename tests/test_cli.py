@@ -116,6 +116,22 @@ class TestStats:
         assert occ.read_text().splitlines()[0] == "label,count"
         assert cat.read_text().splitlines()[0] == "category,share"
 
+    def test_anchor_flags_set_the_categories(self, tmp_path, capsys):
+        """gen --k-head 3, then stats --k-head 3: IMG00-IMG02 count as near_boi."""
+        dump = tmp_path / "d.jsonl"
+        main(["gen", "--k-head", "3", "--steps", "60", "--boi-every", "12",
+              "--attn-dump", str(dump), "--out", str(tmp_path / "g.jsonl")])
+        occ, cat = tmp_path / "occ.csv", tmp_path / "cat.csv"
+        assert main(["stats", "--k-head", "3", "--k", "40", "--dumps", str(dump),
+                     "--occ-out", str(occ), "--cat-out", str(cat)]) == 0
+        assert "  cachepolicy.k_head = 3" in capsys.readouterr().out.splitlines()
+        counts = {label: int(n) for label, n in
+                  (line.split(",") for line in occ.read_text().splitlines()[1:])}
+        assert {"IMG01", "IMG02"} <= counts.keys()
+        near_boi = sum(counts.get(label, 0) for label in ("BOI", "IMG00", "IMG01", "IMG02"))
+        shares = dict(line.split(",") for line in cat.read_text().splitlines()[1:])
+        assert float(shares["near_boi"]) == near_boi / sum(counts.values())
+
 
 class TestBench:
     def test_csv_has_four_policy_rows_per_checkpoint(self, tmp_path):
@@ -324,7 +340,7 @@ _FLAG_KEYS = {
     "synth": {"seqmodel.items_per_story", "seqmodel.d_feat"},
     "train-toy": {"losses.steps", "losses.lr", "losses.lam"},
     "gen": {f"cachepolicy.{k}" for k in ("policy", "window", "n_sink", "k_head", "k_tail")},
-    "stats": set(),
+    "stats": {"cachepolicy.k_head", "cachepolicy.k_tail"},
     "bench": {f"cachepolicy.{k}" for k in ("window", "n_sink", "k_head", "k_tail")}
     | {f"bench.{k}" for k in ("steps", "checkpoints", "repeats", "timing")},
     "validate": set(),
@@ -335,8 +351,18 @@ _TINY_RUN = {
     "synth": ["--stories", "1", "--out", "s.jsonl"],
     "train-toy": ["--synth-stories", "1", "--synth-len", "1", "--model-out", "m.json"],
     "gen": ["--steps", "2", "--out", "g.jsonl"],
+    "stats": ["--dumps", "d.jsonl", "--occ-out", "o.csv"],
     "bench": ["--policies", "window", "--report", "r.csv"],
 }
+
+
+def _tiny_files(tmp_path, monkeypatch) -> None:
+    """The config file and attention dump the tiny runs read, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.ini").write_text(
+        "[losses]\nsteps = 1\n[bench]\nsteps = 16\ncheckpoints = 8\nrepeats = 1\n")
+    (tmp_path / "d.jsonl").write_text(json.dumps(
+        {"t": 1, "layer": 0, "head": 0, "labels": ["BOS"], "positions": [0], "row": [1.0]}) + "\n")
 
 
 class TestConfigFlags:
@@ -362,6 +388,8 @@ class TestConfigFlags:
         ("gen", "--n-sink", "2", "cachepolicy.n_sink"),
         ("gen", "--k-head", "2", "cachepolicy.k_head"),
         ("gen", "--k-tail", "1", "cachepolicy.k_tail"),
+        ("stats", "--k-head", "3", "cachepolicy.k_head"),
+        ("stats", "--k-tail", "1", "cachepolicy.k_tail"),
         ("bench", "--window", "16", "cachepolicy.window"),
         ("bench", "--n-sink", "2", "cachepolicy.n_sink"),
         ("bench", "--k-head", "2", "cachepolicy.k_head"),
@@ -374,12 +402,28 @@ class TestConfigFlags:
     def test_flag_sets_its_config_line(self, tmp_path, capsys, monkeypatch,
                                        command, flag, value, key):
         """Each value differs from the config file's and the desk profile's."""
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "tiny.ini").write_text(
-            "[losses]\nsteps = 1\n[bench]\nsteps = 16\ncheckpoints = 8\nrepeats = 1\n")
+        _tiny_files(tmp_path, monkeypatch)
         assert main([command, *_TINY_RUN[command], "--config", "tiny.ini", flag, value]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert f"  {key} = {value}" in lines
+
+    @pytest.mark.parametrize("command", sorted(_TINY_RUN))
+    def test_every_argument_is_printed_once(self, tmp_path, capsys, monkeypatch, command):
+        """A config key as its own line, any other argument as command.dest,
+        except the config file, profile and seed, which the cli lines hold."""
+        _tiny_files(tmp_path, monkeypatch)
+        assert main([command, *_TINY_RUN[command], "--config", "tiny.ini"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices[command]._actions
+                 if a.dest not in ("help", "config", "profile", "seed")]
+        assert dests
+        for dest in dests:
+            name = dest if "." in dest else f"{command}.{dest}"
+            assert sum(line.startswith(f"  {name} = ") for line in lines) == 1, name
+        if command == "bench":  # it runs each of --policies
+            assert not any(line.startswith("  cachepolicy.policy = ") for line in lines)
 
 
 class TestConfigHandling:
@@ -551,6 +595,16 @@ class TestExitCodes:
         assert main(["stats", "--k", "0", "--dumps", str(dump), "--occ-out", str(occ)]) == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and "stats.k" in err
+        assert not occ.exists()
+
+    def test_stats_rejects_a_slot_the_block_cannot_hold(self, tmp_path, capsys):
+        """A dump of m = 64 blocks read under the desk profile's m = 8."""
+        dump, occ = tmp_path / "d.jsonl", tmp_path / "o.csv"
+        dump.write_text(json.dumps({"t": 1, "layer": 0, "head": 0, "labels": ["IMG20"],
+                                    "positions": [0], "row": [1.0]}) + "\n")
+        assert main(["stats", "--dumps", str(dump), "--occ-out", str(occ)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValueError: label 'IMG20': slot 20 does not fit a block of length m=8"]
         assert not occ.exists()
 
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):

@@ -418,6 +418,54 @@ class TestGenerate:
             generate(small_model, prompt, CachePolicy.dense(), 1)
 
 
+def _buffers_per_step(model, prompt, policy, steps, monkeypatch, **kwargs):
+    """Run ``generate`` and return, after each forward step, every layer's
+    key and value buffer (the arrays the cache's views look into)."""
+    seen = []
+    real_make, real_step = engine.make_cache, engine.forward_step
+
+    def make_cache(*args, **kw):
+        seen.append(real_make(*args, **kw))
+        return seen[-1]
+
+    def forward_step(model, cache, *tokens, **kw):
+        step = real_step(model, cache, *tokens, **kw)
+        layers = range(cache.layers)
+        seen.append([cache.keys(l).base for l in layers] + [cache.values(l).base for l in layers])
+        return step
+
+    monkeypatch.setattr(engine, "make_cache", make_cache)
+    monkeypatch.setattr(engine, "forward_step", forward_step)
+    generate(model, prompt, policy, steps, **kwargs)
+    return seen[1:]
+
+
+class TestCacheAllocation:
+    @pytest.mark.parametrize("kwargs, completion", [
+        (dict(boi_every=7), 4 + 1),
+        (dict(mode="free", temperature=1.0, seed=2), 0),
+    ], ids=["constrained", "free"])
+    def test_dense_run_allocates_its_rows_once(self, small_model, small_prompt, monkeypatch,
+                                               kwargs, completion):
+        """The buffers after the run are those after the first step, and hold
+        exactly the rows the run can fill: more than the 64 a cache starts with."""
+        steps = 150
+        per_step = _buffers_per_step(small_model, small_prompt, CachePolicy.dense(), steps,
+                                     monkeypatch, **kwargs)
+        first, last = per_step[0], per_step[-1]
+        assert len(per_step) > 1 and len(first) == 2 * small_model.config.layers
+        assert all(a is b for a, b in zip(first, last))
+        assert {buf.shape[1] for buf in last} == {len(small_prompt) + steps + completion}
+
+    @pytest.mark.parametrize("policy", [CachePolicy.windowed(16), CachePolicy.mmsink(2, 1, 1, 16)],
+                             ids=["window", "mmsink"])
+    def test_bounded_policies_start_at_64_rows(self, small_model, small_prompt, monkeypatch,
+                                               policy):
+        per_step = _buffers_per_step(small_model, small_prompt, policy, 150, monkeypatch,
+                                     boi_every=7)
+        assert {buf.shape[1] for buf in per_step[0]} == {64}
+
+
 class TestSample:
     def test_greedy_ties_go_to_the_lowest_legal_id(self):
         logits = np.array([3.0, 1.0, 2.0, 2.0, 0.5, 2.0, 3.0])

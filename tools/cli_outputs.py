@@ -3,7 +3,7 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 28
+The first form runs the fixed set of CLI commands below, writing their 29
 output files into OUT (the four attention dumps under OUT/dumps/), and
 prints one SHA-256 per file. ``--src`` picks the source tree to run
 (default: this checkout's ``src``), so the same script can write the matrix
@@ -47,6 +47,9 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
         name = f"free-seed{seed}.jsonl"
         runs.append((["gen", "--policy", "mmsink", "--mode", "free", "--temperature", "1.0",
                       "--steps", "512", "--seed", str(seed), "--out", out / name], [name]))
+    runs.append((["gen", "--policy", "dense", "--mode", "free", "--temperature", "1.0",
+                  "--steps", "512", "--seed", "3", "--out", out / "free-dense.jsonl"],
+                 ["free-dense.jsonl"]))
     for trajectory in TRAJECTORIES:
         report, js = f"bench-{trajectory}.csv", f"bench-{trajectory}.json"
         runs.append((["bench", "--steps", "512", "--trajectory", trajectory,
