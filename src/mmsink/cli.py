@@ -128,8 +128,8 @@ def _resolve_config(args):
     return cfg, int(seed)
 
 
-# arguments that are not printed as ``command.dest`` lines: the config
-# lines hold the profile and seed, and what the file set
+# dests not printed as ``command.dest``: argparse's own, and those the config
+# lines already resolve (the config file's values, the profile and the seed)
 _UNPRINTED = {"func", "command", "config", "profile", "seed"}
 
 

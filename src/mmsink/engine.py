@@ -561,7 +561,7 @@ def generate(
             f"complete a block) exceeds the position table ({cfg.max_positions})"
         )
     cache = make_cache(model, policy, strict=constrained)
-    if policy.kind == "dense":  # it keeps every token: its rows, allocated once
+    if policy.kind == "dense":
         cache.reserve(most)
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()
