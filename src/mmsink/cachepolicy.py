@@ -214,11 +214,12 @@ class KvCache:
     """Retained key/value entries for one generation run.
 
     The retained position set is identical across layers and heads, so
-    positions and block structure are stored once; keys and values
-    live in per-layer arrays of shape (heads, capacity, d_head). A decode
-    step of one or more tokens adds them with :meth:`append`, writes their
-    keys and values into their rows in place, attends over the entries,
-    then evicts with :meth:`push`.
+    positions and block structure are stored once. Keys and values live in
+    one (layers, 2, heads, capacity, d_head) array (see :meth:`kv`),
+    positions and ``until`` in one (2, capacity) int64 array. A decode step
+    of one or more tokens adds them with :meth:`append`, writes their keys
+    and values into their rows in place, attends over the entries, then
+    evicts with :meth:`push`.
 
     Each entry also carries its ``until``, the value :func:`protected_until`
     gives its position, kept current from the grammar's events: an entry
@@ -264,10 +265,8 @@ class KvCache:
         self.grammar = BlockGrammar(m, strict)
 
         cap = 64
-        self._k = [np.empty((heads, cap, d_head)) for _ in range(layers)]
-        self._v = [np.empty((heads, cap, d_head)) for _ in range(layers)]
-        self._pos = np.empty(cap, dtype=np.int64)
-        self._until = np.empty(cap, dtype=np.int64)
+        self._kv = np.empty((layers, 2, heads, cap, d_head))
+        self._pos_until = np.empty((2, cap), dtype=np.int64)
         self._count = 0
         self._pushed = 0  # entries before the tokens appended since the last push
         self._rewritten = 0  # lowest index whose until those appends set
@@ -282,13 +281,12 @@ class KvCache:
         return self._count
 
     def positions(self) -> list[int]:
-        return self._pos[: self._count].tolist()
+        return self._pos_until[0, : self._count].tolist()
 
-    def keys(self, layer: int) -> np.ndarray:
-        return self._k[layer][:, : self._count, :]
-
-    def values(self, layer: int) -> np.ndarray:
-        return self._v[layer][:, : self._count, :]
+    def kv(self) -> np.ndarray:
+        """The entries' keys and values, a (layers, 2, heads, size, d_head)
+        view: layer l's keys are ``[l, 0]``, its values ``[l, 1]``."""
+        return self._kv[..., : self._count, :]
 
     @property
     def t(self) -> int:
@@ -317,7 +315,7 @@ class KvCache:
         :meth:`append`, :func:`retained_rows` over them gives the entries
         retained after every prefix of the appended tokens, because ``until``
         only decreases."""
-        return self._pos[: self._count], self._until[: self._count]
+        return self._pos_until[0, : self._count], self._pos_until[1, : self._count]
 
     # -- mutation -----------------------------------------------------------
 
@@ -325,15 +323,13 @@ class KvCache:
         """Grow the buffers to exactly ``rows`` rows, keeping the entries, if
         they hold fewer. A caller that knows how many entries the run will
         hold at most allocates them once; :meth:`append` grows by doubling."""
-        cap, c = len(self._pos), self._count
-        if rows > cap:
-            for l in range(self.layers):
-                for store in (self._k, self._v):
-                    bigger = np.empty((self.heads, rows, self.d_head))
-                    bigger[:, :c, :] = store[l][:, :c, :]
-                    store[l] = bigger
-            self._pos = np.concatenate([self._pos, np.empty(rows - cap, dtype=np.int64)])
-            self._until = np.concatenate([self._until, np.empty(rows - cap, dtype=np.int64)])
+        c = self._count
+        if rows > self._pos_until.shape[1]:
+            kv = np.empty((self.layers, 2, self.heads, rows, self.d_head))
+            kv[..., :c, :] = self._kv[..., :c, :]
+            pos_until = np.empty((2, rows), dtype=np.int64)
+            pos_until[:, :c] = self._pos_until[:, :c]
+            self._kv, self._pos_until = kv, pos_until
 
     def _compact(self, drop: list[int]) -> None:
         """Remove the entries at the ascending indices ``drop``, shifting each
@@ -341,11 +337,8 @@ class KvCache:
         ends = drop[1:] + [self._count]
         for shift, (i, end) in enumerate(zip(drop, ends), start=1):
             src, dst = slice(i + 1, end), slice(i + 1 - shift, end - shift)
-            for l in range(self.layers):
-                self._k[l][:, dst, :] = self._k[l][:, src, :]
-                self._v[l][:, dst, :] = self._v[l][:, src, :]
-            self._pos[dst] = self._pos[src]
-            self._until[dst] = self._until[src]
+            self._kv[..., dst, :] = self._kv[..., src, :]
+            self._pos_until[:, dst] = self._pos_until[:, src]
         self._count -= len(drop)
 
     def append(self, *tokens: Token) -> None:
@@ -353,16 +346,16 @@ class KvCache:
         once per token, record their positions and ``until`` (rewriting the
         ``until`` of a block they complete or abandon), and grow the buffers.
         The keys and values of their rows, the last ``len(tokens)`` of
-        :meth:`keys` and :meth:`values`, are the caller's to write. A strict
-        rejection restores the grammar and every ``until`` and raises, so no
-        entry is added. :meth:`push` evicts.
+        :meth:`kv`, are the caller's to write. A strict rejection restores
+        the grammar and every ``until`` and raises, so no entry is added.
+        :meth:`push` evicts.
         """
         policy, grammar = self.policy, self.grammar
         mmsink, sinks = policy.kind == "mmsink", _n_sink(policy)
         n, c, t0 = len(tokens), self._count, grammar.t
-        if c + n > len(self._pos):
-            self.reserve(max(2 * len(self._pos), c + n))
-        until = self._until
+        if c + n > self._pos_until.shape[1]:
+            self.reserve(max(2 * self._pos_until.shape[1], c + n))
+        until = self._pos_until[1]
         # An open block's members are never evicted, so they are the last
         # entries, at consecutive positions, and an event that closes the
         # block rewrites the tail of ``until`` from its start on. Before
@@ -390,7 +383,7 @@ class KvCache:
             grammar.restore(state)
             until[start:c] = _FOREVER
             raise
-        self._pos[c : c + n] = np.arange(t0, t0 + n) if n > 1 else t0
+        self._pos_until[0, c : c + n] = np.arange(t0, t0 + n) if n > 1 else t0
         self._count = c + n
         self._rewritten = min(self._rewritten, lo)
 
@@ -412,14 +405,15 @@ class KvCache:
         # the rewritten tail can fail where that push passed them.
         # Usually that is one entry, so the rule is applied to Python ints.
         recent = _recent(policy)
+        pos, until = self._pos_until
         drop = [i for i in range(max(0, min(c - recent, self._rewritten)), c + n - recent)
-                if not _kept(policy, t, int(self._pos[i]), int(self._until[i]))]
+                if not _kept(policy, t, int(pos[i]), int(until[i]))]
         sizes = [c + n - len(drop)]
         if n > 1:
             # A dropped entry was retained while t <= max(window, p + recent,
             # until), the rule's three clauses as bounds on t; so the count
             # after each token leaves out the entries evicted by then.
-            gone = sorted(max(policy.window, int(self._pos[i]) + recent, int(self._until[i])) + 1
+            gone = sorted(max(policy.window, int(pos[i]) + recent, int(until[i])) + 1
                           for i in drop)
             sizes = [c + k - bisect.bisect_right(gone, t0 + k) for k in range(1, n + 1)]
         if drop:

@@ -144,6 +144,13 @@ def _print_effective(command: str, cfg: dict, args) -> None:
             print(f"  {command}.{dest} = {'<none>' if value is None else value}")
 
 
+def _at_least_one(command: str, args, *dests: str) -> None:
+    """Reject a count argument below 1, named as ``command.dest``."""
+    for dest in dests:
+        if getattr(args, dest) < 1:
+            raise ConfigError(f"{command}.{dest} must be at least 1, got {getattr(args, dest)}")
+
+
 def _model_config(cfg, seed: int) -> ModelConfig:
     return ModelConfig(**{key: cfg[(section, key)] for section, key in _MODEL_KEYS}, seed=seed)
 
@@ -171,8 +178,8 @@ def _obtain_model(args, cfg, seed: int) -> Model:
 
 def _build_prompt(model: Model, items: int, prompt_seed: int) -> seqmodel.MultimodalSequence:
     cfg = model.config
-    story = seqmodel.synth_stories(1, items_per_story=max(items, 1),
-                                   rng_seed=prompt_seed, d_feat=cfg.d_feat)[0]
+    story = seqmodel.synth_stories(1, items_per_story=items, rng_seed=prompt_seed,
+                                   d_feat=cfg.d_feat)[0]
     return seqmodel.prompt_sequence(story, items, m=cfg.m, v_text=cfg.v_text)
 
 
@@ -181,6 +188,7 @@ def _build_prompt(model: Model, items: int, prompt_seed: int) -> seqmodel.Multim
 def cmd_synth(args) -> int:
     cfg, seed = _resolve_config(args)
     _print_effective("synth", cfg, args)
+    _at_least_one("synth", args, "stories")
     stories = seqmodel.synth_stories(
         args.stories,
         items_per_story=cfg[("seqmodel", "items_per_story")],
@@ -195,6 +203,7 @@ def cmd_synth(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg, seed = _resolve_config(args)
     _print_effective("train-toy", cfg, args)
+    _at_least_one("train-toy", args, "synth_stories", "synth_len")
     if args.stories:
         stories = seqmodel.read_stories(args.stories)
         d_feat = cfg[("seqmodel", "d_feat")]
@@ -250,6 +259,7 @@ def _moved_into_place(path):
 def cmd_gen(args) -> int:
     cfg, seed = _resolve_config(args)
     _print_effective("gen", cfg, args)
+    _at_least_one("gen", args, "prompt_items")
     model = _obtain_model(args, cfg, seed)
     policy = _policy_from_cfg(cfg)
     prompt_seed = args.prompt_seed if args.prompt_seed is not None else seed
@@ -296,8 +306,7 @@ def cmd_gen(args) -> int:
 def cmd_stats(args) -> int:
     cfg, _seed = _resolve_config(args)
     _print_effective("stats", cfg, args)
-    if args.k < 1:
-        raise ConfigError(f"stats.k must be at least 1, got {args.k}")
+    _at_least_one("stats", args, "k")
     records = attnstats.load_records(args.dumps)
     m = cfg[("seqmodel", "m")]
     k_head = cfg[("cachepolicy", "k_head")]
@@ -319,6 +328,7 @@ def cmd_bench(args) -> int:
     cfg, seed = _resolve_config(args)
     del cfg[("cachepolicy", "policy")]  # bench runs each of --policies
     _print_effective("bench", cfg, args)
+    _at_least_one("bench", args, "prompt_items")
     model = _obtain_model(args, cfg, seed)
     kinds = [p.strip() for p in args.policies.split(",") if p.strip()]
     policies = [_policy_from_cfg(cfg, kind) for kind in kinds]

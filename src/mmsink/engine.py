@@ -12,13 +12,13 @@ evicted this equals the token's original position, which is what makes
 pruned-cache runs bitwise identical to dense runs inside the window.
 
 :func:`block` is the one transformer layer. It writes its rows' keys and
-values into the caller's buffers at an offset and attends over them in
-place: :func:`forward_step` into the cache rows of the tokens it has just
-appended, before the cache evicts, and :mod:`mmsink.losses` into fresh
-buffers for a whole sequence. :func:`forward_step` is the one forward path
-over a cache: a decode step, a run of known tokens, and the teacher-forced
-replay (one run over a fresh cache) mask each row to the entries its policy
-retains. Feature prediction (:func:`query_features`, which training shares)
+values into the layer's (2, heads, K, d_head) slice of the caller's buffer
+at an offset and attends over it in place: :func:`forward_step` into the
+cache rows of the tokens it has just appended, before the cache evicts,
+and :mod:`mmsink.losses` into one fresh buffer for a whole sequence.
+:func:`forward_step` is the one forward path over a cache: a decode step, a
+run of known tokens, and the teacher-forced replay (one run over a fresh
+cache) mask each row to the entries its policy retains. Feature prediction (:func:`query_features`, which training shares)
 only reads. Scores and contexts are BLAS matrix products throughout, so a
 decode step and a batched pass agree to rounding (under 1e-15 on the
 logits), not bit for bit.
@@ -249,15 +249,16 @@ def model_from_payload(payload, path) -> Model:
 
 # -- the transformer block ------------------------------------------------------
 
-def block(model: Model, l: int, x: np.ndarray, keys: np.ndarray, vals: np.ndarray,
+def block(model: Model, l: int, x: np.ndarray, kv: np.ndarray,
           at: int | None = None, cols=None, mask: np.ndarray | None = None,
           ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Pre-norm transformer layer ``l`` over the rows ``x`` (N, d_model).
 
-    ``keys``/``vals`` are (heads, K, d_head) buffers. With ``at``, the rows
-    first write their own keys and values into rows ``at .. at + N - 1``
-    of the buffers, then attend over the view ``[:at + N]``, each row up to
-    its own position. Without it they only read, attending over every row.
+    ``kv`` is the layer's (2, heads, K, d_head) buffer, keys at ``[0]`` and
+    values at ``[1]``. With ``at``, the rows first write their own keys and
+    values into rows ``at .. at + N - 1`` of the buffer, then attend over
+    the view ``[:at + N]``, each row up to its own position. Without it
+    they only read, attending over every row.
     ``cols`` narrows the attended keys to those buffer columns (a gather),
     and a boolean ``mask`` (N, len(cols)) replaces the causal triangle: row
     r attends to exactly the keys where ``mask[r]`` is set (each row needs
@@ -270,11 +271,10 @@ def block(model: Model, l: int, x: np.ndarray, keys: np.ndarray, vals: np.ndarra
     a, lnc1 = layer_norm(x, p[f"l{l}.ln1_g"], p[f"l{l}.ln1_b"])
     qh = (a @ p[f"l{l}.wq"]).reshape(n, H, dh).transpose(1, 0, 2)
     if at is not None:
-        keys[:, at : at + n] = (a @ p[f"l{l}.wk"]).reshape(n, H, dh).transpose(1, 0, 2)
-        vals[:, at : at + n] = (a @ p[f"l{l}.wv"]).reshape(n, H, dh).transpose(1, 0, 2)
-        keys, vals = keys[:, : at + n], vals[:, : at + n]
-    if cols is not None:
-        keys, vals = keys[:, cols], vals[:, cols]
+        kv[0, :, at : at + n] = (a @ p[f"l{l}.wk"]).reshape(n, H, dh).transpose(1, 0, 2)
+        kv[1, :, at : at + n] = (a @ p[f"l{l}.wv"]).reshape(n, H, dh).transpose(1, 0, 2)
+        kv = kv[:, :, : at + n]
+    keys, vals = kv if cols is None else kv[:, :, cols]
     s = qh @ keys.transpose(0, 2, 1) / math.sqrt(dh)
     if mask is not None:
         s = np.where(mask, s, -np.inf)
@@ -292,13 +292,13 @@ def block(model: Model, l: int, x: np.ndarray, keys: np.ndarray, vals: np.ndarra
 
 # -- decode steps ---------------------------------------------------------------
 
-def _masked_layers(model: Model, keys: list[np.ndarray], vals: list[np.ndarray],
-                   ids: np.ndarray, at: int, attend: np.ndarray | None = None):
+def _masked_layers(model: Model, kv: np.ndarray, ids: np.ndarray, at: int,
+                   attend: np.ndarray | None = None):
     """Embed the tokens ``ids`` at their retained counts and run them through
-    every layer over the per-layer buffers: row r writes its keys and values
-    at buffer row ``at + r`` and attends exactly the buffer columns set in
-    ``attend[r]``, its own included. Without ``attend`` the one row attends
-    every column up to its own, unmasked. Returns the output rows and the
+    every layer over the (layers, 2, heads, K, d_head) buffer ``kv``: row r
+    writes its keys and values at buffer row ``at + r`` and attends exactly
+    the buffer columns set in ``attend[r]``, its own included. Without
+    ``attend`` the one row attends every column up to its own, unmasked. Returns the output rows and the
     attention maps as (cols, mask, per-layer (heads, rows, keys) weights).
     """
     cfg, p = model.config, model.p
@@ -317,7 +317,7 @@ def _masked_layers(model: Model, keys: list[np.ndarray], vals: list[np.ndarray],
     x = p["tok_emb"][ids] + p["pos_emb"][pos]
     probs = []
     for l in range(cfg.layers):
-        x, acts = block(model, l, x, keys[l], vals[l], at=at, cols=cols, mask=mask)
+        x, acts = block(model, l, x, kv[l], at=at, cols=cols, mask=mask)
         probs.append(acts["pr"])
     return x, (cols, mask, probs)
 
@@ -388,8 +388,6 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
     ids = np.array([vocab_id(token, cfg.m, cfg.v_text) for token in tokens])
     cache.append(*tokens)
     pos, until = cache.entries()
-    keys = [cache.keys(l) for l in range(cfg.layers)]
-    vals = [cache.values(l) for l in range(cfg.layers)]
     wanted = set(logits_at or ())
     logits, maps = {}, []
     for lo in range(0, n, REPLAY_ROWS):
@@ -399,7 +397,7 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
             attend = retained_rows(cache.policy, until[: c + hi], range(t0 + lo, t0 + hi),
                                    pos[: c + hi])
             attend[np.arange(hi - lo), np.arange(c + lo, c + hi)] = True
-        x, (cols, mask, probs) = _masked_layers(model, keys, vals, ids[lo:hi], c + lo, attend)
+        x, (cols, mask, probs) = _masked_layers(model, cache.kv(), ids[lo:hi], c + lo, attend)
         if logits_at is None:  # positions read now: push() compacts the buffers
             maps.append((pos[: c + hi].copy() if cols is None else pos[cols], mask, probs))
             continue
@@ -413,9 +411,9 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
     return StepResult(logits, cache.push(), maps)
 
 
-def query_features(model: Model, keys: Sequence[np.ndarray], vals: Sequence[np.ndarray]):
-    """Run the learnable queries over per-layer (heads, c, d_head) ``keys``
-    and ``vals``, at positions c .. c + Q - 1, and map each output latent to
+def query_features(model: Model, kv: np.ndarray):
+    """Run the learnable queries over the (layers, 2, heads, c, d_head) keys
+    and values ``kv``, at positions c .. c + Q - 1, and map each output latent to
     feature space. The queries read the entries but never enter them, nor
     attend to each other. Returns the (q_queries, d_feat) features, then the
     final norm's output and cache and each layer's activations, which the
@@ -423,13 +421,13 @@ def query_features(model: Model, keys: Sequence[np.ndarray], vals: Sequence[np.n
     """
     cfg = model.config
     p = model.p
-    c, Q = keys[0].shape[1], cfg.q_queries
+    c, Q = kv.shape[-2], cfg.q_queries
     if c + Q > cfg.max_positions:
         raise StateError(f"query positions {c}..{c + Q - 1} exceed the position table")
     x = p["queries"] + p["pos_emb"][c : c + Q]
     qlayers = []
     for l in range(cfg.layers):
-        x, acts = block(model, l, x, keys[l], vals[l])
+        x, acts = block(model, l, x, kv[l])
         qlayers.append(acts)
     hq, lnqf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     return hq @ p["w_feat"], hq, lnqf, qlayers
@@ -443,9 +441,7 @@ def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
     """
     if not (cache.in_block and cache.next_slot == 0):
         raise StateError("image feature prediction requires a freshly opened image block")
-    layers = range(model.config.layers)
-    return query_features(model, [cache.keys(l) for l in layers],
-                          [cache.values(l) for l in layers])[0]
+    return query_features(model, cache.kv())[0]
 
 
 # -- generation ----------------------------------------------------------------

@@ -104,8 +104,9 @@ def combined_loss(ce: float, img: float, lam: float) -> float:
 # -- full-sequence forward/backward ---------------------------------------------
 
 def _main_forward(model: Model, ids: np.ndarray):
-    """Teacher-forced pass over the whole sequence. Returns logits plus the
-    per-layer activations the backward pass needs."""
+    """Teacher-forced pass over the whole sequence. Returns logits plus what
+    the backward pass needs: the final norm's output and cache, each layer's
+    activations, and the (layers, 2, heads, T, d_head) keys and values."""
     cfg = model.config
     p = model.p
     T = len(ids)
@@ -113,25 +114,25 @@ def _main_forward(model: Model, ids: np.ndarray):
         raise StateError(f"sequence length {T} exceeds the position table")
 
     x = p["tok_emb"][ids] + p["pos_emb"][:T]
+    kv = np.empty((cfg.layers, 2, cfg.heads, T, cfg.d_head))
     layers = []
     for l in range(cfg.layers):
-        kh, vh = np.empty((cfg.heads, T, cfg.d_head)), np.empty((cfg.heads, T, cfg.d_head))
-        x, acts = block(model, l, x, kh, vh, at=0)
-        layers.append(dict(acts, kh=kh, vh=vh))
+        x, acts = block(model, l, x, kv[l], at=0)
+        layers.append(acts)
     hf, lncf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     logits = hf @ p["w_out"]
-    return logits, hf, lncf, layers
+    return logits, hf, lncf, layers, kv
 
 
-def _block_backward(model: Model, l: int, acts, dx: np.ndarray, keys, vals, grads):
+def _block_backward(model: Model, l: int, acts, dx: np.ndarray, kv: np.ndarray, grads):
     """Backward of :func:`~mmsink.engine.block` for layer ``l``.
 
-    ``dx`` is the gradient at the block's output rows, ``keys``/``vals`` the
-    (heads, K, d_head) entries the rows attended over. Adds the layer's
+    ``dx`` is the gradient at the block's output rows, ``kv`` the (2, heads,
+    K, d_head) keys and values the rows attended over. Adds the layer's
     weight gradients to ``grads``, except ``ln1`` and the key/value
     projections, which belong to the caller. Returns the residual gradient
     at the block input, the query path's gradient at ln1's output, and the
-    gradients of ``keys`` and ``vals``.
+    (2, heads, K, d_head) gradient of ``kv``.
     """
     cfg = model.config
     p = model.p
@@ -152,14 +153,14 @@ def _block_backward(model: Model, l: int, acts, dx: np.ndarray, keys, vals, grad
     dctx = dx_attn @ p[f"l{l}.wo"].T
     dch = dctx.reshape(n, H, dh).transpose(1, 0, 2)
     pr = acts["pr"]
-    dpr = np.einsum("hqd,hkd->hqk", dch, vals)
+    dpr = np.einsum("hqd,hkd->hqk", dch, kv[1])
     dvals = np.einsum("hqk,hqd->hkd", pr, dch)
     ds = pr * (dpr - (dpr * pr).sum(axis=2, keepdims=True))
-    dqh = np.einsum("hqk,hkd->hqd", ds, keys) / scale
+    dqh = np.einsum("hqk,hkd->hqd", ds, kv[0]) / scale
     dkeys = np.einsum("hqk,hqd->hkd", ds, acts["qh"]) / scale
     dqm = dqh.transpose(1, 0, 2).reshape(n, cfg.d_model)
     grads[f"l{l}.wq"] += acts["a"].T @ dqm
-    return dx_attn, dqm @ p[f"l{l}.wq"].T, dkeys, dvals
+    return dx_attn, dqm @ p[f"l{l}.wq"].T, np.stack([dkeys, dvals])
 
 
 def _ce_inputs(sample: TrainingSample, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,13 +188,12 @@ def sample_loss_and_grads(
 def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: bool):
     cfg = model.config
     p = model.p
-    H, dh, d, Q = cfg.heads, cfg.d_head, cfg.d_model, cfg.q_queries
-    L = cfg.layers
+    d, Q, L = cfg.d_model, cfg.q_queries, cfg.layers
     tokens = sample.sequence.tokens
     T = len(tokens)
     ids = np.array([vocab_id(tok, cfg.m, cfg.v_text) for tok in tokens])
 
-    logits, hf, lncf, layers = _main_forward(model, ids)
+    logits, hf, lncf, layers, kv = _main_forward(model, ids)
     mpos, targets = _ce_inputs(sample, ids)
     rows = logits[mpos - 1]
     lsm = log_softmax(rows, axis=1)
@@ -210,8 +210,7 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     n_zero = 0
     for bi, (bpos, _e) in enumerate(blocks):
         ctx_len = bpos + 1
-        pred, hq, lnqf, qlayers = query_features(
-            model, [c["kh"][:, :ctx_len] for c in layers], [c["vh"][:, :ctx_len] for c in layers])
+        pred, hq, lnqf, qlayers = query_features(model, kv[..., :ctx_len, :])
         tgt = np.tile(np.asarray(sample.target_features[bi], dtype=np.float64), (Q, 1))
         cos, zero, safe_pn, tn = _cosine_rows(pred, tgt)
         n_zero += int(zero.sum())
@@ -237,8 +236,7 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     grads["lnf_b"] += db
 
     # query branches: accumulate gradient into the main stream's keys/values
-    dkh_extra = [np.zeros((H, T, dh)) for _ in range(L)]
-    dvh_extra = [np.zeros((H, T, dh)) for _ in range(L)]
+    dkv_extra = np.zeros_like(kv)
     n_blocks = max(len(blocks), 1)
     for ctx_len, pred, hq, lnqf, qlayers, tgt, cos, zero, safe_pn, tn in branches:
         # d(1 - cos)/dpred, zero for zero-norm prediction rows
@@ -253,10 +251,8 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         grads["lnf_b"] += db
         for l in reversed(range(L)):
             qc = qlayers[l]
-            keys, vals = layers[l]["kh"][:, :ctx_len], layers[l]["vh"][:, :ctx_len]
-            dx_attn, da, dk, dv = _block_backward(model, l, qc, dxq, keys, vals, grads)
-            dkh_extra[l][:, :ctx_len] += dk
-            dvh_extra[l][:, :ctx_len] += dv
+            dx_attn, da, dkv = _block_backward(model, l, qc, dxq, kv[l, ..., :ctx_len, :], grads)
+            dkv_extra[l, ..., :ctx_len, :] += dkv
             dx_ln, dg, db = layer_norm_grad(da, qc["lnc1"], p[f"l{l}.ln1_g"])
             grads[f"l{l}.ln1_g"] += dg
             grads[f"l{l}.ln1_b"] += db
@@ -268,9 +264,8 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     dx = dx_main
     for l in reversed(range(L)):
         c = layers[l]
-        dx_attn, da, dkh, dvh = _block_backward(model, l, c, dx, c["kh"], c["vh"], grads)
-        dkm = (dkh + dkh_extra[l]).transpose(1, 0, 2).reshape(T, d)
-        dvm = (dvh + dvh_extra[l]).transpose(1, 0, 2).reshape(T, d)
+        dx_attn, da, dkv = _block_backward(model, l, c, dx, kv[l], grads)
+        dkm, dvm = (dkv + dkv_extra[l]).transpose(0, 2, 1, 3).reshape(2, T, d)
         grads[f"l{l}.wk"] += c["a"].T @ dkm
         grads[f"l{l}.wv"] += c["a"].T @ dvm
         da = da + dkm @ p[f"l{l}.wk"].T + dvm @ p[f"l{l}.wv"].T

@@ -532,7 +532,8 @@ def read_stories(path) -> list[Story]:
     item for a text that is not a string or a feature that is not a list of
     finite numbers (bools are not numbers), is empty, has zero norm, or
     differs in length from the first; and the story for one whose feature
-    length differs from the first story's.
+    length differs from the first story's; and the file for one that holds
+    no story.
     """
     stories = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -571,4 +572,6 @@ def read_stories(path) -> list[Story]:
                     f"{where}: story {story.story_id!r} has {story.feat_dim}-dimensional "
                     f"image features, the first story has {stories[0].feat_dim}")
             stories.append(story)
+    if not stories:
+        raise StoryFormatError(f"{path}: no stories")
     return stories

@@ -10,7 +10,8 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
-# Reports wall_s = the source tree's WALL + seed / 100, and logs which tree ran.
+# Reports wall_s = the source tree's WALL + seed / 100, plus 10 for workload
+# "v", and logs which WALL ran (and, with BENCH_TREES set, which tree).
 STUB_RUN = '''
 import argparse, json, os, sys
 from pathlib import Path
@@ -20,8 +21,12 @@ for flag in ("--workload", "--seed", "--trace"):
     p.add_argument(flag)
 a = p.parse_args()
 wall = float((root / "src" / "mmsink" / "WALL").read_text()) + int(a.seed) / 100
+wall += 10 if a.workload == "v" else 0
 with open(os.environ["BENCH_LOG"], "a") as fh:
     fh.write(f"{wall}\\n")
+if "BENCH_TREES" in os.environ:
+    with open(os.environ["BENCH_TREES"], "a") as fh:
+        fh.write(f"{root}\\n")
 metrics = {"setup_s": 0.5, "wall_s": wall, "peak_rss_mb": 60.0}
 print(json.dumps({"provenance": {"seed": int(a.seed), "src": str(wall)[:1]}}))
 print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
@@ -121,4 +126,38 @@ def test_change_revision_is_archived_like_the_base(tmp_path, monkeypatch):
     head = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
                           capture_output=True, text=True).stdout.strip()
     assert report["change"]["rev"] == head != report["base"]["rev"]
+    assert not list(tmp_path.glob("bench-pairs-*"))
+
+
+@needs_git
+def test_several_workloads_run_over_one_pair_of_trees(tmp_path, monkeypatch):
+    repo = _two_commit_repository(tmp_path)
+    log, trees = tmp_path / "runs.log", tmp_path / "trees.log"
+    monkeypatch.setenv("BENCH_LOG", str(log))
+    monkeypatch.setenv("BENCH_TREES", str(trees))
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    out = tmp_path / "BENCH.json"
+    subprocess.run([sys.executable, str(repo / "tools" / "bench_pairs.py"), "--base", "HEAD~1",
+                    "--workload", "w,v", "--pairs", "2", "--first-seed", "4", "--out", str(out)],
+                   check=True, capture_output=True)
+
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    # every pair of the first workload, then of the second, in the same order
+    assert log.read_text().split() == ["2.04", "1.54", "1.55", "2.05",
+                                       "12.04", "11.54", "11.55", "12.05"]
+    # the base tree is archived once: both workloads ran in the same directory
+    base, change = trees.read_text().split()[:2]
+    assert trees.read_text().split() == [base, change, change, base] * 2
+    assert change == str(repo) != base
+    assert report["workload"] == "w" and [p["base"]["wall_s"] for p in report["pairs"]] == \
+        [2.04, 2.05]
+    assert list(report["other_workloads"]) == ["v"]
+    other = report["other_workloads"]["v"]
+    assert list(other) == ["seconds", "seeds", "base", "change", "summary", "pairs"]
+    assert (other["seconds"], other["seeds"]) == (20, [4, 5])
+    assert [p["change"]["wall_s"] for p in other["pairs"]] == [11.54, 11.55]
+    assert other["summary"]["wall_s"]["base"]["median"] == pytest.approx(12.045)
+    assert [other[side]["rev"] for side in ("base", "change")] == \
+        [report[side]["rev"] for side in ("base", "change")]
     assert not list(tmp_path.glob("bench-pairs-*"))

@@ -339,28 +339,32 @@ class TestPushRuns:
     def test_appended_rows_move_with_the_entries(self):
         """Rows appended a token at a time and written, then evicted by one
         push, end up where appending and pushing the run at once puts them,
-        and the push returns the same entry counts."""
+        and the push returns the same entry counts: for runs of up to 10
+        tokens, and for the whole stream as one run, whose single push drops
+        92 of its 160 entries."""
 
         def append(cache, *tokens):
             cache.append(*tokens)
-            for l in range(2):
-                for r in range(1, len(tokens) + 1):  # each row names its position
-                    cache.keys(l)[:, -r] = cache.t - r + 0.5 * l
-                    cache.values(l)[:, -r] = -(cache.t - r)
+            for r in range(1, len(tokens) + 1):  # each row names its position
+                cache.kv()[:, 0, :, -r] = (cache.t - r + 0.5 * np.arange(2))[:, None, None]
+                cache.kv()[:, 1, :, -r] = -(cache.t - r)
 
         rng = np.random.default_rng(5)
         policy, m = self.CASES[-1]  # blocks that outlast the recent positions
-        whole, pieces = (KvCache(policy, 2, 2, 3, m) for _ in range(2))
-        for run in split_runs(rng, make_stream(rng, m, 160), 10):
-            append(whole, *run)
-            for token in run:
-                append(pieces, token)
-            assert whole.push() == pieces.push()
-            assert whole.positions() == pieces.positions()
-            for l in range(2):
-                np.testing.assert_array_equal(whole.keys(l), pieces.keys(l))
-                np.testing.assert_array_equal(whole.values(l), pieces.values(l))
-                assert whole.keys(l)[1, :, 2].tolist() == [p + 0.5 * l for p in whole.positions()]
+        stream = make_stream(rng, m, 160)
+        for runs in (split_runs(rng, stream, 10), [stream]):
+            whole, pieces = (KvCache(policy, 2, 2, 3, m) for _ in range(2))
+            for run in runs:
+                append(whole, *run)
+                for token in run:
+                    append(pieces, token)
+                assert whole.push() == pieces.push()
+                assert whole.positions() == pieces.positions()
+                np.testing.assert_array_equal(whole.kv(), pieces.kv())
+                for l in range(2):
+                    assert whole.kv()[l, 0, 1, :, 2].tolist() == \
+                        [p + 0.5 * l for p in whole.positions()]
+        assert (len(stream), whole.size) == (160, 68)
 
     def test_strict_rejection_mid_run_leaves_the_cache_as_it_was(self):
         policy = CachePolicy.mmsink(1, 1, 1, 4)
@@ -471,7 +475,7 @@ class TestRemap:
         for tok in [Token.bos()] + [Token.word(i) for i in range(9)]:
             cache.push(tok)
         assert cache.positions() == [0, 8, 9]
-        assert cache.keys(0).shape[1] == 3
+        assert cache.kv().shape == (1, 2, 1, 3, 2)
 
     def test_identity_when_dense(self):
         cache = KvCache(CachePolicy.dense(), 1, 1, 2, 4)

@@ -597,6 +597,34 @@ class TestExitCodes:
         assert "ConfigError" in err and "stats.k" in err
         assert not occ.exists()
 
+    @pytest.mark.parametrize("dest, command", [
+        ("synth.stories", ["synth", "--stories", "0", "--out", "s.jsonl"]),
+        ("gen.prompt_items", ["gen", "--steps", "4", "--prompt-items", "0", "--out", "g.jsonl"]),
+        ("bench.prompt_items", ["bench", "--steps", "8", "--prompt-items", "0",
+                                "--report", "r.csv"]),
+        ("train-toy.synth_stories", ["train-toy", "--synth-stories", "0",
+                                     "--model-out", "m.json"]),
+        ("train-toy.synth_len", ["train-toy", "--synth-len", "0", "--model-out", "m.json"]),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_count_below_one_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   dest, command):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(engine.Model, "init", None)
+        monkeypatch.setattr(sq, "synth_stories", None)
+        assert main(command) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {dest} must be at least 1, got 0"]
+        assert not list(tmp_path.iterdir())
+
+    def test_story_file_without_a_story_is_named(self, tmp_path, capsys):
+        stories = tmp_path / "empty.jsonl"
+        stories.write_text("\n")
+        assert main(["train-toy", "--stories", str(stories),
+                     "--model-out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: StoryFormatError: {stories}: no stories"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_stats_rejects_a_slot_the_block_cannot_hold(self, tmp_path, capsys):
         """A dump of m = 64 blocks read under the desk profile's m = 8."""
         dump, occ = tmp_path / "d.jsonl", tmp_path / "o.csv"

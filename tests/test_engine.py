@@ -77,8 +77,8 @@ class TestForwardStep:
         q = (a @ p["l0.wq"]).reshape(cfg.heads, cfg.d_head)
         k = (a @ p["l0.wk"]).reshape(cfg.heads, cfg.d_head)
         v = (a @ p["l0.wv"]).reshape(cfg.heads, cfg.d_head)
-        keys = np.concatenate([cache.keys(0), k[:, None, :]], axis=1)
-        vals = np.concatenate([cache.values(0), v[:, None, :]], axis=1)
+        keys = np.concatenate([cache.kv()[0, 0], k[:, None, :]], axis=1)
+        vals = np.concatenate([cache.kv()[0, 1], v[:, None, :]], axis=1)
         step = forward_step(small_model, cache, tok)
         for h in range(cfg.heads):
             weights, _ = recompute_attention_row(q[h], keys[h], vals[h])
@@ -131,14 +131,11 @@ class TestForwardStep:
 
         cache, clean = fed(), fed()
         assert cache.size == 64 and not cache.in_block  # the rejected step grows the buffers
-        layers = range(small_model.config.layers)
-        before = ([cache.keys(l).copy() for l in layers], [cache.values(l).copy() for l in layers])
+        before = cache.kv().copy()
         with pytest.raises(SequenceGrammarError):
             forward_step(small_model, cache, Token.img(0))
         assert (cache.size, cache.t, cache.positions()) == (64, 64, list(range(64)))
-        for l in layers:
-            np.testing.assert_array_equal(cache.keys(l), before[0][l])
-            np.testing.assert_array_equal(cache.values(l), before[1][l])
+        np.testing.assert_array_equal(cache.kv(), before)
         got = forward_step(small_model, cache, Token.word(3))
         want = forward_step(small_model, clean, Token.word(3))
         np.testing.assert_array_equal(got.logits, want.logits)
@@ -176,9 +173,7 @@ class TestForwardStepRuns:
             assert step.sizes == sizes
             np.testing.assert_allclose(step.logits, want.logits, rtol=0, atol=1e-12)
             assert whole.positions() == single.positions()
-            for l in range(small_model.config.layers):
-                np.testing.assert_allclose(whole.keys(l), single.keys(l), rtol=0, atol=1e-12)
-                np.testing.assert_allclose(whole.values(l), single.values(l), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(whole.kv(), single.kv(), rtol=0, atol=1e-12)
         assert whole.violations == single.violations
         assert whole.peak_entries == single.peak_entries
 
@@ -239,7 +234,7 @@ class TestPredictImageFeatures:
     def test_sensitive_to_retained_values(self, small_model, small_prompt):
         cache = self._cache_after_boi(small_model, small_prompt)
         base = predict_image_features(small_model, cache)
-        cache.values(0)[0, 3, :] += 0.25  # the view writes the cache's buffer
+        cache.kv()[0, 1, 0, 3, :] += 0.25  # the view writes the cache's buffer
         perturbed = predict_image_features(small_model, cache)
         assert not np.array_equal(base, perturbed)
 
@@ -258,10 +253,8 @@ class TestPredictImageFeatures:
             sq.vocab_id(t, small_model.config.m, small_model.config.v_text)
             for t in sample.sequence.tokens
         ])
-        _, _, _, layers = losses._main_forward(small_model, ids)
-        batch_feats, _, _, _ = engine.query_features(
-            small_model, [c["kh"][:, : bpos + 1] for c in layers],
-            [c["vh"][:, : bpos + 1] for c in layers])
+        kv = losses._main_forward(small_model, ids)[-1]
+        batch_feats, _, _, _ = engine.query_features(small_model, kv[..., : bpos + 1, :])
         np.testing.assert_allclose(step_feats, batch_feats, atol=1e-12)
 
 
@@ -419,8 +412,8 @@ class TestGenerate:
 
 
 def _buffers_per_step(model, prompt, policy, steps, monkeypatch, **kwargs):
-    """Run ``generate`` and return, after each forward step, every layer's
-    key and value buffer (the arrays the cache's views look into)."""
+    """Run ``generate`` and return, after each forward step, the cache's
+    key and value buffer (the array its :meth:`KvCache.kv` view looks into)."""
     seen = []
     real_make, real_step = engine.make_cache, engine.forward_step
 
@@ -430,8 +423,7 @@ def _buffers_per_step(model, prompt, policy, steps, monkeypatch, **kwargs):
 
     def forward_step(model, cache, *tokens, **kw):
         step = real_step(model, cache, *tokens, **kw)
-        layers = range(cache.layers)
-        seen.append([cache.keys(l).base for l in layers] + [cache.values(l).base for l in layers])
+        seen.append(cache.kv().base)
         return step
 
     monkeypatch.setattr(engine, "make_cache", make_cache)
@@ -453,9 +445,8 @@ class TestCacheAllocation:
         per_step = _buffers_per_step(small_model, small_prompt, CachePolicy.dense(), steps,
                                      monkeypatch, **kwargs)
         first, last = per_step[0], per_step[-1]
-        assert len(per_step) > 1 and len(first) == 2 * small_model.config.layers
-        assert all(a is b for a, b in zip(first, last))
-        assert {buf.shape[1] for buf in last} == {len(small_prompt) + steps + completion}
+        assert len(per_step) > 1 and first is last
+        assert last.shape[-2] == len(small_prompt) + steps + completion
 
     @pytest.mark.parametrize("policy", [CachePolicy.windowed(16), CachePolicy.mmsink(2, 1, 1, 16)],
                              ids=["window", "mmsink"])
@@ -463,7 +454,7 @@ class TestCacheAllocation:
                                                policy):
         per_step = _buffers_per_step(small_model, small_prompt, policy, 150, monkeypatch,
                                      boi_every=7)
-        assert {buf.shape[1] for buf in per_step[0]} == {64}
+        assert per_step[0].shape[-2] == 64
 
 
 class TestSample:

@@ -33,7 +33,7 @@ def stepwise_logits(model, tokens, policy, checkpoints):
 
 def separate_replay(model, tokens, policy, checkpoints):
     """The replay as a pass of its own, without a cache: the whole stream's
-    grammar, one ``protected_until`` and T-row key/value buffers, run chunk
+    grammar, one ``protected_until`` and a T-row key/value buffer, run chunk
     by chunk through the masked layers."""
     wanted, T, cfg = set(checkpoints), len(tokens), model.config
     grammar = BlockGrammar(cfg.m)
@@ -41,8 +41,7 @@ def separate_replay(model, tokens, policy, checkpoints):
         grammar.step(token)
     until = protected_until(policy, grammar.blocks, grammar.open_start, T)
     ids = np.array([vocab_id(tk, cfg.m, cfg.v_text) for tk in tokens])
-    keys = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
-    vals = [np.empty((cfg.heads, T, cfg.d_head)) for _ in range(cfg.layers)]
+    kv = np.empty((cfg.layers, 2, cfg.heads, T, cfg.d_head))
     out, peak = {}, int(retained_rows(policy, until, [T]).sum())
     for lo in range(0, T, REPLAY_ROWS):
         hi = min(lo + REPLAY_ROWS, T)
@@ -50,7 +49,7 @@ def separate_replay(model, tokens, policy, checkpoints):
         attend = retained_rows(policy, until[:hi], steps)
         peak = max(peak, int(attend.sum(axis=1).max()))
         attend[np.arange(len(steps)), steps] = True
-        x, _ = engine._masked_layers(model, keys, vals, ids[steps], lo, attend)
+        x, _ = engine._masked_layers(model, kv, ids[steps], lo, attend)
         hit = [r for r in range(hi - lo) if lo + r + 1 in wanted]
         if hit:
             hf, _ = layer_norm(x[hit], model.p["lnf_g"], model.p["lnf_b"])
