@@ -206,6 +206,8 @@ def _file_rows(path) -> Iterator[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"line {lineno}: not a JSON object")
             for name in DUMP_FIELDS:
                 if name not in rec:
                     raise ValueError(f"line {lineno}: missing field {name!r}")

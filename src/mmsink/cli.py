@@ -367,13 +367,15 @@ def cmd_bench(args) -> int:
 def _validate_jsonl(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         first = ""
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 first = line
                 break
     if not first:
         raise ValueError(f"{path}: empty file")
     record = json.loads(first)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: line {lineno}: not a JSON object")
     if "story_id" in record:
         stories = seqmodel.read_stories(path)
         return f"story file with {len(stories)} stories"

@@ -13,15 +13,15 @@ pruned-cache runs bitwise identical to dense runs inside the window.
 
 :func:`block` is the one transformer layer. It writes its rows' keys and
 values into the layer's (2, heads, K, d_head) slice of the caller's buffer
-at an offset and attends over it in place: :func:`forward_step` into the
-cache rows of the tokens it has just appended, before the cache evicts,
-and :mod:`mmsink.losses` into one fresh buffer for a whole sequence.
-:func:`forward_step` is the one forward path over a cache: a decode step, a
-run of known tokens, and the teacher-forced replay (one run over a fresh
-cache) mask each row to the entries its policy retains. Feature prediction (:func:`query_features`, which training shares)
-only reads. Scores and contexts are BLAS matrix products throughout, so a
-decode step and a batched pass agree to rounding (under 1e-15 on the
-logits), not bit for bit.
+at an offset and attends over it in place, each row masked to the entries
+it attends. :func:`_masked_layers`, the one stack over such a buffer,
+writes: :func:`forward_step` into the cache rows of the tokens it has just
+appended, before the cache evicts (a decode step, a run of known tokens,
+the teacher-forced replay), and :mod:`mmsink.losses` into one fresh buffer
+for a whole sequence under the causal mask. Feature prediction
+(:func:`query_features`, which training shares) only reads. Scores and
+contexts are BLAS matrix products throughout, so a decode step and a
+batched pass agree to rounding (under 1e-15 on the logits), not bit for bit.
 """
 
 from __future__ import annotations
@@ -255,14 +255,14 @@ def block(model: Model, l: int, x: np.ndarray, kv: np.ndarray,
     """Pre-norm transformer layer ``l`` over the rows ``x`` (N, d_model).
 
     ``kv`` is the layer's (2, heads, K, d_head) buffer, keys at ``[0]`` and
-    values at ``[1]``. With ``at``, the rows first write their own keys and
-    values into rows ``at .. at + N - 1`` of the buffer, then attend over
-    the view ``[:at + N]``, each row up to its own position. Without it
-    they only read, attending over every row.
-    ``cols`` narrows the attended keys to those buffer columns (a gather),
-    and a boolean ``mask`` (N, len(cols)) replaces the causal triangle: row
-    r attends to exactly the keys where ``mask[r]`` is set (each row needs
-    at least one). Returns the output rows and the activations the
+    values at ``[1]``. It has two modes. With ``at``, the rows first write
+    their own keys and values into rows ``at .. at + N - 1`` of the buffer,
+    then attend over the view ``[:at + N]``; more than one row needs a
+    ``mask``. Without ``at`` they only read, attending over every row (the
+    learnable queries). ``cols`` narrows the attended keys to those buffer
+    columns (a gather), and a boolean ``mask`` (N, len(cols)) lets row r
+    attend to exactly the keys where ``mask[r]`` is set (each row needs at
+    least one). Returns the output rows and the activations the
     hand-written backward in :mod:`mmsink.losses` reads.
     """
     cfg = model.config
@@ -278,8 +278,6 @@ def block(model: Model, l: int, x: np.ndarray, kv: np.ndarray,
     s = qh @ keys.transpose(0, 2, 1) / math.sqrt(dh)
     if mask is not None:
         s = np.where(mask, s, -np.inf)
-    elif at is not None and n > 1:
-        s = np.where(np.tri(n, at + n, at, dtype=bool), s, -np.inf)
     pr = softmax(s, axis=2)
     ctx = (pr @ vals).transpose(1, 0, 2).reshape(n, cfg.d_model)
     x_attn = x + ctx @ p[f"l{l}.wo"]
@@ -298,8 +296,9 @@ def _masked_layers(model: Model, kv: np.ndarray, ids: np.ndarray, at: int,
     every layer over the (layers, 2, heads, K, d_head) buffer ``kv``: row r
     writes its keys and values at buffer row ``at + r`` and attends exactly
     the buffer columns set in ``attend[r]``, its own included. Without
-    ``attend`` the one row attends every column up to its own, unmasked. Returns the output rows and the
-    attention maps as (cols, mask, per-layer (heads, rows, keys) weights).
+    ``attend`` the one row attends every column up to its own, unmasked.
+    Returns the output rows and (cols, mask, each layer's :func:`block`
+    activations), whose ``"pr"`` are the (heads, rows, keys) weights.
     """
     cfg, p = model.config, model.p
     if attend is None:
@@ -315,11 +314,11 @@ def _masked_layers(model: Model, kv: np.ndarray, ids: np.ndarray, at: int,
         raise StateError(f"cache position {pos[pos >= cfg.max_positions][0]} exceeds the "
                          f"position table ({cfg.max_positions})")
     x = p["tok_emb"][ids] + p["pos_emb"][pos]
-    probs = []
+    layers = []
     for l in range(cfg.layers):
         x, acts = block(model, l, x, kv[l], at=at, cols=cols, mask=mask)
-        probs.append(acts["pr"])
-    return x, (cols, mask, probs)
+        layers.append(acts)
+    return x, (cols, mask, layers)
 
 
 @dataclass
@@ -397,9 +396,10 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
             attend = retained_rows(cache.policy, until[: c + hi], range(t0 + lo, t0 + hi),
                                    pos[: c + hi])
             attend[np.arange(hi - lo), np.arange(c + lo, c + hi)] = True
-        x, (cols, mask, probs) = _masked_layers(model, cache.kv(), ids[lo:hi], c + lo, attend)
+        x, (cols, mask, layers) = _masked_layers(model, cache.kv(), ids[lo:hi], c + lo, attend)
         if logits_at is None:  # positions read now: push() compacts the buffers
-            maps.append((pos[: c + hi].copy() if cols is None else pos[cols], mask, probs))
+            maps.append((pos[: c + hi].copy() if cols is None else pos[cols], mask,
+                         [acts["pr"] for acts in layers]))
             continue
         hit = [r for r in range(hi - lo) if t0 + lo + r + 1 in wanted]
         if hit:

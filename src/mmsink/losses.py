@@ -1,8 +1,9 @@
 """Dual training objective: next-token cross entropy plus cosine feature
 regression, with analytic gradients and a toy gradient-descent loop.
 
-The forward pass runs the engine's transformer block over the full
-teacher-forced sequence (dense attention, causal mask). Text targets
+The forward pass is the engine's masked stack (the one decoding and the
+replay run) over the full teacher-forced sequence, under the causal mask
+as every row's ``attend``. Text targets
 are the loss-masked tokens, each predicted from the hidden state one
 position earlier. For every loss-masked image block the learnable queries
 attend over the prefix ending at the block's begin marker and their output
@@ -23,7 +24,7 @@ import numpy as np
 
 from .engine import (
     Model,
-    block,
+    _masked_layers,
     gelu_grad,
     layer_norm,
     layer_norm_grad,
@@ -31,7 +32,7 @@ from .engine import (
     param_names,
     query_features,
 )
-from .errors import StateError, TrainingDiverged
+from .errors import TrainingDiverged
 from .seqmodel import Story, TrainingSample, assemble_training_sequence, vocab_id
 
 _ZERO_NORM_TOL = 1e-300
@@ -104,24 +105,26 @@ def combined_loss(ce: float, img: float, lam: float) -> float:
 # -- full-sequence forward/backward ---------------------------------------------
 
 def _main_forward(model: Model, ids: np.ndarray):
-    """Teacher-forced pass over the whole sequence. Returns logits plus what
-    the backward pass needs: the final norm's output and cache, each layer's
-    activations, and the (layers, 2, heads, T, d_head) keys and values."""
-    cfg = model.config
-    p = model.p
-    T = len(ids)
-    if T > cfg.max_positions:
-        raise StateError(f"sequence length {T} exceeds the position table")
-
-    x = p["tok_emb"][ids] + p["pos_emb"][:T]
+    """Teacher-forced pass over the whole sequence: the engine's masked stack
+    into one fresh buffer, row r at position r attending rows 0 .. r. Returns
+    logits plus what the backward pass needs: the final norm's output and
+    cache, each layer's activations, and the (layers, 2, heads, T, d_head)
+    keys and values."""
+    cfg, p, T = model.config, model.p, len(ids)
     kv = np.empty((cfg.layers, 2, cfg.heads, T, cfg.d_head))
-    layers = []
-    for l in range(cfg.layers):
-        x, acts = block(model, l, x, kv[l], at=0)
-        layers.append(acts)
+    x, (_cols, _mask, layers) = _masked_layers(model, kv, ids, 0, np.tri(T, dtype=bool))
     hf, lncf = layer_norm(x, p["lnf_g"], p["lnf_b"])
     logits = hf @ p["w_out"]
     return logits, hf, lncf, layers, kv
+
+
+def _norm_backward(model: Model, name: str, dy: np.ndarray, cache, grads) -> np.ndarray:
+    """Backward of the layer norm with weights ``{name}_g`` and ``{name}_b``:
+    adds their gradients to ``grads`` and returns the input's."""
+    dx, dg, db = layer_norm_grad(dy, cache, model.p[f"{name}_g"])
+    grads[f"{name}_g"] += dg
+    grads[f"{name}_b"] += db
+    return dx
 
 
 def _block_backward(model: Model, l: int, acts, dx: np.ndarray, kv: np.ndarray, grads):
@@ -144,10 +147,7 @@ def _block_backward(model: Model, l: int, acts, dx: np.ndarray, kv: np.ndarray, 
     df1 = dgact * gelu_grad(acts["f1"])
     grads[f"l{l}.w1"] += acts["b"].T @ df1
     db_ln = df1 @ p[f"l{l}.w1"].T
-    dx_attn, dg, db = layer_norm_grad(db_ln, acts["lnc2"], p[f"l{l}.ln2_g"])
-    grads[f"l{l}.ln2_g"] += dg
-    grads[f"l{l}.ln2_b"] += db
-    dx_attn = dx_attn + dx
+    dx_attn = _norm_backward(model, f"l{l}.ln2", db_ln, acts["lnc2"], grads) + dx
     # attention
     grads[f"l{l}.wo"] += acts["ctx"].T @ dx_attn
     dctx = dx_attn @ p[f"l{l}.wo"].T
@@ -231,9 +231,7 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
     np.add.at(dlogits, mpos - 1, sm / n_ce)
     grads["w_out"] += hf.T @ dlogits
     dhf = dlogits @ p["w_out"].T
-    dx_main, dg, db = layer_norm_grad(dhf, lncf, p["lnf_g"])
-    grads["lnf_g"] += dg
-    grads["lnf_b"] += db
+    dx_main = _norm_backward(model, "lnf", dhf, lncf, grads)
 
     # query branches: accumulate gradient into the main stream's keys/values
     dkv_extra = np.zeros_like(kv)
@@ -246,17 +244,12 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
 
         grads["w_feat"] += hq.T @ dpred
         dhq = dpred @ p["w_feat"].T
-        dxq, dg, db = layer_norm_grad(dhq, lnqf, p["lnf_g"])
-        grads["lnf_g"] += dg
-        grads["lnf_b"] += db
+        dxq = _norm_backward(model, "lnf", dhq, lnqf, grads)
         for l in reversed(range(L)):
             qc = qlayers[l]
             dx_attn, da, dkv = _block_backward(model, l, qc, dxq, kv[l, ..., :ctx_len, :], grads)
             dkv_extra[l, ..., :ctx_len, :] += dkv
-            dx_ln, dg, db = layer_norm_grad(da, qc["lnc1"], p[f"l{l}.ln1_g"])
-            grads[f"l{l}.ln1_g"] += dg
-            grads[f"l{l}.ln1_b"] += db
-            dxq = dx_attn + dx_ln
+            dxq = dx_attn + _norm_backward(model, f"l{l}.ln1", da, qc["lnc1"], grads)
         grads["queries"] += dxq
         grads["pos_emb"][ctx_len : ctx_len + Q] += dxq
 
@@ -269,10 +262,7 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         grads[f"l{l}.wk"] += c["a"].T @ dkm
         grads[f"l{l}.wv"] += c["a"].T @ dvm
         da = da + dkm @ p[f"l{l}.wk"].T + dvm @ p[f"l{l}.wv"].T
-        dx_ln, dg, db = layer_norm_grad(da, c["lnc1"], p[f"l{l}.ln1_g"])
-        grads[f"l{l}.ln1_g"] += dg
-        grads[f"l{l}.ln1_b"] += db
-        dx = dx_attn + dx_ln
+        dx = dx_attn + _norm_backward(model, f"l{l}.ln1", da, c["lnc1"], grads)
 
     np.add.at(grads["tok_emb"], ids, dx)
     grads["pos_emb"][:T] += dx
