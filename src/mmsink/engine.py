@@ -13,12 +13,12 @@ pruned-cache runs bitwise identical to dense runs inside the window.
 
 :func:`block` is the one transformer layer. It writes its rows' keys and
 values into the layer's (2, heads, K, d_head) slice of the caller's buffer
-at an offset and attends over it in place, each row masked to the entries
-it attends. :func:`_masked_layers`, the one stack over such a buffer,
-writes: :func:`forward_step` into the cache rows of the tokens it has just
-appended, before the cache evicts (a decode step, a run of known tokens,
-the teacher-forced replay), and :mod:`mmsink.losses` into one fresh buffer
-for a whole sequence under the causal mask. Feature prediction
+at an offset and attends over it in place. :func:`_masked_layers` is the
+one stack that writes, each row masked to the entries it attends:
+:func:`forward_step` into the cache rows of the tokens it has just appended,
+before the cache evicts (a decode step, a run of known tokens, the
+teacher-forced replay), and :mod:`mmsink.losses` into one fresh buffer for
+a whole sequence under the causal mask. Feature prediction
 (:func:`query_features`, which training shares) only reads. Scores and
 contexts are BLAS matrix products throughout, so a decode step and a
 batched pass agree to rounding (under 1e-15 on the logits), not bit for bit.
@@ -400,7 +400,7 @@ def forward_step(model: Model, cache: KvCache, *tokens: Token,
         if logits_at is None:  # positions read now: push() compacts the buffers
             maps.append((pos[: c + hi].copy() if cols is None else pos[cols], mask,
                          [acts["pr"] for acts in layers]))
-            continue
+        del layers  # the next chunk runs without this one's activations
         hit = [r for r in range(hi - lo) if t0 + lo + r + 1 in wanted]
         if hit:
             hf, _ = layer_norm(x[hit], p["lnf_g"], p["lnf_b"])

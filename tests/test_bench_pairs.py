@@ -28,7 +28,8 @@ if "BENCH_TREES" in os.environ:
     with open(os.environ["BENCH_TREES"], "a") as fh:
         fh.write(f"{root}\\n")
 metrics = {"setup_s": 0.5, "wall_s": wall, "peak_rss_mb": 60.0}
-print(json.dumps({"provenance": {"seed": int(a.seed), "src": str(wall)[:1]}}))
+print(json.dumps({"provenance": {"seed": int(a.seed), "src": str(wall)[:1]},
+                  "iterations": 3 + int(a.seed) % 2}))
 print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}))
 '''
@@ -91,6 +92,8 @@ def test_two_commit_repository(tmp_path, monkeypatch):
         (4, "base"), (5, "change"), (6, "base")]
     assert [p["base"]["wall_s"] for p in report["pairs"]] == [2.04, 2.05, 2.06]
     assert all(p["base_failed"] == p["change_failed"] == 0 for p in report["pairs"])
+    assert [(p["base_iterations"], p["change_iterations"]) for p in report["pairs"]] == [
+        (3, 3), (4, 4), (3, 3)]
     wall_s = report["summary"]["wall_s"]
     assert wall_s["base"] == pytest.approx({"median": 2.05, "q1": 2.045, "q3": 2.055,
                                             "iqr": 0.01})

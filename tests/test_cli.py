@@ -237,6 +237,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {path}: the top level is not a JSON object"]
 
+    @pytest.mark.parametrize("text, line", [("[1, 2]\n", 1), ('"x"\n', 1), ("\n5\n", 2)],
+                             ids=["list", "string", "number"])
+    def test_non_object_jsonl_line_is_one_line_error(self, tmp_path, capsys, text, line):
+        path = tmp_path / "l.jsonl"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {path}: line {line}: not a JSON object"]
+
 
 def _transpose_w_out(payload):
     entry = payload["weights"]["w_out"]
@@ -624,6 +633,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"error: StoryFormatError: {stories}: no stories"]
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("bad", ["5", '"tlayerheadlabelspositionsrow"', "[1, 2]"],
+                             ids=["number", "string", "list"])
+    def test_stats_names_a_dump_line_that_is_not_an_object(self, tmp_path, capsys, bad):
+        dump, occ = tmp_path / "d.jsonl", tmp_path / "o.csv"
+        dump.write_text(json.dumps({"t": 1, "layer": 0, "head": 0, "labels": ["BOS"],
+                                    "positions": [0], "row": [1.0]}) + f"\n{bad}\n")
+        assert main(["stats", "--dumps", str(dump), "--occ-out", str(occ)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ValueError: {dump}: line 2: not a JSON object"]
+        assert not occ.exists()
+
+    def test_train_toy_past_the_position_table_fails_before_any_layer(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        cfg, model_out = tmp_path / "small.ini", tmp_path / "m.json"
+        cfg.write_text("[engine]\nmax_positions = 16\n")
+        monkeypatch.setattr(engine, "block", None)  # any layer would fail
+        assert main(["train-toy", "--synth-stories", "2", "--synth-len", "2", "--steps", "2",
+                     "--config", str(cfg), "--model-out", str(model_out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: StateError: cache position 16 exceeds the position table (16)"]
+        assert not model_out.exists()
 
     def test_stats_rejects_a_slot_the_block_cannot_hold(self, tmp_path, capsys):
         """A dump of m = 64 blocks read under the desk profile's m = 8."""

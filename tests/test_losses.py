@@ -1,5 +1,6 @@
 """Loss definitions, analytic gradients, and the toy training loop."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
-from mmsink.errors import TrainingDiverged
+from mmsink.errors import StateError, TrainingDiverged
 from mmsink.losses import (
     combined_loss,
     image_regression_loss,
@@ -210,6 +211,18 @@ class TestLossMasking:
         zeroed[mpos - 1] = logits[mpos - 1]
         assert text_ce_loss(zeroed[mpos - 1], ids[mpos]) == baseline
 
+
+
+class TestPositionTable:
+    def test_sample_past_the_table_fails_before_any_layer(self, tiny_config, tiny_sample,
+                                                          monkeypatch):
+        T = len(tiny_sample.sequence.tokens)
+        fits = engine.Model.init(dataclasses.replace(tiny_config, max_positions=T))
+        assert math.isfinite(sample_loss(fits, tiny_sample).combined)
+        short = engine.Model.init(dataclasses.replace(tiny_config, max_positions=T - 1))
+        monkeypatch.setattr(engine, "block", None)  # any layer would fail
+        with pytest.raises(StateError, match="exceeds the position table"):
+            sample_loss(short, tiny_sample)
 
 @pytest.fixture(scope="module")
 def setup(tiny_config):

@@ -12,7 +12,8 @@ same, current ``perfbench/run.py --trace 0``, for the ``run_seconds`` that
 when i is even, the change first when it is odd.
 
 The output holds every pair's end-to-end metrics (the ones
-``BENCHMARK.json`` declares) and failed operations, each side's median,
+``BENCHMARK.json`` declares), failed operations and iteration counts (a
+workload's peak RSS grows with the iterations it keeps), each side's median,
 quartiles and IQR per metric, the change's win count (ties count for
 neither side), and each side's perfbench provenance. Several
 comma-separated workloads run one after another over the same archived
@@ -108,10 +109,12 @@ def workload_pairs(trees: dict[str, Path], workload: str, pairs: int,
             pair[side] = {name: entry["value"] for name, entry in result["metrics"].items()}
             pair[f"{side}_failed"] = result["failed"]
             pair[f"{side}_attempted"] = result["attempted"]
+            pair[f"{side}_iterations"] = detail["iterations"]
             provenance.setdefault(side, {k: v for k, v in detail["provenance"].items()
                                          if k != "seed"})
             print(f"{workload} pair {i} seed {seed} {side}: "
-                  + " ".join(f"{k}={v:.4g}" for k, v in pair[side].items()), file=sys.stderr)
+                  + " ".join(f"{k}={v:.4g}" for k, v in pair[side].items())
+                  + f" iterations={detail['iterations']}", file=sys.stderr)
         records.append(pair)
     return records, provenance
 
