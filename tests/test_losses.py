@@ -212,7 +212,6 @@ class TestLossMasking:
         assert text_ce_loss(zeroed[mpos - 1], ids[mpos]) == baseline
 
 
-
 class TestPositionTable:
     def test_sample_past_the_table_fails_before_any_layer(self, tiny_config, tiny_sample,
                                                           monkeypatch):
@@ -223,6 +222,7 @@ class TestPositionTable:
         monkeypatch.setattr(engine, "block", None)  # any layer would fail
         with pytest.raises(StateError, match="exceeds the position table"):
             sample_loss(short, tiny_sample)
+
 
 @pytest.fixture(scope="module")
 def setup(tiny_config):
