@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .seqmodel import PUNCT_CHARS
+from .seqmodel import PUNCT_CHARS, token_label
 
 ROW_SUM_TOL = 1e-9
 
@@ -181,23 +181,31 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
 
 
 def dump_writer(fh):
-    """The ``attn_dump`` callback of :func:`mmsink.engine.generate` that
+    """The ``observe`` callback of :func:`mmsink.engine.generate` that
     writes each token's dump rows to ``fh``, by layer, then head: one line
-    per row, ``json.dumps`` of its :data:`DUMP_FIELDS` dict. The token's
+    per row, ``json.dumps`` of its :data:`DUMP_FIELDS` dict. A row's labels
+    are those of the positions it attends, each fixed when fed; the token's
     labels and positions are encoded once for all its rows."""
     line = "{{" + ", ".join(f"{json.dumps(name)}: {{}}" for name in DUMP_FIELDS) + "}}\n"
+    labels: list[str] = []  # the label of each position fed
 
-    def write(t: int, positions: list[int], labels: list[str], layers) -> None:
-        shared = json.dumps(labels), json.dumps(positions)
-        for l, rows in enumerate(layers):
-            for h, row in enumerate(rows):
-                fh.write(line.format(t, l, h, *shared, json.dumps(row.tolist())))
+    def observe(run, step, cache) -> None:
+        labels.extend(map(token_label, run))
+        for t, (attended, layers) in enumerate(step.attention_rows(),
+                                               start=cache.t - len(run) + 1):
+            positions = attended.tolist()
+            shared = json.dumps([labels[q] for q in positions]), json.dumps(positions)
+            for l, rows in enumerate(layers):
+                for h, row in enumerate(rows):
+                    fh.write(line.format(t, l, h, *shared, json.dumps(row.tolist())))
 
-    return write
+    return observe
 
 
-def _file_rows(path) -> Iterator[dict]:
-    """The rows of a dump file, parsed one line at a time."""
+def jsonl_objects(path) -> Iterator[tuple[int, dict]]:
+    """The line number and object of each non-blank line of a JSONL file,
+    parsed one line at a time. A line that is not a JSON object raises
+    :class:`ValueError` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -208,10 +216,16 @@ def _file_rows(path) -> Iterator[dict]:
                 raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(rec, dict):
                 raise ValueError(f"line {lineno}: not a JSON object")
-            for name in DUMP_FIELDS:
-                if name not in rec:
-                    raise ValueError(f"line {lineno}: missing field {name!r}")
-            yield rec
+            yield lineno, rec
+
+
+def _file_rows(path) -> Iterator[dict]:
+    """The rows of a dump file, parsed one line at a time."""
+    for lineno, rec in jsonl_objects(path):
+        for name in DUMP_FIELDS:
+            if name not in rec:
+                raise ValueError(f"line {lineno}: missing field {name!r}")
+        yield rec
 
 
 def load_dump_file(path) -> list[KeyMeans]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,9 @@ def run_benchmark(
         if timing:
             per_run = []
             for _ in range(repeats):
+                started = time.perf_counter()
                 timed = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
-                per_run.append(float(np.mean(timed.trace.step_seconds)))
+                per_run.append((time.perf_counter() - started) / len(timed.generated))
             mean_tok_s = float(np.mean(per_run))
 
         results.append(
@@ -260,13 +262,9 @@ class TimeProfile:
     n: int
 
 
-def per_token_time_profile(trace, min_steps: int = 100) -> TimeProfile:
-    """Least-squares slope of per-token seconds against step index.
-
-    Accepts a GenerationTrace or a plain sequence of per-step seconds.
-    """
-    times = getattr(trace, "step_seconds", trace)
-    y = np.asarray(times, dtype=np.float64)
+def per_token_time_profile(seconds, min_steps: int = 100) -> TimeProfile:
+    """Least-squares slope of per-token seconds against step index."""
+    y = np.asarray(seconds, dtype=np.float64)
     n = len(y)
     if n < min_steps:
         raise ValueError(f"trace has {n} steps, need at least {min_steps}")

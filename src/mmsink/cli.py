@@ -264,12 +264,19 @@ def cmd_gen(args) -> int:
     policy = _policy_from_cfg(cfg)
     prompt_seed = args.prompt_seed if args.prompt_seed is not None else seed
     prompt = _build_prompt(model, args.prompt_items, prompt_seed)
+    features = []  # (begin marker position, predicted features) per block opened
     with _moved_into_place(args.attn_dump) if args.attn_dump else contextlib.nullcontext() as dump:
+        write = None if dump is None else attnstats.dump_writer(dump)
+
+        def observe(run, step, cache) -> None:
+            if write is not None:
+                write(run, step, cache)
+            if args.features and cache.in_block and cache.next_slot == 0:
+                features.append((cache.t - 1, engine.predict_image_features(model, cache)))
+
         result = engine.generate(
-            model, prompt, policy, args.steps,
-            mode=args.mode, seed=seed, temperature=args.temperature,
-            attn_dump=None if dump is None else attnstats.dump_writer(dump),
-            predict_features=args.features, boi_every=args.boi_every,
+            model, prompt, policy, args.steps, mode=args.mode, seed=seed,
+            temperature=args.temperature, boi_every=args.boi_every, observe=observe,
         )
         record = {
             "kind": "mmsink-generation-v1",
@@ -291,7 +298,7 @@ def cmd_gen(args) -> int:
         if args.features:
             record["features"] = [
                 {"block_start": pos, "values": [[float(x) for x in row] for row in feats]}
-                for pos, feats in result.trace.predicted_features
+                for pos, feats in features
             ]
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(record))
@@ -365,33 +372,29 @@ def cmd_bench(args) -> int:
 
 
 def _validate_jsonl(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = ""
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                first = line
-                break
-    if not first:
+    """Each line of a generation-record file is checked and named if it fails;
+    story files and attention dumps go through their own readers."""
+    _, first = next(attnstats.jsonl_objects(path), (0, None))
+    if first is None:
         raise ValueError(f"{path}: empty file")
-    record = json.loads(first)
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: line {lineno}: not a JSON object")
-    if "story_id" in record:
+    if "story_id" in first:
         stories = seqmodel.read_stories(path)
         return f"story file with {len(stories)} stories"
-    if record.get("kind") == "mmsink-generation-v1":
+    if first.get("kind") == "mmsink-generation-v1":
         required = ("policy", "mode", "seed", "steps", "valid", "labels", "blocks",
                     "violations", "peak_entries")
-        missing = [k for k in required if k not in record]
-        if missing:
-            raise ValueError(f"{path}: generation record missing {missing}")
-        if record["valid"] and record["blocks"]:
-            n_labels = len(record["labels"])
-            for b, e in record["blocks"]:
-                if not (0 <= b < e < n_labels):
-                    raise ValueError(f"{path}: block ({b}, {e}) out of range")
-        return "generation record"
-    if all(k in record for k in attnstats.DUMP_FIELDS):
+        for count, (lineno, record) in enumerate(attnstats.jsonl_objects(path), start=1):
+            if record.get("kind") != "mmsink-generation-v1":
+                raise ValueError(f"{path}: line {lineno}: not a generation record")
+            missing = [k for k in required if k not in record]
+            if missing:
+                raise ValueError(f"{path}: line {lineno}: generation record missing {missing}")
+            if record["valid"]:
+                for b, e in record["blocks"]:
+                    if not (0 <= b < e < len(record["labels"])):
+                        raise ValueError(f"{path}: line {lineno}: block ({b}, {e}) out of range")
+        return "generation record" if count == 1 else f"{count} generation records"
+    if all(k in first for k in attnstats.DUMP_FIELDS):
         records = attnstats.load_dump_file(path)
         return f"attention dump with {len(records)} maps"
     raise ValueError(f"{path}: unrecognized JSONL content")

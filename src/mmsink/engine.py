@@ -27,7 +27,6 @@ batched pass agree to rounding (under 1e-15 on the logits), not bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Iterable, Sequence
 
@@ -41,7 +40,6 @@ from .seqmodel import (
     MultimodalSequence,
     Token,
     token_from_vocab_id,
-    token_label,
     vocab_id,
     vocab_size,
 )
@@ -449,9 +447,7 @@ def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
 @dataclass
 class GenerationTrace:
     entry_counts: list[int] = field(default_factory=list)
-    step_seconds: list[float] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
-    predicted_features: list[tuple[int, np.ndarray]] = field(default_factory=list)
     forced_completion_steps: int = 0
 
 
@@ -488,9 +484,8 @@ def generate(
     mode: str = "constrained",
     seed: int = 0,
     temperature: float | None = None,
-    attn_dump: Callable[[int, list[int], list[str], list[np.ndarray]], None] | None = None,
-    predict_features: bool = False,
     boi_every: int | None = None,
+    observe: Callable[[Sequence[Token], StepResult, KvCache], None] | None = None,
 ) -> GenerationResult:
     """Autoregressive generation under a retention policy.
 
@@ -511,20 +506,19 @@ def generate(
 
     Tokens known before they are computed go through one
     :func:`forward_step` call (jump-forward decoding): the prompt, and in
-    constrained mode the rest of an open block once its begin marker is fed
-    (after any feature prediction), since the grammar fixes each of those
-    tokens. When sampling, each of them still draws the one double from
-    ``rng`` that a sampled step draws, so the tokens and the per-token
-    ``entry_counts`` equal those of one call per token; each token of such a
-    run gets an equal share of the run's time in ``step_seconds``.
+    constrained mode the rest of an open block once its begin marker is fed,
+    since the grammar fixes each of those tokens. When sampling, each of them
+    still draws the one double from ``rng`` that a sampled step draws, so the
+    tokens and the per-token ``entry_counts`` equal those of one call per
+    token.
 
-    ``attn_dump``, if given, is called once per token as it is computed, in
-    order, as ``attn_dump(t, positions, labels, layers)``: ``positions`` are
-    the keys token ``t`` attends (the entries retained before it, and
-    itself), ``labels`` their token labels, each fixed when its position is
-    fed, and ``layers[l]`` its (heads, keys) weights in layer ``l``. Nothing
-    is kept; :func:`mmsink.attnstats.dump_writer` writes the calls as dump
-    rows.
+    ``observe``, if given, is called after every :func:`forward_step` call,
+    the prompt's included, as ``observe(run, step, cache)``: the tokens fed,
+    their :class:`StepResult` and the cache after the push. A generated
+    begin marker is fed alone, so an observer sees each block it opens
+    before its slots. An observer must not change the cache; then an
+    observed run feeds the same runs as an unobserved one.
+    :func:`mmsink.attnstats.dump_writer` is one.
 
     ``temperature`` is ``None`` (greedy) or a positive finite number. A
     temperature that is not, ``boi_every`` in free mode, and a dense run that
@@ -561,18 +555,11 @@ def generate(
         cache.reserve(most)
     rng = np.random.default_rng(seed)
     trace = GenerationTrace()
-    tokens: list[Token] = []
-    labels: list[str] = []  # token_label of each position fed, for attn_dump
 
     def feed(run: Sequence[Token]) -> StepResult:
-        t0 = cache.t
-        tokens.extend(run)
         step = forward_step(model, cache, *run)
-        if attn_dump is not None:
-            labels.extend(token_label(token) for token in run)
-            for t, (attended, layers) in enumerate(step.attention_rows(), start=t0 + 1):
-                positions = attended.tolist()
-                attn_dump(t, positions, [labels[q] for q in positions], layers)
+        if observe is not None:
+            observe(run, step, cache)
         return step
 
     last = feed(prompt.tokens)
@@ -580,7 +567,6 @@ def generate(
     closing = [Token.img(s) for s in range(cfg.m)] + [Token.eoi()]
     generated: list[Token] = []
     while len(generated) < steps or (constrained and cache.in_block):
-        t0 = time.perf_counter()
         if constrained and cache.in_block:
             run = closing[cache.next_slot:]
             if temperature is not None:  # a sampled step draws one double, whatever its legal set
@@ -594,15 +580,12 @@ def generate(
             vid = _sample(last.logits, legal, temperature, rng)
             run = [token_from_vocab_id(vid, cfg.m, cfg.v_text)]
         last = feed(run)
-        trace.step_seconds.extend([(time.perf_counter() - t0) / len(run)] * len(run))
         trace.entry_counts.extend(last.sizes)
         generated.extend(run)
-        if predict_features and cache.in_block and cache.next_slot == 0:
-            feats = predict_image_features(model, cache)
-            trace.predicted_features.append((cache.t - 1, feats))
     trace.forced_completion_steps = max(0, len(generated) - steps)
 
     trace.violations = list(cache.violations)
+    tokens = list(prompt.tokens) + generated
     sequence = None  # the cache's grammar read every token: no second pass
     if not (cache.violations or cache.in_block):
         sequence = MultimodalSequence(tuple(tokens), tuple(cache.blocks), cfg.m)

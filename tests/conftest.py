@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mmsink import engine, seqmodel
+from mmsink import attnstats, engine, seqmodel
 from mmsink.attnstats import DUMP_FIELDS
 from mmsink.cachepolicy import CachePolicy
 from mmsink.seqmodel import Token
@@ -100,12 +100,20 @@ def all_policies(w: int, n_sink: int = 2, k_head: int = 1, k_tail: int = 2) -> l
 
 
 def dump_rows(rows: list):
-    """An ``attn_dump`` callback for :func:`engine.generate` that appends each
+    """An ``observe`` callback for :func:`engine.generate` that appends each
     token's dump rows to ``rows`` as :data:`DUMP_FIELDS` dicts, by layer, then
-    head; a token's rows share its labels and positions lists."""
-    def collect(t, positions, labels, layers):
-        rows.extend(dict(zip(DUMP_FIELDS, (t, l, h, labels, positions, row.tolist())))
-                    for l, heads in enumerate(layers) for h, row in enumerate(heads))
+    head; a token's rows share its labels and positions lists. Labels come
+    from ``attnstats.token_label``, as :func:`attnstats.dump_writer`'s do."""
+    labels = []  # the label of each position fed
+
+    def collect(run, step, cache):
+        labels.extend(attnstats.token_label(token) for token in run)
+        for t, (attended, layers) in enumerate(step.attention_rows(),
+                                               start=cache.t - len(run) + 1):
+            positions = attended.tolist()
+            held = [labels[p] for p in positions]
+            rows.extend(dict(zip(DUMP_FIELDS, (t, l, h, held, positions, row.tolist())))
+                        for l, heads in enumerate(layers) for h, row in enumerate(heads))
 
     return collect
 

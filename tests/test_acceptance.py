@@ -165,12 +165,13 @@ def test_criterion_4_anchor_persistence_2048_steps(small_model, small_prompt):
 
     attended: dict[int, np.ndarray] = {}
 
-    def record_attended(t, positions, labels, layers) -> None:
-        attended[t] = np.array(positions)
+    def record_attended(run, step, cache) -> None:
+        for t, (positions, _) in enumerate(step.attention_rows(), start=cache.t - len(run) + 1):
+            attended[t] = positions
 
     result = engine.generate(
         small_model, small_prompt, policy, 2048,
-        mode="constrained", seed=0, boi_every=24, attn_dump=record_attended,
+        mode="constrained", seed=0, boi_every=24, observe=record_attended,
     )
     assert result.sequence is not None
     blocks = result.sequence.image_blocks
@@ -192,12 +193,13 @@ def test_criterion_4_anchor_persistence_2048_steps(small_model, small_prompt):
     w = 64
     oldest: dict[int, int] = {}
 
-    def record_oldest(t, positions, labels, layers) -> None:
-        oldest[t] = min(positions)
+    def record_oldest(run, step, cache) -> None:
+        for t, (positions, _) in enumerate(step.attention_rows(), start=cache.t - len(run) + 1):
+            oldest[t] = int(positions.min())
 
     result = engine.generate(
         small_model, small_prompt, CachePolicy.windowed(w), 2048,
-        mode="constrained", seed=0, boi_every=24, attn_dump=record_oldest,
+        mode="constrained", seed=0, boi_every=24, observe=record_oldest,
     )
     assert sorted(oldest) == list(range(1, len(result.tokens) + 1))
     stale = [f"t={t} oldest={p}" for t, p in oldest.items() if t - 1 > w and p < t - 1 - w]
@@ -361,20 +363,35 @@ def test_criterion_9_toy_training_regression():
     assert len(result.curve) == 500
 
 
+def _per_token_seconds(model, prompt, policy, steps: int) -> np.ndarray:
+    """Seconds between successive observer calls of a free run. Free mode
+    feeds each generated token in its own forward_step call, so each
+    interval is one token's sampling and decode step."""
+    stamps = []
+    engine.generate(model, prompt, policy, steps, mode="free", seed=0,
+                    observe=lambda run, step, cache: stamps.append(time.perf_counter()))
+    return np.diff(stamps)
+
+
 @pytest.mark.benchmark
 def test_criterion_10_per_token_time_slopes(small_model, small_prompt):
-    """Dense per-token time grows with t; mmsink stays flat (3 sigma)."""
+    """Dense per-token time grows with t; mmsink stays flat (3 sigma).
+
+    Dense and mmsink run alternately in three pairs, and the median gap
+    between their slopes is gated on three times the median noise, so a
+    speed change of the host inside one run cannot decide the outcome."""
     steps = 2048
-    dense = engine.generate(small_model, small_prompt, CachePolicy.dense(),
-                            steps, mode="free", seed=0)
-    mmsink = engine.generate(small_model, small_prompt,
-                             CachePolicy.mmsink(4, 1, 2, 64),
-                             steps, mode="free", seed=0)
-    prof_d = bench.per_token_time_profile(dense.trace)
-    prof_m = bench.per_token_time_profile(mmsink.trace)
-    gap = prof_d.slope - prof_m.slope
-    noise = math.sqrt(prof_d.stderr**2 + prof_m.stderr**2)
+    policies = {"dense": CachePolicy.dense(), "mmsink": CachePolicy.mmsink(4, 1, 2, 64)}
+    gaps, noises = [], []
+    for pair in range(3):
+        order = ["dense", "mmsink"] if pair % 2 == 0 else ["mmsink", "dense"]
+        prof = {name: bench.per_token_time_profile(
+                    _per_token_seconds(small_model, small_prompt, policies[name], steps))
+                for name in order}
+        assert prof["dense"].n == prof["mmsink"].n == steps
+        gaps.append(prof["dense"].slope - prof["mmsink"].slope)
+        noises.append(math.sqrt(prof["dense"].stderr**2 + prof["mmsink"].stderr**2))
+    gap, noise = float(np.median(gaps)), float(np.median(noises))
     assert gap > 3 * noise, (
-        f"dense slope {prof_d.slope:.3e} vs mmsink {prof_m.slope:.3e}, "
-        f"gap {gap:.3e} <= 3x{noise:.3e}"
+        f"median slope gap {gap:.3e} <= 3x{noise:.3e} (gaps {[f'{g:.3e}' for g in gaps]})"
     )

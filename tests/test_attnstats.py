@@ -184,7 +184,7 @@ def dump_records(small_model, small_prompt):
     rows = []
     result = engine.generate(
         small_model, small_prompt, CachePolicy.mmsink(2, 1, 1, 12), 24,
-        seed=0, attn_dump=dump_rows(rows), boi_every=10,
+        seed=0, observe=dump_rows(rows), boi_every=10,
     )
     return rows, len(result.tokens)
 
@@ -256,26 +256,42 @@ class TestDumpIngestion:
                      "--attn-dump", str(dump), "--out", str(tmp_path / "g.jsonl")]) == 0
         rows = []
         engine.generate(small_model, cli._build_prompt(small_model, 1, 9), CachePolicy.windowed(10),
-                        20, seed=3, attn_dump=dump_rows(rows), boi_every=7)
+                        20, seed=3, observe=dump_rows(rows), boi_every=7)
         assert dump.read_bytes() == "".join(json.dumps(r) + "\n" for r in rows).encode()
 
-    def test_dump_writer_lines_are_json_dumps(self):
+    def test_dump_writer_lines_are_json_dumps(self, monkeypatch):
         """Each line is ``json.dumps`` of its row dict: floats in their
         shortest repr, 1e-300 included, and labels escaped."""
         import io
         import json
+        from types import SimpleNamespace
 
+        from mmsink.engine import StepResult
+        from mmsink.seqmodel import Token, token_label
+
+        # a label that needs escaping, which no real token has
+        monkeypatch.setattr(attnstats, "token_label",
+                            lambda tok: 'W"1' if tok == Token.word(1) else token_label(tok))
         out, rows = io.StringIO(), []
         write, collect = attnstats.dump_writer(out), dump_rows(rows)
-        for call in [
-            (1, [0], ["BOS"], [np.array([[1.0], [1.0]])]),
-            (2, [0, 1], ["BOS", 'W"1'], [np.array([[0.25, 0.75], [1e-300, 1.0]]),
-                                         np.array([[1 / 3, 2 / 3], [0.5, 0.5]])]),
-            (4, [0, 3], ["BOS", "IMG01"], [np.array([[0.1, 0.9]])]),
+        # (tokens fed, cache.t after them, per chunk (positions, mask, per-layer
+        # (heads, rows, keys) weights))
+        for run, t, maps in [
+            ([Token.bos()], 1, [(np.array([0]), None, [np.array([[[1.0]], [[1.0]]])])]),
+            ([Token.word(1)], 2, [(np.array([0, 1]), None,
+                                   [np.array([[[0.25, 0.75]], [[1e-300, 1.0]]]),
+                                    np.array([[[1 / 3, 2 / 3]], [[0.5, 0.5]]])])]),
+            ([Token.boi(), Token.img(1)], 4, [(np.array([0, 2, 3]),
+                                               np.array([[True, True, False],
+                                                         [True, False, True]]),
+                                               [np.array([[[0.5, 0.5, 0.0], [0.1, 0.0, 0.9]]])])]),
         ]:
+            call = run, StepResult(None, [], maps), SimpleNamespace(t=t)
             write(*call)
             collect(*call)
-        assert len(rows) == 7
+        assert len(rows) == 8
+        assert [(r["t"], r["labels"], r["positions"]) for r in rows[-2:]] == \
+            [(3, ["BOS", "BOI"], [0, 2]), (4, ["BOS", "IMG01"], [0, 3])]
         assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in rows)
 
     def test_load_records_directory(self, dump_records, tmp_path):

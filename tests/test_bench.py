@@ -176,11 +176,3 @@ class TestTimeProfile:
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
             per_token_time_profile([1e-5] * 50)
-
-    def test_accepts_generation_trace(self, bench_model, bench_prompt):
-        from mmsink.engine import generate
-
-        result = generate(bench_model, bench_prompt, CachePolicy.windowed(16), 120,
-                          mode="free", seed=0)
-        prof = per_token_time_profile(result.trace)
-        assert prof.n == 120

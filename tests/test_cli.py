@@ -247,6 +247,29 @@ class TestValidate:
         assert err.splitlines() == [f"error: {path}: line {line}: not a JSON object"]
 
 
+    @pytest.mark.parametrize("second, expected", [
+        ("copy", None),
+        ("5", "line 2: not a JSON object"),
+        ("without-labels", "line 2: generation record missing ['labels']"),
+    ])
+    def test_every_generation_record_line_is_checked(self, tmp_path, capsys, second, expected):
+        gen_out = tmp_path / "g.jsonl"
+        assert main(["gen", "--steps", "12", "--out", str(gen_out)]) == 0
+        record = json.loads(gen_out.read_text())
+        if second == "without-labels":
+            del record["labels"]
+        if second != "5":
+            second = json.dumps(record)
+        with open(gen_out, "a") as fh:
+            fh.write(second + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(gen_out)]) == (1 if expected else 0)
+        out, err = capsys.readouterr()
+        if expected:
+            assert err.splitlines() == [f"error: {gen_out}: {expected}"]
+        else:
+            assert out.splitlines() == [f"ok: {gen_out}: 2 generation records"]
+
 def _transpose_w_out(payload):
     entry = payload["weights"]["w_out"]
     entry["shape"] = entry["shape"][::-1]

@@ -26,9 +26,9 @@ def _matrix(root: Path) -> Path:
     return root
 
 
-def test_matrix_has_twenty_nine_files():
+def test_matrix_has_thirty_one_files():
     names = cli_outputs.file_names()
-    assert len(names) == len(set(names)) == 29
+    assert len(names) == len(set(names)) == 31
 
 
 @pytest.mark.parametrize("text, code, verdict", [

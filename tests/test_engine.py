@@ -333,7 +333,7 @@ class TestGenerate:
     def test_attention_dump_schema(self, small_model, small_prompt):
         rows = []
         result = generate(small_model, small_prompt, CachePolicy.windowed(10), 6,
-                          seed=0, attn_dump=dump_rows(rows))
+                          seed=0, observe=dump_rows(rows))
         cfg = small_model.config
         n_steps = len(result.tokens)
         assert len(rows) == n_steps * cfg.layers * cfg.heads
@@ -349,7 +349,7 @@ class TestGenerate:
     def test_attention_dump_labels_after_evictions(self, small_model, small_prompt, policy):
         rows = []
         result = generate(small_model, small_prompt, policy, 40, seed=1, boi_every=9,
-                          attn_dump=dump_rows(rows))
+                          observe=dump_rows(rows))
         assert sum(len(rec["positions"]) < rec["t"] for rec in rows) > len(rows) // 2  # evicted
         for rec in rows:
             positions = rec["positions"]
@@ -574,7 +574,7 @@ class TestJumpForward:
     def test_matches_one_call_per_token(self, small_model, small_prompt, monkeypatch, policy,
                                         temperature, ends):
         m = small_model.config.m
-        kwargs = dict(seed=4, temperature=temperature, boi_every=9, predict_features=True)
+        kwargs = dict(seed=4, temperature=temperature, boi_every=9)
         # a run's tokens do not depend on the budget: end it two tokens into
         # the last block begun by step 55, or right after that block
         longer = generate(small_model, small_prompt, policy, 60, **kwargs).generated
@@ -584,9 +584,16 @@ class TestJumpForward:
         step = engine.forward_step
         monkeypatch.setattr(engine, "forward_step",
                             lambda *a: calls.append(len(a) - 2) or step(*a))
-        dump = []
-        result = generate(small_model, small_prompt, policy, steps, attn_dump=dump_rows(dump),
-                          **kwargs)
+        dump, seen, predicted = [], [], []
+        collect = dump_rows(dump)
+
+        def observe(run, step, cache):  # the dump, and the features of each block opened
+            collect(run, step, cache)
+            seen.extend(run)
+            if cache.in_block and cache.next_slot == 0:
+                predicted.append((cache.t - 1, predict_image_features(small_model, cache)))
+
+        result = generate(small_model, small_prompt, policy, steps, observe=observe, **kwargs)
         runs = [n for n in calls if n > 1]
         assert runs[0] == len(small_prompt) and m + 1 in runs
         monkeypatch.setattr(engine, "forward_step", step)
@@ -597,7 +604,7 @@ class TestJumpForward:
         assert result.tokens == tokens
         assert result.trace.forced_completion_steps == forced
         assert result.trace.forced_completion_steps == (m - 1 if ends == "in-a-run" else 0)
-        assert len(result.trace.step_seconds) == len(result.generated)
+        assert seen == result.tokens
 
         rows, counts, feats, peak = refeed(small_model, policy, result, len(small_prompt), True)
         assert result.trace.entry_counts == single_counts == counts
@@ -606,8 +613,8 @@ class TestJumpForward:
             [row[:5] for row in rows]
         for d, row in zip(dump, rows):
             np.testing.assert_allclose(d["row"], row[5], rtol=0, atol=1e-12)
-        assert [t for t, _ in result.trace.predicted_features] == [t for t, _ in feats]
-        for (_, got), (_, want) in zip(result.trace.predicted_features, feats):
+        assert [t for t, _ in predicted] == [t for t, _ in feats]
+        for (_, got), (_, want) in zip(predicted, feats):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("temperature", [0, -1.0, float("nan"), float("inf")])
@@ -617,6 +624,43 @@ class TestJumpForward:
         with pytest.raises(ConfigError, match="temperature must be a positive finite number"):
             generate(small_model, small_prompt, CachePolicy.windowed(8), 10,
                      temperature=temperature)
+
+
+class TestObserver:
+    """generate calls its observer right after every forward_step call, the
+    prompt's included, with the tokens fed and the cache after the push; an
+    observer that changes nothing leaves the run as it was."""
+
+    @pytest.mark.parametrize("temperature", [None, 1.0], ids=["greedy", "sampled"])
+    @pytest.mark.parametrize("mode", ["constrained", "free"])
+    @pytest.mark.parametrize("policy", all_policies(10, n_sink=2, k_head=1, k_tail=2),
+                             ids=lambda p: p.kind)
+    def test_one_call_per_forward_step(self, small_model, small_prompt, monkeypatch, policy,
+                                       mode, temperature):
+        kwargs = dict(mode=mode, seed=3, temperature=temperature,
+                      boi_every=9 if mode == "constrained" else None)
+        plain = generate(small_model, small_prompt, policy, 40, **kwargs)
+        quiet = generate(small_model, small_prompt, policy, 40,
+                         observe=lambda run, step, cache: None, **kwargs)
+        log = []
+        step = engine.forward_step
+        monkeypatch.setattr(engine, "forward_step",
+                            lambda *a: log.append(("call", list(a[2:]))) or step(*a))
+        recorded = generate(small_model, small_prompt, policy, 40, **kwargs,
+                            observe=lambda run, _, cache: log.append(("observe", list(run),
+                                                                      cache.t)))
+        calls, seen = log[0::2], log[1::2]
+        assert [kind for kind, *_ in calls] == ["call"] * len(calls)
+        assert [(kind, run) for kind, run, _ in seen] == [("observe", run) for _, run in calls]
+        assert sum((run for _, run, _ in seen), []) == recorded.tokens
+        ends = np.cumsum([len(run) for _, run, _ in seen]).tolist()
+        assert [t for *_, t in seen] == ends
+        for result in (quiet, recorded):
+            assert result.tokens == plain.tokens
+            assert result.trace.entry_counts == plain.trace.entry_counts
+            assert result.peak_entries == plain.peak_entries
+            assert result.trace.violations == plain.trace.violations
+            assert result.trace.forced_completion_steps == plain.trace.forced_completion_steps
 
 
 class TestModelIO:

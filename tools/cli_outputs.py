@@ -3,11 +3,11 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 29
-output files into OUT (the four attention dumps under OUT/dumps/), and
-prints one SHA-256 per file. ``--src`` picks the source tree to run
-(default: this checkout's ``src``), so the same script can write the matrix
-of another revision.
+The first form runs the fixed set of CLI commands below, writing their 31
+output files into OUT (the four attention dumps that ``stats`` reads under
+OUT/dumps/), and prints one SHA-256 per file. ``--src`` picks the source
+tree to run (default: this checkout's ``src``), so the same script can write
+the matrix of another revision.
 
 The second form reports, per file, either "identical" or the largest
 absolute difference over its float fields. It exits non-zero when a file is
@@ -40,6 +40,12 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
         runs.append((["gen", "--policy", policy, "--steps", "512", "--boi-every", "24",
                       "--features", "--attn-dump", out / dump, "--out", out / gen],
                      [gen, dump]))
+    # a dump without features: with the runs above and below, every
+    # combination of the two observers gen can run
+    runs.append((["gen", "--policy", "window", "--steps", "256", "--boi-every", "24",
+                  "--attn-dump", out / "gen-window-dump-only.dump.jsonl",
+                  "--out", out / "gen-window-dump-only.jsonl"],
+                 ["gen-window-dump-only.jsonl", "gen-window-dump-only.dump.jsonl"]))
     runs.append((["gen", "--policy", "mmsink", "--temperature", "1.0", "--steps", "512",
                   "--boi-every", "24", "--features", "--out", out / "gen-mmsink-sampled.jsonl"],
                  ["gen-mmsink-sampled.jsonl"]))
