@@ -379,7 +379,7 @@ def test_criterion_10_per_token_time_slopes(small_model, small_prompt):
 
     Dense and mmsink run alternately in three pairs, and the median gap
     between their slopes is gated on three times the median noise, so a
-    speed change of the host inside one run cannot decide the outcome."""
+    change of host speed inside one run does not decide the outcome alone."""
     steps = 2048
     policies = {"dense": CachePolicy.dense(), "mmsink": CachePolicy.mmsink(4, 1, 2, 64)}
     gaps, noises = [], []
