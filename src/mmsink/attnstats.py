@@ -264,6 +264,6 @@ def write_occurrence_csv(table: OccurrenceTable, path) -> None:
     _write_csv(path, ["label", "count"], table.counts)
 
 
-def write_category_csv(table: OccurrenceTable, m: int, k_head: int, k_tail: int, path) -> None:
-    shares = category_shares(table, m, k_head, k_tail)
+def write_category_csv(shares: dict[str, float], path) -> None:
+    """The :func:`category_shares` of a table, one row per category."""
     _write_csv(path, ["category", "share"], [(cat, repr(shares[cat])) for cat in CATEGORIES])

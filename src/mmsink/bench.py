@@ -45,7 +45,6 @@ def divergence(t: int, a: np.ndarray, b: np.ndarray) -> CheckpointDivergence:
 
 @dataclass
 class PolicyResult:
-    name: str
     policy: CachePolicy
     peak_entries: int
     bytes_estimate: int
@@ -178,7 +177,6 @@ def run_benchmark(
 
         results.append(
             PolicyResult(
-                name=policy.kind,
                 policy=policy,
                 peak_entries=peak,
                 bytes_estimate=bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head, SCALAR_WIDTH),
@@ -207,7 +205,7 @@ def write_report_csv(report: BenchReport, path) -> None:
             tok_s = "" if r.mean_tok_s is None else repr(r.mean_tok_s)
             for div in r.divergence:
                 writer.writerow([
-                    r.name, r.peak_entries, r.bytes_estimate, tok_s,
+                    r.policy.kind, r.peak_entries, r.bytes_estimate, tok_s,
                     div.t, repr(div.max_abs_logit_diff), repr(div.kl),
                     repr(r.validity_rate),
                 ])
@@ -224,7 +222,7 @@ def report_to_dict(report: BenchReport) -> dict:
         "trajectory": report.trajectory,
         "policies": [
             {
-                "policy": r.name,
+                "policy": r.policy.kind,
                 "params": r.policy.params(),
                 "peak_entries": r.peak_entries,
                 "bytes": r.bytes_estimate,

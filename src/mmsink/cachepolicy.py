@@ -35,15 +35,22 @@ import numpy as np
 from .errors import ConfigError, SequenceGrammarError
 from .seqmodel import BlockGrammar, Token
 
-POLICY_KINDS = ("dense", "window", "sink", "mmsink")
+# the parameters each kind reads, in its factory's order
+KIND_PARAMS: dict[str, tuple[str, ...]] = {
+    "dense": (),
+    "window": ("window",),
+    "sink": ("n_sink", "window"),
+    "mmsink": ("n_sink", "k_head", "k_tail", "window"),
+}
+POLICY_KINDS = tuple(KIND_PARAMS)
 
 
 @dataclass(frozen=True)
 class CachePolicy:
     """Retention strategy plus its numeric parameters.
 
-    Unused parameters are zero: dense has none, window ignores the sink and
-    anchor counts, sink ignores the anchor counts.
+    Each parameter in the kind's :data:`KIND_PARAMS` entry is at least 1,
+    and the sinks fit inside the window; every other parameter is 0.
     """
 
     kind: str
@@ -53,19 +60,16 @@ class CachePolicy:
     k_tail: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in KIND_PARAMS:
             raise ConfigError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        if self.kind != "dense" and self.window < 1:
-            raise ConfigError(f"{self.kind} policy needs a positive window, got {self.window}")
-        if self.kind in ("sink", "mmsink"):
-            if self.n_sink < 1:
-                raise ConfigError(f"{self.kind} policy needs a positive n_sink, got {self.n_sink}")
-            if self.n_sink >= self.window:
-                raise ConfigError(
-                    f"n_sink {self.n_sink} must be smaller than window {self.window}"
-                )
-        if self.kind == "mmsink" and (self.k_head < 1 or self.k_tail < 1):
-            raise ConfigError("mmsink policy needs positive k_head and k_tail")
+        reads = KIND_PARAMS[self.kind]
+        for name, value in self.params().items():
+            if name in reads and value < 1:
+                raise ConfigError(f"{self.kind} policy needs a positive {name}, got {value}")
+            if name not in reads and value != 0:
+                raise ConfigError(f"{self.kind} policy takes no {name}, got {value}")
+        if self.n_sink and self.n_sink >= self.window:
+            raise ConfigError(f"n_sink {self.n_sink} must be smaller than window {self.window}")
 
     @staticmethod
     def dense() -> "CachePolicy":
@@ -89,29 +93,18 @@ class CachePolicy:
 
     def check_block_length(self, m: int) -> None:
         """Anchors must fit inside one image block of length ``m``."""
-        if self.kind == "mmsink" and self.k_head + self.k_tail > m:
+        if self.k_head + self.k_tail > m:
             raise ConfigError(
                 f"k_head {self.k_head} + k_tail {self.k_tail} exceeds block length {m}"
             )
 
     def describe(self) -> str:
-        if self.kind == "dense":
-            return "dense"
-        if self.kind == "window":
-            return f"window(w={self.window})"
-        if self.kind == "sink":
-            return f"sink(n={self.n_sink}, w={self.window})"
-        return (
-            f"mmsink(n={self.n_sink}, k_head={self.k_head}, "
-            f"k_tail={self.k_tail}, w={self.window})"
-        )
+        """The kind, then the parameters it reads as the flags name them."""
+        args = ", ".join(f"{name}={getattr(self, name)}" for name in KIND_PARAMS[self.kind])
+        return f"{self.kind}({args})" if args else self.kind
 
 
 _FOREVER = np.iinfo(np.int64).max
-
-
-def _n_sink(policy: CachePolicy) -> int:
-    return policy.n_sink if policy.kind in ("sink", "mmsink") else 0
 
 
 def _completed_until(policy: CachePolicy, b: int, e: int, p: np.ndarray) -> np.ndarray:
@@ -120,13 +113,13 @@ def _completed_until(policy: CachePolicy, b: int, e: int, p: np.ndarray) -> np.n
     Sinks and the anchors (begin and end marker, first ``k_head`` and last
     ``k_tail`` slots) are protected forever, the other members until e.
     """
-    anchor = (p < _n_sink(policy)) | (p <= b + policy.k_head) | (p >= e - policy.k_tail)
+    anchor = (p < policy.n_sink) | (p <= b + policy.k_head) | (p >= e - policy.k_tail)
     return np.where(anchor, _FOREVER, e)
 
 
 def _recent(policy: CachePolicy) -> int:
     """How many of the latest positions the policy keeps unconditionally."""
-    return _FOREVER if policy.kind == "dense" else policy.window - _n_sink(policy)
+    return _FOREVER if policy.kind == "dense" else policy.window - policy.n_sink
 
 
 def _kept(policy: CachePolicy, t, p, until):
@@ -154,7 +147,7 @@ def protected_until(
     end marker's position; everything else never (0).
     """
     p = np.arange(t)
-    until = np.where(p < _n_sink(policy), _FOREVER, 0)
+    until = np.where(p < policy.n_sink, _FOREVER, 0)
     if policy.kind == "mmsink":
         for b, e in blocks:
             until[b : e + 1] = _completed_until(policy, b, e, p[b : e + 1])
@@ -351,7 +344,7 @@ class KvCache:
         :meth:`push` evicts.
         """
         policy, grammar = self.policy, self.grammar
-        mmsink, sinks = policy.kind == "mmsink", _n_sink(policy)
+        mmsink, sinks = policy.kind == "mmsink", policy.n_sink
         n, c, t0 = len(tokens), self._count, grammar.t
         if c + n > self._pos_until.shape[1]:
             self.reserve(max(2 * self._pos_until.shape[1], c + n))

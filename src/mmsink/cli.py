@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields
 
 from . import attnstats, bench, engine, losses, seqmodel
-from .cachepolicy import POLICY_KINDS, CachePolicy
+from .cachepolicy import KIND_PARAMS, POLICY_KINDS, CachePolicy
 from .engine import Model, ModelConfig
 from .errors import (
     ConfigError,
@@ -157,17 +157,8 @@ def _model_config(cfg, seed: int) -> ModelConfig:
 
 def _policy_from_cfg(cfg, kind: str | None = None) -> CachePolicy:
     kind = kind or cfg[("cachepolicy", "policy")]
-    w = cfg[("cachepolicy", "window")]
-    n = cfg[("cachepolicy", "n_sink")]
-    if kind == "dense":
-        return CachePolicy.dense()
-    if kind == "window":
-        return CachePolicy.windowed(w)
-    if kind == "sink":
-        return CachePolicy.sink(n, w)
-    if kind == "mmsink":
-        return CachePolicy.mmsink(n, cfg[("cachepolicy", "k_head")], cfg[("cachepolicy", "k_tail")], w)
-    raise ConfigError(f"unknown policy {kind!r}")
+    reads = KIND_PARAMS.get(kind, ())  # none for an unknown kind, which CachePolicy rejects
+    return CachePolicy(kind, **{name: cfg[("cachepolicy", name)] for name in reads})
 
 
 def _obtain_model(args, cfg, seed: int) -> Model:
@@ -322,9 +313,9 @@ def cmd_stats(args) -> int:
         attnstats.classify_token(label, m, k_head, k_tail)
     table = attnstats.aggregate_occurrence(records, k=args.k)
     attnstats.write_occurrence_csv(table, args.occ_out)
-    if args.cat_out:
-        attnstats.write_category_csv(table, m, k_head, k_tail, args.cat_out)
     shares = attnstats.category_shares(table, m, k_head, k_tail)
+    if args.cat_out:
+        attnstats.write_category_csv(shares, args.cat_out)
     print(f"analyzed {table.total_maps} maps; category shares:")
     for cat in attnstats.CATEGORIES:
         print(f"  {cat}: {shares[cat]:.4f}")
@@ -364,7 +355,7 @@ def cmd_bench(args) -> int:
         bench.write_report_json(report, args.json_out)
     for r in report.results:
         print(
-            f"  {r.name}: peak_entries={r.peak_entries} bytes={r.bytes_estimate} "
+            f"  {r.policy.kind}: peak_entries={r.peak_entries} bytes={r.bytes_estimate} "
             f"validity={r.validity_rate:.3f} "
             f"final_kl={r.divergence[-1].kl:.6g}"
         )

@@ -446,6 +446,7 @@ def predict_image_features(model: Model, cache: KvCache) -> np.ndarray:
 
 @dataclass
 class GenerationTrace:
+    # the entry count after each generated token; the prompt's are not included
     entry_counts: list[int] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     forced_completion_steps: int = 0

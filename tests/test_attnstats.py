@@ -432,7 +432,7 @@ class TestCsvOutputs:
         rng = np.random.default_rng(6)
         table = aggregate_occurrence(ingest(*[causal_map(rng, 8) for _ in range(6)]), k=3)
         path = tmp_path / "cat.csv"
-        attnstats.write_category_csv(table, 8, 1, 2, path)
+        attnstats.write_category_csv(category_shares(table, m=8, k_head=1, k_tail=2), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "category,share"
         assert len(lines) == 1 + len(attnstats.CATEGORIES)

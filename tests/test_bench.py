@@ -56,13 +56,13 @@ class TestSyntheticTrajectory:
 
 class TestRunBenchmark:
     def test_memory_relation_ordering(self, desk_report):
-        by_name = {r.name: r for r in desk_report.results}
+        by_name = {r.policy.kind: r for r in desk_report.results}
         assert by_name["dense"].peak_entries > by_name["mmsink"].peak_entries
         assert by_name["mmsink"].peak_entries > by_name["sink"].peak_entries
         assert by_name["sink"].peak_entries == by_name["window"].peak_entries == 64
 
     def test_dense_divergence_zero(self, desk_report):
-        dense = next(r for r in desk_report.results if r.name == "dense")
+        dense = next(r for r in desk_report.results if r.policy.kind == "dense")
         for d in dense.divergence:
             assert d.max_abs_logit_diff == 0.0 and d.kl == 0.0
 
@@ -129,7 +129,7 @@ class TestRunBenchmark:
         report = run_benchmark(bench_model, bench_prompt,
                                [CachePolicy.dense(), CachePolicy.windowed(32)],
                                total_steps=48, seed=0, trajectory="generated")
-        dense = next(r for r in report.results if r.name == "dense")
+        dense = next(r for r in report.results if r.policy.kind == "dense")
         assert all(d.kl == 0.0 for d in dense.divergence)
 
 

@@ -1,5 +1,6 @@
 """Retention sets, cache mutation, eviction, and entry order."""
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_policies, breaking_stream, make_stream, split_runs
 from mmsink import cachepolicy
-from mmsink.cachepolicy import CachePolicy, KvCache, bytes_estimate, retain_set, retained_rows
+from mmsink.cachepolicy import (
+    KIND_PARAMS, POLICY_KINDS, CachePolicy, KvCache, bytes_estimate, retain_set, retained_rows,
+)
 from mmsink.errors import ConfigError, SequenceGrammarError
 from mmsink.oracle import brute_retain_set
 from mmsink.seqmodel import MultimodalSequence, Token
@@ -23,6 +26,10 @@ def flat_seq(t: int, m: int = 8) -> MultimodalSequence:
 def retained(policy: CachePolicy, seq: MultimodalSequence) -> list[int]:
     """``retain_set`` after the whole of ``seq``."""
     return retain_set(policy, seq.image_blocks, seq.open_block, len(seq))
+
+
+# each parameter at its smallest valid value: n_sink must stay below the window
+VALID = {"window": 2, "n_sink": 1, "k_head": 1, "k_tail": 1}
 
 
 class TestPolicyConfig:
@@ -45,8 +52,37 @@ class TestPolicyConfig:
     def test_positive_params(self):
         with pytest.raises(ConfigError):
             CachePolicy.windowed(0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="mmsink policy needs a positive k_head, got 0"):
             CachePolicy.mmsink(1, 0, 1, 8)
+        for kind, reads in KIND_PARAMS.items():
+            params = {name: VALID[name] for name in reads}
+            CachePolicy(kind, **params)
+            for name in reads:
+                with pytest.raises(ConfigError, match=f"{kind} policy needs a positive {name}, got 0"):
+                    CachePolicy(kind, **{**params, name: 0})
+
+    @pytest.mark.parametrize("kind, name", [(kind, name) for kind in POLICY_KINDS
+                                            for name in VALID if name not in KIND_PARAMS[kind]])
+    def test_unread_params_must_be_zero(self, kind, name):
+        params = {p: VALID[p] for p in KIND_PARAMS[kind]}
+        with pytest.raises(ConfigError, match=f"{kind} policy takes no {name}, got 1"):
+            CachePolicy(kind, **params, **{name: 1})
+
+    def test_kind_params_follow_the_factories(self):
+        assert POLICY_KINDS == ("dense", "window", "sink", "mmsink")
+        factories = [CachePolicy.dense, CachePolicy.windowed, CachePolicy.sink, CachePolicy.mmsink]
+        for kind, factory in zip(POLICY_KINDS, factories):
+            assert tuple(inspect.signature(factory).parameters) == KIND_PARAMS[kind]
+            assert factory(*(VALID[name] for name in KIND_PARAMS[kind])).kind == kind
+
+    @pytest.mark.parametrize("policy, text", [
+        (CachePolicy.dense(), "dense"),
+        (CachePolicy.windowed(64), "window(window=64)"),
+        (CachePolicy.sink(4, 64), "sink(n_sink=4, window=64)"),
+        (CachePolicy.mmsink(4, 1, 2, 64), "mmsink(n_sink=4, k_head=1, k_tail=2, window=64)"),
+    ], ids=POLICY_KINDS)
+    def test_describe_names_the_params_read(self, policy, text):
+        assert policy.describe() == text
 
 
 class TestRetainSet:

@@ -9,7 +9,8 @@ from mmsink import attnstats, engine
 from mmsink.errors import StateError
 from mmsink.bench import CSV_HEADER
 from mmsink import seqmodel as sq
-from mmsink.cli import KNOWN_KEYS, _build_parser, main
+from mmsink.cachepolicy import POLICY_KINDS, CachePolicy
+from mmsink.cli import KNOWN_KEYS, PROFILES, _build_parser, _policy_from_cfg, main
 
 
 def run(args, capsys=None):
@@ -47,10 +48,11 @@ class TestGen:
             outs.append((out.read_bytes(), dump.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_record_is_valid_and_constrained(self, tmp_path):
+    def test_record_is_valid_and_constrained(self, tmp_path, capsys):
         out = tmp_path / "g.jsonl"
         main(["gen", "--policy", "window", "--window", "16", "--steps", "24",
               "--seed", "2", "--out", str(out)])
+        assert " under window(window=16), " in capsys.readouterr().out
         record = json.loads(out.read_text())
         assert record["valid"] is True
         assert record["policy"] == "window"
@@ -493,6 +495,16 @@ class TestConfigHandling:
         assert "cachepolicy.k_head = 5" in text
         assert "cachepolicy.k_tail = 8" in text
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_policy_from_cfg_matches_the_factories(self, profile):
+        cfg = PROFILES[profile]
+        w, n, k_head, k_tail = (cfg[("cachepolicy", name)]
+                                for name in ("window", "n_sink", "k_head", "k_tail"))
+        assert [_policy_from_cfg(cfg, kind) for kind in POLICY_KINDS] == [
+            CachePolicy.dense(), CachePolicy.windowed(w), CachePolicy.sink(n, w),
+            CachePolicy.mmsink(n, k_head, k_tail, w)]
+        assert _policy_from_cfg(cfg) == CachePolicy.mmsink(n, k_head, k_tail, w)
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MMSINK_SEED", "99")
         out = tmp_path / "s.jsonl"
@@ -517,6 +529,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--policy", "dense", "--report", "r.csv"])
         assert exc.value.code == 2
+
+    def test_unknown_bench_policy_is_exit_one(self, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        assert main(["bench", "--policies", "dense,lru", "--report", str(report)]) == 1
+        assert "unknown policy kind 'lru', expected one of" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -26,9 +26,9 @@ def _matrix(root: Path) -> Path:
     return root
 
 
-def test_matrix_has_thirty_one_files():
+def test_matrix_has_thirty_two_files():
     names = cli_outputs.file_names()
-    assert len(names) == len(set(names)) == 31
+    assert len(names) == len(set(names)) == 32
 
 
 @pytest.mark.parametrize("text, code, verdict", [

@@ -3,7 +3,7 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 31
+The first form runs the fixed set of CLI commands below, writing their 32
 output files into OUT (the four attention dumps that ``stats`` reads under
 OUT/dumps/), and prints one SHA-256 per file. ``--src`` picks the source
 tree to run (default: this checkout's ``src``), so the same script can write
@@ -49,6 +49,10 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
     runs.append((["gen", "--policy", "mmsink", "--temperature", "1.0", "--steps", "512",
                   "--boi-every", "24", "--features", "--out", out / "gen-mmsink-sampled.jsonl"],
                  ["gen-mmsink-sampled.jsonl"]))
+    # the paper-faithful profile's mmsink(4, 5, 8, 256) over 64-slot blocks
+    runs.append((["gen", "--profile", "paper-faithful", "--steps", "400", "--boi-every", "90",
+                  "--features", "--out", out / "gen-paper-faithful.jsonl"],
+                 ["gen-paper-faithful.jsonl"]))
     for seed in FREE_SEEDS:
         name = f"free-seed{seed}.jsonl"
         runs.append((["gen", "--policy", "mmsink", "--mode", "free", "--temperature", "1.0",
