@@ -2,8 +2,11 @@
 
 Every policy replays one identical teacher-forced trajectory for logit
 divergence against the dense reference, and runs its own free generation
-for structural validity and (optionally) wall-clock timing. Reports are
-written as CSV plus a JSON mirror.
+for structural validity and (optionally) wall-clock timing.
+
+The report is one dict: :func:`run_benchmark` returns exactly what the
+JSON file holds, with its keys in the file's order, and the CSV flattens
+its ``policies`` to one row per policy and checkpoint.
 
 Wall-clock numbers are only collected when timing is switched on; the
 functional report is fully deterministic so repeated runs are byte-equal.
@@ -28,41 +31,19 @@ CSV_HEADER = ["policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
               "max_logit_diff", "kl", "validity"]
 
 
-@dataclass
-class CheckpointDivergence:
-    t: int
-    max_abs_logit_diff: float
-    kl: float
+# the keys of each entry of the report's "policies", in the JSON's order
+POLICY_KEYS = ("policy", "params", "peak_entries", "bytes", "mean_tok_s", "validity",
+               "divergence")
 
 
-def divergence(t: int, a: np.ndarray, b: np.ndarray) -> CheckpointDivergence:
+def divergence(t: int, a: np.ndarray, b: np.ndarray) -> dict:
     """Max absolute logit difference and KL(softmax(a) || softmax(b)) at
     checkpoint ``t``; ``a`` is the reference."""
-    diff = float(np.max(np.abs(a - b)))
-    kl = float(np.sum(softmax(a) * (log_softmax(a) - log_softmax(b))))
-    return CheckpointDivergence(t, diff, kl)
-
-
-@dataclass
-class PolicyResult:
-    policy: CachePolicy
-    peak_entries: int
-    bytes_estimate: int
-    mean_tok_s: float | None
-    divergence: list[CheckpointDivergence]
-    validity_rate: float
-
-
-@dataclass
-class BenchReport:
-    results: list[PolicyResult]
-    prompt_len: int
-    total_steps: int
-    checkpoints: list[int]
-    repeats: int
-    seed: int
-    timing: bool
-    trajectory: str
+    return {
+        "t": t,
+        "max_logit_diff": float(np.max(np.abs(a - b))),
+        "kl": float(np.sum(softmax(a) * (log_softmax(a) - log_softmax(b)))),
+    }
 
 
 def synthetic_trajectory(
@@ -107,13 +88,19 @@ def run_benchmark(
     seed: int = 0,
     timing: bool = False,
     trajectory: str = "synthetic",
-) -> BenchReport:
-    """Benchmark each policy on one shared trajectory.
+) -> dict:
+    """Benchmark each policy on one shared trajectory; return the report
+    as :func:`write_report_json` writes it.
 
     ``trajectory`` selects where the teacher-forced tokens come from:
     "synthetic" splices deterministic story items after the prompt, which
     guarantees completed image blocks regardless of what the model would
     generate; "generated" uses the dense run's own constrained output.
+
+    Report rows are keyed by policy kind, so each kind may appear once.
+    With ``timing`` on, each policy's free generation runs ``repeats``
+    timed times and its validity is read from those tokens (every run has
+    the same seed); with it off, it runs once.
 
     The dense reference replay always runs, so ``prompt + total_steps``
     must fit the model's position table, or :class:`ConfigError` is raised
@@ -127,6 +114,10 @@ def run_benchmark(
         raise ConfigError(f"unknown trajectory source {trajectory!r}")
     if not policies:
         raise ConfigError("no policies to benchmark")
+    kinds = [policy.kind for policy in policies]
+    repeated = [kind for kind in dict.fromkeys(kinds) if kinds.count(kind) > 1]
+    if repeated:
+        raise ConfigError(f"policy kinds {repeated} given more than once")
     for policy in policies:
         policy.check_block_length(model.config.m)
 
@@ -142,6 +133,7 @@ def run_benchmark(
             f"run of {prompt_len} prompt + {total_steps} steps exceeds "
             f"the position table ({cfg.max_positions})"
         )
+    checkpoints = sorted(set(checkpoints))
 
     if trajectory == "synthetic":
         tokens = synthetic_trajectory(prompt, total_steps, seed, cfg.v_text)
@@ -158,89 +150,51 @@ def run_benchmark(
     results = []
     for policy in policies:
         policy_logits, peak = teacher_forced_logits(model, tokens, policy, checkpoints)
-        divergences = [
-            divergence(t, dense_logits[t], policy_logits[t]) for t in sorted(set(checkpoints))
-        ]
-
-        free = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
+        per_token_s = []
+        for _ in range(repeats if timing else 1):
+            started = time.perf_counter()
+            free = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
+            per_token_s.append((time.perf_counter() - started) / len(free.generated))
         attempted, valid = block_validity(free.generated, cfg.m)
-        validity = valid / attempted if attempted else 1.0
-
-        mean_tok_s: float | None = None
-        if timing:
-            per_run = []
-            for _ in range(repeats):
-                started = time.perf_counter()
-                timed = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
-                per_run.append((time.perf_counter() - started) / len(timed.generated))
-            mean_tok_s = float(np.mean(per_run))
-
-        results.append(
-            PolicyResult(
-                policy=policy,
-                peak_entries=peak,
-                bytes_estimate=bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head, SCALAR_WIDTH),
-                mean_tok_s=mean_tok_s,
-                divergence=divergences,
-                validity_rate=validity,
-            )
-        )
-    return BenchReport(
-        results=results,
-        prompt_len=prompt_len,
-        total_steps=total_steps,
-        checkpoints=sorted(set(checkpoints)),
-        repeats=repeats,
-        seed=seed,
-        timing=timing,
-        trajectory=trajectory,
-    )
-
-
-def write_report_csv(report: BenchReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in report.results:
-            tok_s = "" if r.mean_tok_s is None else repr(r.mean_tok_s)
-            for div in r.divergence:
-                writer.writerow([
-                    r.policy.kind, r.peak_entries, r.bytes_estimate, tok_s,
-                    div.t, repr(div.max_abs_logit_diff), repr(div.kl),
-                    repr(r.validity_rate),
-                ])
-
-
-def report_to_dict(report: BenchReport) -> dict:
+        results.append({
+            "policy": policy.kind,
+            "params": policy.params(),
+            "peak_entries": peak,
+            "bytes": bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head, SCALAR_WIDTH),
+            "mean_tok_s": float(np.mean(per_token_s)) if timing else None,
+            "validity": valid / attempted if attempted else 1.0,
+            "divergence": [divergence(t, dense_logits[t], policy_logits[t]) for t in checkpoints],
+        })
     return {
-        "prompt_len": report.prompt_len,
-        "total_steps": report.total_steps,
-        "checkpoints": report.checkpoints,
-        "repeats": report.repeats,
-        "seed": report.seed,
-        "timing": report.timing,
-        "trajectory": report.trajectory,
-        "policies": [
-            {
-                "policy": r.policy.kind,
-                "params": r.policy.params(),
-                "peak_entries": r.peak_entries,
-                "bytes": r.bytes_estimate,
-                "mean_tok_s": r.mean_tok_s,
-                "validity": r.validity_rate,
-                "divergence": [
-                    {"t": d.t, "max_logit_diff": d.max_abs_logit_diff, "kl": d.kl}
-                    for d in r.divergence
-                ],
-            }
-            for r in report.results
-        ],
+        "prompt_len": prompt_len,
+        "total_steps": total_steps,
+        "checkpoints": checkpoints,
+        "repeats": repeats,
+        "seed": seed,
+        "timing": timing,
+        "trajectory": trajectory,
+        "policies": results,
     }
 
 
-def write_report_json(report: BenchReport, path) -> None:
+def write_report_csv(report: dict, path) -> None:
+    """One row per policy and checkpoint of ``report["policies"]``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in report["policies"]:
+            tok_s = "" if r["mean_tok_s"] is None else repr(r["mean_tok_s"])
+            for div in r["divergence"]:
+                writer.writerow([
+                    r["policy"], r["peak_entries"], r["bytes"], tok_s,
+                    div["t"], repr(div["max_logit_diff"]), repr(div["kl"]),
+                    repr(r["validity"]),
+                ])
+
+
+def write_report_json(report: dict, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
 
 
@@ -250,6 +204,14 @@ def load_report_json(path) -> dict:
     for field in ("total_steps", "checkpoints", "policies"):
         if field not in payload:
             raise ValueError(f"{path}: missing field {field!r}")
+    if not isinstance(payload["policies"], list):
+        raise ValueError(f"{path}: policies is not a list")
+    for i, entry in enumerate(payload["policies"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: policies[{i}] is not an object")
+        missing = [key for key in POLICY_KEYS if key not in entry]
+        if missing:
+            raise ValueError(f"{path}: policies[{i}] missing {missing}")
     return payload
 
 

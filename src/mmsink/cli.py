@@ -353,11 +353,11 @@ def cmd_bench(args) -> int:
     bench.write_report_csv(report, args.report)
     if args.json_out:
         bench.write_report_json(report, args.json_out)
-    for r in report.results:
+    for r in report["policies"]:
         print(
-            f"  {r.policy.kind}: peak_entries={r.peak_entries} bytes={r.bytes_estimate} "
-            f"validity={r.validity_rate:.3f} "
-            f"final_kl={r.divergence[-1].kl:.6g}"
+            f"  {r['policy']}: peak_entries={r['peak_entries']} bytes={r['bytes']} "
+            f"validity={r['validity']:.3f} "
+            f"final_kl={r['divergence'][-1]['kl']:.6g}"
         )
     return 0
 

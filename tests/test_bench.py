@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from mmsink import engine
+from mmsink import bench, engine
 from mmsink import seqmodel as sq
 from mmsink.bench import (
+    POLICY_KEYS,
     load_report_json,
     per_token_time_profile,
-    report_to_dict,
     run_benchmark,
     synthetic_trajectory,
     write_report_csv,
@@ -56,31 +56,31 @@ class TestSyntheticTrajectory:
 
 class TestRunBenchmark:
     def test_memory_relation_ordering(self, desk_report):
-        by_name = {r.policy.kind: r for r in desk_report.results}
-        assert by_name["dense"].peak_entries > by_name["mmsink"].peak_entries
-        assert by_name["mmsink"].peak_entries > by_name["sink"].peak_entries
-        assert by_name["sink"].peak_entries == by_name["window"].peak_entries == 64
+        by_name = {r["policy"]: r for r in desk_report["policies"]}
+        assert by_name["dense"]["peak_entries"] > by_name["mmsink"]["peak_entries"]
+        assert by_name["mmsink"]["peak_entries"] > by_name["sink"]["peak_entries"]
+        assert by_name["sink"]["peak_entries"] == by_name["window"]["peak_entries"] == 64
 
     def test_dense_divergence_zero(self, desk_report):
-        dense = next(r for r in desk_report.results if r.policy.kind == "dense")
-        for d in dense.divergence:
-            assert d.max_abs_logit_diff == 0.0 and d.kl == 0.0
+        dense = next(r for r in desk_report["policies"] if r["policy"] == "dense")
+        for d in dense["divergence"]:
+            assert d["max_logit_diff"] == 0.0 and d["kl"] == 0.0
 
     def test_divergences_non_negative(self, desk_report):
-        for r in desk_report.results:
-            for d in r.divergence:
-                assert d.max_abs_logit_diff >= 0.0
-                assert d.kl >= -1e-12
+        for r in desk_report["policies"]:
+            for d in r["divergence"]:
+                assert d["max_logit_diff"] >= 0.0
+                assert d["kl"] >= -1e-12
 
     def test_validity_rate_in_unit_interval(self, desk_report):
-        for r in desk_report.results:
-            assert 0.0 <= r.validity_rate <= 1.0
+        for r in desk_report["policies"]:
+            assert 0.0 <= r["validity"] <= 1.0
 
     def test_bytes_follow_entry_counts(self, desk_report, bench_model):
         c = bench_model.config
         per_entry = c.layers * c.heads * 2 * c.d_head * 8
-        for r in desk_report.results:
-            assert r.bytes_estimate == r.peak_entries * per_entry
+        for r in desk_report["policies"]:
+            assert r["bytes"] == r["peak_entries"] * per_entry
 
     def test_all_divergence_zero_when_run_fits_window(self, bench_model, bench_prompt):
         # precondition total_steps > w relaxed deliberately: everything fits
@@ -88,10 +88,10 @@ class TestRunBenchmark:
                     CachePolicy.mmsink(4, 1, 2, 512)]
         report = run_benchmark(bench_model, bench_prompt, policies,
                                total_steps=48, seed=0)
-        for r in report.results:
-            for d in r.divergence:
-                assert d.max_abs_logit_diff == 0.0
-                assert d.kl == 0.0
+        for r in report["policies"]:
+            for d in r["divergence"]:
+                assert d["max_logit_diff"] == 0.0
+                assert d["kl"] == 0.0
 
     def test_repeats_do_not_change_functional_fields(self, bench_model, bench_prompt):
         policies = [CachePolicy.windowed(32), CachePolicy.mmsink(4, 1, 2, 32)]
@@ -99,7 +99,7 @@ class TestRunBenchmark:
                           repeats=1, seed=3)
         b = run_benchmark(bench_model, bench_prompt, policies, total_steps=64,
                           repeats=3, seed=3)
-        assert report_to_dict(a)["policies"] == report_to_dict(b)["policies"]
+        assert a["policies"] == b["policies"]
 
     def test_invalid_policy_rejected_before_running(self, bench_model, bench_prompt):
         bad = CachePolicy.mmsink(2, 5, 5, 32)  # anchors exceed m=8
@@ -125,12 +125,43 @@ class TestRunBenchmark:
             run_benchmark(bench_model, bench_prompt, [CachePolicy.windowed(32)],
                           total_steps=steps - 1, trajectory="generated")
 
+    def test_repeated_policy_kind_rejected_before_running(self, bench_model, bench_prompt,
+                                                          monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
+        policies = [CachePolicy.windowed(32), CachePolicy.sink(4, 32),
+                    CachePolicy.windowed(16), CachePolicy.sink(2, 16), CachePolicy.dense()]
+        with pytest.raises(ConfigError,
+                           match=r"policy kinds \['window', 'sink'\] given more than once"):
+            run_benchmark(bench_model, bench_prompt, policies, total_steps=16)
+
+    @pytest.mark.parametrize("timing, calls", [
+        (False, ["window", "mmsink"]),
+        (True, ["window", "window", "mmsink", "mmsink"]),
+    ])
+    def test_free_generations_per_policy(self, bench_model, bench_prompt, monkeypatch,
+                                         timing, calls):
+        # timing off: one free run per policy; wall timing: `repeats` runs,
+        # and validity comes from their tokens
+        made = []
+
+        def counted_generate(*args, **kwargs):
+            made.append(args[2].kind)
+            return engine.generate(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate", counted_generate)
+        report = run_benchmark(bench_model, bench_prompt,
+                               [CachePolicy.windowed(32), CachePolicy.mmsink(4, 1, 2, 32)],
+                               total_steps=32, repeats=2, seed=0, timing=timing)
+        assert made == calls
+        assert all((r["mean_tok_s"] is not None) == timing for r in report["policies"])
+
     def test_generated_trajectory_mode(self, bench_model, bench_prompt):
         report = run_benchmark(bench_model, bench_prompt,
                                [CachePolicy.dense(), CachePolicy.windowed(32)],
                                total_steps=48, seed=0, trajectory="generated")
-        dense = next(r for r in report.results if r.policy.kind == "dense")
-        assert all(d.kl == 0.0 for d in dense.divergence)
+        dense = next(r for r in report["policies"] if r["policy"] == "dense")
+        assert all(d["kl"] == 0.0 for d in dense["divergence"])
 
 
 class TestReports:
@@ -139,7 +170,7 @@ class TestReports:
         write_report_csv(desk_report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "policy,peak_entries,bytes,mean_tok_s,ckpt,max_logit_diff,kl,validity"
-        n_rows = len(desk_report.results) * len(desk_report.checkpoints)
+        n_rows = len(desk_report["policies"]) * len(desk_report["checkpoints"])
         assert len(lines) == 1 + n_rows
         # timing off: empty timing column
         assert lines[1].split(",")[3] == ""
@@ -147,7 +178,23 @@ class TestReports:
     def test_json_roundtrip_identity(self, desk_report, tmp_path):
         path = tmp_path / "bench.json"
         write_report_json(desk_report, path)
-        assert load_report_json(path) == report_to_dict(desk_report)
+        assert load_report_json(path) == desk_report
+
+    def test_json_keys_in_report_order_and_csv_from_json(self, desk_report, tmp_path):
+        path = tmp_path / "bench.json"
+        write_report_json(desk_report, path)
+        loaded = load_report_json(path)
+        assert list(loaded) == ["prompt_len", "total_steps", "checkpoints", "repeats", "seed",
+                                "timing", "trajectory", "policies"]
+        assert list(POLICY_KEYS) == ["policy", "params", "peak_entries", "bytes", "mean_tok_s",
+                                     "validity", "divergence"]
+        for entry in loaded["policies"]:
+            assert tuple(entry) == POLICY_KEYS
+            assert all(list(d) == ["t", "max_logit_diff", "kl"] for d in entry["divergence"])
+        from_memory, from_json = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_report_csv(desk_report, from_memory)
+        write_report_csv(loaded, from_json)
+        assert from_json.read_bytes() == from_memory.read_bytes()
 
     def test_json_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "x.json"

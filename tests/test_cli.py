@@ -210,8 +210,15 @@ class TestValidate:
         ("occ.csv", "label,count\nBOS,x\n", "row 2 column 'count': 'x' is not an integer"),
         ("curve.csv", "step,ce,img,combined\n0,1.0,0.5,1.5\n1,a,b,c\n",
          "row 3 column 'ce': 'a' is not a number"),
+        ("bench.json", '{"total_steps": 1, "checkpoints": [], "policies": 5}',
+         "policies is not a list"),
+        ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": [{"policy": "window"}]}',
+         "policies[0] missing ['params', 'peak_entries', 'bytes', 'mean_tok_s', 'validity', "
+         "'divergence']"),
+        ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": ["window"]}',
+         "policies[0] is not an object"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
-            "curve-cell"])
+            "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
@@ -572,6 +579,16 @@ class TestExitCodes:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and "bench.checkpoints" in err and "'x'" in err
+
+    def test_repeated_bench_policy_kind_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
+        report = tmp_path / "r.csv"
+        assert main(["bench", "--policies", "window,dense,window", "--steps", "32",
+                     "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "error: ConfigError: policy kinds ['window'] given more than once" in err
+        assert not report.exists()
 
     @pytest.mark.parametrize("boi_every", ["-3", "0"])
     def test_nonpositive_boi_every_is_config_error(self, tmp_path, capsys, monkeypatch,

@@ -492,24 +492,24 @@ class TestDivergence:
     def test_dense_vs_dense_exactly_zero(self, small_model, small_prompt):
         div = dense_divergence(small_model, small_prompt, CachePolicy.dense(), [20, 40, 64])
         for d in div:
-            assert d.max_abs_logit_diff == 0.0
-            assert d.kl == 0.0
+            assert d["max_logit_diff"] == 0.0
+            assert d["kl"] == 0.0
 
     def test_zero_within_window(self, small_model, small_prompt):
         for pol in (CachePolicy.windowed(64), CachePolicy.sink(4, 64),
                     CachePolicy.mmsink(4, 1, 2, 64)):
             div = dense_divergence(small_model, small_prompt, pol, [40, 64])
             for d in div:
-                assert d.max_abs_logit_diff <= 1e-9
-                assert abs(d.kl) <= 1e-9
+                assert d["max_logit_diff"] <= 1e-9
+                assert abs(d["kl"]) <= 1e-9
 
     def test_window_diverges_past_budget(self, small_model, small_prompt):
         div = dense_divergence(small_model, small_prompt, CachePolicy.windowed(8), [64])
-        assert div[0].max_abs_logit_diff > 0.0
-        assert div[0].kl > 0.0
+        assert div[0]["max_logit_diff"] > 0.0
+        assert div[0]["kl"] > 0.0
         # frozen regression values for this seed
-        assert div[0].max_abs_logit_diff == pytest.approx(0.33591417775869226, rel=1e-6)
-        assert div[0].kl == pytest.approx(0.012010301920463576, rel=1e-6)
+        assert div[0]["max_logit_diff"] == pytest.approx(0.33591417775869226, rel=1e-6)
+        assert div[0]["kl"] == pytest.approx(0.012010301920463576, rel=1e-6)
 
     def test_checkpoint_validation(self, small_model, small_prompt):
         tokens = list(small_prompt.tokens)
