@@ -12,7 +12,6 @@ marker, and slots near its end marker.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from collections import Counter, defaultdict
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .seqmodel import PUNCT_CHARS, token_label
+from .seqmodel import PUNCT_CHARS, jsonl_objects, token_label, write_csv
 
 ROW_SUM_TOL = 1e-9
 
@@ -29,6 +28,8 @@ ROW_SUM_TOL = 1e-9
 DUMP_FIELDS = ("t", "layer", "head", "labels", "positions", "row")
 
 CATEGORIES = ("starting", "punctuation", "near_boi", "near_eoi", "other")
+OCCURRENCE_HEADER = ("label", "count")  # the headers of the two tables stats writes
+CATEGORY_HEADER = ("category", "share")
 
 
 class KeyMeans(NamedTuple):
@@ -202,23 +203,6 @@ def dump_writer(fh):
     return observe
 
 
-def jsonl_objects(path) -> Iterator[tuple[int, dict]]:
-    """The line number and object of each non-blank line of a JSONL file,
-    parsed one line at a time. A line that is not a JSON object raises
-    :class:`ValueError` naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"line {lineno}: not a JSON object")
-            yield lineno, rec
-
-
 def _file_rows(path) -> Iterator[dict]:
     """The rows of a dump file, parsed one line at a time."""
     for lineno, rec in jsonl_objects(path):
@@ -253,17 +237,10 @@ def load_records(path) -> list[KeyMeans]:
     return load_dump_file(path)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_occurrence_csv(table: OccurrenceTable, path) -> None:
-    _write_csv(path, ["label", "count"], table.counts)
+    write_csv(path, OCCURRENCE_HEADER, table.counts)
 
 
 def write_category_csv(shares: dict[str, float], path) -> None:
     """The :func:`category_shares` of a table, one row per category."""
-    _write_csv(path, ["category", "share"], [(cat, repr(shares[cat])) for cat in CATEGORIES])
+    write_csv(path, CATEGORY_HEADER, [(cat, repr(shares[cat])) for cat in CATEGORIES])

@@ -14,7 +14,6 @@ functional report is fully deterministic so repeated runs are byte-equal.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass
@@ -24,11 +23,12 @@ import numpy as np
 from .cachepolicy import CachePolicy, bytes_estimate
 from .engine import Model, generate, teacher_forced_logits, log_softmax, softmax
 from .errors import ConfigError
-from .seqmodel import MultimodalSequence, Token, block_validity, item_tokens, synth_stories
+from .seqmodel import (
+    MultimodalSequence, Token, block_validity, item_tokens, synth_stories, write_csv,
+)
 
-SCALAR_WIDTH = 8  # float64 cache entries
-CSV_HEADER = ["policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
-              "max_logit_diff", "kl", "validity"]
+CSV_HEADER = ("policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
+              "max_logit_diff", "kl", "validity")
 
 
 # the keys of each entry of the report's "policies", in the JSON's order
@@ -160,7 +160,7 @@ def run_benchmark(
             "policy": policy.kind,
             "params": policy.params(),
             "peak_entries": peak,
-            "bytes": bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head, SCALAR_WIDTH),
+            "bytes": bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head),
             "mean_tok_s": float(np.mean(per_token_s)) if timing else None,
             "validity": valid / attempted if attempted else 1.0,
             "divergence": [divergence(t, dense_logits[t], policy_logits[t]) for t in checkpoints],
@@ -179,17 +179,13 @@ def run_benchmark(
 
 def write_report_csv(report: dict, path) -> None:
     """One row per policy and checkpoint of ``report["policies"]``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in report["policies"]:
-            tok_s = "" if r["mean_tok_s"] is None else repr(r["mean_tok_s"])
-            for div in r["divergence"]:
-                writer.writerow([
-                    r["policy"], r["peak_entries"], r["bytes"], tok_s,
-                    div["t"], repr(div["max_logit_diff"]), repr(div["kl"]),
-                    repr(r["validity"]),
-                ])
+    rows = []
+    for r in report["policies"]:
+        tok_s = "" if r["mean_tok_s"] is None else repr(r["mean_tok_s"])
+        rows.extend([r["policy"], r["peak_entries"], r["bytes"], tok_s,
+                     div["t"], repr(div["max_logit_diff"]), repr(div["kl"]),
+                     repr(r["validity"])] for div in r["divergence"])
+    write_csv(path, CSV_HEADER, rows)
 
 
 def write_report_json(report: dict, path) -> None:

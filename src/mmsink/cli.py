@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import attnstats, bench, engine, losses, seqmodel
 from .cachepolicy import KIND_PARAMS, POLICY_KINDS, CachePolicy
@@ -32,25 +31,15 @@ from .errors import (
     TrainingDiverged,
 )
 
-KNOWN_KEYS: dict[str, dict[str, type]] = {
-    "cli": {"profile": str, "seed": int},
-    "seqmodel": {"v_text": int, "m": int, "d_feat": int, "items_per_story": int},
-    "engine": {
-        "layers": int, "heads": int, "d_model": int, "d_ff": int,
-        "q_queries": int, "max_positions": int,
-    },
-    "cachepolicy": {"policy": str, "window": int, "n_sink": int, "k_head": int, "k_tail": int},
-    "losses": {"lam": float, "lr": float, "steps": int},
-    "bench": {"steps": int, "repeats": int, "checkpoints": str, "timing": str},
-}
-
-# each ModelConfig field that a config section sets: the model's settings
-_MODEL_KEYS = [(section, key) for section in ("seqmodel", "engine")
-               for key in KNOWN_KEYS[section] if key in {f.name for f in fields(ModelConfig)}]
+# the ModelConfig fields each config section sets; their desk values are its defaults
+_MODEL_KEYS = [(section, key) for section, keys in (
+    ("seqmodel", ("v_text", "m", "d_feat")),
+    ("engine", ("layers", "heads", "d_model", "d_ff", "q_queries", "max_positions")),
+) for key in keys]
 
 _DESK = {(section, key): getattr(ModelConfig(), key) for section, key in _MODEL_KEYS}
 _DESK.update({
-    ("seqmodel", "items_per_story"): 30,
+    ("seqmodel", "items_per_story"): seqmodel.DEFAULT_ITEMS_PER_STORY,
     ("cachepolicy", "policy"): "mmsink",
     ("cachepolicy", "window"): 64,
     ("cachepolicy", "n_sink"): 4,
@@ -65,13 +54,17 @@ _DESK.update({
     ("bench", "timing"): "off",
 })
 
+# each config key's type, by section: the type of its desk value
+KNOWN_KEYS: dict[str, dict[str, type]] = {"cli": {"profile": str, "seed": int}}
+for (_section, _key), _value in _DESK.items():
+    KNOWN_KEYS.setdefault(_section, {})[_key] = type(_value)
+
 _PAPER_FAITHFUL = dict(_DESK)
 _PAPER_FAITHFUL.update({
     ("seqmodel", "m"): 64,
     ("engine", "q_queries"): 64,
     ("engine", "max_positions"): 16384,
     ("cachepolicy", "window"): 256,
-    ("cachepolicy", "n_sink"): 4,
     ("cachepolicy", "k_head"): 5,
     ("cachepolicy", "k_tail"): 8,
 })
@@ -222,11 +215,9 @@ def cmd_train_toy(args) -> int:
     )
     engine.save_model(result.model, args.model_out)
     if args.curve_out:
-        with open(args.curve_out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["step", "ce", "img", "combined"])
-            for step, ce, img, combined in result.curve:
-                writer.writerow([step, repr(ce), repr(img), repr(combined)])
+        seqmodel.write_csv(args.curve_out, losses.CURVE_HEADER,
+                           [(step, repr(ce), repr(img), repr(combined))
+                            for step, ce, img, combined in result.curve])
     print(
         f"trained {cfg[('losses', 'steps')]} steps: "
         f"mean combined loss {result.eval_initial:.4f} -> {result.eval_final:.4f}"
@@ -365,7 +356,7 @@ def cmd_bench(args) -> int:
 def _validate_jsonl(path) -> str:
     """Each line of a generation-record file is checked and named if it fails;
     story files and attention dumps go through their own readers."""
-    _, first = next(attnstats.jsonl_objects(path), (0, None))
+    _, first = next(seqmodel.jsonl_objects(path), (0, None))
     if first is None:
         raise ValueError(f"{path}: empty file")
     if "story_id" in first:
@@ -374,7 +365,7 @@ def _validate_jsonl(path) -> str:
     if first.get("kind") == "mmsink-generation-v1":
         required = ("policy", "mode", "seed", "steps", "valid", "labels", "blocks",
                     "violations", "peak_entries")
-        for count, (lineno, record) in enumerate(attnstats.jsonl_objects(path), start=1):
+        for count, (lineno, record) in enumerate(seqmodel.jsonl_objects(path), start=1):
             if record.get("kind") != "mmsink-generation-v1":
                 raise ValueError(f"{path}: line {lineno}: not a generation record")
             missing = [k for k in required if k not in record]
@@ -393,11 +384,10 @@ def _validate_jsonl(path) -> str:
 
 # header -> (columns parsed as int or float, description with the row count)
 _CSV_TABLES = {
-    tuple(bench.CSV_HEADER): ({5: float, 6: float, 7: float}, "benchmark report with {} rows"),
-    ("label", "count"): ({1: int}, "occurrence table with {} labels"),
-    ("category", "share"): ({1: float}, "category share table"),
-    ("step", "ce", "img", "combined"): ({0: int, 1: float, 2: float, 3: float},
-                                        "loss curve with {} steps"),
+    bench.CSV_HEADER: ({5: float, 6: float, 7: float}, "benchmark report with {} rows"),
+    attnstats.OCCURRENCE_HEADER: ({1: int}, "occurrence table with {} labels"),
+    attnstats.CATEGORY_HEADER: ({1: float}, "category share table"),
+    losses.CURVE_HEADER: ({0: int, 1: float, 2: float, 3: float}, "loss curve with {} steps"),
 }
 
 
@@ -418,7 +408,7 @@ def _validate_csv(path) -> str:
         raise ValueError(f"{path}: unrecognized CSV header {header}")
     kinds, description = _CSV_TABLES[tuple(header)]
     for line, row in enumerate(rows, start=2):
-        if header[0] == "category" and row[0] not in attnstats.CATEGORIES:
+        if tuple(header) == attnstats.CATEGORY_HEADER and row[0] not in attnstats.CATEGORIES:
             raise ValueError(f"{path}: row {line}: unknown category {row[0]!r}")
         for col, kind in kinds.items():
             try:
@@ -483,7 +473,7 @@ def _key_flag(sub, flag: str, key: str, **kwargs) -> None:
 
 
 def _add_policy_flags(sub) -> None:
-    for name in ("window", "n_sink", "k_head", "k_tail"):
+    for name in KIND_PARAMS["mmsink"]:  # every parameter a policy reads
         _key_flag(sub, "--" + name.replace("_", "-"), f"cachepolicy.{name}")
 
 

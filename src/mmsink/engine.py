@@ -37,6 +37,9 @@ import numpy as np
 from .cachepolicy import CachePolicy, KvCache, retained_rows
 from .errors import ConfigError, StateError
 from .seqmodel import (
+    DEFAULT_BLOCK_LEN,
+    DEFAULT_FEAT_DIM,
+    DEFAULT_V_TEXT,
     MultimodalSequence,
     Token,
     token_from_vocab_id,
@@ -103,10 +106,10 @@ class ModelConfig:
     heads: int = 2
     d_model: int = 64
     d_ff: int = 256
-    v_text: int = 256
-    m: int = 8
+    v_text: int = DEFAULT_V_TEXT
+    m: int = DEFAULT_BLOCK_LEN
     q_queries: int = 4
-    d_feat: int = 16
+    d_feat: int = DEFAULT_FEAT_DIM
     max_positions: int = 4096
     seed: int = 0
 

@@ -36,6 +36,7 @@ from .errors import TrainingDiverged
 from .seqmodel import Story, TrainingSample, assemble_training_sequence, vocab_id
 
 _ZERO_NORM_TOL = 1e-300
+CURVE_HEADER = ("step", "ce", "img", "combined")  # the columns of TrainResult.curve
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
 @dataclass
 class TrainResult:
     model: Model
-    curve: list[tuple[int, float, float, float]]  # (step, ce, img, combined)
+    curve: list[tuple[int, float, float, float]]  # one row per step, as CURVE_HEADER names
     eval_initial: float
     eval_final: float
 

@@ -2,8 +2,8 @@
 
 Defines the token taxonomy (text words, punctuation, and fixed-length
 image-slot blocks bracketed by begin/end markers), structural validation,
-story file ingestion, synthetic story generation, and training-sequence
-assembly with loss masking.
+story file ingestion, synthetic story generation, training-sequence
+assembly with loss masking, and the JSON-lines reader and CSV writer of every file.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs and seeds.
@@ -11,13 +11,14 @@ functions of their inputs and seeds.
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -525,6 +526,31 @@ def write_stories(stories: Iterable[Story], path) -> None:
             fh.write("\n")
 
 
+def jsonl_objects(path) -> Iterator[tuple[int, dict]]:
+    """The line number and object of each non-blank line of a JSONL file,
+    parsed one line at a time. A line that is not a JSON object raises
+    :class:`ValueError` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"line {lineno}: not a JSON object")
+            yield lineno, rec
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """``header`` then ``rows`` as CSV, UTF-8 with LF endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_stories(path) -> list[Story]:
     """Read a JSON-lines story file, validating structure per line.
 
@@ -536,16 +562,10 @@ def read_stories(path) -> list[Story]:
     no story.
     """
     stories = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StoryFormatError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "story_id" not in record:
+    try:
+        for lineno, record in jsonl_objects(path):
+            where = f"line {lineno}"
+            if "story_id" not in record:
                 raise StoryFormatError(f"{where}: missing story_id")
             if "items" not in record or not isinstance(record["items"], list) or not record["items"]:
                 raise StoryFormatError(f"{where}: missing or empty items")
@@ -572,6 +592,8 @@ def read_stories(path) -> list[Story]:
                     f"{where}: story {story.story_id!r} has {story.feat_dim}-dimensional "
                     f"image features, the first story has {stories[0].feat_dim}")
             stories.append(story)
+    except ValueError as exc:  # a line jsonl_objects or the checks above rejected
+        raise StoryFormatError(f"{path}: {exc}") from exc
     if not stories:
         raise StoryFormatError(f"{path}: no stories")
     return stories
