@@ -24,16 +24,25 @@ from .cachepolicy import CachePolicy, bytes_estimate
 from .engine import Model, generate, teacher_forced_logits, log_softmax, softmax
 from .errors import ConfigError
 from .seqmodel import (
-    MultimodalSequence, Token, block_validity, item_tokens, synth_stories, write_csv,
+    MultimodalSequence, Token, block_validity, check_fields, item_tokens, synth_stories,
+    write_csv,
 )
 
 CSV_HEADER = ("policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
               "max_logit_diff", "kl", "validity")
 
 
-# the keys of each entry of the report's "policies", in the JSON's order
-POLICY_KEYS = ("policy", "params", "peak_entries", "bytes", "mean_tok_s", "validity",
-               "divergence")
+# the keys :func:`load_report_json` checks and the kind of each (see
+# seqmodel.FIELD_KINDS): at the top, in each entry of "policies", in the
+# JSON's order, and in each checkpoint of an entry's "divergence"
+REPORT_FIELDS = {"total_steps": "an integer", "checkpoints": "a list of integers",
+                 "policies": "a list"}
+POLICY_FIELDS = {"policy": "a string", "params": "an object of integers",
+                 "peak_entries": "an integer", "bytes": "an integer",
+                 "mean_tok_s": "a number or null", "validity": "a number",
+                 "divergence": "a list"}
+POLICY_KEYS = tuple(POLICY_FIELDS)
+DIVERGENCE_FIELDS = {"t": "an integer", "max_logit_diff": "a number", "kl": "a number"}
 
 
 def divergence(t: int, a: np.ndarray, b: np.ndarray) -> dict:
@@ -195,19 +204,21 @@ def write_report_json(report: dict, path) -> None:
 
 
 def load_report_json(path) -> dict:
+    """A report :func:`write_report_json` wrote. A key missing or of the
+    wrong kind, or a divergence whose checkpoints are not the report's,
+    raises :class:`ValueError` naming the file, the entry and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    for field in ("total_steps", "checkpoints", "policies"):
-        if field not in payload:
-            raise ValueError(f"{path}: missing field {field!r}")
-    if not isinstance(payload["policies"], list):
-        raise ValueError(f"{path}: policies is not a list")
+    check_fields(payload, REPORT_FIELDS, f"{path}:")
     for i, entry in enumerate(payload["policies"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: policies[{i}] is not an object")
-        missing = [key for key in POLICY_KEYS if key not in entry]
-        if missing:
-            raise ValueError(f"{path}: policies[{i}] missing {missing}")
+        where = f"{path}: policies[{i}]"
+        check_fields(entry, POLICY_FIELDS, where)
+        for j, div in enumerate(entry["divergence"]):
+            check_fields(div, DIVERGENCE_FIELDS, f"{where} divergence[{j}]")
+        ts = [div["t"] for div in entry["divergence"]]
+        if ts != payload["checkpoints"]:
+            raise ValueError(f"{where} divergence at t={ts}, "
+                             f"the checkpoints are {payload['checkpoints']}")
     return payload
 
 

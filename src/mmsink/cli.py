@@ -353,6 +353,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# the keys a generation record must hold and the kind of each (see
+# seqmodel.FIELD_KINDS)
+_GENERATION_FIELDS = {
+    "policy": "a string", "mode": "a string", "seed": "an integer", "steps": "an integer",
+    "valid": "a boolean", "labels": "a list of strings", "blocks": "a list of integer pairs",
+    "violations": "a list of strings", "peak_entries": "an integer",
+}
+
+
 def _validate_jsonl(path) -> str:
     """Each line of a generation-record file is checked and named if it fails;
     story files and attention dumps go through their own readers."""
@@ -363,14 +372,11 @@ def _validate_jsonl(path) -> str:
         stories = seqmodel.read_stories(path)
         return f"story file with {len(stories)} stories"
     if first.get("kind") == "mmsink-generation-v1":
-        required = ("policy", "mode", "seed", "steps", "valid", "labels", "blocks",
-                    "violations", "peak_entries")
         for count, (lineno, record) in enumerate(seqmodel.jsonl_objects(path), start=1):
             if record.get("kind") != "mmsink-generation-v1":
                 raise ValueError(f"{path}: line {lineno}: not a generation record")
-            missing = [k for k in required if k not in record]
-            if missing:
-                raise ValueError(f"{path}: line {lineno}: generation record missing {missing}")
+            seqmodel.check_fields(record, _GENERATION_FIELDS,
+                                  f"{path}: line {lineno}: generation record")
             if record["valid"]:
                 for b, e in record["blocks"]:
                     if not (0 <= b < e < len(record["labels"])):
@@ -382,12 +388,23 @@ def _validate_jsonl(path) -> str:
     raise ValueError(f"{path}: unrecognized JSONL content")
 
 
-# header -> (columns parsed as int or float, description with the row count)
+# what a CSV cell may hold, by the words its error uses -> a parse that
+# raises ValueError on any other cell
+_CELL_KINDS = {
+    "an integer": int,
+    "a number": float,
+    "empty or a number": lambda cell: cell == "" or float(cell),
+}
+
+# header -> (the kind of each checked column, description with the row count)
 _CSV_TABLES = {
-    bench.CSV_HEADER: ({5: float, 6: float, 7: float}, "benchmark report with {} rows"),
-    attnstats.OCCURRENCE_HEADER: ({1: int}, "occurrence table with {} labels"),
-    attnstats.CATEGORY_HEADER: ({1: float}, "category share table"),
-    losses.CURVE_HEADER: ({0: int, 1: float, 2: float, 3: float}, "loss curve with {} steps"),
+    bench.CSV_HEADER: ({1: "an integer", 2: "an integer", 3: "empty or a number",
+                        4: "an integer", 5: "a number", 6: "a number", 7: "a number"},
+                       "benchmark report with {} rows"),
+    attnstats.OCCURRENCE_HEADER: ({1: "an integer"}, "occurrence table with {} labels"),
+    attnstats.CATEGORY_HEADER: ({1: "a number"}, "category share table"),
+    losses.CURVE_HEADER: ({0: "an integer", 1: "a number", 2: "a number", 3: "a number"},
+                          "loss curve with {} steps"),
 }
 
 
@@ -412,11 +429,10 @@ def _validate_csv(path) -> str:
             raise ValueError(f"{path}: row {line}: unknown category {row[0]!r}")
         for col, kind in kinds.items():
             try:
-                kind(row[col])
+                _CELL_KINDS[kind](row[col])
             except ValueError:
-                what = "an integer" if kind is int else "a number"
                 raise ValueError(
-                    f"{path}: row {line} column {header[col]!r}: {row[col]!r} is not {what}"
+                    f"{path}: row {line} column {header[col]!r}: {row[col]!r} is not {kind}"
                 ) from None
     return description.format(len(rows))
 

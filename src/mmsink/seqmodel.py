@@ -543,6 +543,45 @@ def jsonl_objects(path) -> Iterator[tuple[int, dict]]:
             yield lineno, rec
 
 
+def _is(*types):
+    return lambda value: type(value) in types
+
+
+def _list_of(test):
+    return lambda value: type(value) is list and all(map(test, value))
+
+
+# what a field of a JSON record may hold, by the words its error uses; a
+# bool is neither an integer nor a number
+FIELD_KINDS = {
+    "a string": _is(str),
+    "a boolean": _is(bool),
+    "an integer": _is(int),
+    "a number": _is(int, float),
+    "a number or null": _is(int, float, type(None)),
+    "a list": _is(list),
+    "a list of strings": _list_of(_is(str)),
+    "a list of integers": _list_of(_is(int)),
+    "a list of integer pairs": _list_of(lambda pair: _list_of(_is(int))(pair) and len(pair) == 2),
+    "an object of integers": lambda value: _is(dict)(value) and all(map(_is(int), value.values())),
+}
+
+
+def check_fields(record: dict, fields: dict[str, str], where: str) -> None:
+    """Check that ``record`` is an object holding every key of ``fields``,
+    each with a value of its :data:`FIELD_KINDS` kind. Raises
+    :class:`ValueError` beginning with ``where`` and naming the missing keys,
+    or the first key that fails."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} is not an object")
+    missing = [key for key in fields if key not in record]
+    if missing:
+        raise ValueError(f"{where} missing {missing}")
+    for key, kind in fields.items():
+        if not FIELD_KINDS[kind](record[key]):
+            raise ValueError(f"{where} {key} is not {kind}")
+
+
 def write_csv(path, header: Sequence[str], rows) -> None:
     """``header`` then ``rows`` as CSV, UTF-8 with LF endings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

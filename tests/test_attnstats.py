@@ -354,6 +354,21 @@ class TestDumpIngestion:
         assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err.count(expected) == 2
 
+    def test_position_never_observed_rejected(self, tmp_path, capsys):
+        import json
+
+        # t=2 attends position 0 only, so no row ever labels position 1
+        dumps = [{"t": s, "layer": 0, "head": 0, "labels": ["BOS"], "positions": [0],
+                  "row": [1.0]} for s in (1, 2)]
+        expected = "layer=0 head=0: positions never observed: [1]"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            records_from_dumps(dumps)
+        path = tmp_path / "never.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in dumps))
+        assert main(["validate", str(path)]) == 1
+        assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.count(f"{path}: {expected}") == 2
+
     def test_equal_positions_checked_again_at_a_new_t_or_after_an_edit(self):
         def row(t, layer, positions):
             n = len(positions)

@@ -175,6 +175,8 @@ class TestValidate:
         cat = tmp_path / "cat.csv"
         rep = tmp_path / "bench.csv"
         repj = tmp_path / "bench.json"
+        timed = tmp_path / "timed.json"
+        free = tmp_path / "free.jsonl"
         main(["synth", "--stories", "2", "--len", "2", "--out", str(stories)])
         main(["train-toy", "--synth-stories", "2", "--synth-len", "2",
               "--steps", "2", "--lr", "0.1", "--model-out", str(model),
@@ -186,7 +188,14 @@ class TestValidate:
         main(["bench", "--model", str(model), "--policies", "dense,mmsink",
               "--steps", "48", "--window", "24", "--report", str(rep),
               "--json", str(repj)])
-        paths = [stories, model, curve, gen_out, dumps, occ, cat, rep, repj]
+        main(["bench", "--model", str(model), "--policies", "window", "--steps", "16",
+              "--timing", "wall", "--repeats", "1", "--report", str(tmp_path / "timed.csv"),
+              "--json", str(timed)])
+        assert json.loads(timed.read_text())["policies"][0]["mean_tok_s"] > 0.0
+        main(["gen", "--model", str(model), "--steps", "24", "--mode", "free",
+              "--temperature", "1.0", "--out", str(free)])
+        paths = [stories, model, curve, gen_out, dumps, occ, cat, rep, repj, timed,
+                 tmp_path / "timed.csv", free]
         assert main(["validate"] + [str(p) for p in paths]) == 0
 
     def test_rejects_malformed_file(self, tmp_path, capsys):
@@ -217,14 +226,76 @@ class TestValidate:
          "'divergence']"),
         ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": ["window"]}',
          "policies[0] is not an object"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,x,y,z,w,0.0,0.0,1.0\n",
+         "row 2 column 'peak_entries': 'x' is not an integer"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,z,w,0.0,0.0,1.0\n",
+         "row 2 column 'mean_tok_s': 'z' is not empty or a number"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,,5.0,0.0,0.0,1.0\n",
+         "row 2 column 'ckpt': '5.0' is not an integer"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
-            "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type"])
+            "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type",
+            "bench-cell", "bench-timing-cell", "bench-ckpt-cell"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"peak_entries": "x", "validity": 7, "divergence": 5},
+         "policies[0] peak_entries is not an integer"),
+        ({"policy": 3}, "policies[0] policy is not a string"),
+        ({"params": {"window": "8"}}, "policies[0] params is not an object of integers"),
+        ({"params": []}, "policies[0] params is not an object of integers"),
+        ({"bytes": True}, "policies[0] bytes is not an integer"),
+        ({"mean_tok_s": "fast"}, "policies[0] mean_tok_s is not a number or null"),
+        ({"validity": False}, "policies[0] validity is not a number"),
+        ({"divergence": 5}, "policies[0] divergence is not a list"),
+        ({"divergence": [4]}, "policies[0] divergence[0] is not an object"),
+        ({"divergence": [{"t": 4, "kl": 0.0}]},
+         "policies[0] divergence[0] missing ['max_logit_diff']"),
+        ({"divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": None}]},
+         "policies[0] divergence[0] kl is not a number"),
+        ({"divergence": [{"t": 5, "max_logit_diff": 0.0, "kl": 0.0}]},
+         "policies[0] divergence at t=[5], the checkpoints are [4]"),
+    ], ids=["issue-entry", "policy", "params-value", "params-list", "bool-bytes", "timing",
+            "bool-validity", "divergence", "checkpoint-type", "checkpoint-key", "kl",
+            "checkpoint-t"])
+    def test_rejects_bench_json_values(self, tmp_path, capsys, change, expected):
+        entry = {"policy": "window", "params": {"window": 8}, "peak_entries": 9, "bytes": 1,
+                 "mean_tok_s": None, "validity": 1.0,
+                 "divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": 0.0}]}
+        path = tmp_path / "weird.json"
+        path.write_text(json.dumps({"total_steps": 4, "checkpoints": [4],
+                                    "policies": [dict(entry, **change)]}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+        path.write_text(json.dumps({"total_steps": 4, "checkpoints": [4], "policies": [entry]}))
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"labels": 5}, "labels is not a list of strings"),
+        ({"seed": "x", "valid": "no", "violations": 3, "peak_entries": "many"},
+         "seed is not an integer"),
+        ({"valid": "no"}, "valid is not a boolean"),
+        ({"violations": 3}, "violations is not a list of strings"),
+        ({"peak_entries": "many"}, "peak_entries is not an integer"),
+        ({"blocks": [[1]]}, "blocks is not a list of integer pairs"),
+        ({"blocks": [[1, 2.0]]}, "blocks is not a list of integer pairs"),
+        ({"mode": None}, "mode is not a string"),
+        ({"steps": True}, "steps is not an integer"),
+    ], ids=["labels", "four-fields", "valid", "violations", "peak-entries", "short-block",
+            "float-block", "mode", "bool-steps"])
+    def test_rejects_generation_record_values(self, tmp_path, capsys, change, expected):
+        gen_out = tmp_path / "g.jsonl"
+        assert main(["gen", "--steps", "12", "--out", str(gen_out)]) == 0
+        record = json.loads(gen_out.read_text())
+        gen_out.write_text(json.dumps(dict(record, **change)) + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(gen_out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {gen_out}: line 1: generation record {expected}"]
 
     def test_reads_a_model_file_once(self, tmp_path, tiny_config, monkeypatch):
         path = tmp_path / "m.json"
@@ -360,6 +431,21 @@ class TestMalformedFiles:
             assert main(args) == 1
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and f"{path}: {expected}" in err, err
+            assert err.count(str(path)) == 1, err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_story_line_not_an_object_is_one_line_error(self, tmp_path, capsys):
+        """validate and train-toy both name a story file line that is not an object."""
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"story_id": "s0", "items": [
+            {"text": "a", "image_feature": [1.0, 0.0]}]}) + "\n5\n")
+        for args in (["validate", str(path)],
+                     ["train-toy", "--stories", str(path), "--steps", "1",
+                      "--model-out", str(tmp_path / "m.json")]):
+            capsys.readouterr()
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].endswith(f"{path}: line 2: not a JSON object"), err
             assert err.count(str(path)) == 1, err
         assert not (tmp_path / "m.json").exists()
 

@@ -370,6 +370,14 @@ class TestStoryIO:
         with pytest.raises(StoryFormatError, match="line 2"):
             read_stories(path)
 
+    def test_non_object_line_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = {"story_id": "s", "items": [{"text": "a", "image_feature": [1.0]}]}
+        path.write_text(json.dumps(good) + "\n[1, 2]\n")
+        with pytest.raises(StoryFormatError) as info:
+            read_stories(path)
+        assert str(info.value) == f"{path}: line 2: not a JSON object"
+
     def test_wrong_feature_length_names_item(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         record = {"story_id": "s", "items": [
