@@ -3,7 +3,8 @@
 Defines the token taxonomy (text words, punctuation, and fixed-length
 image-slot blocks bracketed by begin/end markers), structural validation,
 story file ingestion, synthetic story generation, training-sequence
-assembly with loss masking, and the JSON-lines reader and CSV writer of every file.
+assembly with loss masking, and what every file goes through: the JSON-lines
+reader, the JSON field checks and the CSV writer.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs and seeds.
@@ -562,12 +563,14 @@ FIELD_KINDS = {
     "a list": _is(list),
     "a list of strings": _list_of(_is(str)),
     "a list of integers": _list_of(_is(int)),
-    "a list of integer pairs": _list_of(lambda pair: _list_of(_is(int))(pair) and len(pair) == 2),
-    "an object of integers": lambda value: _is(dict)(value) and all(map(_is(int), value.values())),
+    "a list of integer pairs": _list_of(
+        lambda pair: type(pair) is list and len(pair) == 2 and all(map(_is(int), pair))),
+    "an object of integers": lambda value: (
+        type(value) is dict and all(map(_is(int), value.values()))),
 }
 
 
-def check_fields(record: dict, fields: dict[str, str], where: str) -> None:
+def check_fields(record, fields: dict[str, str], where: str) -> None:
     """Check that ``record`` is an object holding every key of ``fields``,
     each with a value of its :data:`FIELD_KINDS` kind. Raises
     :class:`ValueError` beginning with ``where`` and naming the missing keys,
