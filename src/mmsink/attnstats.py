@@ -28,8 +28,9 @@ ROW_SUM_TOL = 1e-9
 DUMP_FIELDS = ("t", "layer", "head", "labels", "positions", "row")
 
 CATEGORIES = ("starting", "punctuation", "near_boi", "near_eoi", "other")
-OCCURRENCE_HEADER = ("label", "count")  # the headers of the two tables stats writes
-CATEGORY_HEADER = ("category", "share")
+# the headers of the two tables stats writes, each column with its kind (seqmodel.FIELD_KINDS)
+OCCURRENCE_HEADER = {"label": "a string", "count": "a count"}
+CATEGORY_HEADER = {"category": "a string", "share": "a number in [0, 1]"}
 
 
 class KeyMeans(NamedTuple):
@@ -147,6 +148,9 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
         if not set(map(type, positions)) <= {int}:
             odd = next(v for v in positions if type(v) is not int)
             raise ValueError(f"{where}: position {odd!r} is not an integer")
+        if not set(map(type, row_labels)) <= {str}:
+            odd = next(v for v in row_labels if type(v) is not str)
+            raise ValueError(f"{where}: label {odd!r} is not a string")
         if not set(map(type, weights)) <= {float, int}:
             odd = next(v for v in weights if type(v) is not float and type(v) is not int)
             raise ValueError(f"{where}: weight {odd!r} is not a number")

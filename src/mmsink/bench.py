@@ -28,21 +28,21 @@ from .seqmodel import (
     write_csv,
 )
 
-CSV_HEADER = ("policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
-              "max_logit_diff", "kl", "validity")
-
-
-# the keys :func:`load_report_json` checks and the kind of each (see
+# the keys :func:`check_report` checks and the kind of each (see
 # seqmodel.FIELD_KINDS): at the top, in each entry of "policies", in the
 # JSON's order, and in each checkpoint of an entry's "divergence"
-REPORT_FIELDS = {"total_steps": "an integer", "checkpoints": "a list of integers",
-                 "policies": "a list"}
+REPORT_FIELDS = {"total_steps": "a count", "checkpoints": "a list of counts", "policies": "a list"}
 POLICY_FIELDS = {"policy": "a string", "params": "an object of integers",
-                 "peak_entries": "an integer", "bytes": "an integer",
-                 "mean_tok_s": "a number or null", "validity": "a number",
+                 "peak_entries": "a count", "bytes": "a count",
+                 "mean_tok_s": "a finite number or null", "validity": "a number in [0, 1]",
                  "divergence": "a list"}
-POLICY_KEYS = tuple(POLICY_FIELDS)
-DIVERGENCE_FIELDS = {"t": "an integer", "max_logit_diff": "a number", "kl": "a number"}
+DIVERGENCE_FIELDS = {"t": "a count", "max_logit_diff": "a non-negative finite number",
+                     "kl": "a non-negative finite number"}
+
+# the CSV's header, each column with the kind of the JSON value it holds
+CSV_HEADER = {name: {**POLICY_FIELDS, **DIVERGENCE_FIELDS, "ckpt": DIVERGENCE_FIELDS["t"]}[name]
+              for name in ("policy", "peak_entries", "bytes", "mean_tok_s", "ckpt",
+                           "max_logit_diff", "kl", "validity")}
 
 
 def divergence(t: int, a: np.ndarray, b: np.ndarray) -> dict:
@@ -203,22 +203,26 @@ def write_report_json(report: dict, path) -> None:
         fh.write("\n")
 
 
-def load_report_json(path) -> dict:
-    """A report :func:`write_report_json` wrote. A key missing or of the
-    wrong kind, or a divergence whose checkpoints are not the report's,
-    raises :class:`ValueError` naming the file, the entry and the key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    check_fields(payload, REPORT_FIELDS, f"{path}:")
+def check_report(payload, where) -> None:
+    """A key missing or outside its kind, or a divergence whose checkpoints are not
+    the report's, raises :class:`ValueError` naming ``where``, the entry and the key."""
+    check_fields(payload, REPORT_FIELDS, f"{where}:")
     for i, entry in enumerate(payload["policies"]):
-        where = f"{path}: policies[{i}]"
-        check_fields(entry, POLICY_FIELDS, where)
+        at = f"{where}: policies[{i}]"
+        check_fields(entry, POLICY_FIELDS, at)
         for j, div in enumerate(entry["divergence"]):
-            check_fields(div, DIVERGENCE_FIELDS, f"{where} divergence[{j}]")
+            check_fields(div, DIVERGENCE_FIELDS, f"{at} divergence[{j}]")
         ts = [div["t"] for div in entry["divergence"]]
         if ts != payload["checkpoints"]:
-            raise ValueError(f"{where} divergence at t={ts}, "
+            raise ValueError(f"{at} divergence at t={ts}, "
                              f"the checkpoints are {payload['checkpoints']}")
+
+
+def load_report_json(path) -> dict:
+    """A report :func:`write_report_json` wrote, checked by :func:`check_report`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    check_report(payload, path)
     return payload
 
 

@@ -356,9 +356,11 @@ def cmd_bench(args) -> int:
 # the keys a generation record must hold and the kind of each (see
 # seqmodel.FIELD_KINDS)
 _GENERATION_FIELDS = {
-    "policy": "a string", "mode": "a string", "seed": "an integer", "steps": "an integer",
+    "policy": "a string", "params": "an object of integers", "mode": "a string",
+    "seed": "a count", "steps": "a count", "prompt_len": "a count", "m": "a count",
     "valid": "a boolean", "labels": "a list of strings", "blocks": "a list of integer pairs",
-    "violations": "a list of strings", "peak_entries": "an integer",
+    "violations": "a list of strings", "peak_entries": "a count",
+    "entry_counts": "a list of counts", "forced_completion_steps": "a count",
 }
 
 
@@ -388,24 +390,13 @@ def _validate_jsonl(path) -> str:
     raise ValueError(f"{path}: unrecognized JSONL content")
 
 
-# what a CSV cell may hold, by the words its error uses -> a parse that
-# raises ValueError on any other cell
-_CELL_KINDS = {
-    "an integer": int,
-    "a number": float,
-    "empty or a number": lambda cell: cell == "" or float(cell),
-}
-
-# header -> (the kind of each checked column, description with the row count)
-_CSV_TABLES = {
-    bench.CSV_HEADER: ({1: "an integer", 2: "an integer", 3: "empty or a number",
-                        4: "an integer", 5: "a number", 6: "a number", 7: "a number"},
-                       "benchmark report with {} rows"),
-    attnstats.OCCURRENCE_HEADER: ({1: "an integer"}, "occurrence table with {} labels"),
-    attnstats.CATEGORY_HEADER: ({1: "a number"}, "category share table"),
-    losses.CURVE_HEADER: ({0: "an integer", 1: "a number", 2: "a number", 3: "a number"},
-                          "loss curve with {} steps"),
-}
+# each CSV header the tool writes -> (its columns with their kinds, description with row count)
+_CSV_TABLES = {tuple(columns): (columns, description) for columns, description in [
+    (bench.CSV_HEADER, "benchmark report with {} rows"),
+    (attnstats.OCCURRENCE_HEADER, "occurrence table with {} labels"),
+    (attnstats.CATEGORY_HEADER, "category share table"),
+    (losses.CURVE_HEADER, "loss curve with {} steps"),
+]}
 
 
 def _validate_csv(path) -> str:
@@ -416,24 +407,18 @@ def _validate_csv(path) -> str:
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         rows = list(reader)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {line} has {len(row)} fields, the header has {len(header)}"
-            )
     if tuple(header) not in _CSV_TABLES:
         raise ValueError(f"{path}: unrecognized CSV header {header}")
-    kinds, description = _CSV_TABLES[tuple(header)]
+    columns, description = _CSV_TABLES[tuple(header)]
     for line, row in enumerate(rows, start=2):
-        if tuple(header) == attnstats.CATEGORY_HEADER and row[0] not in attnstats.CATEGORIES:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {line} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+        if columns is attnstats.CATEGORY_HEADER and row[0] not in attnstats.CATEGORIES:
             raise ValueError(f"{path}: row {line}: unknown category {row[0]!r}")
-        for col, kind in kinds.items():
-            try:
-                _CELL_KINDS[kind](row[col])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {line} column {header[col]!r}: {row[col]!r} is not {kind}"
-                ) from None
+        for (name, kind), cell in zip(columns.items(), row):
+            if not seqmodel.FIELD_KINDS[kind](seqmodel.csv_value(cell)):
+                raise ValueError(f"{path}: row {line} column {name!r}: {cell!r} is not {kind}")
     return description.format(len(rows))
 
 
@@ -449,7 +434,7 @@ def _validate_one(path) -> str:
             engine.model_from_payload(payload, path)
             return "model file"
         if "policies" in payload:
-            bench.load_report_json(path)
+            bench.check_report(payload, path)
             return "benchmark JSON report"
         raise ValueError(f"{path}: unrecognized JSON content")
     if path.endswith(".jsonl"):

@@ -36,7 +36,9 @@ from .errors import TrainingDiverged
 from .seqmodel import Story, TrainingSample, assemble_training_sequence, vocab_id
 
 _ZERO_NORM_TOL = 1e-300
-CURVE_HEADER = ("step", "ce", "img", "combined")  # the columns of TrainResult.curve
+# the columns of TrainResult.curve, each with its kind (see seqmodel.FIELD_KINDS)
+CURVE_HEADER = {"step": "a count", "ce": "a non-negative finite number",
+                "img": "a finite number", "combined": "a finite number"}
 
 
 @dataclass(frozen=True)

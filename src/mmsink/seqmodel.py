@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -552,17 +552,26 @@ def _list_of(test):
     return lambda value: type(value) is list and all(map(test, value))
 
 
-# what a field of a JSON record may hold, by the words its error uses; a
-# bool is neither an integer nor a number
+def _in(low, high, *types):
+    return lambda value: type(value) in types and low <= value <= high  # NaN is in no range
+
+
+_MAX = sys.float_info.max
+_COUNT, _FINITE = _in(0, _MAX, int), _in(-_MAX, _MAX, int, float)
+
+# what a JSON field or CSV cell (see csv_value) may hold, by the words its
+# error uses; a bool is neither an integer nor a number
 FIELD_KINDS = {
     "a string": _is(str),
     "a boolean": _is(bool),
-    "an integer": _is(int),
-    "a number": _is(int, float),
-    "a number or null": _is(int, float, type(None)),
+    "a count": _COUNT,
+    "a finite number": _FINITE,
+    "a non-negative finite number": _in(0, _MAX, int, float),
+    "a number in [0, 1]": _in(0, 1, int, float),
+    "a finite number or null": lambda value: value is None or _FINITE(value),
     "a list": _is(list),
     "a list of strings": _list_of(_is(str)),
-    "a list of integers": _list_of(_is(int)),
+    "a list of counts": _list_of(_COUNT),
     "a list of integer pairs": _list_of(
         lambda pair: type(pair) is list and len(pair) == 2 and all(map(_is(int), pair))),
     "an object of integers": lambda value: (
@@ -585,7 +594,18 @@ def check_fields(record, fields: dict[str, str], where: str) -> None:
             raise ValueError(f"{where} {key} is not {kind}")
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
+def csv_value(cell: str):
+    """A CSV cell as a JSON value: plain ASCII digits are an int, an empty cell is
+    None, any other cell a float, or itself where ``float`` rejects it."""
+    if cell.isascii() and cell.isdigit():
+        return int(cell)
+    try:
+        return float(cell) if cell else None
+    except ValueError:
+        return cell
+
+
+def write_csv(path, header: Iterable[str], rows) -> None:
     """``header`` then ``rows`` as CSV, UTF-8 with LF endings."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

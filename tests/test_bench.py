@@ -6,7 +6,8 @@ import pytest
 from mmsink import bench, engine
 from mmsink import seqmodel as sq
 from mmsink.bench import (
-    POLICY_KEYS,
+    POLICY_FIELDS,
+    check_report,
     load_report_json,
     per_token_time_profile,
     run_benchmark,
@@ -15,9 +16,12 @@ from mmsink.bench import (
     write_report_json,
 )
 from mmsink.cachepolicy import CachePolicy
+from mmsink.cli import main
 from mmsink.engine import Model, ModelConfig
 from mmsink.errors import ConfigError
 from mmsink.seqmodel import TokenKind
+
+from conftest import all_policies
 
 
 @pytest.fixture(scope="module")
@@ -186,15 +190,30 @@ class TestReports:
         loaded = load_report_json(path)
         assert list(loaded) == ["prompt_len", "total_steps", "checkpoints", "repeats", "seed",
                                 "timing", "trajectory", "policies"]
-        assert list(POLICY_KEYS) == ["policy", "params", "peak_entries", "bytes", "mean_tok_s",
-                                     "validity", "divergence"]
+        assert list(POLICY_FIELDS) == ["policy", "params", "peak_entries", "bytes", "mean_tok_s",
+                                       "validity", "divergence"]
         for entry in loaded["policies"]:
-            assert tuple(entry) == POLICY_KEYS
+            assert list(entry) == list(POLICY_FIELDS)
             assert all(list(d) == ["t", "max_logit_diff", "kl"] for d in entry["divergence"])
         from_memory, from_json = tmp_path / "a.csv", tmp_path / "b.csv"
         write_report_csv(desk_report, from_memory)
         write_report_csv(loaded, from_json)
         assert from_json.read_bytes() == from_memory.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_pass_the_validator(self, tiny_config, tmp_path, seed):
+        # every value run_benchmark returns is in its kind's range; a rounding-
+        # negative KL would fail here, and is to be reported, not clamped
+        model = Model.init(tiny_config)
+        story = sq.synth_stories(1, items_per_story=1, rng_seed=seed,
+                                 d_feat=tiny_config.d_feat)[0]
+        prompt = sq.prompt_sequence(story, 1, m=tiny_config.m, v_text=tiny_config.v_text)
+        report = run_benchmark(model, prompt, all_policies(12), total_steps=96, repeats=1,
+                               seed=seed, timing=seed % 2 == 1)
+        check_report(report, "report")
+        path = tmp_path / "bench.csv"
+        write_report_csv(report, path)
+        assert main(["validate", str(path)]) == 0
 
     def test_json_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "x.json"

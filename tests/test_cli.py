@@ -215,10 +215,11 @@ class TestValidate:
         ("gen.jsonl", json.dumps({
             "kind": "mmsink-generation-v1", "policy": "dense", "mode": "free", "seed": 0,
             "steps": 1, "labels": ["BOS"], "blocks": [], "violations": [],
-            "peak_entries": 1}) + "\n", "missing ['valid']"),
-        ("occ.csv", "label,count\nBOS,x\n", "row 2 column 'count': 'x' is not an integer"),
+            "peak_entries": 1, "params": {}, "prompt_len": 1, "m": 4, "entry_counts": [1],
+            "forced_completion_steps": 0}) + "\n", "missing ['valid']"),
+        ("occ.csv", "label,count\nBOS,x\n", "row 2 column 'count': 'x' is not a count"),
         ("curve.csv", "step,ce,img,combined\n0,1.0,0.5,1.5\n1,a,b,c\n",
-         "row 3 column 'ce': 'a' is not a number"),
+         "row 3 column 'ce': 'a' is not a non-negative finite number"),
         ("bench.json", '{"total_steps": 1, "checkpoints": [], "policies": 5}',
          "policies is not a list"),
         ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": [{"policy": "window"}]}',
@@ -227,41 +228,80 @@ class TestValidate:
         ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": ["window"]}',
          "policies[0] is not an object"),
         ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,x,y,z,w,0.0,0.0,1.0\n",
-         "row 2 column 'peak_entries': 'x' is not an integer"),
+         "row 2 column 'peak_entries': 'x' is not a count"),
         ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,z,w,0.0,0.0,1.0\n",
-         "row 2 column 'mean_tok_s': 'z' is not empty or a number"),
+         "row 2 column 'mean_tok_s': 'z' is not a finite number or null"),
         ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,,5.0,0.0,0.0,1.0\n",
-         "row 2 column 'ckpt': '5.0' is not an integer"),
+         "row 2 column 'ckpt': '5.0' is not a count"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,1_000,-5,nan,0,inf,-1.0,7\n",
+         "row 2 column 'peak_entries': '1_000' is not a count"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,-5,,4,0.0,0.0,1.0\n",
+         "row 2 column 'bytes': '-5' is not a count"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,nan,4,0.0,0.0,1.0\n",
+         "row 2 column 'mean_tok_s': 'nan' is not a finite number or null"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,,4,inf,0.0,1.0\n",
+         "row 2 column 'max_logit_diff': 'inf' is not a non-negative finite number"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,,4,0.0,-1.0,1.0\n",
+         "row 2 column 'kl': '-1.0' is not a non-negative finite number"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,3,4,,4,0.0,0.0,7\n",
+         "row 2 column 'validity': '7' is not a number in [0, 1]"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\n5,3,4,,4,0.0,0.0,1.0\n",
+         "row 2 column 'policy': '5' is not a string"),
+        ("occ.csv", "label,count\nBOS,-1\n", "row 2 column 'count': '-1' is not a count"),
+        ("cat.csv", "category,share\nstarting,1.5\n",
+         "row 2 column 'share': '1.5' is not a number in [0, 1]"),
+        ("curve.csv", "step,ce,img,combined\n0,1.0,nan,1.5\n",
+         "row 2 column 'img': 'nan' is not a finite number"),
+        ("curve.csv", "step,ce,img,combined\n-1,1.0,0.5,1.5\n",
+         "row 2 column 'step': '-1' is not a count"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
             "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type",
-            "bench-cell", "bench-timing-cell", "bench-ckpt-cell"])
+            "bench-cell", "bench-timing-cell", "bench-ckpt-cell", "bench-underscore-count",
+            "bench-negative-count", "bench-nan-timing", "bench-inf-diff", "bench-negative-kl",
+            "bench-validity", "bench-numeric-policy", "occurrence-negative-count",
+            "category-share", "curve-nan", "curve-negative-step"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert str(path) in err and expected in err
+        assert len(err.splitlines()) == 1 and str(path) in err and expected in err
 
     @pytest.mark.parametrize("change, expected", [
         ({"peak_entries": "x", "validity": 7, "divergence": 5},
-         "policies[0] peak_entries is not an integer"),
+         "policies[0] peak_entries is not a count"),
         ({"policy": 3}, "policies[0] policy is not a string"),
         ({"params": {"window": "8"}}, "policies[0] params is not an object of integers"),
         ({"params": []}, "policies[0] params is not an object of integers"),
-        ({"bytes": True}, "policies[0] bytes is not an integer"),
-        ({"mean_tok_s": "fast"}, "policies[0] mean_tok_s is not a number or null"),
-        ({"validity": False}, "policies[0] validity is not a number"),
+        ({"bytes": True}, "policies[0] bytes is not a count"),
+        ({"mean_tok_s": "fast"}, "policies[0] mean_tok_s is not a finite number or null"),
+        ({"validity": False}, "policies[0] validity is not a number in [0, 1]"),
         ({"divergence": 5}, "policies[0] divergence is not a list"),
         ({"divergence": [4]}, "policies[0] divergence[0] is not an object"),
         ({"divergence": [{"t": 4, "kl": 0.0}]},
          "policies[0] divergence[0] missing ['max_logit_diff']"),
         ({"divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": None}]},
-         "policies[0] divergence[0] kl is not a number"),
+         "policies[0] divergence[0] kl is not a non-negative finite number"),
         ({"divergence": [{"t": 5, "max_logit_diff": 0.0, "kl": 0.0}]},
          "policies[0] divergence at t=[5], the checkpoints are [4]"),
+        ({"peak_entries": -9, "validity": 7, "divergence": [
+            {"t": 4, "max_logit_diff": 0.0, "kl": float("nan")}]},
+         "policies[0] peak_entries is not a count"),
+        ({"bytes": -1}, "policies[0] bytes is not a count"),
+        ({"validity": 7}, "policies[0] validity is not a number in [0, 1]"),
+        ({"validity": -0.5}, "policies[0] validity is not a number in [0, 1]"),
+        ({"mean_tok_s": float("inf")}, "policies[0] mean_tok_s is not a finite number or null"),
+        ({"divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": float("nan")}]},
+         "policies[0] divergence[0] kl is not a non-negative finite number"),
+        ({"divergence": [{"t": 4, "max_logit_diff": -1.0, "kl": 0.0}]},
+         "policies[0] divergence[0] max_logit_diff is not a non-negative finite number"),
+        ({"divergence": [{"t": -4, "max_logit_diff": 0.0, "kl": 0.0}]},
+         "policies[0] divergence[0] t is not a count"),
     ], ids=["issue-entry", "policy", "params-value", "params-list", "bool-bytes", "timing",
             "bool-validity", "divergence", "checkpoint-type", "checkpoint-key", "kl",
-            "checkpoint-t"])
+            "checkpoint-t", "range-entry", "negative-bytes", "validity-above-one",
+            "negative-validity", "infinite-timing", "nan-kl", "negative-logit-diff",
+            "negative-t"])
     def test_rejects_bench_json_values(self, tmp_path, capsys, change, expected):
         entry = {"policy": "window", "params": {"window": 8}, "peak_entries": 9, "bytes": 1,
                  "mean_tok_s": None, "validity": 1.0,
@@ -277,16 +317,25 @@ class TestValidate:
     @pytest.mark.parametrize("change, expected", [
         ({"labels": 5}, "labels is not a list of strings"),
         ({"seed": "x", "valid": "no", "violations": 3, "peak_entries": "many"},
-         "seed is not an integer"),
+         "seed is not a count"),
         ({"valid": "no"}, "valid is not a boolean"),
         ({"violations": 3}, "violations is not a list of strings"),
-        ({"peak_entries": "many"}, "peak_entries is not an integer"),
+        ({"peak_entries": "many"}, "peak_entries is not a count"),
         ({"blocks": [[1]]}, "blocks is not a list of integer pairs"),
         ({"blocks": [[1, 2.0]]}, "blocks is not a list of integer pairs"),
         ({"mode": None}, "mode is not a string"),
-        ({"steps": True}, "steps is not an integer"),
+        ({"steps": True}, "steps is not a count"),
+        ({"params": {"window": "8"}}, "params is not an object of integers"),
+        ({"prompt_len": -3}, "prompt_len is not a count"),
+        ({"m": "eight"}, "m is not a count"),
+        ({"entry_counts": "x"}, "entry_counts is not a list of counts"),
+        ({"entry_counts": [3, -1]}, "entry_counts is not a list of counts"),
+        ({"forced_completion_steps": 1.5}, "forced_completion_steps is not a count"),
+        ({"seed": -1}, "seed is not a count"),
     ], ids=["labels", "four-fields", "valid", "violations", "peak-entries", "short-block",
-            "float-block", "mode", "bool-steps"])
+            "float-block", "mode", "bool-steps", "params", "negative-prompt-len", "string-m",
+            "string-entry-counts", "negative-entry-count", "float-forced-steps",
+            "negative-seed"])
     def test_rejects_generation_record_values(self, tmp_path, capsys, change, expected):
         gen_out = tmp_path / "g.jsonl"
         assert main(["gen", "--steps", "12", "--out", str(gen_out)]) == 0
@@ -300,6 +349,20 @@ class TestValidate:
     def test_reads_a_model_file_once(self, tmp_path, tiny_config, monkeypatch):
         path = tmp_path / "m.json"
         engine.save_model(engine.Model.init(tiny_config), path)
+        loads, load = [], json.load
+
+        def counted_load(fh):
+            loads.append(fh.name)
+            return load(fh)
+
+        monkeypatch.setattr(json, "load", counted_load)
+        assert main(["validate", str(path)]) == 0
+        assert loads == [str(path)]
+
+    def test_reads_a_bench_json_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "bench.json"
+        assert main(["bench", "--policies", "window", "--steps", "16", "--window", "8",
+                     "--report", str(tmp_path / "bench.csv"), "--json", str(path)]) == 0
         loads, load = [], json.load
 
         def counted_load(fh):

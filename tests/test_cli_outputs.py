@@ -31,16 +31,26 @@ def test_matrix_has_thirty_two_files():
     assert len(names) == len(set(names)) == 32
 
 
-@pytest.mark.parametrize("text, code, verdict", [
-    ("policy,kl\ndense,0.5\n", 0, "identical"),
-    ("policy,kl\ndense,0.5000000000000001\n", 0, "floats differ, max |delta| 1.11e-16"),
-    ("policy,kl\ndense,0.5000001\n", 1, "floats differ, max |delta| 1e-07 > 1e-12"),
-    ("policy,kl\nsink,0.5\n", 1, "non-float field differs at /1/0: 'dense' != 'sink'"),
-    ("policy,kl\ndense,0.5\nsink,0.5\n", 1, "non-float field differs at /: length 2 != 3"),
-], ids=["same", "rounding", "beyond-tolerance", "label", "extra-row"])
-def test_compare_verdicts(tmp_path, capsys, text, code, verdict):
+@pytest.mark.parametrize("a_text, b_text, code, verdict", [
+    (_CONTENT[".csv"], "policy,kl\ndense,0.5\n", 0, "identical"),
+    (_CONTENT[".csv"], "policy,kl\ndense,0.5000000000000001\n", 0,
+     "floats differ, max |delta| 1.11e-16"),
+    (_CONTENT[".csv"], "policy,kl\ndense,0.5000001\n", 1,
+     "floats differ, max |delta| 1e-07 > 1e-12"),
+    (_CONTENT[".csv"], "policy,kl\nsink,0.5\n", 1,
+     "non-float field differs at /1/0: 'dense' != 'sink'"),
+    (_CONTENT[".csv"], "policy,kl\ndense,0.5\nsink,0.5\n", 1,
+     "non-float field differs at /: length 2 != 3"),
+    ("policy,kl,ce\ndense,0.5,0.25\n", "policy,kl,ce\ndense,0.5,nan\n", 1,
+     "floats differ, max |delta| inf > 1e-12"),
+    ("policy,kl,ce\ndense,0.5,nan\n", "policy,kl,ce\ndense,0.5000000000000001,NaN\n", 0,
+     "floats differ, max |delta| 1.11e-16"),
+], ids=["same", "rounding", "beyond-tolerance", "label", "extra-row", "nan-on-one-side",
+        "nan-on-both-sides"])
+def test_compare_verdicts(tmp_path, capsys, a_text, b_text, code, verdict):
     a, b = _matrix(tmp_path / "a"), _matrix(tmp_path / "b")
-    (b / "bench-synthetic.csv").write_text(text)
+    (a / "bench-synthetic.csv").write_text(a_text)
+    (b / "bench-synthetic.csv").write_text(b_text)
     assert cli_outputs.main(["--compare", str(a), str(b)]) == code
     assert f"bench-synthetic.csv: {verdict}" in capsys.readouterr().out
 

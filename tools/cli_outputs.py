@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,10 +129,14 @@ def load(path: Path):
 
 
 def max_float_delta(a, b, where: str = "") -> float:
-    """Largest |a - b| over paired float leaves; raises ValueError naming the
-    first place where the non-float content differs."""
+    """Largest |a - b| over paired float leaves, where NaN on both sides is
+    equal and NaN on one side only is infinitely far; raises ValueError
+    naming the first place where the non-float content differs."""
     if isinstance(a, float) and isinstance(b, float):
-        return abs(a - b)
+        if a == b or a != a and b != b:
+            return 0.0
+        delta = abs(a - b)
+        return delta if delta == delta else math.inf
     if type(a) is not type(b):
         raise ValueError(f"{where or '/'}: {a!r} != {b!r}")
     if isinstance(a, dict):
