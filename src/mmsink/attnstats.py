@@ -47,9 +47,6 @@ class OccurrenceTable:
     counts: tuple[tuple[str, int], ...]  # sorted by count descending
     total_maps: int
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.counts)
-
 
 def top_k_keys(means: Sequence[float], k: int = 10) -> list[int]:
     """Indices of the k largest means, descending, ties to the lower index."""
@@ -120,14 +117,16 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     ascending t), and the sums are divided once by T. That is the column
     mean of the zero-padded T x T map, float for float (numpy also adds such
     a map's rows one at a time), with no T x T array and no row kept.
-    Evicted keys simply receive nothing from later rows. The maps' rows of
-    one step usually carry the same positions, so the range and repeat
-    checks of the positions run once per run of equal t and positions.
+    Evicted keys simply receive nothing from later rows. A run gives each
+    position one label. Rows of equal t and positions share one check of the
+    positions, and rows of equal positions and labels one of the labels.
     """
     last_t: Counter[tuple[int, int]] = Counter()
-    labels_of: dict[tuple[int, int], dict[int, str]] = defaultdict(dict)
-    sums_of: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros(1))
+    labels: dict[int, str] = {}  # the label of each position, from the first row that gave it
+    # per map: each key's summed attention, and 1 once a row attended it
+    acc_of: dict[tuple[int, int], np.ndarray] = defaultdict(lambda: np.zeros((2, 1)))
     checked: tuple = (0, None, None)  # the last t and positions checked, and their index array
+    labelled: tuple = (None, None)  # the last positions and labels checked against ``labels``
     for r in dumps:
         row_t, layer, head, row_labels, positions, weights = map(r.__getitem__, DUMP_FIELDS)
         where = f"dump row t={row_t} layer={layer} head={head}"
@@ -135,7 +134,7 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
             if type(value) is not int:
                 raise ValueError(f"{where}: {name} {value!r} is not an integer")
         key = layer, head
-        t, labels, sums = last_t[key] + 1, labels_of[key], sums_of[key]
+        t, acc = last_t[key] + 1, acc_of[key]
         if row_t != t:
             problem = "a second row for this step" if row_t == t - 1 >= 1 else (
                 f"no row for t={t}; steps run from 1 to T")
@@ -163,25 +162,28 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
                 repeated = next(p for i, p in enumerate(positions) if p in positions[:i])
                 raise ValueError(f"{where}: position {repeated} appears twice")
             checked = t, list(positions), np.asarray(positions)
-        if list(map(labels.setdefault, positions, row_labels)) != row_labels:
-            pos, label = next((p, l) for p, l in zip(positions, row_labels) if labels[p] != l)
-            raise ValueError(f"{where}: label {label!r} for position {pos}, "
-                             f"earlier rows gave {labels[pos]!r}")
+        if (positions, row_labels) != labelled:
+            if list(map(labels.setdefault, positions, row_labels)) != row_labels:
+                pos, label = next((p, l) for p, l in zip(positions, row_labels) if labels[p] != l)
+                raise ValueError(f"{where}: label {label!r} for position {pos}, "
+                                 f"earlier rows gave {labels[pos]!r}")
+            labelled = list(positions), list(row_labels)
         weights = np.asarray(weights, dtype=np.float64)
         if not abs(weights.sum() - 1.0) <= ROW_SUM_TOL:
             raise ValueError(f"{where}: row sums to {weights.sum()}, expected 1")
-        if t > len(sums):  # grow by doubling
-            sums = sums_of[key] = np.concatenate([sums, np.zeros(len(sums))])
-        sums[checked[2]] += weights
+        if t > acc.shape[1]:  # grow by doubling
+            acc = acc_of[key] = np.hstack([acc, np.zeros_like(acc)])
+        acc[0, checked[2]] += weights
+        acc[1, checked[2]] = 1.0
         last_t[key] = t
     records = []
     for layer, head in sorted(last_t):
-        width, labels = last_t[layer, head], labels_of[layer, head]
-        if len(labels) < width:
-            missing = sorted(set(range(width)) - labels.keys())[:5]
+        width = last_t[layer, head]
+        sums, seen = acc_of[layer, head][:, :width]
+        if not seen.all():
+            missing = np.flatnonzero(seen == 0)[:5].tolist()
             raise ValueError(f"layer={layer} head={head}: positions never observed: {missing}")
-        means = sums_of[layer, head][:width] / width
-        records.append(KeyMeans(tuple(labels[i] for i in range(width)), means))
+        records.append(KeyMeans(tuple(labels[i] for i in range(width)), sums / width))
     return records
 
 

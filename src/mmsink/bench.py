@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,9 @@ from .seqmodel import (
 # the keys :func:`check_report` checks and the kind of each (see
 # seqmodel.FIELD_KINDS): at the top, in each entry of "policies", in the
 # JSON's order, and in each checkpoint of an entry's "divergence"
-REPORT_FIELDS = {"total_steps": "a count", "checkpoints": "a list of counts", "policies": "a list"}
+REPORT_FIELDS = {"prompt_len": "a count", "total_steps": "a count", "checkpoints": "a list of counts",
+                 "repeats": "a count", "seed": "a count", "timing": "a boolean",
+                 "trajectory": "'synthetic' or 'generated'", "policies": "a list"}
 POLICY_FIELDS = {"policy": "a string", "params": "an object of integers",
                  "peak_entries": "a count", "bytes": "a count",
                  "mean_tok_s": "a finite number or null", "validity": "a number in [0, 1]",
@@ -204,12 +205,16 @@ def write_report_json(report: dict, path) -> None:
 
 
 def check_report(payload, where) -> None:
-    """A key missing or outside its kind, or a divergence whose checkpoints are not
-    the report's, raises :class:`ValueError` naming ``where``, the entry and the key."""
+    """A key missing or outside its kind, a ``mean_tok_s`` null exactly where ``timing``
+    is on, or a divergence whose checkpoints are not the report's, raises
+    :class:`ValueError` naming ``where``, the entry and the key."""
     check_fields(payload, REPORT_FIELDS, f"{where}:")
     for i, entry in enumerate(payload["policies"]):
         at = f"{where}: policies[{i}]"
         check_fields(entry, POLICY_FIELDS, at)
+        if (entry["mean_tok_s"] is None) == payload["timing"]:
+            raise ValueError(f"{at} mean_tok_s is {json.dumps(entry['mean_tok_s'])}, "
+                             f"timing is {json.dumps(payload['timing'])}")
         for j, div in enumerate(entry["divergence"]):
             check_fields(div, DIVERGENCE_FIELDS, f"{at} divergence[{j}]")
         ts = [div["t"] for div in entry["divergence"]]
@@ -217,34 +222,3 @@ def check_report(payload, where) -> None:
             raise ValueError(f"{at} divergence at t={ts}, "
                              f"the checkpoints are {payload['checkpoints']}")
 
-
-def load_report_json(path) -> dict:
-    """A report :func:`write_report_json` wrote, checked by :func:`check_report`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    check_report(payload, path)
-    return payload
-
-
-@dataclass
-class TimeProfile:
-    slope: float
-    stderr: float
-    n: int
-
-
-def per_token_time_profile(seconds, min_steps: int = 100) -> TimeProfile:
-    """Least-squares slope of per-token seconds against step index."""
-    y = np.asarray(seconds, dtype=np.float64)
-    n = len(y)
-    if n < min_steps:
-        raise ValueError(f"trace has {n} steps, need at least {min_steps}")
-    x = np.arange(n, dtype=np.float64)
-    xm = x - x.mean()
-    sxx = float((xm**2).sum())
-    slope = float((xm * y).sum() / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    sigma2 = float((resid**2).sum() / (n - 2))
-    stderr = float(np.sqrt(sigma2 / sxx))
-    return TimeProfile(slope, stderr, n)

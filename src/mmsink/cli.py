@@ -377,8 +377,15 @@ def _validate_jsonl(path) -> str:
         for count, (lineno, record) in enumerate(seqmodel.jsonl_objects(path), start=1):
             if record.get("kind") != "mmsink-generation-v1":
                 raise ValueError(f"{path}: line {lineno}: not a generation record")
-            seqmodel.check_fields(record, _GENERATION_FIELDS,
-                                  f"{path}: line {lineno}: generation record")
+            where = f"{path}: line {lineno}: generation record"
+            seqmodel.check_fields(record, _GENERATION_FIELDS, where)
+            counts, fed = record["entry_counts"], len(record["labels"]) - record["prompt_len"]
+            steps = record["steps"] + record["forced_completion_steps"]
+            if not len(counts) == fed == steps:
+                raise ValueError(f"{where} entry_counts has {len(counts)} counts for {fed} labels "
+                                 f"after prompt_len and {steps} steps + forced_completion_steps")
+            if max(counts, default=0) > record["peak_entries"]:
+                raise ValueError(f"{where} entry_counts reach {max(counts)}, above peak_entries")
             if record["valid"]:
                 for b, e in record["blocks"]:
                     if not (0 <= b < e < len(record["labels"])):

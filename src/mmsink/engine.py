@@ -339,11 +339,6 @@ class StepResult:
                 keep = slice(None) if mask is None else mask[r]
                 yield positions[keep], [pr[:, r, keep] for pr in probs]
 
-    @property
-    def attention(self) -> list[np.ndarray]:
-        """Per layer, the last token's weights: (heads, retained + 1)."""
-        return list(self.attention_rows())[-1][1]
-
 
 def forward_step(model: Model, cache: KvCache, *tokens: Token,
                  logits_at: Iterable[int] | None = None) -> StepResult:

@@ -46,9 +46,7 @@ class LossReport:
     ce: float
     img: float
     combined: float
-    n_text_targets: int
     n_image_blocks: int
-    n_zero_pred_rows: int = 0
 
 
 def text_ce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -210,18 +208,16 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         )
     branches = []
     img_terms = []
-    n_zero = 0
     for bi, (bpos, _e) in enumerate(blocks):
         ctx_len = bpos + 1
         pred, hq, lnqf, qlayers = query_features(model, kv[..., :ctx_len, :])
         tgt = np.tile(np.asarray(sample.target_features[bi], dtype=np.float64), (Q, 1))
         cos, zero, safe_pn, tn = _cosine_rows(pred, tgt)
-        n_zero += int(zero.sum())
         img_terms.append(float((1.0 - cos).mean()))
         branches.append((ctx_len, pred, hq, lnqf, qlayers, tgt, cos, zero, safe_pn, tn))
     img = float(np.mean(img_terms)) if img_terms else 0.0
     combined = combined_loss(ce, img, lam)
-    report = LossReport(ce, img, combined, n_ce, len(blocks), n_zero)
+    report = LossReport(ce, img, combined, len(blocks))
     if not want_grads:
         return report, None
 

@@ -570,6 +570,7 @@ FIELD_KINDS = {
     "a number in [0, 1]": _in(0, 1, int, float),
     "a finite number or null": lambda value: value is None or _FINITE(value),
     "a list": _is(list),
+    "'synthetic' or 'generated'": lambda value: value in ("synthetic", "generated"),
     "a list of strings": _list_of(_is(str)),
     "a list of counts": _list_of(_COUNT),
     "a list of integer pairs": _list_of(
@@ -595,14 +596,14 @@ def check_fields(record, fields: dict[str, str], where: str) -> None:
 
 
 def csv_value(cell: str):
-    """A CSV cell as a JSON value: plain ASCII digits are an int, an empty cell is
-    None, any other cell a float, or itself where ``float`` rejects it."""
+    """A CSV cell as a JSON value: plain ASCII digits are an int, an empty cell None,
+    a float's ``repr`` (as the writers write floats) that float, any other cell itself."""
     if cell.isascii() and cell.isdigit():
         return int(cell)
     try:
-        return float(cell) if cell else None
+        return float(cell) if repr(float(cell)) == cell else cell
     except ValueError:
-        return cell
+        return cell or None
 
 
 def write_csv(path, header: Iterable[str], rows) -> None:

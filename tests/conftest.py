@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -118,22 +120,55 @@ def dump_rows(rows: list):
     return collect
 
 
-def dumps_from_maps(maps) -> list[dict]:
-    """Attention dump rows for hand-built (labels, rows) causal maps.
+def dumps_from_maps(maps) -> list[list[dict]]:
+    """Attention dump rows for hand-built (labels, rows) causal maps, one run
+    per map, since a run gives each position one label.
 
-    Map i becomes layer i, head 0, so ingestion returns the maps in order.
-    Row t-1 of a map becomes step t's dump row over keys 0..t-1, plus every
-    nonzero weight beyond them (which the ingestion rejects as future keys).
+    Each map becomes layer 0, head 0 of its own run. Row t-1 of a map becomes
+    step t's dump row over keys 0..t-1, plus every nonzero weight beyond them
+    (which the ingestion rejects as future keys).
     """
     dumps = []
-    for layer, (labels, rows) in enumerate(maps):
+    for labels, rows in maps:
+        run = []
         for t in range(1, len(rows) + 1):
             row = rows[t - 1]
             positions = [j for j in range(len(row)) if j < t or row[j] != 0.0]
-            dumps.append({
-                "t": t, "layer": layer, "head": 0,
+            run.append({
+                "t": t, "layer": 0, "head": 0,
                 "labels": [labels[j] for j in positions],
                 "positions": positions,
                 "row": [float(row[j]) for j in positions],
             })
+        dumps.append(run)
     return dumps
+
+
+def records_from_maps(maps) -> list[attnstats.KeyMeans]:
+    """Key means of hand-built (labels, rows) maps, in order, each folded
+    from its dump rows as its own run."""
+    return [record for run in dumps_from_maps(maps)
+            for record in attnstats.records_from_dumps(run)]
+
+
+class TimeProfile(NamedTuple):
+    slope: float
+    stderr: float
+    n: int
+
+
+def per_token_time_profile(seconds, min_steps: int = 100) -> TimeProfile:
+    """Least-squares slope of per-token seconds against step index."""
+    y = np.asarray(seconds, dtype=np.float64)
+    n = len(y)
+    if n < min_steps:
+        raise ValueError(f"trace has {n} steps, need at least {min_steps}")
+    x = np.arange(n, dtype=np.float64)
+    xm = x - x.mean()
+    sxx = float((xm**2).sum())
+    slope = float((xm * y).sum() / sxx)
+    intercept = float(y.mean() - slope * x.mean())
+    resid = y - (intercept + slope * x)
+    sigma2 = float((resid**2).sum() / (n - 2))
+    stderr = float(np.sqrt(sigma2 / sxx))
+    return TimeProfile(slope, stderr, n)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dumps_from_maps, make_stream
+from conftest import make_stream, per_token_time_profile, records_from_maps
 from mmsink import attnstats, bench, engine, losses
 from mmsink import seqmodel as sq
 from mmsink.cachepolicy import CachePolicy, KvCache, retain_set
@@ -253,23 +253,21 @@ def test_criterion_6_attention_stats_oracle():
             rows[i, : i + 1] = weights / weights.sum()
         labels = tuple(pool[int(rng.integers(len(pool)))] for _ in range(n))
         maps.append((labels, rows))
-    records = attnstats.records_from_dumps(dumps_from_maps(maps))
+    records = records_from_maps(maps)
 
     table = attnstats.aggregate_occurrence(records, k=10)
-    assert table.as_dict() == recount_occurrences(maps, k=10)
+    assert dict(table.counts) == recount_occurrences(maps, k=10)
     assert table.total_maps == 1000
     for record in records:
         assert record.means.sum() == pytest.approx(1.0, abs=1e-9)
 
     # deterministic tie-break: equal means resolve to the lower key index
     assert attnstats.top_k_keys([0.4, 0.4, 0.2], 1) == [0]
-    tied = attnstats.records_from_dumps(dumps_from_maps(
-        [(("left", "right"), np.array([[1.0, 0.0], [0.0, 1.0]]))]
-    ))
+    tied = records_from_maps([(("left", "right"), np.array([[1.0, 0.0], [0.0, 1.0]]))])
     means = tied[0].means
     assert means[0] == means[1]
     assert attnstats.top_k_keys(means, 1) == [0]
-    assert attnstats.aggregate_occurrence(tied, k=1).as_dict() == {"left": 1}
+    assert dict(attnstats.aggregate_occurrence(tied, k=1).counts) == {"left": 1}
 
 
 def test_criterion_7_loss_masking(tiny_config):
@@ -385,7 +383,7 @@ def test_criterion_10_per_token_time_slopes(small_model, small_prompt):
     gaps, noises = [], []
     for pair in range(3):
         order = ["dense", "mmsink"] if pair % 2 == 0 else ["mmsink", "dense"]
-        prof = {name: bench.per_token_time_profile(
+        prof = {name: per_token_time_profile(
                     _per_token_seconds(small_model, small_prompt, policies[name], steps))
                 for name in order}
         assert prof["dense"].n == prof["mmsink"].n == steps

@@ -20,7 +20,7 @@ from mmsink.cachepolicy import CachePolicy
 from mmsink.cli import main
 from mmsink.oracle import recount_occurrences
 
-from conftest import dump_rows, dumps_from_maps
+from conftest import dump_rows, records_from_maps
 
 
 def causal_map(rng: np.random.Generator, n: int, labels=None) -> tuple[tuple[str, ...], np.ndarray]:
@@ -36,7 +36,7 @@ def causal_map(rng: np.random.Generator, n: int, labels=None) -> tuple[tuple[str
 
 def ingest(*maps):
     """Key means of hand-built (labels, rows) maps, through their dump rows."""
-    return records_from_dumps(dumps_from_maps(maps))
+    return records_from_maps(maps)
 
 
 def key_means(labels, rows) -> np.ndarray:
@@ -101,13 +101,13 @@ class TestAggregateOccurrence:
     def test_identical_top_keys_count_per_map(self):
         rows = np.array([[1.0, 0.0], [0.6, 0.4]])
         table = aggregate_occurrence(ingest((("BOS", "W1"), rows), (("BOS", "W1"), rows)), k=10)
-        assert table.as_dict() == {"BOS": 2, "W1": 2}
+        assert dict(table.counts) == {"BOS": 2, "W1": 2}
         assert table.total_maps == 2
 
     def test_duplicate_labels_in_one_map_count_once(self):
         rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.4, 0.3, 0.3]])
         table = aggregate_occurrence(ingest(((",", ",", "W2"), rows)), k=3)
-        assert table.as_dict()[","] == 1
+        assert dict(table.counts)[","] == 1
 
     def test_counts_bounded_by_total(self):
         rng = np.random.default_rng(0)
@@ -127,13 +127,13 @@ class TestAggregateOccurrence:
         records = ingest(*[causal_map(rng, int(rng.integers(2, 10))) for _ in range(20)])
         a = aggregate_occurrence(records, k=3)
         b = aggregate_occurrence(list(reversed(records)), k=3)
-        assert a.as_dict() == b.as_dict()
+        assert dict(a.counts) == dict(b.counts)
 
     def test_matches_independent_recount(self):
         rng = np.random.default_rng(3)
         maps = [causal_map(rng, int(rng.integers(2, 16))) for _ in range(60)]
         table = aggregate_occurrence(ingest(*maps), k=10)
-        assert table.as_dict() == recount_occurrences(maps, k=10)
+        assert dict(table.counts) == recount_occurrences(maps, k=10)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -390,6 +390,34 @@ class TestDumpIngestion:
             yield row(1, 1, shared)
 
         with pytest.raises(ValueError, match="t=1 layer=1 head=0: negative position -1"):
+            records_from_dumps(changed_in_place())
+
+    def test_one_label_per_position_across_the_maps_of_a_file(self, tmp_path, capsys):
+        import json
+
+        # a file is one run: head 1 may not relabel the position head 0 labelled
+        dumps = [{"t": t, "layer": 0, "head": h, "labels": ["BOS", label][:t],
+                  "positions": list(range(t)), "row": [1.0 / t] * t}
+                 for t in (1, 2) for h, label in enumerate(["W5", "W7"])]
+        expected = "dump row t=2 layer=0 head=1: label 'W7' for position 1, earlier rows gave 'W5'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            records_from_dumps(dumps)
+        path = tmp_path / "relabelled.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in dumps))
+        assert main(["validate", str(path)]) == 1
+        assert main(["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.count(f"{path}: {expected}") == 2
+
+    def test_equal_labels_checked_again_after_an_edit(self):
+        labels = ["BOS"]
+
+        def changed_in_place():
+            yield {"t": 1, "layer": 0, "head": 0, "labels": labels, "positions": [0], "row": [1.0]}
+            labels[0] = "W1"
+            yield {"t": 1, "layer": 1, "head": 0, "labels": labels, "positions": [0], "row": [1.0]}
+
+        with pytest.raises(ValueError, match="t=1 layer=1 head=0: label 'W1' for position 0, "
+                                             "earlier rows gave 'BOS'"):
             records_from_dumps(changed_in_place())
 
     def test_generator_of_rows_is_held_one_row_at_a_time(self):

@@ -1,5 +1,7 @@
 """Benchmark harness: divergence, entry counts, reports, time profiles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,6 @@ from mmsink import seqmodel as sq
 from mmsink.bench import (
     POLICY_FIELDS,
     check_report,
-    load_report_json,
-    per_token_time_profile,
     run_benchmark,
     synthetic_trajectory,
     write_report_csv,
@@ -21,7 +21,7 @@ from mmsink.engine import Model, ModelConfig
 from mmsink.errors import ConfigError
 from mmsink.seqmodel import TokenKind
 
-from conftest import all_policies
+from conftest import all_policies, per_token_time_profile
 
 
 @pytest.fixture(scope="module")
@@ -182,12 +182,15 @@ class TestReports:
     def test_json_roundtrip_identity(self, desk_report, tmp_path):
         path = tmp_path / "bench.json"
         write_report_json(desk_report, path)
-        assert load_report_json(path) == desk_report
+        loaded = json.loads(path.read_text())
+        check_report(loaded, path)
+        assert loaded == desk_report
 
     def test_json_keys_in_report_order_and_csv_from_json(self, desk_report, tmp_path):
         path = tmp_path / "bench.json"
         write_report_json(desk_report, path)
-        loaded = load_report_json(path)
+        loaded = json.loads(path.read_text())
+        check_report(loaded, path)
         assert list(loaded) == ["prompt_len", "total_steps", "checkpoints", "repeats", "seed",
                                 "timing", "trajectory", "policies"]
         assert list(POLICY_FIELDS) == ["policy", "params", "peak_entries", "bytes", "mean_tok_s",
@@ -219,7 +222,7 @@ class TestReports:
         path = tmp_path / "x.json"
         path.write_text('{"total_steps": 3}')
         with pytest.raises(ValueError):
-            load_report_json(path)
+            check_report(json.loads(path.read_text()), path)
 
 
 class TestTimeProfile:

@@ -164,6 +164,11 @@ class TestBench:
         assert float(row[3]) > 0.0
 
 
+# the top-level keys of an untimed benchmark JSON report, apart from "policies"
+REPORT_TOP = {"prompt_len": 3, "total_steps": 4, "checkpoints": [4], "repeats": 1, "seed": 0,
+              "timing": False, "trajectory": "synthetic"}
+
+
 class TestValidate:
     def test_accepts_everything_the_tool_emits(self, tmp_path):
         stories = tmp_path / "s.jsonl"
@@ -220,12 +225,12 @@ class TestValidate:
         ("occ.csv", "label,count\nBOS,x\n", "row 2 column 'count': 'x' is not a count"),
         ("curve.csv", "step,ce,img,combined\n0,1.0,0.5,1.5\n1,a,b,c\n",
          "row 3 column 'ce': 'a' is not a non-negative finite number"),
-        ("bench.json", '{"total_steps": 1, "checkpoints": [], "policies": 5}',
+        ("bench.json", json.dumps(dict(REPORT_TOP, total_steps=1, checkpoints=[], policies=5)),
          "policies is not a list"),
-        ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": [{"policy": "window"}]}',
+        ("bench.json", json.dumps(dict(REPORT_TOP, total_steps=1, policies=[{"policy": "window"}])),
          "policies[0] missing ['params', 'peak_entries', 'bytes', 'mean_tok_s', 'validity', "
          "'divergence']"),
-        ("bench.json", '{"total_steps": 1, "checkpoints": [4], "policies": ["window"]}',
+        ("bench.json", json.dumps(dict(REPORT_TOP, total_steps=1, policies=["window"])),
          "policies[0] is not an object"),
         ("bench.csv", ",".join(CSV_HEADER) + "\nwindow,x,y,z,w,0.0,0.0,1.0\n",
          "row 2 column 'peak_entries': 'x' is not a count"),
@@ -254,12 +259,17 @@ class TestValidate:
          "row 2 column 'img': 'nan' is not a finite number"),
         ("curve.csv", "step,ce,img,combined\n-1,1.0,0.5,1.5\n",
          "row 2 column 'step': '-1' is not a count"),
+        ("curve.csv", "step,ce,img,combined\n0, 1_0.5 ,0.5,1.5\n",
+         "row 2 column 'ce': ' 1_0.5 ' is not a non-negative finite number"),
+        ("cat.csv", "category,share\nstarting,0.50\n",
+         "row 2 column 'share': '0.50' is not a number in [0, 1]"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
             "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type",
             "bench-cell", "bench-timing-cell", "bench-ckpt-cell", "bench-underscore-count",
             "bench-negative-count", "bench-nan-timing", "bench-inf-diff", "bench-negative-kl",
             "bench-validity", "bench-numeric-policy", "occurrence-negative-count",
-            "category-share", "curve-nan", "curve-negative-step"])
+            "category-share", "curve-nan", "curve-negative-step", "curve-spaced-underscored",
+            "share-not-a-repr"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
@@ -307,12 +317,74 @@ class TestValidate:
                  "mean_tok_s": None, "validity": 1.0,
                  "divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": 0.0}]}
         path = tmp_path / "weird.json"
-        path.write_text(json.dumps({"total_steps": 4, "checkpoints": [4],
-                                    "policies": [dict(entry, **change)]}))
+        path.write_text(json.dumps(dict(REPORT_TOP, policies=[dict(entry, **change)])))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
-        path.write_text(json.dumps({"total_steps": 4, "checkpoints": [4], "policies": [entry]}))
+        path.write_text(json.dumps(dict(REPORT_TOP, policies=[entry])))
         assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("change, times, expected", [
+        ({"repeats": -1, "timing": "x", "seed": "s", "trajectory": 5, "prompt_len": -4}, None,
+         "prompt_len is not a count"),
+        ({"prompt_len": 2.0}, None, "prompt_len is not a count"),
+        ({"repeats": -1}, None, "repeats is not a count"),
+        ({"seed": "s"}, None, "seed is not a count"),
+        ({"timing": "x"}, None, "timing is not a boolean"),
+        ({"timing": 0}, None, "timing is not a boolean"),
+        ({"trajectory": 5}, None, "trajectory is not 'synthetic' or 'generated'"),
+        ({"trajectory": "dense"}, None, "trajectory is not 'synthetic' or 'generated'"),
+        ({"timing": True}, [0.001, None], "policies[1] mean_tok_s is null, timing is true"),
+        ({}, [None, 0.001], "policies[1] mean_tok_s is 0.001, timing is false"),
+    ], ids=["issue-report", "float-prompt-len", "negative-repeats", "string-seed",
+            "string-timing", "int-timing", "int-trajectory", "unknown-trajectory",
+            "timed-without-a-time", "untimed-with-a-time"])
+    def test_rejects_bench_json_run_keys(self, tmp_path, capsys, change, times, expected):
+        path = tmp_path / "bench.json"
+        assert main(["bench", "--policies", "window,sink", "--steps", "16", "--window", "8",
+                     "--report", str(tmp_path / "bench.csv"), "--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        if times:
+            change = dict(change, policies=[dict(entry, mean_tok_s=t)
+                                            for entry, t in zip(report["policies"], times)])
+        path.write_text(json.dumps(dict(report, **change)))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"peak_entries": lambda _: 3, "entry_counts": lambda _: [1]},
+         "entry_counts has 1 counts for {fed} labels after prompt_len and {steps} steps + "
+         "forced_completion_steps"),
+        ({"labels": lambda labels: labels[:-1]},
+         "entry_counts has {fed} counts for {short} labels after prompt_len and {steps} steps + "
+         "forced_completion_steps"),
+        ({"prompt_len": lambda n: n + 1},
+         "entry_counts has {fed} counts for {short} labels after prompt_len and {steps} steps + "
+         "forced_completion_steps"),
+        ({"steps": lambda n: n + 1},
+         "entry_counts has {fed} counts for {fed} labels after prompt_len and {more} steps + "
+         "forced_completion_steps"),
+        ({"forced_completion_steps": lambda n: n + 1},
+         "entry_counts has {fed} counts for {fed} labels after prompt_len and {more} steps + "
+         "forced_completion_steps"),
+        ({"peak_entries": lambda n: n - 1}, "entry_counts reach {peak}, above peak_entries"),
+    ], ids=["issue-record", "labels", "prompt-len", "steps", "forced-steps", "peak-entries"])
+    def test_rejects_generation_record_across_fields(self, tmp_path, capsys, change, expected):
+        """Each edit, of the value it is given, breaks one relation of a 64-step record."""
+        gen_out = tmp_path / "g.jsonl"
+        assert main(["gen", "--policy", "window", "--window", "16", "--steps", "64",
+                     "--out", str(gen_out)]) == 0
+        record = json.loads(gen_out.read_text())
+        fed = len(record["labels"]) - record["prompt_len"]
+        assert fed == len(record["entry_counts"]) and max(record["entry_counts"]) == 16
+        change = {key: edit(record[key]) for key, edit in change.items()}
+        gen_out.write_text(json.dumps(dict(record, **change)) + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(gen_out)]) == 1
+        expected = expected.format(fed=fed, short=fed - 1, more=fed + 1, steps=fed,
+                                   peak=record["peak_entries"])
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {gen_out}: line 1: generation record {expected}"]
 
     @pytest.mark.parametrize("change, expected", [
         ({"labels": 5}, "labels is not a list of strings"),

@@ -34,7 +34,7 @@ class TestForwardStep:
     def test_first_token_attends_to_itself(self, small_model):
         cache = make_cache(small_model, CachePolicy.dense())
         step = forward_step(small_model, cache, Token.bos())
-        for rows in step.attention:
+        for rows in list(step.attention_rows())[-1][1]:
             assert rows.shape == (2, 1)
             assert np.all(rows == 1.0)
         assert np.all(np.isfinite(step.logits))
@@ -43,7 +43,7 @@ class TestForwardStep:
         cache = make_cache(small_model, CachePolicy.mmsink(2, 1, 2, 10))
         for tok in small_prompt.tokens:
             step = forward_step(small_model, cache, tok)
-            for rows in step.attention:
+            for rows in list(step.attention_rows())[-1][1]:
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
                 assert np.all(rows >= 0)
 
@@ -52,7 +52,7 @@ class TestForwardStep:
         for tok in small_prompt.tokens:
             before = cache.size
             step = forward_step(small_model, cache, tok)
-            assert step.attention[0].shape[1] == before + 1
+            assert list(step.attention_rows())[-1][1][0].shape[1] == before + 1
 
     def test_matches_batch_forward_under_dense(self, small_model, small_prompt):
         tokens = small_prompt.tokens
@@ -80,9 +80,10 @@ class TestForwardStep:
         keys = np.concatenate([cache.kv()[0, 0], k[:, None, :]], axis=1)
         vals = np.concatenate([cache.kv()[0, 1], v[:, None, :]], axis=1)
         step = forward_step(small_model, cache, tok)
+        layer0 = list(step.attention_rows())[-1][1][0]
         for h in range(cfg.heads):
             weights, _ = recompute_attention_row(q[h], keys[h], vals[h])
-            np.testing.assert_allclose(step.attention[0][h], weights, atol=1e-12)
+            np.testing.assert_allclose(layer0[h], weights, atol=1e-12)
 
     def test_mismatched_cache_dimensions(self, small_model):
         from mmsink.cachepolicy import KvCache
@@ -167,8 +168,9 @@ class TestForwardStepRuns:
                 want_keys = single.positions() + [single.t]
                 want = forward_step(small_model, single, token)
                 sizes += want.sizes
+                want_layers = list(want.attention_rows())[-1][1]
                 assert attended.tolist() == want_keys
-                for got_layer, want_layer in zip(layers, want.attention):
+                for got_layer, want_layer in zip(layers, want_layers):
                     np.testing.assert_allclose(got_layer, want_layer, rtol=0, atol=1e-12)
             assert step.sizes == sizes
             np.testing.assert_allclose(step.logits, want.logits, rtol=0, atol=1e-12)
@@ -529,7 +531,7 @@ def refeed(model, policy, result, prompt_len, predict_features):
         positions = cache.positions() + [cache.t]
         step = forward_step(model, cache, token)
         labels = [sq.token_label(result.tokens[p]) for p in positions]
-        for l, layer in enumerate(step.attention):
+        for l, layer in enumerate(list(step.attention_rows())[-1][1]):
             rows += [(cache.t, l, h, labels, positions, row) for h, row in enumerate(layer)]
         if i >= prompt_len:
             counts.append(cache.size)

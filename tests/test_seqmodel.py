@@ -417,3 +417,21 @@ class TestPromptSequence:
         story = synth_stories(1, items_per_story=2, rng_seed=2)[0]
         with pytest.raises(ValueError):
             sq.prompt_sequence(story, 3)
+
+
+class TestCsvValue:
+    @pytest.mark.parametrize("cell, value", [
+        ("12", 12), ("", None), ("0.5", 0.5), ("1e-05", 1e-05), ("-1.0", -1.0),
+        ("window", "window"), ("-5", "-5"), ("1_000", "1_000"), (" 1_0.5 ", " 1_0.5 "),
+        ("0.50", "0.50"), ("1e-5", "1e-5"), ("١", "١"),
+    ])
+    def test_a_float_is_read_only_from_its_repr(self, cell, value):
+        got = sq.csv_value(cell)
+        assert type(got) is type(value) and got == value
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 1e-300, 2.5e17, -0.0, 123.0])
+    def test_every_repr_reads_back(self, value):
+        assert sq.csv_value(repr(value)) == value
+
+    def test_nan_and_inf_are_floats_for_the_kinds_to_reject(self):
+        assert sq.csv_value("inf") == float("inf") and sq.csv_value("nan") != sq.csv_value("nan")
