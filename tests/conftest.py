@@ -120,35 +120,29 @@ def dump_rows(rows: list):
     return collect
 
 
-def dumps_from_maps(maps) -> list[list[dict]]:
-    """Attention dump rows for hand-built (labels, rows) causal maps, one run
-    per map, since a run gives each position one label.
+def records_from_maps(maps) -> list[attnstats.KeyMeans]:
+    """Key means of hand-built (labels, rows) causal maps, in order, each
+    folded from the dump of a run of its own, since a run gives each position
+    one label.
 
-    Each map becomes layer 0, head 0 of its own run. Row t-1 of a map becomes
-    step t's dump row over keys 0..t-1, plus every nonzero weight beyond them
-    (which the ingestion rejects as future keys).
+    Row t-1 of a map becomes step t's dump row (layer 0, head 0) over keys
+    0..t-1, plus every nonzero weight beyond them (which the ingestion
+    rejects as future keys).
     """
-    dumps = []
+    records = []
     for labels, rows in maps:
-        run = []
+        dump = []
         for t in range(1, len(rows) + 1):
             row = rows[t - 1]
             positions = [j for j in range(len(row)) if j < t or row[j] != 0.0]
-            run.append({
+            dump.append({
                 "t": t, "layer": 0, "head": 0,
                 "labels": [labels[j] for j in positions],
                 "positions": positions,
                 "row": [float(row[j]) for j in positions],
             })
-        dumps.append(run)
-    return dumps
-
-
-def records_from_maps(maps) -> list[attnstats.KeyMeans]:
-    """Key means of hand-built (labels, rows) maps, in order, each folded
-    from its dump rows as its own run."""
-    return [record for run in dumps_from_maps(maps)
-            for record in attnstats.records_from_dumps(run)]
+        records += attnstats.records_from_dumps(dump)
+    return records
 
 
 class TimeProfile(NamedTuple):
