@@ -189,12 +189,11 @@ def cmd_train_toy(args) -> int:
     _print_effective("train-toy", cfg, args)
     _at_least_one("train-toy", args, "synth_stories", "synth_len")
     if args.stories:
-        stories = seqmodel.read_stories(args.stories)
-        d_feat = cfg[("seqmodel", "d_feat")]
-        for story in stories:
-            if story.feat_dim != d_feat:
-                raise ConfigError(f"{args.stories}: story {story.story_id!r} has {story.feat_dim}"
-                                  f"-dimensional image features, [seqmodel] d_feat is {d_feat}")
+        stories = seqmodel.read_stories(args.stories)  # all of the first story's dimension
+        story, d_feat = stories[0], cfg[("seqmodel", "d_feat")]
+        if story.feat_dim != d_feat:
+            raise ConfigError(f"{args.stories}: story {story.story_id!r} has {story.feat_dim}"
+                              f"-dimensional image features, [seqmodel] d_feat is {d_feat}")
     else:
         stories = seqmodel.synth_stories(
             args.synth_stories,
@@ -426,7 +425,34 @@ def _validate_csv(path) -> str:
         for (name, kind), cell in zip(columns.items(), row):
             if not seqmodel.FIELD_KINDS[kind](seqmodel.csv_value(cell)):
                 raise ValueError(f"{path}: row {line} column {name!r}: {cell!r} is not {kind}")
+    if columns is bench.CSV_HEADER and rows:
+        _check_bench_rows(path, rows)
     return description.format(len(rows))
+
+
+def _check_bench_rows(path, rows) -> None:
+    """A benchmark CSV flattens one report: each policy's rows share its ``peak_entries``,
+    ``bytes``, ``mean_tok_s`` and ``validity``, ``mean_tok_s`` is empty in every row or
+    none, and each policy lists the first policy's checkpoints, in order."""
+    groups: dict[str, list] = {}  # policy -> (line, cells) of each of its rows
+    for line, row in enumerate(rows, start=2):
+        groups.setdefault(row[0], []).append((line, dict(zip(bench.CSV_HEADER, row))))
+    head = next(iter(groups.values()))  # the first policy's rows, row 2 first
+    ckpts, tok_s = [cells["ckpt"] for _, cells in head], head[0][1]["mean_tok_s"]
+    for policy, group in groups.items():
+        (at, first), own = group[0], [cells["ckpt"] for _, cells in group]
+        for line, cells in group:
+            for name in ("peak_entries", "bytes", "mean_tok_s", "validity"):
+                if cells[name] != first[name]:
+                    raise ValueError(f"{path}: row {line} column {name!r}: {cells[name]!r}, "
+                                     f"row {at} of policy {policy!r} has {first[name]!r}")
+        if (first["mean_tok_s"] == "") != (tok_s == ""):
+            raise ValueError(f"{path}: row {at} column 'mean_tok_s': {first['mean_tok_s']!r}, "
+                             f"row 2 has {tok_s!r}")
+        if own != ckpts:
+            line = next((ln for (ln, _), a, b in zip(group, own, ckpts) if a != b), group[-1][0])
+            raise ValueError(f"{path}: row {line} column 'ckpt': policy {policy!r} lists "
+                             f"checkpoints {','.join(own)}, the first policy {','.join(ckpts)}")
 
 
 def _validate_one(path) -> str:

@@ -208,10 +208,10 @@ def load_model(path) -> Model:
 
 
 def model_from_payload(payload, path) -> Model:
-    """The model a parsed :func:`save_model` file holds. A config key that is
-    unknown, missing or not an integer, and a weight that is missing, has
-    another shape than the config gives, or is not that many finite numbers,
-    raise :class:`ConfigError` naming the file ``path`` and the key or weight."""
+    """The model a parsed :func:`save_model` file holds. A config key that is unknown,
+    missing or not an integer, and a weight that is unknown, missing, has another shape
+    than the config gives, or is not that many finite numbers, raise :class:`ConfigError`
+    naming the file ``path`` and the key or weight."""
     if not isinstance(payload, dict) or payload.get("format") != "mmsink-model-v1":
         raise ConfigError(f"{path}: not a model file")
     for part in ("config", "weights"):
@@ -228,10 +228,12 @@ def model_from_payload(payload, path) -> Model:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        entry = payload["weights"].get(name)
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: missing weight {name}")
+    shapes = param_shapes(config)
+    for name in sorted(payload["weights"].keys() | shapes.keys()):
+        entry, shape = payload["weights"].get(name), shapes.get(name)
+        if shape is None or not isinstance(entry, dict):
+            problem = f"weight {name!r} is unknown" if shape is None else f"missing weight {name}"
+            raise ConfigError(f"{path}: {problem}")
         got, data, size = entry.get("shape"), entry.get("data"), math.prod(shape)
         if got != list(shape) or any(type(n) is not int for n in got):
             raise ConfigError(f"{path}: weight {name}: shape {got!r}, "

@@ -569,6 +569,7 @@ FIELD_KINDS = {
     "a non-negative finite number": _in(0, _MAX, int, float),
     "a number in [0, 1]": _in(0, 1, int, float),
     "a finite number or null": lambda value: value is None or _FINITE(value),
+    "a list of finite numbers": _list_of(_FINITE),
     "a list": _is(list),
     "'synthetic' or 'generated'": lambda value: value in ("synthetic", "generated"),
     "a list of strings": _list_of(_is(str)),
@@ -614,45 +615,36 @@ def write_csv(path, header: Iterable[str], rows) -> None:
         writer.writerows(rows)
 
 
-def read_stories(path) -> list[Story]:
-    """Read a JSON-lines story file, validating structure per line.
+# what a story line and each of its items hold (see FIELD_KINDS)
+STORY_FIELDS = {"story_id": "a string", "items": "a list"}
+ITEM_FIELDS = {"text": "a string", "image_feature": "a list of finite numbers"}
 
-    Raises :class:`StoryFormatError` naming the file and line, and the
-    item for a text that is not a string or a feature that is not a list of
-    finite numbers (bools are not numbers), is empty, has zero norm, or
-    differs in length from the first; and the story for one whose feature
-    length differs from the first story's; and the file for one that holds
-    no story.
-    """
+
+def read_stories(path) -> list[Story]:
+    """Read a JSON-lines story file: one :data:`STORY_FIELDS` object a line,
+    each item an :data:`ITEM_FIELDS` object. Raises :class:`StoryFormatError`
+    naming the file and line, and the item for one that fails its fields or
+    whose feature has zero norm or another length than the first; and the
+    story for one with no items or another feature length than the first
+    story's; and the file for one that holds no story."""
     stories = []
     try:
         for lineno, record in jsonl_objects(path):
-            where = f"line {lineno}"
-            if "story_id" not in record:
-                raise StoryFormatError(f"{where}: missing story_id")
-            if "items" not in record or not isinstance(record["items"], list) or not record["items"]:
-                raise StoryFormatError(f"{where}: missing or empty items")
-            items = []
-            for i, raw in enumerate(record["items"]):
-                if not isinstance(raw, dict) or "text" not in raw or "image_feature" not in raw:
-                    raise StoryFormatError(f"{where}: item {i}: missing text or image_feature")
-                if not isinstance(raw["text"], str):
-                    raise StoryFormatError(f"{where}: item {i}: text must be a string")
-                feat = raw["image_feature"]
-                if not isinstance(feat, list) or not set(map(type, feat)) <= {int, float}:
-                    raise StoryFormatError(f"{where}: item {i}: image_feature must be a number list")
-                if not all(abs(x) <= sys.float_info.max for x in feat):  # NaN, inf, too large
-                    raise StoryFormatError(f"{where}: item {i}: non-finite image_feature")
-                if feat and not any(feat):
-                    raise StoryFormatError(f"{where}: item {i}: image_feature has zero norm")
-                items.append(StoryItem(raw["text"], tuple(float(x) for x in feat)))
-            try:  # Story checks that every feature has the first one's nonzero length
-                story = Story(str(record["story_id"]), tuple(items))
+            where = f"line {lineno}:"
+            check_fields(record, STORY_FIELDS, where)
+            for i, item in enumerate(record["items"]):
+                check_fields(item, ITEM_FIELDS, f"{where} item {i}")
+                if item["image_feature"] and not any(item["image_feature"]):
+                    raise ValueError(f"{where} item {i} image_feature has zero norm")
+            try:  # Story checks that there are items, all of the first one's nonzero length
+                story = Story(record["story_id"], tuple(
+                    StoryItem(item["text"], tuple(map(float, item["image_feature"])))
+                    for item in record["items"]))
             except ValueError as exc:
-                raise StoryFormatError(f"{where}: {exc}") from None
+                raise ValueError(f"{where} {exc}") from None
             if stories and story.feat_dim != stories[0].feat_dim:
-                raise StoryFormatError(
-                    f"{where}: story {story.story_id!r} has {story.feat_dim}-dimensional "
+                raise ValueError(
+                    f"{where} story {story.story_id!r} has {story.feat_dim}-dimensional "
                     f"image features, the first story has {stories[0].feat_dim}")
             stories.append(story)
     except ValueError as exc:  # a line jsonl_objects or the checks above rejected

@@ -263,13 +263,25 @@ class TestValidate:
          "row 2 column 'ce': ' 1_0.5 ' is not a non-negative finite number"),
         ("cat.csv", "category,share\nstarting,0.50\n",
          "row 2 column 'share': '0.50' is not a number in [0, 1]"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
+         "dense,10,4,,8,0.0,0.0,1.0\n",
+         "row 3 column 'peak_entries': '10', row 2 of policy 'dense' has '9'"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,0.001,4,0.0,0.0,1.0\n"
+         "window,8,4,,4,0.0,0.0,1.0\n", "row 3 column 'mean_tok_s': '', row 2 has '0.001'"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
+         "dense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,8,0.0,0.0,1.0\nwindow,8,4,,4,0.0,0.0,1.0\n",
+         "row 4 column 'ckpt': policy 'window' lists checkpoints 8,4, the first policy 4,8"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
+         "dense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,4,0.0,0.0,1.0\n",
+         "row 4 column 'ckpt': policy 'window' lists checkpoints 4, the first policy 4,8"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
             "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type",
             "bench-cell", "bench-timing-cell", "bench-ckpt-cell", "bench-underscore-count",
             "bench-negative-count", "bench-nan-timing", "bench-inf-diff", "bench-negative-kl",
             "bench-validity", "bench-numeric-policy", "occurrence-negative-count",
             "category-share", "curve-nan", "curve-negative-step", "curve-spaced-underscored",
-            "share-not-a-repr"])
+            "share-not-a-repr", "bench-policy-cells", "bench-partly-timed",
+            "bench-checkpoint-order", "bench-checkpoint-missing"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
@@ -505,6 +517,8 @@ _MODEL_DEFECTS = {
                     "weight lnf_b: data is not a list of 8 values"),
     "non-numeric-data": (lambda p: p["weights"]["queries"]["data"].__setitem__(3, "0.5"),
                          "weight queries: value '0.5' is not a number"),
+    "unknown-weight": (lambda p: p["weights"].update(bogus={"shape": [1], "data": [1.0]}),
+                       "weight 'bogus' is unknown"),
 }
 
 
@@ -529,10 +543,10 @@ class TestMalformedFiles:
         assert not (tmp_path / "g.jsonl").exists()
 
     @pytest.mark.parametrize("feature, expected", [
-        ([0.0, 0.0], "item 1: image_feature has zero norm"),
-        ([float("nan"), 1.0], "item 1: non-finite image_feature"),
-        ([10**400, 1.0], "item 1: non-finite image_feature"),
-        ([True, 1.0], "item 1: image_feature must be a number list"),
+        ([0.0, 0.0], "item 1 image_feature has zero norm"),
+        ([float("nan"), 1.0], "item 1 image_feature is not a list of finite numbers"),
+        ([10**400, 1.0], "item 1 image_feature is not a list of finite numbers"),
+        ([True, 1.0], "item 1 image_feature is not a list of finite numbers"),
     ], ids=["zeros", "nan", "too-large", "bool"])
     def test_bad_story_feature_is_one_line_error(self, tmp_path, capsys, feature, expected):
         """validate and train-toy both reject the story file at its line and item."""
@@ -551,17 +565,21 @@ class TestMalformedFiles:
             assert err.count(str(path)) == 1, err
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("second, expected", [
-        ({"text": 5, "image_feature": [1.0, 0.0]}, "line 2: item 0: text must be a string"),
-        ({"text": "b", "image_feature": [1.0]},
+    @pytest.mark.parametrize("change, expected", [
+        ({"items": [{"text": 5, "image_feature": [1.0, 0.0]}]},
+         "line 2: item 0 text is not a string"),
+        ({"items": [{"text": "b", "image_feature": [1.0]}]},
          "line 2: story 's1' has 1-dimensional image features, the first story has 2"),
-    ], ids=["text-not-a-string", "feature-dimension"])
-    def test_unusable_story_is_one_line_error(self, tmp_path, capsys, second, expected):
-        """validate and train-toy both reject a story train-toy could not use."""
+        ({"story_id": None}, "line 2: story_id is not a string"),
+        ({"story_id": 5}, "line 2: story_id is not a string"),
+    ], ids=["text-not-a-string", "feature-dimension", "null-story-id", "numeric-story-id"])
+    def test_unusable_story_is_one_line_error(self, tmp_path, capsys, change, expected):
+        """validate and train-toy both reject a story train-toy could not use: the
+        second line is the first with ``change`` applied."""
         path = tmp_path / "s.jsonl"
-        path.write_text(
-            json.dumps({"story_id": "s0", "items": [{"text": "a", "image_feature": [1.0, 0.0]}]})
-            + "\n" + json.dumps({"story_id": "s1", "items": [second]}) + "\n")
+        first = {"story_id": "s0", "items": [{"text": "a", "image_feature": [1.0, 0.0]}]}
+        path.write_text(json.dumps(first) + "\n"
+                        + json.dumps({**first, "story_id": "s1", **change}) + "\n")
         for args in (["validate", str(path)],
                      ["train-toy", "--stories", str(path), "--steps", "1",
                       "--model-out", str(tmp_path / "m.json")]):

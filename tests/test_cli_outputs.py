@@ -26,9 +26,9 @@ def _matrix(root: Path) -> Path:
     return root
 
 
-def test_matrix_has_thirty_two_files():
+def test_matrix_has_thirty_six_files():
     names = cli_outputs.file_names()
-    assert len(names) == len(set(names)) == 32
+    assert len(names) == len(set(names)) == 36
 
 
 @pytest.mark.parametrize("a_text, b_text, code, verdict", [

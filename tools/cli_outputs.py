@@ -3,7 +3,7 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 32
+The first form runs the fixed set of CLI commands below, writing their 36
 output files into OUT (the four attention dumps that ``stats`` reads under
 OUT/dumps/), and prints one SHA-256 per file. ``--src`` picks the source
 tree to run (default: this checkout's ``src``), so the same script can write
@@ -79,6 +79,17 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
                  ["train-flags-model.json", "train-flags-curve.csv"]))
     runs.append((["synth", "--stories", "3", "--len", "5", "--d-feat", "4",
                   "--out", out / "synth-stories.jsonl"], ["synth-stories.jsonl"]))
+    # a story file at the desk d_feat through train-toy, and a trained model through gen:
+    # the runs that read a story file and a model file
+    runs.append((["synth", "--stories", "4", "--len", "3",
+                  "--out", out / "synth-desk-stories.jsonl"], ["synth-desk-stories.jsonl"]))
+    runs.append((["train-toy", "--stories", out / "synth-desk-stories.jsonl", "--steps", "5",
+                  "--model-out", out / "train-stories-model.json",
+                  "--curve-out", out / "train-stories-curve.csv"],
+                 ["train-stories-model.json", "train-stories-curve.csv"]))
+    runs.append((["gen", "--model", out / "train-model.json", "--steps", "256",
+                  "--boi-every", "24", "--features", "--out", out / "gen-trained.jsonl"],
+                 ["gen-trained.jsonl"]))
     runs.append((["stats", "--dumps", out / "dumps/gen-mmsink.dump.jsonl",
                   "--occ-out", out / "stats-occurrence.csv",
                   "--cat-out", out / "stats-category.csv"],
