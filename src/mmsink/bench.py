@@ -14,6 +14,7 @@ functional report is fully deterministic so repeated runs are byte-equal.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 
@@ -67,25 +68,40 @@ def synthetic_trajectory(
     Story items (text plus one image block each) are appended after the
     prompt and truncated to the requested step count.
     """
-    m = prompt.m
     continuation: list[Token] = []
-    story_seed = seed
-    while len(continuation) < total_steps:
+    for story_seed in itertools.count(seed):
         for story in synth_stories(4, items_per_story=8, rng_seed=story_seed, d_feat=4):
             for item in story.items:
-                continuation.extend(item_tokens(item, m, v_text))
+                continuation.extend(item_tokens(item, prompt.m, v_text))
                 if len(continuation) >= total_steps:
-                    break
-            if len(continuation) >= total_steps:
-                break
-        story_seed += 1
-    return list(prompt.tokens) + continuation[:total_steps]
+                    return list(prompt.tokens) + continuation[:total_steps]
 
 
 def default_checkpoints(prompt_len: int, total_steps: int) -> list[int]:
     """Quartile prefix lengths across the generated region."""
-    ts = sorted({prompt_len + max(1, (total_steps * q) // 4) for q in (1, 2, 3, 4)})
-    return [t for t in ts if t <= prompt_len + total_steps]
+    return sorted({prompt_len + max(1, (total_steps * q) // 4) for q in (1, 2, 3, 4)})
+
+
+def check_run(run: dict, kinds: list[str]) -> None:
+    """Raise :class:`ConfigError` for run keys (a report's, ``policies`` aside) or policy
+    kinds that no benchmark run may take."""
+    if run["repeats"] < 1:
+        raise ConfigError("repeats must be at least 1")
+    if run["total_steps"] < 1:
+        raise ConfigError("total_steps must be at least 1")
+    if run["trajectory"] not in ("synthetic", "generated"):
+        raise ConfigError(f"unknown trajectory source {run['trajectory']!r}")
+    if not kinds:
+        raise ConfigError("no policies to benchmark")
+    repeated = [kind for kind in dict.fromkeys(kinds) if kinds.count(kind) > 1]
+    if repeated:
+        raise ConfigError(f"policy kinds {repeated} given more than once")
+    checkpoints, end = run["checkpoints"], run["prompt_len"] + run["total_steps"]
+    bad = [t for t in checkpoints if t < 1 or t > end]
+    if bad:
+        raise ConfigError(f"checkpoints {bad} outside 1..{end}")
+    if not checkpoints or checkpoints != sorted(set(checkpoints)):
+        raise ConfigError(f"checkpoints {checkpoints} are empty, unsorted or repeated")
 
 
 def run_benchmark(
@@ -116,34 +132,21 @@ def run_benchmark(
     must fit the model's position table, or :class:`ConfigError` is raised
     before any compute.
     """
-    if repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    if total_steps < 1:
-        raise ConfigError("total_steps must be at least 1")
-    if trajectory not in ("synthetic", "generated"):
-        raise ConfigError(f"unknown trajectory source {trajectory!r}")
-    if not policies:
-        raise ConfigError("no policies to benchmark")
-    kinds = [policy.kind for policy in policies]
-    repeated = [kind for kind in dict.fromkeys(kinds) if kinds.count(kind) > 1]
-    if repeated:
-        raise ConfigError(f"policy kinds {repeated} given more than once")
-    for policy in policies:
-        policy.check_block_length(model.config.m)
-
     cfg = model.config
     prompt_len = len(prompt)
     if checkpoints is None:
         checkpoints = default_checkpoints(prompt_len, total_steps)
-    bad = [t for t in checkpoints if t < 1 or t > prompt_len + total_steps]
-    if bad:
-        raise ConfigError(f"checkpoints {bad} outside 1..{prompt_len + total_steps}")
+    checkpoints = sorted(set(checkpoints))
+    run = {"prompt_len": prompt_len, "total_steps": total_steps, "checkpoints": checkpoints,
+           "repeats": repeats, "seed": seed, "timing": timing, "trajectory": trajectory}
+    check_run(run, [policy.kind for policy in policies])
+    for policy in policies:
+        policy.check_block_length(cfg.m)
     if prompt_len + total_steps > cfg.max_positions:
         raise ConfigError(
             f"run of {prompt_len} prompt + {total_steps} steps exceeds "
             f"the position table ({cfg.max_positions})"
         )
-    checkpoints = sorted(set(checkpoints))
 
     if trajectory == "synthetic":
         tokens = synthetic_trajectory(prompt, total_steps, seed, cfg.v_text)
@@ -175,16 +178,7 @@ def run_benchmark(
             "validity": valid / attempted if attempted else 1.0,
             "divergence": [divergence(t, dense_logits[t], policy_logits[t]) for t in checkpoints],
         })
-    return {
-        "prompt_len": prompt_len,
-        "total_steps": total_steps,
-        "checkpoints": checkpoints,
-        "repeats": repeats,
-        "seed": seed,
-        "timing": timing,
-        "trajectory": trajectory,
-        "policies": results,
-    }
+    return {**run, "policies": results}
 
 
 def write_report_csv(report: dict, path) -> None:
@@ -205,13 +199,19 @@ def write_report_json(report: dict, path) -> None:
 
 
 def check_report(payload, where) -> None:
-    """A key missing or outside its kind, a ``mean_tok_s`` null exactly where ``timing``
-    is on, or a divergence whose checkpoints are not the report's, raises
-    :class:`ValueError` naming ``where``, the entry and the key."""
+    """A key missing or outside its kind, an entry :class:`CachePolicy` rejects, a ``mean_tok_s``
+    null exactly where ``timing`` is on, a divergence not at the checkpoints, or a run
+    :func:`check_run` rejects raises :class:`ValueError` naming ``where``, entry and key."""
     check_fields(payload, REPORT_FIELDS, f"{where}:")
     for i, entry in enumerate(payload["policies"]):
         at = f"{where}: policies[{i}]"
         check_fields(entry, POLICY_FIELDS, at)
+        if not entry["params"].keys() <= CachePolicy.dense().params().keys():
+            raise ValueError(f"{at} params may only hold {list(CachePolicy.dense().params())}")
+        try:
+            CachePolicy(entry["policy"], **entry["params"])
+        except ConfigError as exc:
+            raise ValueError(f"{at} {exc}") from None
         if (entry["mean_tok_s"] is None) == payload["timing"]:
             raise ValueError(f"{at} mean_tok_s is {json.dumps(entry['mean_tok_s'])}, "
                              f"timing is {json.dumps(payload['timing'])}")
@@ -221,4 +221,8 @@ def check_report(payload, where) -> None:
         if ts != payload["checkpoints"]:
             raise ValueError(f"{at} divergence at t={ts}, "
                              f"the checkpoints are {payload['checkpoints']}")
+    try:
+        check_run(payload, [entry["policy"] for entry in payload["policies"]])
+    except ConfigError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 

@@ -23,13 +23,7 @@ import sys
 from . import attnstats, bench, engine, losses, seqmodel
 from .cachepolicy import KIND_PARAMS, POLICY_KINDS, CachePolicy
 from .engine import Model, ModelConfig
-from .errors import (
-    ConfigError,
-    SequenceGrammarError,
-    StateError,
-    StoryFormatError,
-    TrainingDiverged,
-)
+from .errors import ConfigError, StateError, TrainingDiverged
 
 # the ModelConfig fields each config section sets; their desk values are its defaults
 _MODEL_KEYS = [(section, key) for section, keys in (
@@ -95,35 +89,24 @@ def _load_config_file(path) -> dict[tuple[str, str], object]:
 def _resolve_config(args):
     """Profile defaults, then config file, then flags. A flag that sets a
     config key has that key, ``section.key``, as its dest. Returns (cfg, seed)."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    profile = getattr(args, "profile", None) or file_values.get(("cli", "profile")) or "desk"
+    file_values = _load_config_file(args.config) if args.config else {}
+    flags = {tuple(k.split(".")): v for k, v in vars(args).items() if "." in k and v is not None}
+    cfg = {("cli", "profile"): "desk", **file_values, **flags}
+    profile = cfg[("cli", "profile")]
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
-    cfg = dict(PROFILES[profile])
-    cfg.update({k: v for k, v in file_values.items() if k != ("cli", "profile")})
-    cfg.update({tuple(k.split(".")): v for k, v in vars(args).items()
-                if "." in k and v is not None})
-    cfg[("cli", "profile")] = profile
-
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.get(("cli", "seed"))
-    if seed is None:
-        env = os.environ.get("MMSINK_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"MMSINK_SEED must be an integer, got {env!r}") from exc
-    if seed is None:
-        seed = 0
-    cfg[("cli", "seed")] = int(seed)
-    return cfg, int(seed)
+    cfg = {**PROFILES[profile], **cfg}
+    if ("cli", "seed") not in cfg:
+        env = os.environ.get("MMSINK_SEED", "0")
+        try:
+            cfg[("cli", "seed")] = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"MMSINK_SEED must be an integer, got {env!r}") from exc
+    return cfg, cfg[("cli", "seed")]
 
 
-# dests not printed as ``command.dest``: argparse's own, and those the config
-# lines already resolve (the config file's values, the profile and the seed)
-_UNPRINTED = {"func", "command", "config", "profile", "seed"}
+# dests not printed as ``command.dest``: argparse's own, and the config file's path
+_UNPRINTED = {"func", "command", "config"}
 
 
 def _print_effective(command: str, cfg: dict, args) -> None:
@@ -425,17 +408,21 @@ def _validate_csv(path) -> str:
         for (name, kind), cell in zip(columns.items(), row):
             if not seqmodel.FIELD_KINDS[kind](seqmodel.csv_value(cell)):
                 raise ValueError(f"{path}: row {line} column {name!r}: {cell!r} is not {kind}")
-    if columns is bench.CSV_HEADER and rows:
+    if columns is bench.CSV_HEADER:
         _check_bench_rows(path, rows)
     return description.format(len(rows))
 
 
 def _check_bench_rows(path, rows) -> None:
-    """A benchmark CSV flattens one report: each policy's rows share its ``peak_entries``,
-    ``bytes``, ``mean_tok_s`` and ``validity``, ``mean_tok_s`` is empty in every row or
-    none, and each policy lists the first policy's checkpoints, in order."""
+    """A benchmark CSV flattens one report: it has rows, each policy's contiguous rows share
+    its ``peak_entries``, ``bytes``, ``mean_tok_s`` and ``validity``, ``mean_tok_s`` is empty
+    in every row or none, and each policy lists the first policy's checkpoints, in order."""
+    if not rows:
+        raise ValueError(f"{path}: benchmark report with no rows")
     groups: dict[str, list] = {}  # policy -> (line, cells) of each of its rows
     for line, row in enumerate(rows, start=2):
+        if row[0] in groups and row[0] != list(groups)[-1]:  # seen, but not in the row above
+            raise ValueError(f"{path}: row {line}: policy {row[0]!r} resumes after another")
         groups.setdefault(row[0], []).append((line, dict(zip(bench.CSV_HEADER, row))))
     head = next(iter(groups.values()))  # the first policy's rows, row 2 first
     ckpts, tok_s = [cells["ckpt"] for _, cells in head], head[0][1]["mean_tok_s"]
@@ -494,8 +481,8 @@ def cmd_validate(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--profile", choices=sorted(PROFILES), help="parameter profile")
-    sub.add_argument("--seed", type=int, help="run seed (fallback: MMSINK_SEED, then 0)")
+    _key_flag(sub, "--profile", "cli.profile", choices=sorted(PROFILES), help="parameter profile")
+    _key_flag(sub, "--seed", "cli.seed", help="run seed (fallback: MMSINK_SEED, then 0)")
 
 
 def _key_flag(sub, flag: str, key: str, **kwargs) -> None:
@@ -591,8 +578,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, StoryFormatError, SequenceGrammarError, StateError,
-            TrainingDiverged, ValueError, OSError) as exc:
+    except (StateError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -42,6 +42,7 @@ from .seqmodel import (
     DEFAULT_V_TEXT,
     MultimodalSequence,
     Token,
+    image_block_tokens,
     token_from_vocab_id,
     vocab_id,
     vocab_size,
@@ -565,7 +566,7 @@ def generate(
 
     last = feed(prompt.tokens)
 
-    closing = [Token.img(s) for s in range(cfg.m)] + [Token.eoi()]
+    closing = image_block_tokens(cfg.m)[1:]  # a block after its begin marker
     generated: list[Token] = []
     while len(generated) < steps or (constrained and cache.in_block):
         if constrained and cache.in_block:

@@ -406,13 +406,21 @@ class TrainingSample:
         return [(b, e) for (b, e) in self.sequence.image_blocks if self.loss_mask[b]]
 
 
-def _image_block_tokens(m: int) -> list[Token]:
+def image_block_tokens(m: int) -> list[Token]:
     return [Token.boi(), *(Token.img(s) for s in range(m)), Token.eoi()]
 
 
 def item_tokens(item: StoryItem, m: int, v_text: int) -> list[Token]:
     """Tokens contributed by one story item: its text then its image block."""
-    return tokenize_text(item.text, v_text) + _image_block_tokens(m)
+    return tokenize_text(item.text, v_text) + image_block_tokens(m)
+
+
+def _story_tokens(story: Story, items: int, m: int, v_text: int) -> list[Token]:
+    """BOS, the start marker, then the tokens of the first ``items`` story items."""
+    tokens = [Token.bos()] + tokenize_text(START_MARKER_TEXT, v_text)
+    for item in story.items[:items]:
+        tokens.extend(item_tokens(item, m, v_text))
+    return tokens
 
 
 def prompt_sequence(
@@ -424,10 +432,7 @@ def prompt_sequence(
     """Build a generation prompt from the first ``items`` story items (no EOS)."""
     if not 1 <= items <= len(story.items):
         raise ValueError(f"items {items} out of range 1..{len(story.items)}")
-    tokens = [Token.bos()] + tokenize_text(START_MARKER_TEXT, v_text)
-    for item in story.items[:items]:
-        tokens.extend(item_tokens(item, m, v_text))
-    return MultimodalSequence.from_tokens(tokens, m)
+    return MultimodalSequence.from_tokens(_story_tokens(story, items, m, v_text), m)
 
 
 def assemble_training_sequence(
@@ -447,20 +452,12 @@ def assemble_training_sequence(
         raise ValueError(
             f"sampled_len {sampled_len} out of range 1..{len(story.items)}"
         )
-    tokens = [Token.bos()] + tokenize_text(START_MARKER_TEXT, v_text)
-    mask = [False] * len(tokens)
-    for item in story.items[: sampled_len - 1]:
-        toks = item_tokens(item, m, v_text)
-        tokens.extend(toks)
-        mask.extend([False] * len(toks))
+    context = _story_tokens(story, sampled_len - 1, m, v_text)
     target_item = story.items[sampled_len - 1]
-    toks = item_tokens(target_item, m, v_text)
-    tokens.extend(toks)
-    mask.extend([True] * len(toks))
-    tokens.append(Token.eos())
-    mask.append(True)
-    seq = MultimodalSequence.from_tokens(tokens, m)
-    return TrainingSample(seq, tuple(mask), (target_item.image_feature,))
+    target = item_tokens(target_item, m, v_text) + [Token.eos()]
+    seq = MultimodalSequence.from_tokens(context + target, m)
+    mask = (False,) * len(context) + (True,) * len(target)
+    return TrainingSample(seq, mask, (target_item.image_feature,))
 
 
 # Small template grammar for synthetic story text. Words are plain so the

@@ -274,6 +274,10 @@ class TestValidate:
         ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
          "dense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,4,0.0,0.0,1.0\n",
          "row 4 column 'ckpt': policy 'window' lists checkpoints 4, the first policy 4,8"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\n", "benchmark report with no rows"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
+         "window,8,4,,4,0.0,0.0,1.0\ndense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,8,0.0,0.0,1.0\n",
+         "row 4: policy 'dense' resumes after another"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
             "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type",
             "bench-cell", "bench-timing-cell", "bench-ckpt-cell", "bench-underscore-count",
@@ -281,7 +285,8 @@ class TestValidate:
             "bench-validity", "bench-numeric-policy", "occurrence-negative-count",
             "category-share", "curve-nan", "curve-negative-step", "curve-spaced-underscored",
             "share-not-a-repr", "bench-policy-cells", "bench-partly-timed",
-            "bench-checkpoint-order", "bench-checkpoint-missing"])
+            "bench-checkpoint-order", "bench-checkpoint-missing", "bench-no-rows",
+            "bench-policies-interleaved"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
@@ -319,11 +324,13 @@ class TestValidate:
          "policies[0] divergence[0] max_logit_diff is not a non-negative finite number"),
         ({"divergence": [{"t": -4, "max_logit_diff": 0.0, "kl": 0.0}]},
          "policies[0] divergence[0] t is not a count"),
+        ({"params": {"window": 0}}, "policies[0] window policy needs a positive window, got 0"),
+        ({"params": {"window": 8, "k_tail": 2}}, "policies[0] window policy takes no k_tail, got 2"),
     ], ids=["issue-entry", "policy", "params-value", "params-list", "bool-bytes", "timing",
             "bool-validity", "divergence", "checkpoint-type", "checkpoint-key", "kl",
             "checkpoint-t", "range-entry", "negative-bytes", "validity-above-one",
             "negative-validity", "infinite-timing", "nan-kl", "negative-logit-diff",
-            "negative-t"])
+            "negative-t", "params-out-of-range", "params-not-read"])
     def test_rejects_bench_json_values(self, tmp_path, capsys, change, expected):
         entry = {"policy": "window", "params": {"window": 8}, "peak_entries": 9, "bytes": 1,
                  "mean_tok_s": None, "validity": 1.0,
@@ -347,14 +354,34 @@ class TestValidate:
         ({"trajectory": "dense"}, None, "trajectory is not 'synthetic' or 'generated'"),
         ({"timing": True}, [0.001, None], "policies[1] mean_tok_s is null, timing is true"),
         ({}, [None, 0.001], "policies[1] mean_tok_s is 0.001, timing is false"),
+        ({"policies": lambda ps: [ps[0], ps[0]]}, None,
+         "policy kinds ['window'] given more than once"),
+        ({"policies": []}, None, "no policies to benchmark"),
+        ({"checkpoints": lambda ts: ts[::-1], "policies": lambda ps: [
+            dict(e, divergence=e["divergence"][::-1]) for e in ps]}, None,
+         "checkpoints [43, 39, 35, 31] are empty, unsorted or repeated"),
+        ({"checkpoints": lambda ts: ts[:-1] + [1000000], "policies": lambda ps: [
+            dict(e, divergence=e["divergence"][:-1] + [dict(e["divergence"][-1], t=1000000)])
+            for e in ps]}, None, "checkpoints [1000000] outside 1..43"),
+        ({"policies": lambda ps: [ps[0], dict(ps[1], policy="bogus")]}, None,
+         "policies[1] unknown policy kind 'bogus', expected one of "
+         "('dense', 'window', 'sink', 'mmsink')"),
+        ({"policies": lambda ps: [ps[0], dict(ps[1], params={"x": 1})]}, None,
+         "policies[1] params may only hold ['window', 'n_sink', 'k_head', 'k_tail']"),
+        ({"repeats": 0}, None, "repeats must be at least 1"),
+        ({"total_steps": 0}, None, "total_steps must be at least 1"),
     ], ids=["issue-report", "float-prompt-len", "negative-repeats", "string-seed",
             "string-timing", "int-timing", "int-trajectory", "unknown-trajectory",
-            "timed-without-a-time", "untimed-with-a-time"])
+            "timed-without-a-time", "untimed-with-a-time", "repeated-kind", "no-policies",
+            "reversed-checkpoints", "checkpoint-past-the-run", "unknown-kind",
+            "unknown-param", "zero-repeats", "zero-steps"])
     def test_rejects_bench_json_run_keys(self, tmp_path, capsys, change, times, expected):
         path = tmp_path / "bench.json"
         assert main(["bench", "--policies", "window,sink", "--steps", "16", "--window", "8",
                      "--report", str(tmp_path / "bench.csv"), "--json", str(path)]) == 0
         report = json.loads(path.read_text())
+        change = {key: value(report[key]) if callable(value) else value
+                  for key, value in change.items()}
         if times:
             change = dict(change, policies=[dict(entry, mean_tok_s=t)
                                             for entry, t in zip(report["policies"], times)])
@@ -604,12 +631,14 @@ class TestMalformedFiles:
 
 
 # the config keys each subcommand's flags set, as their dests
+_COMMON_KEYS = {"cli.profile", "cli.seed"}
 _FLAG_KEYS = {
-    "synth": {"seqmodel.items_per_story", "seqmodel.d_feat"},
-    "train-toy": {"losses.steps", "losses.lr", "losses.lam"},
-    "gen": {f"cachepolicy.{k}" for k in ("policy", "window", "n_sink", "k_head", "k_tail")},
-    "stats": {"cachepolicy.k_head", "cachepolicy.k_tail"},
-    "bench": {f"cachepolicy.{k}" for k in ("window", "n_sink", "k_head", "k_tail")}
+    "synth": _COMMON_KEYS | {"seqmodel.items_per_story", "seqmodel.d_feat"},
+    "train-toy": _COMMON_KEYS | {"losses.steps", "losses.lr", "losses.lam"},
+    "gen": _COMMON_KEYS
+    | {f"cachepolicy.{k}" for k in ("policy", "window", "n_sink", "k_head", "k_tail")},
+    "stats": _COMMON_KEYS | {"cachepolicy.k_head", "cachepolicy.k_tail"},
+    "bench": _COMMON_KEYS | {f"cachepolicy.{k}" for k in ("window", "n_sink", "k_head", "k_tail")}
     | {f"bench.{k}" for k in ("steps", "checkpoints", "repeats", "timing")},
     "validate": set(),
 }
@@ -752,6 +781,29 @@ class TestConfigHandling:
               "--out", str(out)])
         assert "cli.seed = 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ini, flags, env, seed, profile", [
+        ("seed = 7\n", ["--seed", "3"], "99", 3, "desk"),
+        ("seed = 7\n", [], "99", 7, "desk"),
+        ("", [], "99", 99, "desk"),
+        ("", [], None, 0, "desk"),
+        ("profile = paper-faithful\n", ["--profile", "desk"], None, 0, "desk"),
+        ("profile = paper-faithful\n", [], None, 0, "paper-faithful"),
+    ], ids=["seed-flag-over-file", "seed-file-over-env", "seed-env-over-default",
+            "seed-default", "profile-flag-over-file", "profile-file-over-desk"])
+    def test_cli_key_precedence(self, tmp_path, capsys, monkeypatch, ini, flags, env, seed,
+                                profile):
+        """[cli] seed: flag, file, MMSINK_SEED, 0; [cli] profile: flag, file, desk."""
+        if env is None:
+            monkeypatch.delenv("MMSINK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MMSINK_SEED", env)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[cli]\n" + ini)
+        assert main(["synth", "--config", str(cfg), *flags, "--stories", "1", "--len", "1",
+                     "--out", str(tmp_path / "s.jsonl")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  cli.seed = {seed}" in lines and f"  cli.profile = {profile}" in lines
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path):
@@ -815,6 +867,16 @@ class TestExitCodes:
                      "--report", str(report)]) == 1
         err = capsys.readouterr().err
         assert "error: ConfigError: policy kinds ['window'] given more than once" in err
+        assert not report.exists()
+
+    def test_empty_checkpoint_list_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
+        report = tmp_path / "r.csv"
+        assert main(["bench", "--checkpoints", ",", "--steps", "32",
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigError: checkpoints [] are empty, unsorted or repeated"]
         assert not report.exists()
 
     @pytest.mark.parametrize("boi_every", ["-3", "0"])
