@@ -133,6 +133,8 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
         for name, value in zip(DUMP_FIELDS, (row_t, layer, head)):
             if type(value) is not int:
                 raise ValueError(f"{where}: {name} {value!r} is not an integer")
+        if min(layer, head) < 0:
+            raise ValueError(f"{where}: layer and head must be non-negative")
         key = layer, head
         t, acc = last_t[key] + 1, acc_of[key]
         if row_t != t:

@@ -2,7 +2,8 @@
 
 Every policy replays one identical teacher-forced trajectory for logit
 divergence against the dense reference, and runs its own free generation
-for structural validity and (optionally) wall-clock timing.
+for structural validity, which that run's cache grammar reads token by
+token, and (optionally) wall-clock timing.
 
 The report is one dict: :func:`run_benchmark` returns exactly what the
 JSON file holds, with its keys in the file's order, and the CSV flattens
@@ -21,11 +22,10 @@ import time
 import numpy as np
 
 from .cachepolicy import CachePolicy, bytes_estimate
-from .engine import Model, generate, teacher_forced_logits, log_softmax, softmax
+from .engine import GenerationResult, Model, generate, teacher_forced_logits, log_softmax, softmax
 from .errors import ConfigError
 from .seqmodel import (
-    MultimodalSequence, Token, block_validity, check_fields, item_tokens, synth_stories,
-    write_csv,
+    MultimodalSequence, Token, TokenKind, check_fields, item_tokens, synth_stories, write_csv,
 )
 
 # the keys :func:`check_report` checks and the kind of each (see
@@ -82,6 +82,16 @@ def default_checkpoints(prompt_len: int, total_steps: int) -> list[int]:
     return sorted({prompt_len + max(1, (total_steps * q) // 4) for q in (1, 2, 3, 4)})
 
 
+def block_validity(free: GenerationResult, prompt_len: int) -> tuple[int, int]:
+    """Attempted and valid image blocks of a free run after its ``prompt_len``-token prompt.
+
+    Every generated begin marker is an attempt; the valid ones are the blocks
+    the run's own permissive cache grammar completed from such a marker.
+    """
+    attempted = sum(token.kind is TokenKind.BOI for token in free.generated)
+    return attempted, sum(begin >= prompt_len for begin, _ in free.trace.blocks)
+
+
 def check_run(run: dict, kinds: list[str]) -> None:
     """Raise :class:`ConfigError` for run keys (a report's, ``policies`` aside) or policy
     kinds that no benchmark run may take."""
@@ -125,8 +135,8 @@ def run_benchmark(
 
     Report rows are keyed by policy kind, so each kind may appear once.
     With ``timing`` on, each policy's free generation runs ``repeats``
-    timed times and its validity is read from those tokens (every run has
-    the same seed); with it off, it runs once.
+    timed times (every run has the same seed); with it off, it runs once.
+    Validity is :func:`block_validity` of the last run, with no second pass.
 
     The dense reference replay always runs, so ``prompt + total_steps``
     must fit the model's position table, or :class:`ConfigError` is raised
@@ -168,7 +178,7 @@ def run_benchmark(
             started = time.perf_counter()
             free = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
             per_token_s.append((time.perf_counter() - started) / len(free.generated))
-        attempted, valid = block_validity(free.generated, cfg.m)
+        attempted, valid = block_validity(free, prompt_len)
         results.append({
             "policy": policy.kind,
             "params": policy.params(),
@@ -198,20 +208,28 @@ def write_report_json(report: dict, path) -> None:
         fh.write("\n")
 
 
+def record_policy(record: dict, where: str) -> CachePolicy:
+    """The :class:`CachePolicy` a record's checked ``policy`` and ``params`` name. A params
+    key that is no policy field, or a policy it rejects, raises :class:`ValueError`
+    naming ``where``."""
+    names = list(CachePolicy.dense().params())
+    if not record["params"].keys() <= set(names):
+        raise ValueError(f"{where} params may only hold {names}")
+    try:
+        return CachePolicy(record["policy"], **record["params"])
+    except ConfigError as exc:
+        raise ValueError(f"{where} {exc}") from None
+
+
 def check_report(payload, where) -> None:
-    """A key missing or outside its kind, an entry :class:`CachePolicy` rejects, a ``mean_tok_s``
+    """A key missing or outside its kind, an entry :func:`record_policy` rejects, a ``mean_tok_s``
     null exactly where ``timing`` is on, a divergence not at the checkpoints, or a run
     :func:`check_run` rejects raises :class:`ValueError` naming ``where``, entry and key."""
     check_fields(payload, REPORT_FIELDS, f"{where}:")
     for i, entry in enumerate(payload["policies"]):
         at = f"{where}: policies[{i}]"
         check_fields(entry, POLICY_FIELDS, at)
-        if not entry["params"].keys() <= CachePolicy.dense().params().keys():
-            raise ValueError(f"{at} params may only hold {list(CachePolicy.dense().params())}")
-        try:
-            CachePolicy(entry["policy"], **entry["params"])
-        except ConfigError as exc:
-            raise ValueError(f"{at} {exc}") from None
+        record_policy(entry, at)
         if (entry["mean_tok_s"] is None) == payload["timing"]:
             raise ValueError(f"{at} mean_tok_s is {json.dumps(entry['mean_tok_s'])}, "
                              f"timing is {json.dumps(payload['timing'])}")

@@ -65,6 +65,11 @@ _PAPER_FAITHFUL.update({
 
 PROFILES = {"desk": _DESK, "paper-faithful": _PAPER_FAITHFUL}
 
+# the values a config key may take, where its type allows more: checked in a config
+# file, and the choices of the flag that sets the key
+_CHOICES = {("cli", "profile"): tuple(PROFILES), ("cachepolicy", "policy"): POLICY_KINDS,
+            ("bench", "timing"): ("off", "wall")}
+
 
 def _load_config_file(path) -> dict[tuple[str, str], object]:
     parser = configparser.ConfigParser()
@@ -74,15 +79,19 @@ def _load_config_file(path) -> dict[tuple[str, str], object]:
     values: dict[tuple[str, str], object] = {}
     for section in parser.sections():
         if section not in KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ConfigError(f"{path}: unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
+                raise ConfigError(f"{path}: unknown config key {key!r} in section [{section}]")
             caster = KNOWN_KEYS[section][key]
             try:
-                values[(section, key)] = caster(raw)
+                value = values[(section, key)] = caster(raw)
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
+            choices = _CHOICES.get((section, key))
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown value {value!r}, "
+                                  f"expected one of {list(choices)}")
     return values
 
 
@@ -92,10 +101,7 @@ def _resolve_config(args):
     file_values = _load_config_file(args.config) if args.config else {}
     flags = {tuple(k.split(".")): v for k, v in vars(args).items() if "." in k and v is not None}
     cfg = {("cli", "profile"): "desk", **file_values, **flags}
-    profile = cfg[("cli", "profile")]
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
-    cfg = {**PROFILES[profile], **cfg}
+    cfg = {**PROFILES[cfg[("cli", "profile")]], **cfg}
     if ("cli", "seed") not in cfg:
         env = os.environ.get("MMSINK_SEED", "0")
         try:
@@ -311,16 +317,13 @@ def cmd_bench(args) -> int:
             checkpoints = [int(x) for x in str(raw_ckpts).split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bench.checkpoints must be comma-separated integers ({exc})") from None
-    timing_mode = str(cfg[("bench", "timing")])
-    if timing_mode not in ("off", "wall"):
-        raise ConfigError(f"timing must be 'off' or 'wall', got {timing_mode!r}")
     report = bench.run_benchmark(
         model, prompt, policies,
         total_steps=cfg[("bench", "steps")],
         checkpoints=checkpoints,
         repeats=cfg[("bench", "repeats")],
         seed=seed,
-        timing=timing_mode == "wall",
+        timing=cfg[("bench", "timing")] == "wall",
         trajectory=args.trajectory,
     )
     bench.write_report_csv(report, args.report)
@@ -338,7 +341,7 @@ def cmd_bench(args) -> int:
 # the keys a generation record must hold and the kind of each (see
 # seqmodel.FIELD_KINDS)
 _GENERATION_FIELDS = {
-    "policy": "a string", "params": "an object of integers", "mode": "a string",
+    "policy": "a string", "params": "an object of integers", "mode": "'constrained' or 'free'",
     "seed": "a count", "steps": "a count", "prompt_len": "a count", "m": "a count",
     "valid": "a boolean", "labels": "a list of strings", "blocks": "a list of integer pairs",
     "violations": "a list of strings", "peak_entries": "a count",
@@ -361,6 +364,7 @@ def _validate_jsonl(path) -> str:
                 raise ValueError(f"{path}: line {lineno}: not a generation record")
             where = f"{path}: line {lineno}: generation record"
             seqmodel.check_fields(record, _GENERATION_FIELDS, where)
+            bench.record_policy(record, where)
             counts, fed = record["entry_counts"], len(record["labels"]) - record["prompt_len"]
             steps = record["steps"] + record["forced_completion_steps"]
             if not len(counts) == fed == steps:
@@ -416,7 +420,8 @@ def _validate_csv(path) -> str:
 def _check_bench_rows(path, rows) -> None:
     """A benchmark CSV flattens one report: it has rows, each policy's contiguous rows share
     its ``peak_entries``, ``bytes``, ``mean_tok_s`` and ``validity``, ``mean_tok_s`` is empty
-    in every row or none, and each policy lists the first policy's checkpoints, in order."""
+    in every row or none, the first policy's checkpoints ascend without repeats, as
+    :func:`bench.check_run` asks, and each policy lists them, in order."""
     if not rows:
         raise ValueError(f"{path}: benchmark report with no rows")
     groups: dict[str, list] = {}  # policy -> (line, cells) of each of its rows
@@ -426,6 +431,10 @@ def _check_bench_rows(path, rows) -> None:
         groups.setdefault(row[0], []).append((line, dict(zip(bench.CSV_HEADER, row))))
     head = next(iter(groups.values()))  # the first policy's rows, row 2 first
     ckpts, tok_s = [cells["ckpt"] for _, cells in head], head[0][1]["mean_tok_s"]
+    for (line, cells), (_, above) in zip(head[1:], head):
+        if int(cells["ckpt"]) <= int(above["ckpt"]):
+            raise ValueError(f"{path}: row {line} column 'ckpt': {cells['ckpt']} after "
+                             f"{above['ckpt']}, the checkpoints must ascend without repeats")
     for policy, group in groups.items():
         (at, first), own = group[0], [cells["ckpt"] for _, cells in group]
         for line, cells in group:
@@ -481,16 +490,17 @@ def cmd_validate(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--config", help="INI config file")
-    _key_flag(sub, "--profile", "cli.profile", choices=sorted(PROFILES), help="parameter profile")
+    _key_flag(sub, "--profile", "cli.profile", help="parameter profile")
     _key_flag(sub, "--seed", "cli.seed", help="run seed (fallback: MMSINK_SEED, then 0)")
 
 
 def _key_flag(sub, flag: str, key: str, **kwargs) -> None:
     """A flag that sets the config key ``key`` (``section.key``): its dest, its
-    type and, unless given, its help."""
+    type, its choices and, unless given, its help."""
     section, name = key.split(".")
     kwargs.setdefault("help", f"[{section}] {name}")
-    sub.add_argument(flag, dest=key, type=KNOWN_KEYS[section][name], **kwargs)
+    sub.add_argument(flag, dest=key, type=KNOWN_KEYS[section][name],
+                     choices=_CHOICES.get((section, name)), **kwargs)
 
 
 def _add_policy_flags(sub) -> None:
@@ -527,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a sequence under a policy")
     _add_common(p)
-    _key_flag(p, "--policy", "cachepolicy.policy", choices=POLICY_KINDS)
+    _key_flag(p, "--policy", "cachepolicy.policy")
     _add_policy_flags(p)
     p.add_argument("--model", help="model JSON (default: fresh seeded model)")
     p.add_argument("--steps", type=int, required=True)
@@ -559,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _key_flag(p, "--steps", "bench.steps")
     _key_flag(p, "--checkpoints", "bench.checkpoints", help="comma-separated prefix lengths")
     _key_flag(p, "--repeats", "bench.repeats")
-    _key_flag(p, "--timing", "bench.timing", choices=["off", "wall"])
+    _key_flag(p, "--timing", "bench.timing")
     p.add_argument("--trajectory", choices=["synthetic", "generated"], default="synthetic")
     p.add_argument("--prompt-items", type=int, default=1, dest="prompt_items")
     p.add_argument("--report", required=True)

@@ -451,6 +451,8 @@ class GenerationTrace:
     entry_counts: list[int] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     forced_completion_steps: int = 0
+    # every (begin, end) block the cache's grammar completed, the prompt's included
+    blocks: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -587,6 +589,7 @@ def generate(
     trace.forced_completion_steps = max(0, len(generated) - steps)
 
     trace.violations = list(cache.violations)
+    trace.blocks = cache.blocks
     tokens = list(prompt.tokens) + generated
     sequence = None  # the cache's grammar read every token: no second pass
     if not (cache.violations or cache.in_block):

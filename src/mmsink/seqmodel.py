@@ -300,20 +300,6 @@ class BlockGrammar:
         return ids
 
 
-def block_validity(tokens: Iterable[Token], m: int) -> tuple[int, int]:
-    """Attempted and valid image blocks in a raw stream.
-
-    Every begin marker is an attempt; the valid ones are the blocks a
-    permissive :class:`BlockGrammar` pass completes.
-    """
-    grammar = BlockGrammar(m, strict=False)
-    attempted = 0
-    for token in tokens:
-        attempted += token.kind is TokenKind.BOI
-        grammar.step(token)
-    return attempted, len(grammar.blocks)
-
-
 @dataclass(frozen=True)
 class MultimodalSequence:
     """A structurally valid interleaved token sequence.
@@ -569,6 +555,7 @@ FIELD_KINDS = {
     "a list of finite numbers": _list_of(_FINITE),
     "a list": _is(list),
     "'synthetic' or 'generated'": lambda value: value in ("synthetic", "generated"),
+    "'constrained' or 'free'": lambda value: value in ("constrained", "free"),
     "a list of strings": _list_of(_is(str)),
     "a list of counts": _list_of(_COUNT),
     "a list of integer pairs": _list_of(

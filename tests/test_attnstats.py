@@ -319,13 +319,16 @@ class TestDumpIngestion:
         (2, {"t": "x"}, "t 'x' is not an integer"),
         (2, {"layer": 1.0}, "layer 1.0 is not an integer"),
         (2, {"head": None}, "head None is not an integer"),
+        (2, {"layer": -1}, "layer and head must be non-negative"),
+        (1, {"head": -2}, "layer and head must be non-negative"),
         (2, {"row": [0.5, "0.5"]}, "weight '0.5' is not a number"),
         (2, {"positions": 7}, "must be lists"),
         (1, {"labels": [5]}, "label 5 is not a string"),
         (2, {"labels": ["BOS", None]}, "label None is not a string"),
     ], ids=["negative", "lengths", "repeated", "duplicate-t", "label", "row-sum", "missing-t",
             "str-position", "float-position", "bool-position", "str-t", "float-layer",
-            "null-head", "str-weight", "scalar-positions", "int-label", "null-label"])
+            "null-head", "negative-layer", "negative-head", "str-weight", "scalar-positions",
+            "int-label", "null-label"])
     def test_malformed_row_rejected(self, tmp_path, capsys, t, change, expected):
         import json
 

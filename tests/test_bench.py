@@ -1,5 +1,6 @@
 """Benchmark harness: divergence, entry counts, reports, time profiles."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from mmsink.cachepolicy import CachePolicy
 from mmsink.cli import main
 from mmsink.engine import Model, ModelConfig
 from mmsink.errors import ConfigError
+from mmsink.oracle import brute_block_validity
 from mmsink.seqmodel import TokenKind
 
 from conftest import all_policies, per_token_time_profile
@@ -159,6 +161,43 @@ class TestRunBenchmark:
                                total_steps=32, repeats=2, seed=0, timing=timing)
         assert made == calls
         assert all((r["mean_tok_s"] is not None) == timing for r in report["policies"])
+
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_block_validity_reads_each_last_free_run(self, tiny_config, monkeypatch, timing):
+        """perfbench's bench.blocks_* counters wrap bench.block_validity: it is called once
+        per policy, right after that policy's last free run, with that run's counts."""
+        model = Model.init(dataclasses.replace(tiny_config, seed=1))
+        story = sq.synth_stories(1, items_per_story=1, rng_seed=0, d_feat=4)[0]
+        prompt = sq.prompt_sequence(story, 1, m=4, v_text=12)
+        policies = [CachePolicy.dense(), CachePolicy.windowed(16), CachePolicy.sink(2, 16),
+                    CachePolicy.mmsink(2, 1, 1, 16)]
+        calls, block_validity = [], bench.block_validity
+
+        def recorded_generate(*args, **kwargs):
+            free = engine.generate(*args, **kwargs)
+            calls.append(("generate", args[2].kind, free))
+            return free
+
+        def recorded_validity(free, prompt_len):
+            counts = block_validity(free, prompt_len)
+            calls.append(("validity", free, counts))
+            return counts
+
+        monkeypatch.setattr(bench, "generate", recorded_generate)
+        monkeypatch.setattr(bench, "block_validity", recorded_validity)
+        report = run_benchmark(model, prompt, policies, total_steps=64, repeats=2, seed=0,
+                               timing=timing)
+        runs = 2 if timing else 1
+        assert [call[:2] if call[0] == "generate" else call[0] for call in calls] == [
+            tag for p in policies for tag in [("generate", p.kind)] * runs + ["validity"]]
+        counted = [(i, free, counts) for i, (name, free, counts) in enumerate(calls)
+                   if name == "validity"]
+        for i, free, (attempted, valid) in counted:
+            assert free is calls[i - 1][2]
+            assert (attempted, valid) == brute_block_validity(free.generated, 4)
+            assert attempted > 0 and any(b < len(prompt) for b, _ in free.trace.blocks)
+        assert [r["validity"] for r in report["policies"]] == [
+            valid / attempted for _, _, (attempted, valid) in counted]
 
     def test_generated_trajectory_mode(self, bench_model, bench_prompt):
         report = run_benchmark(bench_model, bench_prompt,

@@ -274,6 +274,9 @@ class TestValidate:
         ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
          "dense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,4,0.0,0.0,1.0\n",
          "row 4 column 'ckpt': policy 'window' lists checkpoints 4, the first policy 4,8"),
+        ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
+         "dense,9,4,,4,0.0,0.0,1.0\n",
+         "row 3 column 'ckpt': 4 after 4, the checkpoints must ascend without repeats"),
         ("bench.csv", ",".join(CSV_HEADER) + "\n", "benchmark report with no rows"),
         ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
          "window,8,4,,4,0.0,0.0,1.0\ndense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,8,0.0,0.0,1.0\n",
@@ -285,14 +288,29 @@ class TestValidate:
             "bench-validity", "bench-numeric-policy", "occurrence-negative-count",
             "category-share", "curve-nan", "curve-negative-step", "curve-spaced-underscored",
             "share-not-a-repr", "bench-policy-cells", "bench-partly-timed",
-            "bench-checkpoint-order", "bench-checkpoint-missing", "bench-no-rows",
-            "bench-policies-interleaved"])
+            "bench-checkpoint-order", "bench-checkpoint-missing", "bench-checkpoint-repeated",
+            "bench-no-rows", "bench-policies-interleaved"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(path) in err and expected in err
+
+    def test_rejects_bench_csv_with_descending_checkpoints(self, tmp_path, capsys):
+        """Each policy's rows reversed: all list the same checkpoints, in falling order."""
+        report = tmp_path / "b.csv"
+        assert main(["bench", "--steps", "64", "--report", str(report)]) == 0
+        header, *rows = report.read_text().splitlines()
+        rows = [row for i in range(0, len(rows), 4) for row in reversed(rows[i:i + 4])]
+        assert len(rows) == 16
+        report.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(report)]) == 1
+        first, second = (row.split(",")[4] for row in rows[:2])
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {report}: row 3 column 'ckpt': {second} after {first}, "
+            "the checkpoints must ascend without repeats"]
 
     @pytest.mark.parametrize("change, expected", [
         ({"peak_entries": "x", "validity": 7, "divergence": 5},
@@ -434,7 +452,13 @@ class TestValidate:
         ({"peak_entries": "many"}, "peak_entries is not a count"),
         ({"blocks": [[1]]}, "blocks is not a list of integer pairs"),
         ({"blocks": [[1, 2.0]]}, "blocks is not a list of integer pairs"),
-        ({"mode": None}, "mode is not a string"),
+        ({"mode": None}, "mode is not 'constrained' or 'free'"),
+        ({"mode": "bogus"}, "mode is not 'constrained' or 'free'"),
+        ({"policy": "bogus", "params": {"x": -3}},
+         "params may only hold ['window', 'n_sink', 'k_head', 'k_tail']"),
+        ({"policy": "bogus"},
+         "unknown policy kind 'bogus', expected one of ('dense', 'window', 'sink', 'mmsink')"),
+        ({"policy": "window"}, "window policy takes no n_sink, got 4"),
         ({"steps": True}, "steps is not a count"),
         ({"params": {"window": "8"}}, "params is not an object of integers"),
         ({"prompt_len": -3}, "prompt_len is not a count"),
@@ -444,7 +468,8 @@ class TestValidate:
         ({"forced_completion_steps": 1.5}, "forced_completion_steps is not a count"),
         ({"seed": -1}, "seed is not a count"),
     ], ids=["labels", "four-fields", "valid", "violations", "peak-entries", "short-block",
-            "float-block", "mode", "bool-steps", "params", "negative-prompt-len", "string-m",
+            "float-block", "mode", "unknown-mode", "unknown-param", "unknown-policy",
+            "policy-params", "bool-steps", "params", "negative-prompt-len", "string-m",
             "string-entry-counts", "negative-entry-count", "float-forced-steps",
             "negative-seed"])
     def test_rejects_generation_record_values(self, tmp_path, capsys, change, expected):
@@ -741,6 +766,23 @@ class TestConfigHandling:
         assert main(["gen", "--config", str(cfg), "--steps", "4",
                      "--out", str(out)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, choices", [
+        ("cli", "profile", ["desk", "paper-faithful"]),
+        ("cachepolicy", "policy", ["dense", "window", "sink", "mmsink"]),
+        ("bench", "timing", ["off", "wall"]),
+    ])
+    def test_config_value_outside_its_flag_choices_rejected(self, tmp_path, capsys,
+                                                            section, key, choices):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{key} = bogus\n")
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--config", str(cfg), "--stories", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            f"error: ConfigError: {cfg}: [{section}] {key}: unknown value 'bogus', "
+            f"expected one of {choices}"]
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "run.ini"

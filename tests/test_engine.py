@@ -12,7 +12,7 @@ from conftest import all_policies, breaking_stream, dump_rows, make_stream, spli
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
 from mmsink.bench import divergence
-from mmsink.cachepolicy import CachePolicy
+from mmsink.cachepolicy import CachePolicy, KvCache
 from mmsink.engine import (
     REPLAY_ROWS,
     Model,
@@ -26,8 +26,8 @@ from mmsink.engine import (
     teacher_forced_logits,
 )
 from mmsink.errors import ConfigError, SequenceGrammarError, StateError
-from mmsink.oracle import recompute_attention_row
-from mmsink.seqmodel import Token, block_validity
+from mmsink.oracle import brute_block_validity, recompute_attention_row
+from mmsink.seqmodel import Token, TokenKind
 
 
 class TestForwardStep:
@@ -708,17 +708,28 @@ class TestModelIO:
 
 
 class TestBlockValidity:
+    """A free run's begin markers and the blocks its permissive cache grammar
+    completes, as the benchmark reads them, against the literal scan."""
+
+    @staticmethod
+    def cache_validity(tokens, m):
+        cache = KvCache(CachePolicy.dense(), 1, 1, 1, m, strict=False)
+        for tok in tokens:
+            cache.push(tok)
+        counts = sum(tok.kind is TokenKind.BOI for tok in tokens), len(cache.blocks)
+        assert counts == brute_block_validity(tokens, m)
+        return counts
+
     def test_counts_valid_and_broken_blocks(self):
         m = 2
         good = [Token.boi(), Token.img(0), Token.img(1), Token.eoi()]
         broken = [Token.boi(), Token.img(0), Token.word(1)]
         tokens = [Token.bos()] + good + [Token.word(5)] + broken + good
-        attempted, valid = block_validity(tokens, m)
-        assert (attempted, valid) == (3, 2)
+        assert self.cache_validity(tokens, m) == (3, 2)
 
     def test_truncated_block_is_attempted_not_valid(self):
         tokens = [Token.bos(), Token.boi(), Token.img(0)]
-        assert block_validity(tokens, 2) == (1, 0)
+        assert self.cache_validity(tokens, 2) == (1, 0)
 
     def test_no_blocks(self):
-        assert block_validity([Token.bos(), Token.word(1)], 4) == (0, 0)
+        assert self.cache_validity([Token.bos(), Token.word(1)], 4) == (0, 0)

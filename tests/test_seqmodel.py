@@ -16,7 +16,6 @@ from mmsink.seqmodel import (
     Token,
     TokenKind,
     assemble_training_sequence,
-    block_validity,
     hash_word,
     read_stories,
     synth_stories,
@@ -193,10 +192,11 @@ class TestBlockGrammar:
     @settings(max_examples=300, deadline=None)
     def test_users_agree(self, case):
         m, tokens = case
-        assert block_validity(tokens, m) == brute_block_validity(tokens, m)
         cache = KvCache(CachePolicy.dense(), 1, 1, 1, m, strict=False)
         for tok in tokens:
             cache.push(tok)
+        begins = sum(tok.kind is TokenKind.BOI for tok in tokens)
+        assert (begins, len(cache.blocks)) == brute_block_validity(tokens, m)
         expect_ok = bool(tokens) and tokens[0].kind is TokenKind.BOS and not cache.violations
         try:
             seq = MultimodalSequence.from_tokens(tokens, m, allow_in_progress=True)
