@@ -52,8 +52,7 @@ def top_k_keys(means: Sequence[float], k: int = 10) -> list[int]:
     """Indices of the k largest means, descending, ties to the lower index."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    order = sorted(range(len(means)), key=lambda j: (-float(means[j]), j))
-    return order[:k]
+    return np.argsort(-np.asarray(means, dtype=float), kind="stable")[:k].tolist()
 
 
 def aggregate_occurrence(records: Iterable[KeyMeans], k: int = 10) -> OccurrenceTable:

@@ -146,7 +146,6 @@ def run_benchmark(
     prompt_len = len(prompt)
     if checkpoints is None:
         checkpoints = default_checkpoints(prompt_len, total_steps)
-    checkpoints = sorted(set(checkpoints))
     run = {"prompt_len": prompt_len, "total_steps": total_steps, "checkpoints": checkpoints,
            "repeats": repeats, "seed": seed, "timing": timing, "trajectory": trajectory}
     check_run(run, [policy.kind for policy in policies])

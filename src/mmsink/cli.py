@@ -16,6 +16,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -364,7 +365,13 @@ def _validate_jsonl(path) -> str:
                 raise ValueError(f"{path}: line {lineno}: not a generation record")
             where = f"{path}: line {lineno}: generation record"
             seqmodel.check_fields(record, _GENERATION_FIELDS, where)
-            bench.record_policy(record, where)
+            policy, m = bench.record_policy(record, where), record["m"]
+            try:  # the policy fits m, and so does every image slot label, as stats asks
+                policy.check_block_length(m)
+                for label in record["labels"]:
+                    attnstats.classify_token(label, m, 0, 0)
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}") from None
             counts, fed = record["entry_counts"], len(record["labels"]) - record["prompt_len"]
             steps = record["steps"] + record["forced_completion_steps"]
             if not len(counts) == fed == steps:
@@ -376,6 +383,9 @@ def _validate_jsonl(path) -> str:
                 for b, e in record["blocks"]:
                     if not (0 <= b < e < len(record["labels"])):
                         raise ValueError(f"{path}: line {lineno}: block ({b}, {e}) out of range")
+                    if e - b != m + 1:
+                        raise ValueError(f"{where} block ({b}, {e}) holds {e - b - 1} slots, "
+                                         f"m is {m}")
         return "generation record" if count == 1 else f"{count} generation records"
     if all(k in first for k in attnstats.DUMP_FIELDS):
         records = attnstats.load_dump_file(path)
@@ -407,14 +417,28 @@ def _validate_csv(path) -> str:
         if len(row) != len(header):
             raise ValueError(f"{path}: row {line} has {len(row)} fields, "
                              f"the header has {len(header)}")
-        if columns is attnstats.CATEGORY_HEADER and row[0] not in attnstats.CATEGORIES:
-            raise ValueError(f"{path}: row {line}: unknown category {row[0]!r}")
         for (name, kind), cell in zip(columns.items(), row):
             if not seqmodel.FIELD_KINDS[kind](seqmodel.csv_value(cell)):
                 raise ValueError(f"{path}: row {line} column {name!r}: {cell!r} is not {kind}")
     if columns is bench.CSV_HEADER:
         _check_bench_rows(path, rows)
+    if columns is attnstats.CATEGORY_HEADER:
+        _check_category_rows(path, rows)
     return description.format(len(rows))
+
+
+def _check_category_rows(path, rows) -> None:
+    """A category share table lists each of :data:`attnstats.CATEGORIES` once, in that
+    order, and its shares sum to one."""
+    named, expected = [repr(row[0]) for row in rows], map(repr, attnstats.CATEGORIES)
+    for line, (got, want) in enumerate(itertools.zip_longest(named, expected, fillvalue="no row"),
+                                       start=2):
+        if got != want:
+            raise ValueError(f"{path}: row {line} column 'category': {got}, expected {want}; the "
+                             f"table lists {', '.join(attnstats.CATEGORIES)} once each, in order")
+    total = sum(seqmodel.csv_value(row[1]) for row in rows)
+    if not abs(total - 1.0) <= attnstats.ROW_SUM_TOL:
+        raise ValueError(f"{path}: column 'share' sums to {total!r}, not 1")
 
 
 def _check_bench_rows(path, rows) -> None:

@@ -206,40 +206,32 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
         raise ValueError(
             f"{len(sample.target_features)} target features for {len(blocks)} masked blocks"
         )
-    branches = []
+    if want_grads:
+        grads = {name: np.zeros_like(p[name]) for name in param_names(cfg)}
+        # cross-entropy head, whose gradients accumulate before the query branches'
+        dlogits = np.zeros_like(logits)
+        sm = np.exp(lsm)
+        sm[np.arange(n_ce), targets] -= 1.0
+        np.add.at(dlogits, mpos - 1, sm / n_ce)
+        grads["w_out"] += hf.T @ dlogits
+        dhf = dlogits @ p["w_out"].T
+        dx_main = _norm_backward(model, "lnf", dhf, lncf, grads)
+        # the query branches' gradient into the main stream's keys/values
+        dkv_extra = np.zeros_like(kv)
+
     img_terms = []
-    for bi, (bpos, _e) in enumerate(blocks):
+    for (bpos, _e), feature in zip(blocks, sample.target_features):
         ctx_len = bpos + 1
         pred, hq, lnqf, qlayers = query_features(model, kv[..., :ctx_len, :])
-        tgt = np.tile(np.asarray(sample.target_features[bi], dtype=np.float64), (Q, 1))
+        tgt = np.tile(np.asarray(feature, dtype=np.float64), (Q, 1))
         cos, zero, safe_pn, tn = _cosine_rows(pred, tgt)
         img_terms.append(float((1.0 - cos).mean()))
-        branches.append((ctx_len, pred, hq, lnqf, qlayers, tgt, cos, zero, safe_pn, tn))
-    img = float(np.mean(img_terms)) if img_terms else 0.0
-    combined = combined_loss(ce, img, lam)
-    report = LossReport(ce, img, combined, len(blocks))
-    if not want_grads:
-        return report, None
-
-    grads = {name: np.zeros_like(p[name]) for name in param_names(cfg)}
-
-    # cross-entropy head
-    dlogits = np.zeros_like(logits)
-    sm = np.exp(lsm)
-    sm[np.arange(n_ce), targets] -= 1.0
-    np.add.at(dlogits, mpos - 1, sm / n_ce)
-    grads["w_out"] += hf.T @ dlogits
-    dhf = dlogits @ p["w_out"].T
-    dx_main = _norm_backward(model, "lnf", dhf, lncf, grads)
-
-    # query branches: accumulate gradient into the main stream's keys/values
-    dkv_extra = np.zeros_like(kv)
-    n_blocks = max(len(blocks), 1)
-    for ctx_len, pred, hq, lnqf, qlayers, tgt, cos, zero, safe_pn, tn in branches:
+        if not want_grads:
+            continue
         # d(1 - cos)/dpred, zero for zero-norm prediction rows
         dpred = cos[:, None] * pred / (safe_pn**2)[:, None] - tgt / (safe_pn * tn)[:, None]
         dpred = np.where(zero[:, None], 0.0, dpred)
-        dpred *= lam / (n_blocks * Q)
+        dpred *= lam / (len(blocks) * Q)
 
         grads["w_feat"] += hq.T @ dpred
         dhq = dpred @ p["w_feat"].T
@@ -251,6 +243,10 @@ def _loss_impl(model: Model, sample: TrainingSample, lam: float, want_grads: boo
             dxq = dx_attn + _norm_backward(model, f"l{l}.ln1", da, qc["lnc1"], grads)
         grads["queries"] += dxq
         grads["pos_emb"][ctx_len : ctx_len + Q] += dxq
+    img = float(np.mean(img_terms)) if img_terms else 0.0
+    report = LossReport(ce, img, combined_loss(ce, img, lam), len(blocks))
+    if not want_grads:
+        return report, None
 
     # main stream: its keys/values also carry the query branches' gradient
     dx = dx_main

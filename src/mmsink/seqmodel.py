@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +28,8 @@ from .errors import SequenceGrammarError, StoryFormatError
 
 PUNCT_CHARS = ",.;!?"
 N_PUNCT = len(PUNCT_CHARS)
+# ``\s`` matches exactly the characters for which ``str.isspace`` is true
+_TOKEN_PATTERN = re.compile(f"[{re.escape(PUNCT_CHARS)}]|[^{re.escape(PUNCT_CHARS)}\\s]+")
 
 DEFAULT_V_TEXT = 256
 DEFAULT_BLOCK_LEN = 8
@@ -168,25 +171,12 @@ def hash_word(word: str, v_text: int = DEFAULT_V_TEXT) -> int:
 def tokenize_text(text: str, v_text: int = DEFAULT_V_TEXT) -> list[Token]:
     """Split text into word and punctuation tokens, order-preserving.
 
-    Whitespace separates chunks; within a chunk the characters in
-    ``PUNCT_CHARS`` each become their own punctuation token and the
-    remaining maximal runs become hash-bucketed word tokens.
+    Each character in ``PUNCT_CHARS`` becomes its own punctuation token;
+    each maximal run of characters that are neither punctuation nor
+    whitespace (``str.isspace``) becomes a hash-bucketed word token.
     """
-    tokens: list[Token] = []
-    for chunk in text.split():
-        run = ""
-        for ch in chunk:
-            p = PUNCT_CHARS.find(ch)
-            if p >= 0:
-                if run:
-                    tokens.append(Token.word(hash_word(run, v_text)))
-                    run = ""
-                tokens.append(Token.punct(p))
-            else:
-                run += ch
-        if run:
-            tokens.append(Token.word(hash_word(run, v_text)))
-    return tokens
+    return [Token.punct(PUNCT_CHARS.index(t)) if t in PUNCT_CHARS else
+            Token.word(hash_word(t, v_text)) for t in _TOKEN_PATTERN.findall(text)]
 
 
 @dataclass(frozen=True)

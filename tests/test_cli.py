@@ -278,6 +278,18 @@ class TestValidate:
          "dense,9,4,,4,0.0,0.0,1.0\n",
          "row 3 column 'ckpt': 4 after 4, the checkpoints must ascend without repeats"),
         ("bench.csv", ",".join(CSV_HEADER) + "\n", "benchmark report with no rows"),
+        ("cat.csv", "category,share\nstarting,0.5\nstarting,0.5\n",
+         "row 3 column 'category': 'starting', expected 'punctuation'; the table lists "
+         "starting, punctuation, near_boi, near_eoi, other once each, in order"),
+        ("cat.csv", "category,share\nother,1.0\n",
+         "row 2 column 'category': 'other', expected 'starting'"),
+        ("cat.csv", "category,share\nstarting,0.5\npunctuation,0.5\n",
+         "row 4 column 'category': no row, expected 'near_boi'"),
+        ("cat.csv", "category,share\nstarting,0.5\npunctuation,0.0\nnear_boi,0.0\n"
+         "near_eoi,0.0\nother,0.5\nbogus,0.0\n",
+         "row 7 column 'category': 'bogus', expected no row"),
+        ("cat.csv", "category,share\nstarting,0.5\npunctuation,0.0\nnear_boi,0.0\n"
+         "near_eoi,0.0\nother,0.6\n", "column 'share' sums to 1.1, not 1"),
         ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
          "window,8,4,,4,0.0,0.0,1.0\ndense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,8,0.0,0.0,1.0\n",
          "row 4: policy 'dense' resumes after another"),
@@ -289,7 +301,8 @@ class TestValidate:
             "category-share", "curve-nan", "curve-negative-step", "curve-spaced-underscored",
             "share-not-a-repr", "bench-policy-cells", "bench-partly-timed",
             "bench-checkpoint-order", "bench-checkpoint-missing", "bench-checkpoint-repeated",
-            "bench-no-rows", "bench-policies-interleaved"])
+            "bench-no-rows", "category-repeated", "category-alone", "category-missing",
+            "category-extra", "category-sum", "bench-policies-interleaved"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
@@ -467,11 +480,14 @@ class TestValidate:
         ({"entry_counts": [3, -1]}, "entry_counts is not a list of counts"),
         ({"forced_completion_steps": 1.5}, "forced_completion_steps is not a count"),
         ({"seed": -1}, "seed is not a count"),
+        ({"m": 2}, "k_head 1 + k_tail 2 exceeds block length 2"),
+        ({"m": 9}, "block (17, 26) holds 8 slots, m is 9"),
+        ({"m": 5}, "label 'IMG05': slot 5 does not fit a block of length m=5"),
     ], ids=["labels", "four-fields", "valid", "violations", "peak-entries", "short-block",
             "float-block", "mode", "unknown-mode", "unknown-param", "unknown-policy",
             "policy-params", "bool-steps", "params", "negative-prompt-len", "string-m",
             "string-entry-counts", "negative-entry-count", "float-forced-steps",
-            "negative-seed"])
+            "negative-seed", "m-below-anchors", "m-above-blocks", "slot-beyond-m"])
     def test_rejects_generation_record_values(self, tmp_path, capsys, change, expected):
         gen_out = tmp_path / "g.jsonl"
         assert main(["gen", "--steps", "12", "--out", str(gen_out)]) == 0
@@ -920,6 +936,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: ConfigError: checkpoints [] are empty, unsorted or repeated"]
         assert not report.exists()
+
+    @pytest.mark.parametrize("checkpoints", ["60,40,40", "40,60,60", "60,40"])
+    def test_unsorted_or_repeated_checkpoints_are_config_error(self, tmp_path, capsys,
+                                                                monkeypatch, checkpoints):
+        """A run keeps the checkpoints it is given, so it is held to a report's rule."""
+        monkeypatch.setattr(engine, "forward_step", None)
+        monkeypatch.setattr(engine, "block", None)
+        report, js = tmp_path / "r.csv", tmp_path / "r.json"
+        assert main(["bench", "--steps", "64", "--checkpoints", checkpoints,
+                     "--report", str(report), "--json", str(js)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: checkpoints [{checkpoints.replace(',', ', ')}] are empty, "
+            "unsorted or repeated"]
+        assert not report.exists() and not js.exists()
 
     @pytest.mark.parametrize("boi_every", ["-3", "0"])
     def test_nonpositive_boi_every_is_config_error(self, tmp_path, capsys, monkeypatch,

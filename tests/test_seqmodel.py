@@ -1,6 +1,7 @@
 """Tokenization, sequence grammar, story IO, and training-sample assembly."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ class TestTokenize:
             elif t.kind is TokenKind.PUNCT:
                 assert 0 <= t.value < sq.N_PUNCT
         assert toks == tokenize_text(text, v_text)
+
+
+# every character str.isspace accepts: NBSP, U+3000, the separators U+001C..U+001F, ...
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_WORD_CHARS = st.characters(blacklist_categories=("Cs",)).filter(
+    lambda c: not c.isspace() and c not in sq.PUNCT_CHARS)
+
+
+class TestTokenizeWhitespace:
+    @given(st.lists(st.text(_WORD_CHARS, min_size=1) | st.sampled_from(sq.PUNCT_CHARS),
+                    max_size=8),
+           st.lists(st.text(st.sampled_from(WHITESPACE), min_size=1), min_size=9, max_size=9))
+    @settings(max_examples=100)
+    def test_any_unicode_whitespace_only_separates(self, pieces, gaps):
+        """Words and punctuation between runs of any whitespace tokenize as the pieces do."""
+        text = gaps[0] + "".join(piece + gap for piece, gap in zip(pieces, gaps[1:]))
+        expected = [Token.punct(sq.PUNCT_CHARS.index(p)) if p in sq.PUNCT_CHARS
+                    else Token.word(hash_word(p)) for p in pieces]
+        assert tokenize_text(text) == expected
+        assert tokenize_text("".join(gaps)) == []
 
 
 class TestVocab:

@@ -3,7 +3,7 @@
     python tools/cli_outputs.py OUT [--src DIR]
     python tools/cli_outputs.py --compare A B
 
-The first form runs the fixed set of CLI commands below, writing their 36
+The first form runs the fixed set of CLI commands below, writing their 41
 output files into OUT (the four attention dumps that ``stats`` reads under
 OUT/dumps/), and prints one SHA-256 per file. ``--src`` picks the source
 tree to run (default: this checkout's ``src``), so the same script can write
@@ -47,6 +47,10 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
                   "--attn-dump", out / "gen-window-dump-only.dump.jsonl",
                   "--out", out / "gen-window-dump-only.jsonl"],
                  ["gen-window-dump-only.jsonl", "gen-window-dump-only.dump.jsonl"]))
+    # a sink policy with its own flags over a two-item prompt of another story seed
+    runs.append((["gen", "--policy", "sink", "--window", "32", "--n-sink", "2", "--prompt-items",
+                  "2", "--prompt-seed", "7", "--steps", "128", "--boi-every", "24",
+                  "--out", out / "gen-sink-flags.jsonl"], ["gen-sink-flags.jsonl"]))
     runs.append((["gen", "--policy", "mmsink", "--temperature", "1.0", "--steps", "512",
                   "--boi-every", "24", "--features", "--out", out / "gen-mmsink-sampled.jsonl"],
                  ["gen-mmsink-sampled.jsonl"]))
@@ -77,6 +81,10 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
                   "--model-out", out / "train-flags-model.json",
                   "--curve-out", out / "train-flags-curve.csv"],
                  ["train-flags-model.json", "train-flags-curve.csv"]))
+    runs.append((["bench", "--model", out / "train-model.json", "--prompt-items", "2",
+                  "--steps", "128", "--report", out / "bench-trained.csv",
+                  "--json", out / "bench-trained.json"],
+                 ["bench-trained.csv", "bench-trained.json"]))
     runs.append((["synth", "--stories", "3", "--len", "5", "--d-feat", "4",
                   "--out", out / "synth-stories.jsonl"], ["synth-stories.jsonl"]))
     # a story file at the desk d_feat through train-toy, and a trained model through gen:
@@ -94,6 +102,10 @@ def commands(out: Path) -> list[tuple[list[str], list[str]]]:
                   "--occ-out", out / "stats-occurrence.csv",
                   "--cat-out", out / "stats-category.csv"],
                  ["stats-occurrence.csv", "stats-category.csv"]))
+    runs.append((["stats", "--dumps", out / "dumps/gen-mmsink.dump.jsonl", "--k", "5",
+                  "--k-head", "2", "--k-tail", "1", "--occ-out", out / "stats-flags-occurrence.csv",
+                  "--cat-out", out / "stats-flags-category.csv"],
+                 ["stats-flags-occurrence.csv", "stats-flags-category.csv"]))
     runs.append((["stats", "--dumps", out / "dumps",
                   "--occ-out", out / "stats-dumps-occurrence.csv",
                   "--cat-out", out / "stats-dumps-category.csv"],
