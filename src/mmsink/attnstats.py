@@ -16,16 +16,17 @@ import json
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .seqmodel import PUNCT_CHARS, jsonl_objects, token_label, write_csv
+from .seqmodel import PUNCT_CHARS, check_fields, jsonl_objects, token_label, write_csv
 
 ROW_SUM_TOL = 1e-9
 
-# the fields of a dump row, in the order each line holds them
-DUMP_FIELDS = ("t", "layer", "head", "labels", "positions", "row")
+# the fields of a dump row, in the order each line holds them, with their kinds (FIELD_KINDS)
+DUMP_FIELDS = {"t": "a count", "layer": "a count", "head": "a count", "labels": "a list of strings",
+               "positions": "a list of integers", "row": "a list of numbers"}
 
 CATEGORIES = ("starting", "punctuation", "near_boi", "near_eoi", "other")
 # the headers of the two tables stats writes, each column with its kind (seqmodel.FIELD_KINDS)
@@ -127,33 +128,18 @@ def records_from_dumps(dumps: Iterable[dict]) -> list[KeyMeans]:
     checked: tuple = (0, None, None)  # the last t and positions checked, and their index array
     labelled: tuple = (None, None)  # the last positions and labels checked against ``labels``
     for r in dumps:
-        row_t, layer, head, row_labels, positions, weights = map(r.__getitem__, DUMP_FIELDS)
+        row_t, layer, head, row_labels, positions, weights = map(r.get, DUMP_FIELDS)
         where = f"dump row t={row_t} layer={layer} head={head}"
-        for name, value in zip(DUMP_FIELDS, (row_t, layer, head)):
-            if type(value) is not int:
-                raise ValueError(f"{where}: {name} {value!r} is not an integer")
-        if min(layer, head) < 0:
-            raise ValueError(f"{where}: layer and head must be non-negative")
+        check_fields(r, DUMP_FIELDS, f"{where}:")
         key = layer, head
         t, acc = last_t[key] + 1, acc_of[key]
         if row_t != t:
             problem = "a second row for this step" if row_t == t - 1 >= 1 else (
                 f"no row for t={t}; steps run from 1 to T")
             raise ValueError(f"{where}: {problem}")
-        if not all(isinstance(v, list) for v in (positions, row_labels, weights)):
-            raise ValueError(f"{where}: positions, labels and row must be lists")
         if not len(positions) == len(row_labels) == len(weights):
             raise ValueError(f"{where}: {len(positions)} positions, {len(row_labels)} "
                              f"labels and {len(weights)} weights")
-        if not set(map(type, positions)) <= {int}:
-            odd = next(v for v in positions if type(v) is not int)
-            raise ValueError(f"{where}: position {odd!r} is not an integer")
-        if not set(map(type, row_labels)) <= {str}:
-            odd = next(v for v in row_labels if type(v) is not str)
-            raise ValueError(f"{where}: label {odd!r} is not a string")
-        if not set(map(type, weights)) <= {float, int}:
-            odd = next(v for v in weights if type(v) is not float and type(v) is not int)
-            raise ValueError(f"{where}: weight {odd!r} is not a number")
         if t != checked[0] or positions != checked[1]:
             if positions and min(positions) < 0:
                 raise ValueError(f"{where}: negative position {min(positions)}")
@@ -210,20 +196,11 @@ def dump_writer(fh):
     return observe
 
 
-def _file_rows(path) -> Iterator[dict]:
-    """The rows of a dump file, parsed one line at a time."""
-    for lineno, rec in jsonl_objects(path):
-        for name in DUMP_FIELDS:
-            if name not in rec:
-                raise ValueError(f"line {lineno}: missing field {name!r}")
-        yield rec
-
-
 def load_dump_file(path) -> list[KeyMeans]:
     """Key means of every map in one dump file (one run), read row by row.
     A malformed file raises :class:`ValueError` naming it, then the line or row."""
     try:
-        return records_from_dumps(_file_rows(path))
+        return records_from_dumps(rec for _, rec in jsonl_objects(path))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -424,7 +424,28 @@ def _validate_csv(path) -> str:
         _check_bench_rows(path, rows)
     if columns is attnstats.CATEGORY_HEADER:
         _check_category_rows(path, rows)
+    if columns is attnstats.OCCURRENCE_HEADER:
+        _check_occurrence_rows(path, rows)
     return description.format(len(rows))
+
+
+def _check_occurrence_rows(path, rows) -> None:
+    """An occurrence table lists each label once, with a count of at least 1, by count
+    descending, then label, as :func:`attnstats.aggregate_occurrence` orders them."""
+    row_of: dict[str, int] = {}  # the row that lists each label
+    for line, (label, count) in enumerate(rows, start=2):
+        if label in row_of:
+            raise ValueError(f"{path}: row {line} column 'label': {label!r}, "
+                             f"row {row_of[label]} lists it already")
+        if int(count) < 1:
+            raise ValueError(f"{path}: row {line} column 'count': {count}, below 1")
+        above_label, above = rows[line - 3] if line > 2 else (label, count)
+        if (-int(count), label) < (-int(above), above_label):
+            name, got, was = (("count", count, above) if int(count) != int(above)
+                              else ("label", repr(label), repr(above_label)))
+            raise ValueError(f"{path}: row {line} column {name!r}: {got} after {was}, the "
+                             "rows go by count descending, then label")
+        row_of[label] = line
 
 
 def _check_category_rows(path, rows) -> None:

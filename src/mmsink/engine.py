@@ -42,6 +42,7 @@ from .seqmodel import (
     DEFAULT_V_TEXT,
     MultimodalSequence,
     Token,
+    check_fields,
     image_block_tokens,
     token_from_vocab_id,
     vocab_id,
@@ -208,46 +209,38 @@ def load_model(path) -> Model:
         return model_from_payload(json.load(fh), path)
 
 
+# what a model file's config (a seed may be negative) and each weight hold (see FIELD_KINDS)
+_CONFIG_FIELDS = {f.name: "an integer" for f in fields(ModelConfig)}
+_WEIGHT_FIELDS = {"shape": "a list of counts", "data": "a list of numbers"}
+
+
 def model_from_payload(payload, path) -> Model:
-    """The model a parsed :func:`save_model` file holds. A config key that is unknown,
-    missing or not an integer, and a weight that is unknown, missing, has another shape
-    than the config gives, or is not that many finite numbers, raise :class:`ConfigError`
-    naming the file ``path`` and the key or weight."""
+    """The model a parsed :func:`save_model` file holds. A config key or weight that is
+    unknown, missing or not of its kind, a weight whose shape is not the config's, and a
+    non-finite value raise :class:`ConfigError` naming the file ``path`` and the key or weight."""
     if not isinstance(payload, dict) or payload.get("format") != "mmsink-model-v1":
         raise ConfigError(f"{path}: not a model file")
-    for part in ("config", "weights"):
-        if not isinstance(payload.get(part), dict):
-            raise ConfigError(f"{path}: {part} is missing or not an object")
-    raw, keys = payload["config"], {f.name for f in fields(ModelConfig)}
-    for key in sorted(raw.keys() | keys):
-        if key not in keys or type(raw.get(key)) is not int:
-            problem = ("is unknown" if key not in keys else "is missing" if key not in raw
-                       else f"value {raw[key]!r} is not an integer")
-            raise ConfigError(f"{path}: config key {key!r} {problem}")
     try:
+        check_fields(payload, {"config": "an object", "weights": "an object"}, "model file")
+        raw, weights = payload["config"], payload["weights"]
+        for key in sorted(raw.keys() ^ _CONFIG_FIELDS.keys()):
+            raise ValueError(f"config key {key!r} is {'unknown' if key in raw else 'missing'}")
+        check_fields(raw, _CONFIG_FIELDS, "config key")
         config = ModelConfig(**raw)
-    except ConfigError as exc:
+        shapes, params = param_shapes(config), {}
+        for name in sorted(weights.keys() ^ shapes.keys()):
+            raise ValueError(f"weight {name!r} is {'unknown' if name in weights else 'missing'}")
+        for name, shape in shapes.items():
+            entry, where = weights[name], f"weight {name}:"
+            check_fields(entry, _WEIGHT_FIELDS, where)
+            if entry["shape"] != list(shape) or len(entry["data"]) != math.prod(shape):
+                raise ValueError(f"{where} shape {entry['shape']} with {len(entry['data'])} "
+                                 f"values, the config gives shape {list(shape)}")
+            params[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
+            if not np.all(np.isfinite(params[name])):
+                raise ValueError(f"non-finite values in {name}")
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    params: dict[str, np.ndarray] = {}
-    shapes = param_shapes(config)
-    for name in sorted(payload["weights"].keys() | shapes.keys()):
-        entry, shape = payload["weights"].get(name), shapes.get(name)
-        if shape is None or not isinstance(entry, dict):
-            problem = f"weight {name!r} is unknown" if shape is None else f"missing weight {name}"
-            raise ConfigError(f"{path}: {problem}")
-        got, data, size = entry.get("shape"), entry.get("data"), math.prod(shape)
-        if got != list(shape) or any(type(n) is not int for n in got):
-            raise ConfigError(f"{path}: weight {name}: shape {got!r}, "
-                              f"the config gives {list(shape)}")
-        if not isinstance(data, list) or len(data) != size:
-            raise ConfigError(f"{path}: weight {name}: data is not a list of {size} values")
-        if not set(map(type, data)) <= {float, int}:
-            odd = next(v for v in data if type(v) is not float and type(v) is not int)
-            raise ConfigError(f"{path}: weight {name}: value {odd!r} is not a number")
-        arr = np.array(data, dtype=np.float64).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{path}: non-finite values in {name}")
-        params[name] = arr
     return Model(config, params)
 
 

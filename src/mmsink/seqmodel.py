@@ -525,6 +525,10 @@ def _list_of(test):
     return lambda value: type(value) is list and all(map(test, value))
 
 
+def _item_types(value):  # of a list, in one C loop (no Python call per item); else {None}
+    return set(map(type, value)) if type(value) is list else {None}
+
+
 def _in(low, high, *types):
     return lambda value: type(value) in types and low <= value <= high  # NaN is in no range
 
@@ -532,11 +536,19 @@ def _in(low, high, *types):
 _MAX = sys.float_info.max
 _COUNT, _FINITE = _in(0, _MAX, int), _in(-_MAX, _MAX, int, float)
 
+
+def _number_list(value) -> bool:  # floats, and ints in the float range, as numpy takes them
+    types = _item_types(value)  # a second walk, for the ints' range, only if there is one
+    return types <= {int, float} and (int not in types or all(
+        -_MAX <= v <= _MAX for v in value if type(v) is int))
+
+
 # what a JSON field or CSV cell (see csv_value) may hold, by the words its
 # error uses; a bool is neither an integer nor a number
 FIELD_KINDS = {
     "a string": _is(str),
     "a boolean": _is(bool),
+    "an integer": _is(int),
     "a count": _COUNT,
     "a finite number": _FINITE,
     "a non-negative finite number": _in(0, _MAX, int, float),
@@ -544,9 +556,12 @@ FIELD_KINDS = {
     "a finite number or null": lambda value: value is None or _FINITE(value),
     "a list of finite numbers": _list_of(_FINITE),
     "a list": _is(list),
+    "an object": _is(dict),
     "'synthetic' or 'generated'": lambda value: value in ("synthetic", "generated"),
     "'constrained' or 'free'": lambda value: value in ("constrained", "free"),
-    "a list of strings": _list_of(_is(str)),
+    "a list of strings": lambda value: _item_types(value) <= {str},
+    "a list of integers": lambda value: _item_types(value) <= {int},
+    "a list of numbers": _number_list,
     "a list of counts": _list_of(_COUNT),
     "a list of integer pairs": _list_of(
         lambda pair: type(pair) is list and len(pair) == 2 and all(map(_is(int), pair))),

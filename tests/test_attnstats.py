@@ -313,22 +313,23 @@ class TestDumpIngestion:
         (2, {"labels": ["W5", "W1"]}, "label 'W5' for position 0"),
         (2, {"row": [0.5, 0.6]}, "sums to"),
         (3, {"t": 4}, "no row for t=3"),
-        (2, {"positions": ["a", 1]}, "position 'a' is not an integer"),
-        (2, {"positions": [0.0, 1]}, "position 0.0 is not an integer"),
-        (2, {"positions": [0, True]}, "position True is not an integer"),
-        (2, {"t": "x"}, "t 'x' is not an integer"),
-        (2, {"layer": 1.0}, "layer 1.0 is not an integer"),
-        (2, {"head": None}, "head None is not an integer"),
-        (2, {"layer": -1}, "layer and head must be non-negative"),
-        (1, {"head": -2}, "layer and head must be non-negative"),
-        (2, {"row": [0.5, "0.5"]}, "weight '0.5' is not a number"),
-        (2, {"positions": 7}, "must be lists"),
-        (1, {"labels": [5]}, "label 5 is not a string"),
-        (2, {"labels": ["BOS", None]}, "label None is not a string"),
+        (2, {"positions": ["a", 1]}, "positions is not a list of integers"),
+        (2, {"positions": [0.0, 1]}, "positions is not a list of integers"),
+        (2, {"positions": [0, True]}, "positions is not a list of integers"),
+        (2, {"t": "x"}, "t is not a count"),
+        (2, {"layer": 1.0}, "layer is not a count"),
+        (2, {"head": None}, "head is not a count"),
+        (2, {"layer": -1}, "layer is not a count"),
+        (1, {"head": -2}, "head is not a count"),
+        (2, {"row": [0.5, "0.5"]}, "row is not a list of numbers"),
+        (2, {"positions": 7}, "positions is not a list of integers"),
+        (1, {"labels": [5]}, "labels is not a list of strings"),
+        (2, {"labels": ["BOS", None]}, "labels is not a list of strings"),
+        (2, {"row": [10**400, 0.5]}, "row is not a list of numbers"),
     ], ids=["negative", "lengths", "repeated", "duplicate-t", "label", "row-sum", "missing-t",
             "str-position", "float-position", "bool-position", "str-t", "float-layer",
             "null-head", "negative-layer", "negative-head", "str-weight", "scalar-positions",
-            "int-label", "null-label"])
+            "int-label", "null-label", "huge-int-weight"])
     def test_malformed_row_rejected(self, tmp_path, capsys, t, change, expected):
         import json
 

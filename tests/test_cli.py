@@ -293,6 +293,12 @@ class TestValidate:
         ("bench.csv", ",".join(CSV_HEADER) + "\ndense,9,4,,4,0.0,0.0,1.0\n"
          "window,8,4,,4,0.0,0.0,1.0\ndense,9,4,,8,0.0,0.0,1.0\nwindow,8,4,,8,0.0,0.0,1.0\n",
          "row 4: policy 'dense' resumes after another"),
+        ("occ.csv", "label,count\nW1,2\nBOS,3\n",
+         "row 3 column 'count': 3 after 2, the rows go by count descending, then label"),
+        ("occ.csv", "label,count\nW1,2\nBOS,2\n", "row 3 column 'label': 'BOS' after 'W1'"),
+        ("occ.csv", "label,count\nBOS,3\nBOS,3\nW1,2\n",
+         "row 3 column 'label': 'BOS', row 2 lists it already"),
+        ("occ.csv", "label,count\nBOS,3\nW1,2\nZZZ,0\n", "row 4 column 'count': 0, below 1"),
     ], ids=["bench", "occurrence", "category", "curve", "generation", "occurrence-cell",
             "curve-cell", "bench-json-policies", "bench-json-entry", "bench-json-entry-type",
             "bench-cell", "bench-timing-cell", "bench-ckpt-cell", "bench-underscore-count",
@@ -302,7 +308,9 @@ class TestValidate:
             "share-not-a-repr", "bench-policy-cells", "bench-partly-timed",
             "bench-checkpoint-order", "bench-checkpoint-missing", "bench-checkpoint-repeated",
             "bench-no-rows", "category-repeated", "category-alone", "category-missing",
-            "category-extra", "category-sum", "bench-policies-interleaved"])
+            "category-extra", "category-sum", "bench-policies-interleaved",
+            "occurrence-reversed", "occurrence-label-order", "occurrence-repeated",
+            "occurrence-zero-count"])
     def test_rejects_malformed_table(self, tmp_path, capsys, name, text, expected):
         path = tmp_path / name
         path.write_text(text)
@@ -578,13 +586,15 @@ _MODEL_DEFECTS = {
     "transposed-shape": (_transpose_w_out, "weight w_out: shape"),
     "unknown-config-key": (lambda p: p["config"].update(width=3), "config key 'width' is unknown"),
     "missing-config-key": (lambda p: p["config"].pop("d_ff"), "config key 'd_ff' is missing"),
-    "missing-config": (lambda p: p.pop("config"), "config is missing"),
+    "missing-config": (lambda p: p.pop("config"), "model file missing ['config']"),
     "non-integer-shape": (lambda p: p["weights"]["lnf_g"].update(shape=[8.0]),
-                          "weight lnf_g: shape [8.0], the config gives [8]"),
+                          "weight lnf_g: shape is not a list of counts"),
     "data-length": (lambda p: p["weights"]["lnf_b"]["data"].pop(),
-                    "weight lnf_b: data is not a list of 8 values"),
+                    "weight lnf_b: shape [8] with 7 values, the config gives shape [8]"),
     "non-numeric-data": (lambda p: p["weights"]["queries"]["data"].__setitem__(3, "0.5"),
-                         "weight queries: value '0.5' is not a number"),
+                         "weight queries: data is not a list of numbers"),
+    "huge-int-weight": (lambda p: p["weights"]["lnf_b"]["data"].__setitem__(0, 10**400),
+                        "weight lnf_b: data is not a list of numbers"),
     "unknown-weight": (lambda p: p["weights"].update(bogus={"shape": [1], "data": [1.0]}),
                        "weight 'bogus' is unknown"),
 }

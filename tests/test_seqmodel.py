@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmsink import seqmodel as sq
 from mmsink.cachepolicy import CachePolicy, KvCache
@@ -453,3 +453,41 @@ class TestCsvValue:
     @pytest.mark.parametrize("value", [0.1, 1 / 3, 1e-300, 2.5e17, -0.0, 123.0])
     def test_every_repr_reads_back(self, value):
         assert sq.csv_value(repr(value)) == value
+
+
+_MAX = sys.float_info.max
+_NUMBERS = st.one_of(st.integers(), st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 10**400, -10**400,
+     int(_MAX), -int(_MAX), int(_MAX) + 1, -int(_MAX) - 1]))
+_ITEMS = st.one_of(_NUMBERS, st.text(max_size=3), st.booleans(), st.none())
+_VALUES = st.recursive(_ITEMS, lambda inner: st.lists(inner, max_size=6), max_leaves=20)
+
+
+class TestListKinds:
+    """The list kinds that test item types in C loops agree with their per-item definitions."""
+
+    PER_ITEM = {
+        "a list of strings": lambda x: type(x) is str,
+        "a list of integers": lambda x: type(x) is int,
+        "a list of numbers": lambda x: type(x) is float or type(x) is int and -_MAX <= x <= _MAX,
+    }
+
+    @given(st.one_of(st.lists(_NUMBERS, max_size=8), st.lists(st.integers(), max_size=8),
+                     st.lists(st.text(max_size=3), max_size=8), st.lists(_VALUES, max_size=8),
+                     _VALUES), st.sampled_from(sorted(PER_ITEM)))
+    @example([0.5, 10**400], "a list of numbers")
+    @example([-int(_MAX) - 1], "a list of numbers")
+    @example([1, True], "a list of integers")
+    @example("ab", "a list of strings")
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_per_item_definition(self, value, kind):
+        item_ok = self.PER_ITEM[kind]
+        expected = type(value) is list and all(item_ok(x) for x in value)
+        assert sq.FIELD_KINDS[kind](value) is expected
+
+    @pytest.mark.parametrize("big", [10**400, -10**400, int(_MAX) + 1, -int(_MAX) - 1])
+    def test_number_list_holds_ints_to_the_float_range(self, big):
+        assert not sq.FIELD_KINDS["a list of numbers"]([0.5, big])
+        edge = [0.5, int(_MAX) if big > 0 else -int(_MAX)]
+        assert sq.FIELD_KINDS["a list of numbers"](edge)
+        assert np.isinf(np.array(edge, dtype=np.float64)).sum() == 0  # numpy takes it whole
