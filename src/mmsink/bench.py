@@ -28,18 +28,18 @@ from .seqmodel import (
     MultimodalSequence, Token, TokenKind, check_fields, item_tokens, synth_stories, write_csv,
 )
 
-# the keys :func:`check_report` checks and the kind of each (see
-# seqmodel.FIELD_KINDS): at the top, in each entry of "policies", in the
-# JSON's order, and in each checkpoint of an entry's "divergence"
-REPORT_FIELDS = {"prompt_len": "a count", "total_steps": "a count", "checkpoints": "a list of counts",
-                 "repeats": "a count", "seed": "a count", "timing": "a boolean",
-                 "trajectory": "'synthetic' or 'generated'", "policies": "a list"}
-POLICY_FIELDS = {"policy": "a string", "params": "an object of integers",
-                 "peak_entries": "a count", "bytes": "a count",
-                 "mean_tok_s": "a finite number or null", "validity": "a number in [0, 1]",
-                 "divergence": "a list"}
+# the keys :func:`check_report` checks, in the JSON's order, and the kind of each (see
+# seqmodel.check_fields), down to an entry's "params" and each checkpoint of its "divergence"
+PARAM_FIELDS = dict.fromkeys(CachePolicy.dense().params(), "an integer")
 DIVERGENCE_FIELDS = {"t": "a count", "max_logit_diff": "a non-negative finite number",
                      "kl": "a non-negative finite number"}
+POLICY_FIELDS = {"policy": "a string", "params": PARAM_FIELDS,
+                 "peak_entries": "a count", "bytes": "a count",
+                 "mean_tok_s": "a finite number or null", "validity": "a number in [0, 1]",
+                 "divergence": [DIVERGENCE_FIELDS]}
+REPORT_FIELDS = {"prompt_len": "a count", "total_steps": "a count", "checkpoints": "a list of counts",
+                 "repeats": "a count", "seed": "a count", "timing": "a boolean",
+                 "trajectory": "'synthetic' or 'generated'", "policies": [POLICY_FIELDS]}
 
 # the CSV's header, each column with the kind of the JSON value it holds
 CSV_HEADER = {name: {**POLICY_FIELDS, **DIVERGENCE_FIELDS, "ckpt": DIVERGENCE_FIELDS["t"]}[name]
@@ -208,12 +208,8 @@ def write_report_json(report: dict, path) -> None:
 
 
 def record_policy(record: dict, where: str) -> CachePolicy:
-    """The :class:`CachePolicy` a record's checked ``policy`` and ``params`` name. A params
-    key that is no policy field, or a policy it rejects, raises :class:`ValueError`
-    naming ``where``."""
-    names = list(CachePolicy.dense().params())
-    if not record["params"].keys() <= set(names):
-        raise ValueError(f"{where} params may only hold {names}")
+    """The :class:`CachePolicy` a record's checked ``policy`` and ``params`` name. A policy
+    that rejects them raises :class:`ValueError` naming ``where``."""
     try:
         return CachePolicy(record["policy"], **record["params"])
     except ConfigError as exc:
@@ -221,19 +217,16 @@ def record_policy(record: dict, where: str) -> CachePolicy:
 
 
 def check_report(payload, where) -> None:
-    """A key missing or outside its kind, an entry :func:`record_policy` rejects, a ``mean_tok_s``
-    null exactly where ``timing`` is on, a divergence not at the checkpoints, or a run
-    :func:`check_run` rejects raises :class:`ValueError` naming ``where``, entry and key."""
+    """A key missing, unknown or outside its kind, an entry :func:`record_policy` rejects, a
+    ``mean_tok_s`` null exactly where ``timing`` is on, a divergence not at the checkpoints, or
+    a run :func:`check_run` rejects raises :class:`ValueError` naming ``where``, entry and key."""
     check_fields(payload, REPORT_FIELDS, f"{where}:")
     for i, entry in enumerate(payload["policies"]):
         at = f"{where}: policies[{i}]"
-        check_fields(entry, POLICY_FIELDS, at)
         record_policy(entry, at)
         if (entry["mean_tok_s"] is None) == payload["timing"]:
             raise ValueError(f"{at} mean_tok_s is {json.dumps(entry['mean_tok_s'])}, "
                              f"timing is {json.dumps(payload['timing'])}")
-        for j, div in enumerate(entry["divergence"]):
-            check_fields(div, DIVERGENCE_FIELDS, f"{at} divergence[{j}]")
         ts = [div["t"] for div in entry["divergence"]]
         if ts != payload["checkpoints"]:
             raise ValueError(f"{at} divergence at t={ts}, "
@@ -242,4 +235,3 @@ def check_report(payload, where) -> None:
         check_run(payload, [entry["policy"] for entry in payload["policies"]])
     except ConfigError as exc:
         raise ValueError(f"{where}: {exc}") from None
-

@@ -262,7 +262,6 @@ class KvCache:
         self._pos_until = np.empty((2, cap), dtype=np.int64)
         self._count = 0
         self._pushed = 0  # entries before the tokens appended since the last push
-        self._rewritten = 0  # lowest index whose until those appends set
 
         self.violations: list[str] = []
         self.peak_entries = 0
@@ -354,7 +353,6 @@ class KvCache:
         # block rewrites the tail of ``until`` from its start on. Before
         # that, all of them are protected forever.
         start = c - (t0 - grammar.open_start) if mmsink and self.in_block else c
-        lo = c
         state = grammar.save()
         try:
             for i, token in enumerate(tokens, start=c):
@@ -366,11 +364,9 @@ class KvCache:
                 until[i] = _FOREVER if forever else 0
                 if mmsink and change.completed is not None:
                     b, e = change.completed
-                    lo = min(lo, i - (e - b))
                     until[i - (e - b) : i + 1] = _completed_until(policy, b, e, np.arange(b, e + 1))
                 elif mmsink and change.abandoned:
                     # protected while the block was open: for prefixes up to this token
-                    lo = min(lo, i - (pos - open_start))
                     until[i - (pos - max(open_start, sinks)) : i] = pos
         except SequenceGrammarError:
             grammar.restore(state)
@@ -378,7 +374,6 @@ class KvCache:
             raise
         self._pos_until[0, c : c + n] = np.arange(t0, t0 + n) if n > 1 else t0
         self._count = c + n
-        self._rewritten = min(self._rewritten, lo)
 
     def push(self, *tokens: Token) -> list[int]:
         """:meth:`append` ``tokens``, then apply the policy's eviction once to
@@ -393,13 +388,13 @@ class KvCache:
         n, t0 = self._count - c, t - (self._count - c)
         if not n:
             return []
-        # The latest _recent entries pass the rule whatever their until. Of
-        # the older ones, only those that left them since the last push and
-        # the rewritten tail can fail where that push passed them.
-        # Usually that is one entry, so the rule is applied to Python ints.
+        # The latest _recent entries pass the rule whatever their until. Of the
+        # older ones, only those that left them since the last push, and those of
+        # a block the appends closed (at most m + 1 entries before c), can fail
+        # where that push passed them: usually one entry, so Python ints suffice.
         recent = _recent(policy)
         pos, until = self._pos_until
-        drop = [i for i in range(max(0, min(c - recent, self._rewritten)), c + n - recent)
+        drop = [i for i in range(max(0, c - max(recent, self.m + 1)), c + n - recent)
                 if not _kept(policy, t, int(pos[i]), int(until[i]))]
         sizes = [c + n - len(drop)]
         if n > 1:
@@ -411,6 +406,6 @@ class KvCache:
             sizes = [c + k - bisect.bisect_right(gone, t0 + k) for k in range(1, n + 1)]
         if drop:
             self._compact(drop)
-        self._pushed = self._rewritten = self._count
+        self._pushed = self._count
         self.peak_entries = max(self.peak_entries, *sizes)
         return sizes

@@ -267,10 +267,8 @@ def cmd_gen(args) -> int:
             "forced_completion_steps": result.trace.forced_completion_steps,
         }
         if args.features:
-            record["features"] = [
-                {"block_start": pos, "values": [[float(x) for x in row] for row in feats]}
-                for pos, feats in features
-            ]
+            record["features"] = [{"block_start": pos, "values": feats.tolist()}
+                                  for pos, feats in features]
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(record))
             fh.write("\n")
@@ -339,15 +337,56 @@ def cmd_bench(args) -> int:
     return 0
 
 
-# the keys a generation record must hold and the kind of each (see
-# seqmodel.FIELD_KINDS)
+# the keys a generation record holds and the kind of each (see seqmodel.check_fields);
+# only gen --features writes "features", the predicted features of each image block opened
 _GENERATION_FIELDS = {
-    "policy": "a string", "params": "an object of integers", "mode": "'constrained' or 'free'",
-    "seed": "a count", "steps": "a count", "prompt_len": "a count", "m": "a count",
-    "valid": "a boolean", "labels": "a list of strings", "blocks": "a list of integer pairs",
-    "violations": "a list of strings", "peak_entries": "a count",
+    "kind": "a string", "policy": "a string", "params": bench.PARAM_FIELDS,
+    "mode": "'constrained' or 'free'", "seed": "a count", "steps": "a count", "prompt_len": "a count",
+    "m": "a count", "valid": "a boolean", "labels": "a list of strings",
+    "blocks": "a list of integer pairs", "violations": "a list of strings", "peak_entries": "a count",
     "entry_counts": "a list of counts", "forced_completion_steps": "a count",
+    "features": [{"block_start": "a count", "values": "a list of lists of finite numbers"}],
 }
+
+
+def _check_generation_record(record, where) -> None:
+    """Raise :class:`ValueError` from ``where`` for a relation a checked record's fields break."""
+    policy, m, labels = bench.record_policy(record, where), record["m"], record["labels"]
+    try:  # the policy fits m, and so does every image slot label, as stats asks
+        policy.check_block_length(m)
+        for label in labels:
+            attnstats.classify_token(label, m, 0, 0)
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+    counts, fed = record["entry_counts"], len(labels) - record["prompt_len"]
+    steps = record["steps"] + record["forced_completion_steps"]
+    if not len(counts) == fed == steps:
+        raise ValueError(f"{where} entry_counts has {len(counts)} counts for {fed} labels "
+                         f"after prompt_len and {steps} steps + forced_completion_steps")
+    if max(counts, default=0) > record["peak_entries"]:
+        raise ValueError(f"{where} entry_counts reach {max(counts)}, above peak_entries")
+    listed = "violations" if record["valid"] else "blocks"
+    if record[listed]:
+        raise ValueError(f"{where} {listed} is not empty, valid is {json.dumps(record['valid'])}")
+    block = [seqmodel.token_label(token) for token in seqmodel.image_block_tokens(m)]
+    spans = [[b, b + m + 1] for b, label in enumerate(labels) if label == "BOI" and record["valid"]]
+    for i, (got, span) in enumerate(itertools.zip_longest(record["blocks"], spans)):
+        if got != span:
+            raise ValueError(f"{where} blocks[{i}] is {json.dumps(got)} where the BOI labels "
+                             f"give {json.dumps(span)}")
+        for k, want in enumerate(block, start=span[0]):
+            if labels[k:k + 1] != [want]:
+                raise ValueError(f"{where} labels[{k}] is not {want!r}, inside blocks[{i}]")
+    after, first = record["prompt_len"] - 1, None  # the position each block_start follows
+    for i, feature in enumerate(record.get("features", [])):
+        begin, values = feature["block_start"], feature["values"]
+        if begin <= after or labels[begin:begin + 1] != ["BOI"]:
+            raise ValueError(f"{where} features[{i}] block_start {begin} is no BOI after {after}")
+        shape = (len(values), *set(map(len, values)))  # (rows, width) for rows of one width
+        after, first = begin, first or shape
+        if len(shape) != 2 or shape != first:
+            raise ValueError(f"{where} features[{i}] values has {len(values)} rows of lengths "
+                             f"{sorted(shape[1:])}; all share one non-zero row count and length")
 
 
 def _validate_jsonl(path) -> str:
@@ -364,69 +403,13 @@ def _validate_jsonl(path) -> str:
             if record.get("kind") != "mmsink-generation-v1":
                 raise ValueError(f"{path}: line {lineno}: not a generation record")
             where = f"{path}: line {lineno}: generation record"
-            seqmodel.check_fields(record, _GENERATION_FIELDS, where)
-            policy, m = bench.record_policy(record, where), record["m"]
-            try:  # the policy fits m, and so does every image slot label, as stats asks
-                policy.check_block_length(m)
-                for label in record["labels"]:
-                    attnstats.classify_token(label, m, 0, 0)
-            except ValueError as exc:
-                raise ValueError(f"{where} {exc}") from None
-            counts, fed = record["entry_counts"], len(record["labels"]) - record["prompt_len"]
-            steps = record["steps"] + record["forced_completion_steps"]
-            if not len(counts) == fed == steps:
-                raise ValueError(f"{where} entry_counts has {len(counts)} counts for {fed} labels "
-                                 f"after prompt_len and {steps} steps + forced_completion_steps")
-            if max(counts, default=0) > record["peak_entries"]:
-                raise ValueError(f"{where} entry_counts reach {max(counts)}, above peak_entries")
-            if record["valid"]:
-                for b, e in record["blocks"]:
-                    if not (0 <= b < e < len(record["labels"])):
-                        raise ValueError(f"{path}: line {lineno}: block ({b}, {e}) out of range")
-                    if e - b != m + 1:
-                        raise ValueError(f"{where} block ({b}, {e}) holds {e - b - 1} slots, "
-                                         f"m is {m}")
+            seqmodel.check_fields({"features": [], **record}, _GENERATION_FIELDS, where)
+            _check_generation_record(record, where)
         return "generation record" if count == 1 else f"{count} generation records"
     if all(k in first for k in attnstats.DUMP_FIELDS):
         records = attnstats.load_dump_file(path)
         return f"attention dump with {len(records)} maps"
     raise ValueError(f"{path}: unrecognized JSONL content")
-
-
-# each CSV header the tool writes -> (its columns with their kinds, description with row count)
-_CSV_TABLES = {tuple(columns): (columns, description) for columns, description in [
-    (bench.CSV_HEADER, "benchmark report with {} rows"),
-    (attnstats.OCCURRENCE_HEADER, "occurrence table with {} labels"),
-    (attnstats.CATEGORY_HEADER, "category share table"),
-    (losses.CURVE_HEADER, "loss curve with {} steps"),
-]}
-
-
-def _validate_csv(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = list(reader)
-    if tuple(header) not in _CSV_TABLES:
-        raise ValueError(f"{path}: unrecognized CSV header {header}")
-    columns, description = _CSV_TABLES[tuple(header)]
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {line} has {len(row)} fields, "
-                             f"the header has {len(header)}")
-        for (name, kind), cell in zip(columns.items(), row):
-            if not seqmodel.FIELD_KINDS[kind](seqmodel.csv_value(cell)):
-                raise ValueError(f"{path}: row {line} column {name!r}: {cell!r} is not {kind}")
-    if columns is bench.CSV_HEADER:
-        _check_bench_rows(path, rows)
-    if columns is attnstats.CATEGORY_HEADER:
-        _check_category_rows(path, rows)
-    if columns is attnstats.OCCURRENCE_HEADER:
-        _check_occurrence_rows(path, rows)
-    return description.format(len(rows))
 
 
 def _check_occurrence_rows(path, rows) -> None:
@@ -494,6 +477,37 @@ def _check_bench_rows(path, rows) -> None:
             line = next((ln for (ln, _), a, b in zip(group, own, ckpts) if a != b), group[-1][0])
             raise ValueError(f"{path}: row {line} column 'ckpt': policy {policy!r} lists "
                              f"checkpoints {','.join(own)}, the first policy {','.join(ckpts)}")
+
+
+# each CSV header the tool writes -> (its columns' kinds, description with row count, row check)
+_CSV_TABLES = {tuple(columns): (columns, description, check) for columns, description, check in [
+    (bench.CSV_HEADER, "benchmark report with {} rows", _check_bench_rows),
+    (attnstats.OCCURRENCE_HEADER, "occurrence table with {} labels", _check_occurrence_rows),
+    (attnstats.CATEGORY_HEADER, "category share table", _check_category_rows),
+    (losses.CURVE_HEADER, "loss curve with {} steps", lambda path, rows: None),
+]}
+
+
+def _validate_csv(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        rows = list(reader)
+    if tuple(header) not in _CSV_TABLES:
+        raise ValueError(f"{path}: unrecognized CSV header {header}")
+    columns, description, check = _CSV_TABLES[tuple(header)]
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {line} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+        for (name, kind), cell in zip(columns.items(), row):
+            if not seqmodel.FIELD_KINDS[kind](seqmodel.csv_value(cell)):
+                raise ValueError(f"{path}: row {line} column {name!r}: {cell!r} is not {kind}")
+    check(path, rows)
+    return description.format(len(rows))
 
 
 def _validate_one(path) -> str:

@@ -209,30 +209,25 @@ def load_model(path) -> Model:
         return model_from_payload(json.load(fh), path)
 
 
-# what a model file's config (a seed may be negative) and each weight hold (see FIELD_KINDS)
+# what a model file, its config (a seed may be negative) and each weight hold (see check_fields)
 _CONFIG_FIELDS = {f.name: "an integer" for f in fields(ModelConfig)}
+_MODEL_FIELDS = {"format": "a string", "config": _CONFIG_FIELDS, "weights": "an object"}
 _WEIGHT_FIELDS = {"shape": "a list of counts", "data": "a list of numbers"}
 
 
 def model_from_payload(payload, path) -> Model:
-    """The model a parsed :func:`save_model` file holds. A config key or weight that is
-    unknown, missing or not of its kind, a weight whose shape is not the config's, and a
-    non-finite value raise :class:`ConfigError` naming the file ``path`` and the key or weight."""
+    """The model a parsed :func:`save_model` file holds. A key or weight that is unknown,
+    missing or not of its kind, a weight whose shape is not the config's, and a non-finite
+    value raise :class:`ConfigError` naming the file ``path`` and the key or weight."""
     if not isinstance(payload, dict) or payload.get("format") != "mmsink-model-v1":
         raise ConfigError(f"{path}: not a model file")
     try:
-        check_fields(payload, {"config": "an object", "weights": "an object"}, "model file")
-        raw, weights = payload["config"], payload["weights"]
-        for key in sorted(raw.keys() ^ _CONFIG_FIELDS.keys()):
-            raise ValueError(f"config key {key!r} is {'unknown' if key in raw else 'missing'}")
-        check_fields(raw, _CONFIG_FIELDS, "config key")
-        config = ModelConfig(**raw)
-        shapes, params = param_shapes(config), {}
-        for name in sorted(weights.keys() ^ shapes.keys()):
-            raise ValueError(f"weight {name!r} is {'unknown' if name in weights else 'missing'}")
+        check_fields(payload, _MODEL_FIELDS, "model file")
+        config = ModelConfig(**payload["config"])
+        shapes, params, weights = param_shapes(config), {}, payload["weights"]
+        check_fields(weights, dict.fromkeys(shapes, _WEIGHT_FIELDS), "model file weights")
         for name, shape in shapes.items():
             entry, where = weights[name], f"weight {name}:"
-            check_fields(entry, _WEIGHT_FIELDS, where)
             if entry["shape"] != list(shape) or len(entry["data"]) != math.prod(shape):
                 raise ValueError(f"{where} shape {entry['shape']} with {len(entry['data'])} "
                                  f"values, the config gives shape {list(shape)}")

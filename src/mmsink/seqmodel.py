@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -521,10 +522,6 @@ def _is(*types):
     return lambda value: type(value) in types
 
 
-def _list_of(test):
-    return lambda value: type(value) is list and all(map(test, value))
-
-
 def _item_types(value):  # of a list, in one C loop (no Python call per item); else {None}
     return set(map(type, value)) if type(value) is list else {None}
 
@@ -534,7 +531,7 @@ def _in(low, high, *types):
 
 
 _MAX = sys.float_info.max
-_COUNT, _FINITE = _in(0, _MAX, int), _in(-_MAX, _MAX, int, float)
+_FINITE = _in(-_MAX, _MAX, int, float)
 
 
 def _number_list(value) -> bool:  # floats, and ints in the float range, as numpy takes them
@@ -549,40 +546,49 @@ FIELD_KINDS = {
     "a string": _is(str),
     "a boolean": _is(bool),
     "an integer": _is(int),
-    "a count": _COUNT,
+    "a count": _in(0, _MAX, int),
     "a finite number": _FINITE,
     "a non-negative finite number": _in(0, _MAX, int, float),
     "a number in [0, 1]": _in(0, 1, int, float),
     "a finite number or null": lambda value: value is None or _FINITE(value),
-    "a list of finite numbers": _list_of(_FINITE),
-    "a list": _is(list),
+    "a list of finite numbers": lambda value: _number_list(value) and all(map(math.isfinite, value)),
+    "a list of lists of finite numbers": lambda value: (
+        _item_types(value) <= {list} and all(map(FIELD_KINDS["a list of finite numbers"], value))),
     "an object": _is(dict),
     "'synthetic' or 'generated'": lambda value: value in ("synthetic", "generated"),
     "'constrained' or 'free'": lambda value: value in ("constrained", "free"),
     "a list of strings": lambda value: _item_types(value) <= {str},
     "a list of integers": lambda value: _item_types(value) <= {int},
     "a list of numbers": _number_list,
-    "a list of counts": _list_of(_COUNT),
-    "a list of integer pairs": _list_of(
-        lambda pair: type(pair) is list and len(pair) == 2 and all(map(_is(int), pair))),
-    "an object of integers": lambda value: (
-        type(value) is dict and all(map(_is(int), value.values()))),
+    "a list of counts": lambda value: (
+        _item_types(value) <= {int} and 0 <= min(value, default=0) <= max(value, default=0) <= _MAX),
+    "a list of integer pairs": lambda value: (_item_types(value) <= {list} and set(
+        map(len, value)) <= {2} and _item_types([v for pair in value for v in pair]) <= {int}),
 }
 
 
-def check_fields(record, fields: dict[str, str], where: str) -> None:
-    """Check that ``record`` is an object holding every key of ``fields``,
-    each with a value of its :data:`FIELD_KINDS` kind. Raises
-    :class:`ValueError` beginning with ``where`` and naming the missing keys,
-    or the first key that fails."""
+def check_fields(record, fields: dict, where: str) -> None:
+    """Check that ``record`` is an object holding exactly the keys of ``fields``, each with a
+    value of its kind: a :data:`FIELD_KINDS` name, a table for an object checked as ``where
+    key``, or ``[table]`` for a list whose item i is checked as ``where key[i]``. Raises
+    :class:`ValueError` after ``where``, naming missing keys, else unknown ones, else a bad one."""
     if not isinstance(record, dict):
         raise ValueError(f"{where} is not an object")
-    missing = [key for key in fields if key not in record]
-    if missing:
-        raise ValueError(f"{where} missing {missing}")
+    if record.keys() != fields.keys():  # one C comparison; key lists only when it fails
+        missing = [key for key in fields if key not in record]
+        raise ValueError(f"{where} missing {missing}" if missing else
+                         f"{where} has unknown keys {[key for key in record if key not in fields]}")
     for key, kind in fields.items():
-        if not FIELD_KINDS[kind](record[key]):
-            raise ValueError(f"{where} {key} is not {kind}")
+        if type(kind) is str:
+            if not FIELD_KINDS[kind](record[key]):
+                raise ValueError(f"{where} {key} is not {kind}")
+        elif type(kind) is dict:
+            check_fields(record[key], kind, f"{where} {key}")
+        elif type(record[key]) is not list:
+            raise ValueError(f"{where} {key} is not a list")
+        else:
+            for i, item in enumerate(record[key]):
+                check_fields(item, kind[0], f"{where} {key}[{i}]")
 
 
 def csv_value(cell: str):
@@ -604,27 +610,25 @@ def write_csv(path, header: Iterable[str], rows) -> None:
         writer.writerows(rows)
 
 
-# what a story line and each of its items hold (see FIELD_KINDS)
-STORY_FIELDS = {"story_id": "a string", "items": "a list"}
+# what a story line and each of its items hold (see check_fields)
 ITEM_FIELDS = {"text": "a string", "image_feature": "a list of finite numbers"}
+STORY_FIELDS = {"story_id": "a string", "items": [ITEM_FIELDS]}
 
 
 def read_stories(path) -> list[Story]:
-    """Read a JSON-lines story file: one :data:`STORY_FIELDS` object a line,
-    each item an :data:`ITEM_FIELDS` object. Raises :class:`StoryFormatError`
-    naming the file and line, and the item for one that fails its fields or
-    whose feature has zero norm or another length than the first; and the
-    story for one with no items or another feature length than the first
-    story's; and the file for one that holds no story."""
+    """Read a JSON-lines story file: one :data:`STORY_FIELDS` object a line.
+    Raises :class:`StoryFormatError` naming the file and line, and the item for
+    one that fails its fields or whose feature has zero norm or another length
+    than the first; and the story for one with no items or another feature
+    length than the first story's; and the file for one that holds no story."""
     stories = []
     try:
         for lineno, record in jsonl_objects(path):
             where = f"line {lineno}:"
             check_fields(record, STORY_FIELDS, where)
             for i, item in enumerate(record["items"]):
-                check_fields(item, ITEM_FIELDS, f"{where} item {i}")
                 if item["image_feature"] and not any(item["image_feature"]):
-                    raise ValueError(f"{where} item {i} image_feature has zero norm")
+                    raise ValueError(f"{where} items[{i}] image_feature has zero norm")
             try:  # Story checks that there are items, all of the first one's nonzero length
                 story = Story(record["story_id"], tuple(
                     StoryItem(item["text"], tuple(map(float, item["image_feature"])))

@@ -164,6 +164,10 @@ class TestBench:
         assert float(row[3]) > 0.0
 
 
+# the params of a window(8) benchmark entry: all four keys, as CachePolicy.params() writes them
+PARAMS = {"window": 8, "n_sink": 0, "k_head": 0, "k_tail": 0}
+# what a generation record's feature values that break their one shape fail with, after the lengths
+_ONE_SHAPE = "; all share one non-zero row count and length"
 # the top-level keys of an untimed benchmark JSON report, apart from "policies"
 REPORT_TOP = {"prompt_len": 3, "total_steps": 4, "checkpoints": [4], "repeats": 1, "seed": 0,
               "timing": False, "trajectory": "synthetic"}
@@ -337,8 +341,8 @@ class TestValidate:
         ({"peak_entries": "x", "validity": 7, "divergence": 5},
          "policies[0] peak_entries is not a count"),
         ({"policy": 3}, "policies[0] policy is not a string"),
-        ({"params": {"window": "8"}}, "policies[0] params is not an object of integers"),
-        ({"params": []}, "policies[0] params is not an object of integers"),
+        ({"params": dict(PARAMS, window="8")}, "policies[0] params window is not an integer"),
+        ({"params": []}, "policies[0] params is not an object"),
         ({"bytes": True}, "policies[0] bytes is not a count"),
         ({"mean_tok_s": "fast"}, "policies[0] mean_tok_s is not a finite number or null"),
         ({"validity": False}, "policies[0] validity is not a number in [0, 1]"),
@@ -363,15 +367,16 @@ class TestValidate:
          "policies[0] divergence[0] max_logit_diff is not a non-negative finite number"),
         ({"divergence": [{"t": -4, "max_logit_diff": 0.0, "kl": 0.0}]},
          "policies[0] divergence[0] t is not a count"),
-        ({"params": {"window": 0}}, "policies[0] window policy needs a positive window, got 0"),
-        ({"params": {"window": 8, "k_tail": 2}}, "policies[0] window policy takes no k_tail, got 2"),
+        ({"params": dict(PARAMS, window=0)},
+         "policies[0] window policy needs a positive window, got 0"),
+        ({"params": dict(PARAMS, k_tail=2)}, "policies[0] window policy takes no k_tail, got 2"),
     ], ids=["issue-entry", "policy", "params-value", "params-list", "bool-bytes", "timing",
             "bool-validity", "divergence", "checkpoint-type", "checkpoint-key", "kl",
             "checkpoint-t", "range-entry", "negative-bytes", "validity-above-one",
             "negative-validity", "infinite-timing", "nan-kl", "negative-logit-diff",
             "negative-t", "params-out-of-range", "params-not-read"])
     def test_rejects_bench_json_values(self, tmp_path, capsys, change, expected):
-        entry = {"policy": "window", "params": {"window": 8}, "peak_entries": 9, "bytes": 1,
+        entry = {"policy": "window", "params": PARAMS, "peak_entries": 9, "bytes": 1,
                  "mean_tok_s": None, "validity": 1.0,
                  "divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": 0.0}]}
         path = tmp_path / "weird.json"
@@ -405,8 +410,8 @@ class TestValidate:
         ({"policies": lambda ps: [ps[0], dict(ps[1], policy="bogus")]}, None,
          "policies[1] unknown policy kind 'bogus', expected one of "
          "('dense', 'window', 'sink', 'mmsink')"),
-        ({"policies": lambda ps: [ps[0], dict(ps[1], params={"x": 1})]}, None,
-         "policies[1] params may only hold ['window', 'n_sink', 'k_head', 'k_tail']"),
+        ({"policies": lambda ps: [ps[0], dict(ps[1], params=dict(ps[1]["params"], x=1))]}, None,
+         "policies[1] params has unknown keys ['x']"),
         ({"repeats": 0}, None, "repeats must be at least 1"),
         ({"total_steps": 0}, None, "total_steps must be at least 1"),
     ], ids=["issue-report", "float-prompt-len", "negative-repeats", "string-seed",
@@ -475,13 +480,14 @@ class TestValidate:
         ({"blocks": [[1, 2.0]]}, "blocks is not a list of integer pairs"),
         ({"mode": None}, "mode is not 'constrained' or 'free'"),
         ({"mode": "bogus"}, "mode is not 'constrained' or 'free'"),
-        ({"policy": "bogus", "params": {"x": -3}},
-         "params may only hold ['window', 'n_sink', 'k_head', 'k_tail']"),
+        ({"policy": "bogus", "params": {"window": 64, "n_sink": 4, "k_head": 1, "k_tail": 2,
+                                        "x": -3}}, "params has unknown keys ['x']"),
         ({"policy": "bogus"},
          "unknown policy kind 'bogus', expected one of ('dense', 'window', 'sink', 'mmsink')"),
         ({"policy": "window"}, "window policy takes no n_sink, got 4"),
         ({"steps": True}, "steps is not a count"),
-        ({"params": {"window": "8"}}, "params is not an object of integers"),
+        ({"params": {"window": "8", "n_sink": 4, "k_head": 1, "k_tail": 2}},
+         "params window is not an integer"),
         ({"prompt_len": -3}, "prompt_len is not a count"),
         ({"m": "eight"}, "m is not a count"),
         ({"entry_counts": "x"}, "entry_counts is not a list of counts"),
@@ -489,17 +495,56 @@ class TestValidate:
         ({"forced_completion_steps": 1.5}, "forced_completion_steps is not a count"),
         ({"seed": -1}, "seed is not a count"),
         ({"m": 2}, "k_head 1 + k_tail 2 exceeds block length 2"),
-        ({"m": 9}, "block (17, 26) holds 8 slots, m is 9"),
+        ({"m": 9}, "blocks[0] is [17, 26] where the BOI labels give [17, 27]"),
         ({"m": 5}, "label 'IMG05': slot 5 does not fit a block of length m=5"),
+        ({"valid": False, "blocks": [[0, 5]]}, "blocks is not empty, valid is false"),
+        ({"violations": ["t=3: nested image block"]}, "violations is not empty, valid is true"),
+        ({"blocks": lambda blocks: blocks[::-1]},
+         "blocks[0] is [75, 84] where the BOI labels give [17, 26]"),
+        ({"blocks": lambda blocks: blocks[:1] + blocks},
+         "blocks[1] is [17, 26] where the BOI labels give [27, 36]"),
+        ({"labels": lambda labels: labels[:17] + ["W1"] + labels[18:]},
+         "blocks[0] is [17, 26] where the BOI labels give [27, 36]"),
+        ({"labels": lambda labels: labels[:52] + ["IMG01"] + labels[53:]},
+         "labels[52] is not 'IMG00', inside blocks[2]"),
+        ({"blocks": lambda blocks: blocks[:-1]},
+         "blocks[3] is null where the BOI labels give [75, 84]"),
+        ({"features": lambda fs: [dict(fs[0], block_start=10**6)] + fs[1:]},
+         "features[0] block_start 1000000 is no BOI after 26"),
+        ({"features": "garbage"}, "features is not a list"),
+        ({"features": lambda fs: [dict(fs[0], values=[["x"]])] + fs[1:]},
+         "features[0] values is not a list of lists of finite numbers"),
+        ({"features": lambda fs: fs[1:2] + fs[:1] + fs[2:]},
+         "features[1] block_start 27 is no BOI after 51"),
+        ({"features": lambda fs: fs[:1] + fs[:1] + fs[2:]},
+         "features[1] block_start 27 is no BOI after 27"),
+        ({"features": lambda fs: [dict(fs[0], block_start=17)] + fs[1:]},
+         "features[0] block_start 17 is no BOI after 26"),
+        ({"features": lambda fs: fs[:1] + [dict(fs[1], values=fs[1]["values"][1:])] + fs[2:]},
+         f"features[1] values has 3 rows of lengths [16]{_ONE_SHAPE}"),
+        ({"features": lambda fs: fs[:1] + [dict(fs[1], values=[[0.5], *fs[1]["values"][1:]])]},
+         f"features[1] values has 4 rows of lengths [1, 16]{_ONE_SHAPE}"),
+        ({"features": lambda fs: [dict(f, values=[]) for f in fs]},
+         f"features[0] values has 0 rows of lengths []{_ONE_SHAPE}"),
     ], ids=["labels", "four-fields", "valid", "violations", "peak-entries", "short-block",
             "float-block", "mode", "unknown-mode", "unknown-param", "unknown-policy",
             "policy-params", "bool-steps", "params", "negative-prompt-len", "string-m",
             "string-entry-counts", "negative-entry-count", "float-forced-steps",
-            "negative-seed", "m-below-anchors", "m-above-blocks", "slot-beyond-m"])
+            "negative-seed", "m-below-anchors", "m-above-blocks", "slot-beyond-m",
+            "invalid-with-blocks", "valid-with-violations", "reversed-blocks",
+            "repeated-block", "boi-relabelled", "slot-relabelled", "block-missing",
+            "feature-past-the-run", "features-not-a-list", "feature-values-not-numbers",
+            "features-reversed", "feature-repeated", "feature-in-the-prompt",
+            "feature-row-missing", "feature-row-width", "feature-no-rows"])
     def test_rejects_generation_record_values(self, tmp_path, capsys, change, expected):
+        """Each edit, of the value it is given or to the value itself, of a 64-step record
+        whose steps 0, 24 and 48 open a block, each with features."""
         gen_out = tmp_path / "g.jsonl"
-        assert main(["gen", "--steps", "12", "--out", str(gen_out)]) == 0
+        assert main(["gen", "--steps", "64", "--boi-every", "24", "--features",
+                     "--out", str(gen_out)]) == 0
         record = json.loads(gen_out.read_text())
+        change = {key: value(record[key]) if callable(value) else value
+                  for key, value in change.items()}
         gen_out.write_text(json.dumps(dict(record, **change)) + "\n")
         capsys.readouterr()
         assert main(["validate", str(gen_out)]) == 1
@@ -584,19 +629,20 @@ def _transpose_w_out(payload):
 # payload edit -> what the one-line error names
 _MODEL_DEFECTS = {
     "transposed-shape": (_transpose_w_out, "weight w_out: shape"),
-    "unknown-config-key": (lambda p: p["config"].update(width=3), "config key 'width' is unknown"),
-    "missing-config-key": (lambda p: p["config"].pop("d_ff"), "config key 'd_ff' is missing"),
+    "unknown-config-key": (lambda p: p["config"].update(width=3),
+                           "model file config has unknown keys ['width']"),
+    "missing-config-key": (lambda p: p["config"].pop("d_ff"), "model file config missing ['d_ff']"),
     "missing-config": (lambda p: p.pop("config"), "model file missing ['config']"),
     "non-integer-shape": (lambda p: p["weights"]["lnf_g"].update(shape=[8.0]),
-                          "weight lnf_g: shape is not a list of counts"),
+                          "model file weights lnf_g shape is not a list of counts"),
     "data-length": (lambda p: p["weights"]["lnf_b"]["data"].pop(),
                     "weight lnf_b: shape [8] with 7 values, the config gives shape [8]"),
     "non-numeric-data": (lambda p: p["weights"]["queries"]["data"].__setitem__(3, "0.5"),
-                         "weight queries: data is not a list of numbers"),
+                         "model file weights queries data is not a list of numbers"),
     "huge-int-weight": (lambda p: p["weights"]["lnf_b"]["data"].__setitem__(0, 10**400),
-                        "weight lnf_b: data is not a list of numbers"),
+                        "model file weights lnf_b data is not a list of numbers"),
     "unknown-weight": (lambda p: p["weights"].update(bogus={"shape": [1], "data": [1.0]}),
-                       "weight 'bogus' is unknown"),
+                       "model file weights has unknown keys ['bogus']"),
 }
 
 
@@ -621,10 +667,10 @@ class TestMalformedFiles:
         assert not (tmp_path / "g.jsonl").exists()
 
     @pytest.mark.parametrize("feature, expected", [
-        ([0.0, 0.0], "item 1 image_feature has zero norm"),
-        ([float("nan"), 1.0], "item 1 image_feature is not a list of finite numbers"),
-        ([10**400, 1.0], "item 1 image_feature is not a list of finite numbers"),
-        ([True, 1.0], "item 1 image_feature is not a list of finite numbers"),
+        ([0.0, 0.0], "items[1] image_feature has zero norm"),
+        ([float("nan"), 1.0], "items[1] image_feature is not a list of finite numbers"),
+        ([10**400, 1.0], "items[1] image_feature is not a list of finite numbers"),
+        ([True, 1.0], "items[1] image_feature is not a list of finite numbers"),
     ], ids=["zeros", "nan", "too-large", "bool"])
     def test_bad_story_feature_is_one_line_error(self, tmp_path, capsys, feature, expected):
         """validate and train-toy both reject the story file at its line and item."""
@@ -645,7 +691,7 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("change, expected", [
         ({"items": [{"text": 5, "image_feature": [1.0, 0.0]}]},
-         "line 2: item 0 text is not a string"),
+         "line 2: items[0] text is not a string"),
         ({"items": [{"text": "b", "image_feature": [1.0]}]},
          "line 2: story 's1' has 1-dimensional image features, the first story has 2"),
         ({"story_id": None}, "line 2: story_id is not a string"),
@@ -667,6 +713,59 @@ class TestMalformedFiles:
             assert len(err.splitlines()) == 1 and f"{path}: {expected}" in err, err
             assert err.count(str(path)) == 1, err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind, edit, key_path", [
+        ("dump", lambda row: row, "dump row t=1 layer=0 head=0:"),
+        ("model", lambda payload: payload, "model file"),
+        ("model", lambda payload: payload["config"], "model file config"),
+        ("model", lambda payload: payload["weights"]["lnf_b"], "model file weights lnf_b"),
+        ("gen", lambda record: record, "line 1: generation record"),
+        ("gen", lambda record: record["params"], "line 1: generation record params"),
+        ("gen", lambda record: record["features"][0], "line 1: generation record features[0]"),
+        ("bench", lambda report: report, ""),
+        ("bench", lambda report: report["policies"][0], "policies[0]"),
+        ("bench", lambda report: report["policies"][0]["params"], "policies[0] params"),
+        ("bench", lambda report: report["policies"][0]["divergence"][0],
+         "policies[0] divergence[0]"),
+        ("story", lambda story: story, "line 1:"),
+        ("story", lambda story: story["items"][0], "line 1: items[0]"),
+    ], ids=["dump-row", "model", "model-config", "model-weight", "generation-record",
+            "generation-params", "generation-feature", "bench-report", "bench-entry",
+            "bench-params", "bench-divergence", "story", "story-item"])
+    def test_stray_key_is_named(self, tmp_path, capsys, tiny_config, kind, edit, key_path):
+        """A key no writer writes, added to one object of a file the CLI wrote: validate,
+        and the command that reads such a file, exit 1 with one line naming the file, the
+        key path and the key."""
+        path = tmp_path / {"model": "m.json", "bench": "b.json"}.get(kind, f"{kind}.jsonl")
+        readers = {"dump": [["stats", "--dumps", str(path), "--occ-out", str(tmp_path / "o.csv")]],
+                   "model": [["gen", "--model", str(path), "--steps", "4",
+                              "--out", str(tmp_path / "out.jsonl")]],
+                   "story": [["train-toy", "--stories", str(path), "--steps", "1",
+                              "--model-out", str(tmp_path / "out.json")]]}.get(kind, [])
+        if kind == "model":
+            engine.save_model(engine.Model.init(tiny_config), path)
+        elif kind == "story":
+            sq.write_stories(sq.synth_stories(2, 2, rng_seed=0), path)
+        else:
+            assert main({"dump": ["gen", "--steps", "4", "--attn-dump", str(path),
+                                  "--out", str(tmp_path / "g.jsonl")],
+                         "gen": ["gen", "--steps", "24", "--boi-every", "10", "--features",
+                                 "--out", str(path)],
+                         "bench": ["bench", "--policies", "window", "--steps", "16", "--window",
+                                   "8", "--report", str(tmp_path / "b.csv"), "--json",
+                                   str(path)]}[kind]) == 0
+        first, *rest = [path.read_text()] if kind in ("model", "bench") else (
+            path.read_text().splitlines())
+        payload = json.loads(first)
+        edit(payload)["bogus"] = 1
+        path.write_text("\n".join([json.dumps(payload), *rest]) + "\n")
+        for args in [["validate", str(path)], *readers]:
+            capsys.readouterr()
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            named = f"{path}: {key_path} has unknown keys ['bogus']".replace(":  ", ": ")
+            assert len(err.splitlines()) == 1 and named in err, err
+        assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "out.json").exists()
 
     def test_bad_dump_in_a_directory_is_named(self, tmp_path, capsys):
         """stats --dumps DIR names the file that holds a bad row."""

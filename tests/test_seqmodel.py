@@ -470,6 +470,12 @@ class TestListKinds:
         "a list of strings": lambda x: type(x) is str,
         "a list of integers": lambda x: type(x) is int,
         "a list of numbers": lambda x: type(x) is float or type(x) is int and -_MAX <= x <= _MAX,
+        "a list of counts": lambda x: type(x) is int and 0 <= x <= _MAX,
+        "a list of finite numbers": lambda x: type(x) in (int, float) and -_MAX <= x <= _MAX,
+        "a list of integer pairs": lambda x: (
+            type(x) is list and len(x) == 2 and all(type(v) is int for v in x)),
+        "a list of lists of finite numbers": lambda x: type(x) is list and all(
+            type(v) in (int, float) and -_MAX <= v <= _MAX for v in x),
     }
 
     @given(st.one_of(st.lists(_NUMBERS, max_size=8), st.lists(st.integers(), max_size=8),
@@ -479,6 +485,14 @@ class TestListKinds:
     @example([-int(_MAX) - 1], "a list of numbers")
     @example([1, True], "a list of integers")
     @example("ab", "a list of strings")
+    @example([[1, 2], [3, -4]], "a list of integer pairs")
+    @example([[1, 2], [3]], "a list of integer pairs")
+    @example([[1, True]], "a list of integer pairs")
+    @example([[0.5, 1], [], [float("nan")]], "a list of lists of finite numbers")
+    @example([[0.5, 1], [2.0, float("inf")]], "a list of lists of finite numbers")
+    @example([0, 3, -1], "a list of counts")
+    @example([0.5, 10**400], "a list of finite numbers")
+    @example([0.5, int(_MAX), -int(_MAX)], "a list of finite numbers")
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_per_item_definition(self, value, kind):
         item_ok = self.PER_ITEM[kind]
