@@ -57,14 +57,15 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 # -- numeric primitives (float64, shared with the training code) -------------
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + 0.044715 * x**3)
-    return 0.5 * x * (1.0 + np.tanh(u))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tanh form of GELU. Returns ``(gelu(x), t)``, where ``t`` is the
+    tanh it computed, which :func:`gelu_grad` reads instead of recomputing."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + t), t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(u)
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(x) / dx, from ``x`` and the tanh ``t`` that :func:`gelu` returned."""
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
 
 
@@ -255,7 +256,9 @@ def block(model: Model, l: int, x: np.ndarray, kv: np.ndarray,
     columns (a gather), and a boolean ``mask`` (N, len(cols)) lets row r
     attend to exactly the keys where ``mask[r]`` is set (each row needs at
     least one). Returns the output rows and the activations the
-    hand-written backward in :mod:`mmsink.losses` reads.
+    hand-written backward in :mod:`mmsink.losses` reads; they carry the
+    feed-forward's GELU input ``f1`` and the tanh :func:`gelu` computed from
+    it (``tanh``), so the backward reads that tanh instead of recomputing it.
     """
     cfg = model.config
     p = model.p
@@ -275,8 +278,9 @@ def block(model: Model, l: int, x: np.ndarray, kv: np.ndarray,
     x_attn = x + ctx @ p[f"l{l}.wo"]
     b, lnc2 = layer_norm(x_attn, p[f"l{l}.ln2_g"], p[f"l{l}.ln2_b"])
     f1 = b @ p[f"l{l}.w1"]
-    gact = gelu(f1)
-    acts = dict(a=a, lnc1=lnc1, qh=qh, pr=pr, ctx=ctx, b=b, lnc2=lnc2, f1=f1, gact=gact)
+    gact, tanh = gelu(f1)
+    acts = dict(a=a, lnc1=lnc1, qh=qh, pr=pr, ctx=ctx, b=b, lnc2=lnc2, f1=f1, tanh=tanh,
+                gact=gact)
     return x_attn + gact @ p[f"l{l}.w2"], acts
 
 

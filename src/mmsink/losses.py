@@ -12,7 +12,9 @@ term per query row, averaged.
 
 The backward pass is written by hand, one block backward for both the main
 stream and the query branches; the query branches feed gradient back into
-the main stream through the keys and values they attended to.
+the main stream through the keys and values they attended to. It reads the
+activations :func:`~mmsink.engine.block` kept, the GELU's tanh among them, so
+the feed-forward's GELU gradient computes no ``tanh`` or ``x**3`` of its own.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _block_backward(model: Model, l: int, acts, dx: np.ndarray, kv: np.ndarray, 
     # feed-forward
     dgact = dx @ p[f"l{l}.w2"].T
     grads[f"l{l}.w2"] += acts["gact"].T @ dx
-    df1 = dgact * gelu_grad(acts["f1"])
+    df1 = dgact * gelu_grad(acts["f1"], acts["tanh"])
     grads[f"l{l}.w1"] += acts["b"].T @ df1
     db_ln = df1 @ p[f"l{l}.w1"].T
     dx_attn = _norm_backward(model, f"l{l}.ln2", db_ln, acts["lnc2"], grads) + dx

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,15 @@ def small_prompt(small_config) -> seqmodel.MultimodalSequence:
     return seqmodel.prompt_sequence(
         story, 1, m=small_config.m, v_text=small_config.v_text
     )
+
+
+def recomputing_gelu_grad(x: np.ndarray, t=None) -> np.ndarray:
+    """The GELU gradient as it was written before the backward read the
+    forward's tanh: it recomputes the tanh from ``x`` and ignores ``t``."""
+    c = math.sqrt(2.0 / math.pi)
+    u = c * (x + 0.044715 * x**3)
+    t = np.tanh(u)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
 
 
 def make_stream(rng: np.random.Generator, m: int, length: int, v_text: int = 32) -> list[Token]:

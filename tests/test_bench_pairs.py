@@ -1,5 +1,6 @@
 """tools/bench_pairs.py on a two-commit scratch repository with a stub benchmark."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -78,22 +79,30 @@ def test_two_commit_repository(tmp_path, monkeypatch):
     monkeypatch.setenv("BENCH_LOG", str(log))
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     out = tmp_path / "BENCH.json"
-    subprocess.run([sys.executable, str(repo / "tools" / "bench_pairs.py"), "--base", "HEAD~1",
-                    "--workload", "w", "--pairs", "3", "--first-seed", "4", "--out", str(out)],
-                   check=True, capture_output=True)
+    done = subprocess.run([sys.executable, str(repo / "tools" / "bench_pairs.py"),
+                           "--base", "HEAD~1", "--workload", "w", "--pairs", "3",
+                           "--first-seed", "4", "--out", str(out)],
+                          check=True, capture_output=True, text=True)
 
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
     assert json.loads(json.dumps(report)) == report
     assert (report["workload"], report["seconds"], report["seeds"]) == ("w", 20, [4, 6])
-    # alternating order, one seed per pair: base first on even pairs
-    assert log.read_text().split() == ["2.04", "1.54", "1.55", "2.05", "2.06", "1.56"]
+    # alternating order, one seed per pair: base first on even pairs; then the
+    # change twice on the same seed
+    assert log.read_text().split() == ["2.04", "1.54", "1.54", "1.54",
+                                       "1.55", "2.05", "1.55", "1.55",
+                                       "2.06", "1.56", "1.56", "1.56"]
     assert [(p["seed"], p["first"]) for p in report["pairs"]] == [
         (4, "base"), (5, "change"), (6, "base")]
     assert [p["base"]["wall_s"] for p in report["pairs"]] == [2.04, 2.05, 2.06]
-    assert all(p["base_failed"] == p["change_failed"] == 0 for p in report["pairs"])
-    assert [(p["base_iterations"], p["change_iterations"]) for p in report["pairs"]] == [
-        (3, 3), (4, 4), (3, 3)]
+    assert [p[run]["wall_s"] for p in report["pairs"] for run in ("control_1", "control_2")] \
+        == [1.54, 1.54, 1.55, 1.55, 1.56, 1.56]
+    assert all(p[f"{run}_failed"] == 0 for p in report["pairs"]
+               for run in ("base", "change", "control_1", "control_2"))
+    assert [(p["base_iterations"], p["change_iterations"], p["control_2_iterations"])
+            for p in report["pairs"]] == [(3, 3, 3), (4, 4, 4), (3, 3, 3)]
+    assert report["summary"]["iterations"] == {"base": 3, "change": 3}
     wall_s = report["summary"]["wall_s"]
     assert wall_s["base"] == pytest.approx({"median": 2.05, "q1": 2.045, "q3": 2.055,
                                             "iqr": 0.01})
@@ -101,6 +110,14 @@ def test_two_commit_repository(tmp_path, monkeypatch):
     assert (wall_s["change_wins"], wall_s["ties"], wall_s["pairs"]) == (3, 0, 3)
     assert wall_s["median_ratio"] == pytest.approx(1.55 / 2.05 - 1)
     assert report["summary"]["setup_s"]["ties"] == 3
+    # identical runs: an A/A spread of zero resolves a -24% change, not a tie
+    assert wall_s["control"] == {"median": 0.0, "min": 0.0, "max": 0.0}
+    assert wall_s["resolved"] is True
+    assert report["summary"]["setup_s"]["resolved"] is False
+    lines = done.stdout.splitlines()
+    assert [line.rsplit(", ", 1)[1] for line in lines] == [
+        "not resolved", "resolved", "not resolved"]
+    assert "iterations base 3 change 3, A/A +0.0% to +0.0%" in lines[2]
     assert report["base"]["provenance"] == {"src": "2"}
     assert report["change"]["provenance"] == {"src": "1"}
     assert report["change"]["src_uncommitted_changes"] is True
@@ -122,7 +139,7 @@ def test_change_revision_is_archived_like_the_base(tmp_path, monkeypatch):
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
     # the committed WALL=1.0, not the working tree's 1.5
-    assert log.read_text().split() == ["2.0", "1.0", "1.01", "2.01"]
+    assert log.read_text().split() == ["2.0", "1.0", "1.0", "1.0", "1.01", "2.01", "1.01", "1.01"]
     assert [p["change"]["wall_s"] for p in report["pairs"]] == [1.0, 1.01]
     assert report["change"]["provenance"] == {"src": "1"}
     assert report["change"]["src_uncommitted_changes"] is False
@@ -147,11 +164,15 @@ def test_several_workloads_run_over_one_pair_of_trees(tmp_path, monkeypatch):
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
     # every pair of the first workload, then of the second, in the same order
-    assert log.read_text().split() == ["2.04", "1.54", "1.55", "2.05",
-                                       "12.04", "11.54", "11.55", "12.05"]
-    # the base tree is archived once: both workloads ran in the same directory
+    assert log.read_text().split() == ["2.04", "1.54", "1.54", "1.54",
+                                       "1.55", "2.05", "1.55", "1.55",
+                                       "12.04", "11.54", "11.54", "11.54",
+                                       "11.55", "12.05", "11.55", "11.55"]
+    # the base tree is archived once: both workloads ran in the same directory;
+    # the A/A runs use the change tree
     base, change = trees.read_text().split()[:2]
-    assert trees.read_text().split() == [base, change, change, base] * 2
+    assert trees.read_text().split() == [base, change, change, change,
+                                         change, base, change, change] * 2
     assert change == str(repo) != base
     assert report["workload"] == "w" and [p["base"]["wall_s"] for p in report["pairs"]] == \
         [2.04, 2.05]
@@ -164,3 +185,38 @@ def test_several_workloads_run_over_one_pair_of_trees(tmp_path, monkeypatch):
     assert [other[side]["rev"] for side in ("base", "change")] == \
         [report[side]["rev"] for side in ("base", "change")]
     assert not list(tmp_path.glob("bench-pairs-*"))
+
+
+def _tool_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pair(base, change, control_1, control_2):
+    return {"base": {"wall_s": base}, "change": {"wall_s": change},
+            "control_1": {"wall_s": control_1}, "control_2": {"wall_s": control_2},
+            "base_iterations": 6, "change_iterations": 8}
+
+
+@pytest.mark.parametrize("controls, resolved", [
+    # A/A ratios -2% .. +1%: a -5% change lies outside them
+    ([(1.00, 0.98), (1.00, 1.01), (1.00, 1.00)], True),
+    # A/A ratios -8% .. +10%: identical code moves further than the change
+    ([(1.00, 0.92), (1.00, 1.10), (1.00, 1.02)], False),
+    # A/A ratios all of one sign, +1% .. +6%: a -5% change lies below their
+    # minimum but is no further from zero than one of them
+    ([(1.00, 1.01), (1.00, 1.06), (1.00, 1.03)], False),
+])
+def test_resolved_when_the_change_lies_outside_the_control_spread(controls, resolved):
+    pairs = [_pair(2.0, 1.9, *c) for c in controls]
+    summary = _tool_module().summarize(pairs, [{"name": "wall_s", "unit": "s",
+                                                "better": "lower"}])
+    entry = summary["wall_s"]
+    assert entry["median_ratio"] == pytest.approx(-0.05)
+    ratios = sorted(b / a - 1 for a, b in controls)
+    assert entry["control"] == pytest.approx(
+        {"median": ratios[1], "min": ratios[0], "max": ratios[2]})
+    assert entry["resolved"] is resolved
+    assert summary["iterations"] == {"base": 6, "change": 8}

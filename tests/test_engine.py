@@ -1,6 +1,7 @@
 """Forward-step attention, feature prediction, generation, and divergence."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_policies, breaking_stream, dump_rows, make_stream, split_runs
+from conftest import (
+    all_policies,
+    breaking_stream,
+    dump_rows,
+    make_stream,
+    recomputing_gelu_grad,
+    split_runs,
+)
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
 from mmsink.bench import divergence
@@ -26,7 +34,7 @@ from mmsink.engine import (
     teacher_forced_logits,
 )
 from mmsink.errors import ConfigError, SequenceGrammarError, StateError
-from mmsink.oracle import brute_block_validity, recompute_attention_row
+from mmsink.oracle import brute_block_validity, recompute_attention_row, relative_error
 from mmsink.seqmodel import Token, TokenKind
 
 
@@ -733,3 +741,35 @@ class TestBlockValidity:
 
     def test_no_blocks(self):
         assert self.cache_validity([Token.bos(), Token.word(1)], 4) == (0, 0)
+
+
+class TestGelu:
+    """``gelu`` hands its tanh to ``gelu_grad``, which must give the same bits
+    as the formula that recomputed the tanh from ``x``."""
+
+    C = math.sqrt(2.0 / math.pi)
+    SPECIAL = np.array([0.0, -0.0, 1e-8, -1e-8, 3.0, -3.0, 20.0, -20.0, 1e6, -1e6])
+
+    @classmethod
+    def points(cls):
+        return np.concatenate([cls.SPECIAL, np.random.default_rng(35).normal(0.0, 3.0, 500)])
+
+    def test_returns_output_and_its_tanh(self):
+        x = self.points()
+        y, t = engine.gelu(x)
+        want_t = np.tanh(self.C * (x + 0.044715 * x**3))
+        assert t.tobytes() == want_t.tobytes()
+        assert y.tobytes() == (0.5 * x * (1.0 + want_t)).tobytes()
+
+    def test_grad_from_tanh_is_bitwise_the_recomputing_formula(self):
+        x = self.points()
+        got = engine.gelu_grad(x, engine.gelu(x)[1])
+        assert got.tobytes() == recomputing_gelu_grad(x).tobytes()
+        assert np.all(np.isfinite(got))
+
+    def test_grad_matches_central_difference(self):
+        x = self.points()
+        x = x[np.abs(x) < 10]
+        h = 1e-5
+        fd = (engine.gelu(x + h)[0] - engine.gelu(x - h)[0]) / (2 * h)
+        assert relative_error(engine.gelu_grad(x, engine.gelu(x)[1]), fd) < 1e-7

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import recomputing_gelu_grad
 from mmsink import engine, losses
 from mmsink import seqmodel as sq
 from mmsink.errors import StateError, TrainingDiverged
@@ -130,6 +131,19 @@ def tiny_sample(tiny_config):
     )
 
 
+def _two_block_sample(m: int) -> sq.TrainingSample:
+    """A sample whose loss covers two image blocks, so two query branches run."""
+    block = sq.image_block_tokens(m)
+    tokens = [sq.Token.bos(), sq.Token.word(3)] + block + \
+        [sq.Token.word(5), sq.Token.punct(1)] + block + [sq.Token.eos()]
+    n = len(block)
+    mask = [False, False] + [True] * n + [False, True] + [True] * n + [True]
+    sample = sq.TrainingSample(sq.MultimodalSequence.from_tokens(tokens, m), tuple(mask),
+                               ((1.0, 0.0, 0.5, 0.0), (0.0, 1.0, 0.0, 0.3)))
+    assert len(sample.masked_blocks()) == 2
+    return sample
+
+
 class TestGradients:
     def test_spot_check_against_finite_differences(self, tiny_model, tiny_sample):
         # the full every-group check runs in the acceptance suite
@@ -149,17 +163,7 @@ class TestGradients:
         cfg = engine.ModelConfig(layers=2, heads=2, d_model=8, d_ff=16, v_text=12,
                                  m=3, q_queries=2, d_feat=4, max_positions=64, seed=9)
         model = engine.Model.init(cfg)
-        block = [sq.Token.boi(), sq.Token.img(0), sq.Token.img(1), sq.Token.img(2),
-                 sq.Token.eoi()]
-        tokens = [sq.Token.bos(), sq.Token.word(3)] + block + \
-            [sq.Token.word(5), sq.Token.punct(1)] + block + [sq.Token.eos()]
-        seqn = sq.MultimodalSequence.from_tokens(tokens, 3)
-        mask = [False, False] + [True] * 5 + [False, True] + [True] * 5 + [True]
-        sample = sq.TrainingSample(
-            seqn, tuple(mask),
-            ((1.0, 0.0, 0.5, 0.0), (0.0, 1.0, 0.0, 0.3)),
-        )
-        assert len(sample.masked_blocks()) == 2
+        sample = _two_block_sample(cfg.m)
         report, grads = sample_loss_and_grads(model, sample, lam=0.8)
         assert report.n_image_blocks == 2
 
@@ -275,3 +279,27 @@ class TestTrainToy:
             train_toy(model, [], steps=1, lr=0.1)
         with pytest.raises(ValueError):
             train_toy(model, samples, steps=0, lr=0.1)
+
+
+class TestCachedTanh:
+    """The backward reads the tanh the forward kept; that moves no bit."""
+
+    def test_loss_and_grads_match_recomputing_tanh(self, tiny_config, monkeypatch):
+        model = engine.Model.init(tiny_config)
+        sample = _two_block_sample(tiny_config.m)
+        cached = sample_loss_and_grads(model, sample, lam=0.8)
+        monkeypatch.setattr(losses, "gelu_grad", recomputing_gelu_grad)
+        report, grads = sample_loss_and_grads(model, sample, lam=0.8)
+        assert cached[0] == report and report.n_image_blocks == 2
+        assert cached[1].keys() == grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(cached[1][name], g), name
+
+    def test_training_steps_match_recomputing_tanh(self, setup, monkeypatch):
+        model, samples = setup
+        cached = train_toy(model, samples, steps=5, lr=0.5, seed=0)
+        monkeypatch.setattr(losses, "gelu_grad", recomputing_gelu_grad)
+        recomputed = train_toy(model, samples, steps=5, lr=0.5, seed=0)
+        assert cached.curve == recomputed.curve
+        for name in engine.param_names(model.config):
+            assert np.array_equal(cached.model.p[name], recomputed.model.p[name]), name

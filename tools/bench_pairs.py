@@ -9,14 +9,23 @@ and ``BENCHMARK.json``; the change side is this checkout, or with
 ``--change`` a second revision's ``src/`` archived the same way. Both run the
 same, current ``perfbench/run.py --trace 0``, for the ``run_seconds`` that
 ``BENCHMARK.json`` fixes. Pair i uses seed K + i and runs the base first
-when i is even, the change first when it is odd.
+when i is even, the change first when it is odd. Each pair is followed by
+an A/A pair: the change tree twice more, on the same seed, in fresh
+processes. Their ratios show how far identical code moves between two runs,
+so a metric counts as ``resolved`` only when the A/B median ratio moves
+further from zero than every A/A ratio, in either direction: an A/A pair
+always runs in the same order, so a run-order effect would give its ratios
+one sign.
 
 The output holds every pair's end-to-end metrics (the ones
 ``BENCHMARK.json`` declares), failed operations and iteration counts (a
 workload's peak RSS grows with the iterations it keeps), each side's median,
 quartiles and IQR per metric, the change's win count (ties count for
-neither side), and each side's perfbench provenance. Several
-comma-separated workloads run one after another over the same archived
+neither side), each side's median iteration count, and each side's
+perfbench provenance. The pairs also hold the two A/A runs (``control_1``,
+``control_2``), and each metric's summary their ratios'
+(``control_2 / control_1 - 1``) median, min and max and the ``resolved``
+flag. Several comma-separated workloads run one after another over the same archived
 trees, N pairs each: the first one's record is the top level, and each
 other's, without its ``workload`` field, is under ``other_workloads``.
 """
@@ -34,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+CONTROL = ("control_1", "control_2")  # the A/A runs, both of the change tree
 
 
 def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -79,6 +89,8 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
         change = [pair["change"][name] for pair in pairs]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         sides = {"base": spread(base), "change": spread(change)}
+        ratio = sides["change"]["median"] / sides["base"]["median"] - 1.0
+        aa = [pair[CONTROL[1]][name] / pair[CONTROL[0]][name] - 1.0 for pair in pairs]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -86,8 +98,12 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
             "change_wins": wins,
             "ties": sum(b == c for b, c in zip(base, change)),
             "pairs": len(pairs),
-            "median_ratio": sides["change"]["median"] / sides["base"]["median"] - 1.0,
+            "median_ratio": ratio,
+            "control": {"median": statistics.median(aa), "min": min(aa), "max": max(aa)},
+            "resolved": abs(ratio) > max(map(abs, aa)),
         }
+    out["iterations"] = {side: statistics.median(pair[f"{side}_iterations"] for pair in pairs)
+                         for side in SIDES}
     return out
 
 
@@ -104,16 +120,17 @@ def workload_pairs(trees: dict[str, Path], workload: str, pairs: int,
         seed = first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair: dict = {"seed": seed, "first": order[0]}
-        for side in order:
+        for run in order + CONTROL:
+            side = "change" if run in CONTROL else run
             detail, result = run_once(trees[side], workload, seed)
-            pair[side] = {name: entry["value"] for name, entry in result["metrics"].items()}
-            pair[f"{side}_failed"] = result["failed"]
-            pair[f"{side}_attempted"] = result["attempted"]
-            pair[f"{side}_iterations"] = detail["iterations"]
+            pair[run] = {name: entry["value"] for name, entry in result["metrics"].items()}
+            pair[f"{run}_failed"] = result["failed"]
+            pair[f"{run}_attempted"] = result["attempted"]
+            pair[f"{run}_iterations"] = detail["iterations"]
             provenance.setdefault(side, {k: v for k, v in detail["provenance"].items()
                                          if k != "seed"})
-            print(f"{workload} pair {i} seed {seed} {side}: "
-                  + " ".join(f"{k}={v:.4g}" for k, v in pair[side].items())
+            print(f"{workload} pair {i} seed {seed} {run}: "
+                  + " ".join(f"{k}={v:.4g}" for k, v in pair[run].items())
                   + f" iterations={detail['iterations']}", file=sys.stderr)
         records.append(pair)
     return records, provenance
@@ -169,11 +186,20 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     records = {report["workload"]: report, **report.get("other_workloads", {})}
     for workload, record in records.items():
-        for name, entry in record["summary"].items():
-            print(f"{workload} {name}: base {entry['base']['median']:.4g} "
-                  f"(IQR {entry['base']['iqr']:.3g}), change {entry['change']['median']:.4g} "
-                  f"(IQR {entry['change']['iqr']:.3g}), {entry['median_ratio']:+.1%}, "
-                  f"change better in {entry['change_wins']}/{entry['pairs']}")
+        metrics = dict(record["summary"])
+        iterations = metrics.pop("iterations")
+        for name, entry in metrics.items():
+            line = (f"{workload} {name}: base {entry['base']['median']:.4g} "
+                    f"(IQR {entry['base']['iqr']:.3g}), change {entry['change']['median']:.4g} "
+                    f"(IQR {entry['change']['iqr']:.3g}), {entry['median_ratio']:+.1%}, "
+                    f"change better in {entry['change_wins']}/{entry['pairs']}")
+            if name == "peak_rss_mb":
+                line += (f", iterations base {iterations['base']:g} "
+                         f"change {iterations['change']:g}")
+            aa = entry["control"]
+            line += (f", A/A {aa['min']:+.1%} to {aa['max']:+.1%}, "
+                     + ("resolved" if entry["resolved"] else "not resolved"))
+            print(line)
     return 0
 
 
