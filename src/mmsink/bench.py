@@ -1,9 +1,9 @@
 """Controlled comparison of retention policies over long generations.
 
 Every policy replays one identical teacher-forced trajectory for logit
-divergence against the dense reference, and runs its own free generation
-for structural validity, which that run's cache grammar reads token by
-token, and (optionally) wall-clock timing.
+divergence against the dense reference. With timing on, it also runs its
+own free generations for wall-clock timing and structural validity, which
+the last run's cache grammar reads token by token.
 
 The report is one dict: :func:`run_benchmark` returns exactly what the
 JSON file holds, with its keys in the file's order, and the CSV flattens
@@ -35,7 +35,8 @@ DIVERGENCE_FIELDS = {"t": "a count", "max_logit_diff": "a non-negative finite nu
                      "kl": "a non-negative finite number"}
 POLICY_FIELDS = {"policy": "a string", "params": PARAM_FIELDS,
                  "peak_entries": "a count", "bytes": "a count",
-                 "mean_tok_s": "a finite number or null", "validity": "a number in [0, 1]",
+                 "mean_tok_s": "a finite number or null",
+                 "validity": "a number in [0, 1] or null",
                  "divergence": [DIVERGENCE_FIELDS]}
 REPORT_FIELDS = {"prompt_len": "a count", "total_steps": "a count", "checkpoints": "a list of counts",
                  "repeats": "a count", "seed": "a count", "timing": "a boolean",
@@ -135,8 +136,11 @@ def run_benchmark(
 
     Report rows are keyed by policy kind, so each kind may appear once.
     With ``timing`` on, each policy's free generation runs ``repeats``
-    timed times (every run has the same seed); with it off, it runs once.
-    Validity is :func:`block_validity` of the last run, with no second pass.
+    timed times (every run has the same seed), and validity is
+    :func:`block_validity` of the last run, with no second pass: the share
+    of its attempted blocks that completed, or None when it attempted none.
+    With ``timing`` off, no free generation runs, and ``mean_tok_s`` and
+    ``validity`` are None.
 
     The dense reference replay always runs, so ``prompt + total_steps``
     must fit the model's position table, or :class:`ConfigError` is raised
@@ -172,19 +176,21 @@ def run_benchmark(
     results = []
     for policy in policies:
         policy_logits, peak = teacher_forced_logits(model, tokens, policy, checkpoints)
-        per_token_s = []
-        for _ in range(repeats if timing else 1):
+        per_token_s, validity = [], None
+        for _ in range(repeats if timing else 0):
             started = time.perf_counter()
             free = generate(model, prompt, policy, total_steps, mode="free", seed=seed)
             per_token_s.append((time.perf_counter() - started) / len(free.generated))
-        attempted, valid = block_validity(free, prompt_len)
+        if timing:
+            attempted, valid = block_validity(free, prompt_len)
+            validity = valid / attempted if attempted else None
         results.append({
             "policy": policy.kind,
             "params": policy.params(),
             "peak_entries": peak,
             "bytes": bytes_estimate(peak, cfg.layers, cfg.heads, cfg.d_head),
             "mean_tok_s": float(np.mean(per_token_s)) if timing else None,
-            "validity": valid / attempted if attempted else 1.0,
+            "validity": validity,
             "divergence": [divergence(t, dense_logits[t], policy_logits[t]) for t in checkpoints],
         })
     return {**run, "policies": results}
@@ -194,10 +200,11 @@ def write_report_csv(report: dict, path) -> None:
     """One row per policy and checkpoint of ``report["policies"]``."""
     rows = []
     for r in report["policies"]:
-        tok_s = "" if r["mean_tok_s"] is None else repr(r["mean_tok_s"])
+        tok_s, validity = ("" if r[key] is None else repr(r[key])
+                           for key in ("mean_tok_s", "validity"))
         rows.extend([r["policy"], r["peak_entries"], r["bytes"], tok_s,
                      div["t"], repr(div["max_logit_diff"]), repr(div["kl"]),
-                     repr(r["validity"])] for div in r["divergence"])
+                     validity] for div in r["divergence"])
     write_csv(path, CSV_HEADER, rows)
 
 

@@ -331,7 +331,7 @@ def cmd_bench(args) -> int:
     for r in report["policies"]:
         print(
             f"  {r['policy']}: peak_entries={r['peak_entries']} bytes={r['bytes']} "
-            f"validity={r['validity']:.3f} "
+            f"validity={'-' if r['validity'] is None else format(r['validity'], '.3f')} "
             f"final_kl={r['divergence'][-1]['kl']:.6g}"
         )
     return 0

@@ -532,6 +532,7 @@ def _in(low, high, *types):
 
 _MAX = sys.float_info.max
 _FINITE = _in(-_MAX, _MAX, int, float)
+_UNIT = _in(0, 1, int, float)
 
 
 def _number_list(value) -> bool:  # floats, and ints in the float range, as numpy takes them
@@ -549,7 +550,8 @@ FIELD_KINDS = {
     "a count": _in(0, _MAX, int),
     "a finite number": _FINITE,
     "a non-negative finite number": _in(0, _MAX, int, float),
-    "a number in [0, 1]": _in(0, 1, int, float),
+    "a number in [0, 1]": _UNIT,
+    "a number in [0, 1] or null": lambda value: value is None or _UNIT(value),
     "a finite number or null": lambda value: value is None or _FINITE(value),
     "a list of finite numbers": lambda value: _number_list(value) and all(map(math.isfinite, value)),
     "a list of lists of finite numbers": lambda value: (

@@ -42,10 +42,15 @@ def bench_prompt(bench_model):
 
 @pytest.fixture(scope="module")
 def desk_report(bench_model, bench_prompt):
-    policies = [CachePolicy.dense(), CachePolicy.windowed(64),
-                CachePolicy.sink(4, 64), CachePolicy.mmsink(4, 1, 2, 64)]
-    return run_benchmark(bench_model, bench_prompt, policies,
+    return run_benchmark(bench_model, bench_prompt, all_policies(64, n_sink=4),
                          total_steps=256, seed=0)
+
+
+@pytest.fixture(scope="module")
+def timed_desk_report(bench_model, bench_prompt):
+    """The run of ``desk_report`` with wall timing and one free run per policy."""
+    return run_benchmark(bench_model, bench_prompt, all_policies(64, n_sink=4),
+                         total_steps=256, repeats=1, seed=0, timing=True)
 
 
 class TestSyntheticTrajectory:
@@ -78,9 +83,37 @@ class TestRunBenchmark:
                 assert d["max_logit_diff"] >= 0.0
                 assert d["kl"] >= -1e-12
 
-    def test_validity_rate_in_unit_interval(self, desk_report):
-        for r in desk_report["policies"]:
-            assert 0.0 <= r["validity"] <= 1.0
+    def test_validity_rate_in_unit_interval(self, timed_desk_report):
+        for r in timed_desk_report["policies"]:
+            assert r["validity"] is None or 0.0 <= r["validity"] <= 1.0
+
+    def test_validity_is_null_where_no_block_was_attempted(self, tiny_config):
+        # model seed 6: the free window and sink runs generate no begin marker,
+        # the dense and mmsink runs several, and none completes a block
+        model = Model.init(dataclasses.replace(tiny_config, seed=6))
+        story = sq.synth_stories(1, items_per_story=1, rng_seed=0, d_feat=4)[0]
+        prompt = sq.prompt_sequence(story, 1, m=4, v_text=12)
+        report = run_benchmark(model, prompt, all_policies(16), total_steps=64, repeats=1,
+                               seed=0, timing=True)
+        assert {r["policy"]: r["validity"] for r in report["policies"]} == {
+            "dense": 0.0, "window": None, "sink": None, "mmsink": 0.0}
+
+    def test_untimed_report_is_the_timed_one_without_free_runs(self, bench_model, bench_prompt,
+                                                               timed_desk_report):
+        untimed = run_benchmark(bench_model, bench_prompt, all_policies(64, n_sink=4),
+                                total_steps=256, repeats=1, seed=0)
+        assert all(r["mean_tok_s"] is None and r["validity"] is None for r in untimed["policies"])
+
+        def without_free_runs(report):
+            return {**report, "timing": None, "policies": [
+                {**r, "mean_tok_s": None, "validity": None} for r in report["policies"]]}
+
+        def divergence_bits(report):
+            return [[(d["t"], d["max_logit_diff"].hex(), d["kl"].hex()) for d in r["divergence"]]
+                    for r in report["policies"]]
+
+        assert without_free_runs(untimed) == without_free_runs(timed_desk_report)
+        assert divergence_bits(untimed) == divergence_bits(timed_desk_report)
 
     def test_bytes_follow_entry_counts(self, desk_report, bench_model):
         c = bench_model.config
@@ -142,30 +175,38 @@ class TestRunBenchmark:
             run_benchmark(bench_model, bench_prompt, policies, total_steps=16)
 
     @pytest.mark.parametrize("timing, calls", [
-        (False, ["window", "mmsink"]),
+        (False, []),
         (True, ["window", "window", "mmsink", "mmsink"]),
     ])
     def test_free_generations_per_policy(self, bench_model, bench_prompt, monkeypatch,
                                          timing, calls):
-        # timing off: one free run per policy; wall timing: `repeats` runs,
-        # and validity comes from their tokens
-        made = []
+        # timing off: no free run, and nothing reads one; wall timing: `repeats`
+        # runs, and validity comes from the last one's tokens
+        made, read, block_validity = [], [], bench.block_validity
 
         def counted_generate(*args, **kwargs):
             made.append(args[2].kind)
             return engine.generate(*args, **kwargs)
 
+        def counted_validity(free, prompt_len):
+            read.append(made[-1])
+            return block_validity(free, prompt_len)
+
         monkeypatch.setattr(bench, "generate", counted_generate)
+        monkeypatch.setattr(bench, "block_validity", counted_validity)
         report = run_benchmark(bench_model, bench_prompt,
                                [CachePolicy.windowed(32), CachePolicy.mmsink(4, 1, 2, 32)],
                                total_steps=32, repeats=2, seed=0, timing=timing)
         assert made == calls
+        assert read == list(dict.fromkeys(calls))
         assert all((r["mean_tok_s"] is not None) == timing for r in report["policies"])
+        assert timing or all(r["validity"] is None for r in report["policies"])
 
     @pytest.mark.parametrize("timing", [False, True])
     def test_block_validity_reads_each_last_free_run(self, tiny_config, monkeypatch, timing):
-        """perfbench's bench.blocks_* counters wrap bench.block_validity: it is called once
-        per policy, right after that policy's last free run, with that run's counts."""
+        """perfbench's bench.blocks_* counters wrap bench.block_validity: with timing on, it
+        is called once per policy, right after that policy's last free run, with that run's
+        counts; with it off, neither runs."""
         model = Model.init(dataclasses.replace(tiny_config, seed=1))
         story = sq.synth_stories(1, items_per_story=1, rng_seed=0, d_feat=4)[0]
         prompt = sq.prompt_sequence(story, 1, m=4, v_text=12)
@@ -187,17 +228,18 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench, "block_validity", recorded_validity)
         report = run_benchmark(model, prompt, policies, total_steps=64, repeats=2, seed=0,
                                timing=timing)
-        runs = 2 if timing else 1
+        runs = 2 if timing else 0
         assert [call[:2] if call[0] == "generate" else call[0] for call in calls] == [
-            tag for p in policies for tag in [("generate", p.kind)] * runs + ["validity"]]
+            tag for p in policies for tag in [("generate", p.kind)] * runs + ["validity"] * timing]
         counted = [(i, free, counts) for i, (name, free, counts) in enumerate(calls)
                    if name == "validity"]
         for i, free, (attempted, valid) in counted:
             assert free is calls[i - 1][2]
             assert (attempted, valid) == brute_block_validity(free.generated, 4)
             assert attempted > 0 and any(b < len(prompt) for b, _ in free.trace.blocks)
-        assert [r["validity"] for r in report["policies"]] == [
-            valid / attempted for _, _, (attempted, valid) in counted]
+        assert [r["validity"] for r in report["policies"]] == (
+            [valid / attempted for _, _, (attempted, valid) in counted] if timing
+            else [None] * len(policies))
 
     def test_generated_trajectory_mode(self, bench_model, bench_prompt):
         report = run_benchmark(bench_model, bench_prompt,

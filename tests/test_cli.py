@@ -7,7 +7,7 @@ import pytest
 
 from mmsink import attnstats, engine
 from mmsink.errors import StateError
-from mmsink.bench import CSV_HEADER
+from mmsink.bench import CSV_HEADER, write_report_csv
 from mmsink import seqmodel as sq
 from mmsink.cachepolicy import POLICY_KINDS, CachePolicy
 from mmsink.cli import KNOWN_KEYS, PROFILES, _build_parser, _policy_from_cfg, main
@@ -136,7 +136,7 @@ class TestStats:
 
 
 class TestBench:
-    def test_csv_has_four_policy_rows_per_checkpoint(self, tmp_path):
+    def test_csv_has_four_policy_rows_per_checkpoint(self, tmp_path, capsys):
         report = tmp_path / "bench.csv"
         assert main(["bench", "--policies", "dense,window,sink,mmsink",
                      "--steps", "96", "--window", "32", "--seed", "0",
@@ -144,6 +144,9 @@ class TestBench:
         lines = report.read_text().splitlines()
         policies = {line.split(",")[0] for line in lines[1:]}
         assert policies == {"dense", "window", "sink", "mmsink"}
+        # untimed, no free run gives a validity to print
+        printed = [line for line in capsys.readouterr().out.splitlines() if "validity=" in line]
+        assert len(printed) == 4 and all(" validity=- " in line for line in printed)
 
     def test_deterministic_with_timing_off(self, tmp_path):
         blobs = []
@@ -171,6 +174,10 @@ _ONE_SHAPE = "; all share one non-zero row count and length"
 # the top-level keys of an untimed benchmark JSON report, apart from "policies"
 REPORT_TOP = {"prompt_len": 3, "total_steps": 4, "checkpoints": [4], "repeats": 1, "seed": 0,
               "timing": False, "trajectory": "synthetic"}
+# a policy entry of that report, its validity as untimed reports held it before they left it null
+ENTRY = {"policy": "window", "params": PARAMS, "peak_entries": 9, "bytes": 1,
+         "mean_tok_s": None, "validity": 1.0,
+         "divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": 0.0}]}
 
 
 class TestValidate:
@@ -345,7 +352,7 @@ class TestValidate:
         ({"params": []}, "policies[0] params is not an object"),
         ({"bytes": True}, "policies[0] bytes is not a count"),
         ({"mean_tok_s": "fast"}, "policies[0] mean_tok_s is not a finite number or null"),
-        ({"validity": False}, "policies[0] validity is not a number in [0, 1]"),
+        ({"validity": False}, "policies[0] validity is not a number in [0, 1] or null"),
         ({"divergence": 5}, "policies[0] divergence is not a list"),
         ({"divergence": [4]}, "policies[0] divergence[0] is not an object"),
         ({"divergence": [{"t": 4, "kl": 0.0}]},
@@ -358,8 +365,9 @@ class TestValidate:
             {"t": 4, "max_logit_diff": 0.0, "kl": float("nan")}]},
          "policies[0] peak_entries is not a count"),
         ({"bytes": -1}, "policies[0] bytes is not a count"),
-        ({"validity": 7}, "policies[0] validity is not a number in [0, 1]"),
-        ({"validity": -0.5}, "policies[0] validity is not a number in [0, 1]"),
+        ({"validity": 7}, "policies[0] validity is not a number in [0, 1] or null"),
+        ({"validity": -0.5}, "policies[0] validity is not a number in [0, 1] or null"),
+        ({"validity": True}, "policies[0] validity is not a number in [0, 1] or null"),
         ({"mean_tok_s": float("inf")}, "policies[0] mean_tok_s is not a finite number or null"),
         ({"divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": float("nan")}]},
          "policies[0] divergence[0] kl is not a non-negative finite number"),
@@ -373,18 +381,28 @@ class TestValidate:
     ], ids=["issue-entry", "policy", "params-value", "params-list", "bool-bytes", "timing",
             "bool-validity", "divergence", "checkpoint-type", "checkpoint-key", "kl",
             "checkpoint-t", "range-entry", "negative-bytes", "validity-above-one",
-            "negative-validity", "infinite-timing", "nan-kl", "negative-logit-diff",
-            "negative-t", "params-out-of-range", "params-not-read"])
+            "negative-validity", "true-validity", "infinite-timing", "nan-kl",
+            "negative-logit-diff", "negative-t", "params-out-of-range", "params-not-read"])
     def test_rejects_bench_json_values(self, tmp_path, capsys, change, expected):
-        entry = {"policy": "window", "params": PARAMS, "peak_entries": 9, "bytes": 1,
-                 "mean_tok_s": None, "validity": 1.0,
-                 "divergence": [{"t": 4, "max_logit_diff": 0.0, "kl": 0.0}]}
         path = tmp_path / "weird.json"
-        path.write_text(json.dumps(dict(REPORT_TOP, policies=[dict(entry, **change)])))
+        path.write_text(json.dumps(dict(REPORT_TOP, policies=[dict(ENTRY, **change)])))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path}: {expected}"]
-        path.write_text(json.dumps(dict(REPORT_TOP, policies=[entry])))
+        path.write_text(json.dumps(dict(REPORT_TOP, policies=[ENTRY])))
         assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("timing", [False, True])
+    @pytest.mark.parametrize("validity, cell", [(None, ""), (0, "0"), (0.5, "0.5"), (1.0, "1.0")])
+    def test_accepts_bench_validity_under_either_timing(self, tmp_path, timing, validity, cell):
+        """validity is null where no free run counted a block, and a number in [0, 1] where
+        one did, or in an untimed report written before untimed runs left it null."""
+        report = dict(REPORT_TOP, timing=timing, policies=[
+            dict(ENTRY, mean_tok_s=0.001 if timing else None, validity=validity)])
+        path, table = tmp_path / "bench.json", tmp_path / "bench.csv"
+        path.write_text(json.dumps(report))
+        write_report_csv(report, table)
+        assert table.read_text().splitlines()[1].split(",")[-1] == cell
+        assert main(["validate", str(path), str(table)]) == 0
 
     @pytest.mark.parametrize("change, times, expected", [
         ({"repeats": -1, "timing": "x", "seed": "s", "trajectory": 5, "prompt_len": -4}, None,

@@ -1,6 +1,7 @@
 """The CLI output comparison in tools/cli_outputs.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,20 @@ def test_compare_reports_a_missing_file(tmp_path, capsys):
 def test_json_int_and_float_are_different_fields():
     with pytest.raises(ValueError, match="/steps: 1 != 1.0"):
         cli_outputs.max_float_delta({"steps": 1}, {"steps": 1.0})
+
+
+def test_every_command_runs_with_blas_on_one_thread(tmp_path, monkeypatch):
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in threads:
+        monkeypatch.setenv(name, "2")
+    envs = []
+
+    def run(argv, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(argv, 0, stderr="")
+
+    out = _matrix(tmp_path / "out")
+    monkeypatch.setattr(cli_outputs.subprocess, "run", run)
+    assert cli_outputs.write_matrix(out, Path("src")) == 0
+    assert len(envs) == len(cli_outputs.commands(out))
+    assert all(env[name] == "1" for env in envs for name in threads)

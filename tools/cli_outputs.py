@@ -7,7 +7,9 @@ The first form runs the fixed set of CLI commands below, writing their 41
 output files into OUT (the four attention dumps that ``stats`` reads under
 OUT/dumps/), and prints one SHA-256 per file. ``--src`` picks the source
 tree to run (default: this checkout's ``src``), so the same script can write
-the matrix of another revision.
+the matrix of another revision. Every command runs with BLAS on one thread
+(``ONE_THREAD``): on more threads, BLAS may sum in another order, which moves
+the last bits of some floats, and so the hashes, from one machine to another.
 
 The second form reports, per file, either "identical" or the largest
 absolute difference over its float fields. It exits non-zero when a file is
@@ -31,6 +33,7 @@ FLOAT_ATOL = 1e-12
 POLICIES = ("dense", "window", "sink", "mmsink")
 FREE_SEEDS = (0, 1, 2, 5)
 TRAJECTORIES = ("synthetic", "generated")
+ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 def commands(out: Path) -> list[tuple[list[str], list[str]]]:
@@ -119,7 +122,7 @@ def file_names() -> list[str]:
 
 def write_matrix(out: Path, src: Path) -> int:
     (out / "dumps").mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ONE_THREAD)
     for argv, names in commands(out):
         done = subprocess.run([sys.executable, "-m", "mmsink.cli", *argv], env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
